@@ -2,8 +2,9 @@
 
 Verbs: verify, refine, spectral, stability, choquard, probe-continuity,
 rearrange (file to file), info.  Global flags: --config, --seed, --out,
---jobs.  Exit codes: 0 all pass, 1 fail verdicts present, 2 usage or config
-errors.
+--jobs (accepted and validated, currently no effect: experiments run in
+order in one process).  Exit codes: 0 all pass, 1 fail verdicts present, 2
+usage or config errors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import experiments
 from .field import FieldFormatError, GridSet, ScalarField, load, save
@@ -26,7 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a symkit-config 1 JSON document")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the report output directory")
-    parser.add_argument("--jobs", type=int, help="worker pool size for independent experiments")
+    parser.add_argument(
+        "--jobs", type=int, help="accepted for compatibility (must be >= 1); currently has no effect"
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser("verify", help="exact discrete inequality suite")
     p_refine = sub.add_parser("refine", help="refinement-ladder contracts")
@@ -62,19 +64,6 @@ def _resolve_config(args) -> SuiteConfig:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
-
-
-def _run_suite(config: SuiteConfig, jobs: list) -> list:
-    """Run independent experiment thunks, preserving submission order."""
-    if config.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda f: f(), jobs))
-    else:
-        results = [f() for f in jobs]
-    out = []
-    for r in results:
-        out.extend(r if isinstance(r, list) else [r])
-    return out
 
 
 def main(argv=None) -> int:
@@ -131,7 +120,7 @@ def main(argv=None) -> int:
             print(f"symkit: {exc}", file=sys.stderr)
             return 2
     elif args.verb == "spectral":
-        reports = _run_suite(config, [lambda: experiments.run_spectral(config)])
+        reports = experiments.run_spectral(config)
     elif args.verb == "stability":
         reports = experiments.run_stability(config)
     elif args.verb == "choquard":

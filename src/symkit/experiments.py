@@ -1,15 +1,18 @@
 """Suite runners behind the CLI verbs.
 
-Each runner returns ExperimentReport objects whose verdicts are derivable
-from the recorded numbers.  Random inputs are drawn from counter-based
-streams keyed by the config seed, so identical configs produce byte-identical
-payloads (wall time aside).
+Each runner lists its experiments, plain functions that return an
+ExperimentReport (a list of them for verify), and hands them to ``_run``,
+which calls them in order and stamps each call's wall time on the reports it
+returned.  Verdicts are derivable from the recorded numbers.  Random inputs
+are drawn from counter-based streams keyed by the config seed, so identical
+configs produce byte-identical payloads (wall time aside).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -85,9 +88,27 @@ def _grid(d: int, n: int, h: float) -> Grid:
     return Grid((n,) * d, h)
 
 
-def _timed(report: ExperimentReport, t0: float) -> ExperimentReport:
-    report.wall_time_s = time.monotonic() - t0
-    return report
+def _run(experiments) -> list[ExperimentReport]:
+    """Call each experiment in order; its wall time goes on every report it returns."""
+    reports = []
+    for experiment in experiments:
+        t0 = time.monotonic()
+        out = experiment()
+        wall = time.monotonic() - t0
+        out = out if isinstance(out, list) else [out]
+        for rep in out:
+            rep.wall_time_s = wall
+        reports.extend(out)
+    return reports
+
+
+def _worst(pairs) -> tuple[float, float]:
+    """Largest wrong-direction gap ``bad - good`` (at least 0) and largest ``|good|``."""
+    worst, scale = 0.0, 0.0
+    for bad, good in pairs:
+        worst = max(worst, bad - good)
+        scale = max(scale, abs(good))
+    return worst, scale
 
 
 # ----------------------------------------------------------------------------
@@ -112,8 +133,15 @@ def _rel_gap(bad: float, good: float) -> float:
 
 
 def run_verify(config: SuiteConfig, corrupt: bool = False) -> list[ExperimentReport]:
-    """Exact discrete inequalities on seeded random pairs; slack 1e-12 relative."""
-    t0 = time.monotonic()
+    """Exact discrete inequalities on seeded random pairs; slack 1e-12 relative.
+
+    All checks share one pass over the cases, so every report carries that
+    pass's wall time.
+    """
+    return _run([partial(_verify, config, corrupt)])
+
+
+def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
     worst: dict[str, float] = {}
 
     def note(name: str, gap: float):
@@ -191,8 +219,6 @@ def run_verify(config: SuiteConfig, corrupt: bool = False) -> list[ExperimentRep
                 verdict=VERDICT_PASS,
             )
         ]
-    for rep in reports:
-        _timed(rep, t0)
     return reports
 
 
@@ -201,130 +227,94 @@ def run_verify(config: SuiteConfig, corrupt: bool = False) -> list[ExperimentRep
 # ----------------------------------------------------------------------------
 
 
-def _suite_fields(config, d, n, h, count, stream, signed=False, nonneg=True):
-    grid = _grid(d, n, h)
-    half = BOX_HALF[d]
-    out = []
-    for case in range(count):
-        rng = rng_for(config.seed, stream, d, case)
-        sample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction, signed=signed)
-        out.append(bump_field(sample, grid, nonneg=nonneg))
-    return out
-
-
-def _suite_masks(config, d, n, h, count, stream, threshold=0.3):
+def _suite_fields(config, d, n, h, count, stream):
     grid = _grid(d, n, h)
     half = BOX_HALF[d]
     out = []
     for case in range(count):
         rng = rng_for(config.seed, stream, d, case)
         sample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
-        out.append(bump_mask(sample, grid, threshold))
+        out.append(bump_field(sample, grid, nonneg=True))
     return out
 
 
-def _violation_riesz(config, d, n, h) -> tuple[float, float]:
-    cases = 3
+def _suite_masks(config, d, n, h, count, stream):
     grid = _grid(d, n, h)
     half = BOX_HALF[d]
-    worst, scale = 0.0, 0.0
-    for case in range(cases):
+    out = []
+    for case in range(count):
+        rng = rng_for(config.seed, stream, d, case)
+        sample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
+        out.append(bump_mask(sample, grid, 0.3))
+    return out
+
+
+def _riesz_inputs(config, d, n, h):
+    """(f, g, k) per case; g is sampled on the displacement grid."""
+    grid = _grid(d, n, h)
+    half = BOX_HALF[d]
+    for case in range(3):
         rng = rng_for(config.seed, 21, d, case)
         f = bump_field(sample_bumps(rng, d, half, config.n_bumps, 0.5), grid, nonneg=True)
-        hh = bump_field(sample_bumps(rng, d, half, config.n_bumps, 0.5), grid, nonneg=True)
+        k = bump_field(sample_bumps(rng, d, half, config.n_bumps, 0.5), grid, nonneg=True)
         gsample = sample_bumps(rng, d, half, config.n_bumps, 0.5)
-        g = bump_field(gsample, displacement_grid(grid), nonneg=True)
-        left = riesz_triple(f, g, hh)
-        right = riesz_triple(rearrange(f), rearrange(g), rearrange(hh))
-        worst = max(worst, left - right)
-        scale = max(scale, abs(right))
-    return worst, scale
+        yield f, bump_field(gsample, displacement_grid(grid), nonneg=True), k
 
 
-def _violation_frac_seminorm(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    for u in _suite_fields(config, d, n, h, 3, stream=22):
-        a = fractional_seminorm(u, 0.5, 2.0)
-        b = fractional_seminorm(rearrange(u), 0.5, 2.0)
-        worst = max(worst, b - a)
-        scale = max(scale, abs(a))
-    return worst, scale
+def _heat_trace_pairs(config, grid, rng_keys, threshold, times):
+    """(trace, trace after increasing rearrangement) per random domain and time.
 
-
-def _violation_frac_perimeter(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    for A in _suite_masks(config, d, n, h, 3, stream=23):
-        a = fractional_perimeter(A, 0.5)
-        b = fractional_perimeter(set_symmetrize(A), 0.5)
-        worst = max(worst, b - a)
-        scale = max(scale, abs(a))
-    return worst, scale
-
-
-def _violation_gradient(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    for u in _suite_fields(config, d, n, h, 3, stream=24):
-        a = gradient_pnorm(u, 2.0)
-        b = gradient_pnorm(rearrange(u), 2.0)
-        worst = max(worst, b - a)
-        scale = max(scale, abs(a))
-    return worst, scale
-
-
-def _violation_heat_pairing(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    t = 0.04
-    for u in _suite_fields(config, d, n, h, 3, stream=25):
-        a = heat_pairing(u, t)
-        b = heat_pairing(rearrange(u), t)
-        worst = max(worst, a - b)
-        scale = max(scale, abs(b))
-    return worst, scale
-
-
-def _violation_heat_trace(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    grid = _grid(d, n, h)
-    half = BOX_HALF[d]
-    for case in range(2):
-        rng = rng_for(config.seed, 26, d, case)
+    Each key seeds one random domain (a bump mask at ``threshold``) and
+    potential V; the pair compares sum exp(-t lambda_j) of the Dirichlet
+    operator -Delta + V with that of its symmetric increasing rearrangement.
+    """
+    d, half = grid.dim, BOX_HALF[grid.dim]
+    for key in rng_keys:
+        rng = rng_for(config.seed, *key)
         sample = sample_bumps(rng, d, half, config.n_bumps, 0.45)
-        omega = bump_mask(sample, grid, threshold=0.4)
+        omega = bump_mask(sample, grid, threshold=threshold)
         vsample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
         V = ScalarField(grid, 3.0 * np.abs(vsample(grid.coords())))
         vstar, ostar = increasing_rearrangement(V, omega)
         ev = dirichlet_eigenvalues(omega, V)
         evs = dirichlet_eigenvalues(ostar, vstar)
-        for t in (0.01, 0.03):
-            a = float(np.exp(-t * ev).sum())
-            b = float(np.exp(-t * evs).sum())
-            worst = max(worst, a - b)
-            scale = max(scale, abs(b))
-    return worst, scale
+        for t in times:
+            yield float(np.exp(-t * ev).sum()), float(np.exp(-t * evs).sum())
 
 
-def _violation_minkowski(config, d, n, h) -> tuple[float, float]:
-    worst, scale = 0.0, 0.0
-    for A in _suite_masks(config, d, n, h, 3, stream=27):
-        eps = 3 * h
-        a = minkowski_content(A, eps)
-        b = minkowski_content(set_symmetrize(A), eps)
-        worst = max(worst, b - a)
-        scale = max(scale, abs(a))
-    return worst, scale
-
-
-_VIOLATION_RUNNERS = {
-    "riesz": (_violation_riesz, (1, 2)),
-    "frac-seminorm": (_violation_frac_seminorm, (1, 2)),
-    "frac-perimeter": (_violation_frac_perimeter, (1, 2)),
-    "gradient": (_violation_gradient, (1, 2)),
-    "heat-pairing": (_violation_heat_pairing, (1, 2)),
-    "heat-trace": (_violation_heat_trace, (1, 2)),
-    "minkowski": (_violation_minkowski, (1, 2)),
+# Refinement contracts: id -> (config, d, n, h) -> (bad, good) pairs, where
+# ``bad`` exceeding ``good`` is the wrong direction of the inequality.  The
+# entries are lambdas so that library functions are looked up in this
+# module's globals when a contract runs, never bound at import time.
+_CONTRACTS = {
+    "riesz": lambda c, d, n, h: (
+        (riesz_triple(f, g, k), riesz_triple(rearrange(f), rearrange(g), rearrange(k)))
+        for f, g, k in _riesz_inputs(c, d, n, h)
+    ),
+    "frac-seminorm": lambda c, d, n, h: (
+        (fractional_seminorm(rearrange(u), 0.5, 2.0), fractional_seminorm(u, 0.5, 2.0))
+        for u in _suite_fields(c, d, n, h, 3, stream=22)
+    ),
+    "frac-perimeter": lambda c, d, n, h: (
+        (fractional_perimeter(set_symmetrize(A), 0.5), fractional_perimeter(A, 0.5))
+        for A in _suite_masks(c, d, n, h, 3, stream=23)
+    ),
+    "gradient": lambda c, d, n, h: (
+        (gradient_pnorm(rearrange(u), 2.0), gradient_pnorm(u, 2.0))
+        for u in _suite_fields(c, d, n, h, 3, stream=24)
+    ),
+    "heat-pairing": lambda c, d, n, h: (
+        (heat_pairing(u, 0.04), heat_pairing(rearrange(u), 0.04))
+        for u in _suite_fields(c, d, n, h, 3, stream=25)
+    ),
+    "heat-trace": lambda c, d, n, h: _heat_trace_pairs(
+        c, _grid(d, n, h), [(26, d, case) for case in range(2)], 0.4, (0.01, 0.03)
+    ),
+    "minkowski": lambda c, d, n, h: (
+        (minkowski_content(set_symmetrize(A), 3 * h), minkowski_content(A, 3 * h))
+        for A in _suite_masks(c, d, n, h, 3, stream=27)
+    ),
 }
-
-REFINE_IDS = tuple(_VIOLATION_RUNNERS) + ("young-quotient", "hls-quotient", "bll")
 
 
 def _contraction_verdict(viols, scales, config) -> str:
@@ -334,35 +324,26 @@ def _contraction_verdict(viols, scales, config) -> str:
     return VERDICT_TREND if ok and final_ok else VERDICT_FAIL
 
 
-def _refine_contract_report(config, ineq_id) -> list[ExperimentReport]:
-    runner, dims = _VIOLATION_RUNNERS[ineq_id]
-    reports = []
-    for d in dims:
-        rungs = config.rungs(d)
-        if len(rungs) < 3:
-            raise ValueError(f"ladder for d={d} must have at least 3 rungs")
-        t0 = time.monotonic()
-        viols, scales = [], []
-        for n, h in rungs:
-            v, s = runner(config, d, n, h)
-            viols.append(max(v, 0.0))
-            scales.append(s)
-        factors = [
-            (v2 / v1 if v1 > 0 else 0.0) for v1, v2 in zip(viols, viols[1:])
-        ]
-        rep = ExperimentReport(
-            experiment_id=f"refine-{ineq_id}-{d}d",
-            inputs_digest=digest_inputs(config.seed, ineq_id, d, tuple(rungs)),
-            values={"final_violation": viols[-1], "final_scale": scales[-1]},
-            tolerances={
-                "contraction_factor": config.contraction_factor,
-                "final_fraction": config.final_violation_fraction,
-            },
-            series={"violations": viols, "scales": scales, "factors": factors},
-            verdict=_contraction_verdict(viols, scales, config),
-        )
-        reports.append(_timed(rep, t0))
-    return reports
+def _contract_report(config, ineq_id, d) -> ExperimentReport:
+    rungs = config.rungs(d)
+    if len(rungs) < 3:
+        raise ValueError(f"ladder for d={d} must have at least 3 rungs")
+    ladder = [_worst(_CONTRACTS[ineq_id](config, d, n, h)) for n, h in rungs]
+    viols, scales = [v for v, _ in ladder], [s for _, s in ladder]
+    factors = [
+        (v2 / v1 if v1 > 0 else 0.0) for v1, v2 in zip(viols, viols[1:])
+    ]
+    return ExperimentReport(
+        experiment_id=f"refine-{ineq_id}-{d}d",
+        inputs_digest=digest_inputs(config.seed, ineq_id, d, tuple(rungs)),
+        values={"final_violation": viols[-1], "final_scale": scales[-1]},
+        tolerances={
+            "contraction_factor": config.contraction_factor,
+            "final_fraction": config.final_violation_fraction,
+        },
+        series={"violations": viols, "scales": scales, "factors": factors},
+        verdict=_contraction_verdict(viols, scales, config),
+    )
 
 
 def young_equality_quotients(config) -> list[float]:
@@ -386,12 +367,11 @@ def young_equality_quotients(config) -> list[float]:
 
 
 def _refine_young(config) -> ExperimentReport:
-    t0 = time.monotonic()
     quotients = young_equality_quotients(config)
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
     final_gap = abs(quotients[-1] - 1.0)
     verdict = VERDICT_TREND if monotone and final_gap <= 1e-2 else VERDICT_FAIL
-    rep = ExperimentReport(
+    return ExperimentReport(
         experiment_id="refine-young-quotient-1d",
         inputs_digest=digest_inputs(config.seed, "young", tuple(config.rungs(1))),
         values={"final_gap": final_gap},
@@ -399,7 +379,6 @@ def _refine_young(config) -> ExperimentReport:
         series={"quotients": quotients},
         verdict=verdict,
     )
-    return _timed(rep, t0)
 
 
 HLS_LAMBDA = 0.5
@@ -433,13 +412,12 @@ def hls_optimizer_quotients(ns=HLS_RUNGS, lam=HLS_LAMBDA, box_half=HLS_BOX_HALF)
 
 
 def _refine_hls(config) -> ExperimentReport:
-    t0 = time.monotonic()
     quotients, bias = hls_optimizer_quotients()
     target = hls_constant(HLS_LAMBDA, 1)
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
     final_gap = abs(quotients[-1] - target) / target
     verdict = VERDICT_TREND if monotone and final_gap <= 0.02 else VERDICT_FAIL
-    rep = ExperimentReport(
+    return ExperimentReport(
         experiment_id="refine-hls-quotient-1d",
         inputs_digest=digest_inputs(config.seed, "hls", HLS_RUNGS, HLS_BOX_HALF),
         values={"final_relative_gap": final_gap, "target": target},
@@ -447,16 +425,14 @@ def _refine_hls(config) -> ExperimentReport:
         series={"quotients": quotients, "bias_bounds": bias},
         verdict=verdict,
     )
-    return _timed(rep, t0)
 
 
 def _refine_bll(config) -> ExperimentReport:
     """Statistical contract: I[f] <= I[f*] + 5 SE on seeded random 1-d specs."""
-    t0 = time.monotonic()
     n, h = config.rungs(1)[0]
     grid = _grid(1, n, h)
-    worst = -math.inf
     cases = 4
+    margins = []
     for case in range(cases):
         rng = rng_for(config.seed, 31, case)
         n_factors = int(rng.integers(2, 5))
@@ -471,9 +447,9 @@ def _refine_bll(config) -> ExperimentReport:
         est = bll_integral(spec, config.mc_samples, seed=config.seed + case)
         est_star = bll_integral(spec_star, config.mc_samples, seed=config.seed + 1000 + case)
         se = math.hypot(est.standard_error, est_star.standard_error)
-        margin = (est.value - est_star.value) / max(se, 1e-300)
-        worst = max(worst, margin)
-    rep = ExperimentReport(
+        margins.append((est.value - est_star.value) / max(se, 1e-300))
+    worst = max(margins)
+    return ExperimentReport(
         experiment_id="refine-bll-1d",
         inputs_digest=digest_inputs(config.seed, "bll", n, cases),
         values={"worst_margin_in_se": worst},
@@ -481,7 +457,6 @@ def _refine_bll(config) -> ExperimentReport:
         standard_errors={"samples": float(config.mc_samples)},
         verdict=VERDICT_PASS if worst <= 5.0 else VERDICT_FAIL,
     )
-    return _timed(rep, t0)
 
 
 def _random_bll_coeffs(rng, n_factors: int, n_vars: int) -> np.ndarray:
@@ -496,21 +471,25 @@ def _random_bll_coeffs(rng, n_factors: int, n_vars: int) -> np.ndarray:
     return coeffs
 
 
+# Refine ids reported once, in d = 1, by an experiment of their own.
+_SINGLE_REFINES = {"young-quotient": _refine_young, "hls-quotient": _refine_hls, "bll": _refine_bll}
+
+REFINE_IDS = tuple(_CONTRACTS) + tuple(_SINGLE_REFINES)
+
+
 def run_refine(config: SuiteConfig, ids=None) -> list[ExperimentReport]:
+    """Refinement reports for the given ids (all by default); contracts run in d = 1 and 2."""
     ids = tuple(ids) if ids else REFINE_IDS
-    reports = []
+    unknown = [i for i in ids if i not in REFINE_IDS]
+    if unknown:
+        raise ValueError(f"unknown inequality id {unknown[0]!r}; known: {REFINE_IDS}")
+    experiments = []
     for ineq_id in ids:
-        if ineq_id in _VIOLATION_RUNNERS:
-            reports.extend(_refine_contract_report(config, ineq_id))
-        elif ineq_id == "young-quotient":
-            reports.append(_refine_young(config))
-        elif ineq_id == "hls-quotient":
-            reports.append(_refine_hls(config))
-        elif ineq_id == "bll":
-            reports.append(_refine_bll(config))
+        if ineq_id in _CONTRACTS:
+            experiments += [partial(_contract_report, config, ineq_id, d) for d in (1, 2)]
         else:
-            raise ValueError(f"unknown inequality id {ineq_id!r}; known: {REFINE_IDS}")
-    return reports
+            experiments.append(partial(_SINGLE_REFINES[ineq_id], config))
+    return _run(experiments)
 
 
 # ----------------------------------------------------------------------------
@@ -539,10 +518,7 @@ def faber_krahn_pair(h: float = 1.0 / 64.0) -> tuple[float, float]:
     return lam_sq, lam_disk
 
 
-def run_spectral(config: SuiteConfig) -> list[ExperimentReport]:
-    reports = []
-
-    t0 = time.monotonic()
+def _faber_krahn() -> ExperimentReport:
     lam_sq, lam_disk = faber_krahn_pair()
     j01 = bessel_j0_first_zero()
     analytic_sq = 2.0 * math.pi**2
@@ -554,68 +530,44 @@ def run_spectral(config: SuiteConfig) -> list[ExperimentReport]:
         if gap > 0 and abs(gap - analytic_gap) <= 0.15 * analytic_gap
         else VERDICT_FAIL
     )
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="spectral-faber-krahn",
-                inputs_digest=digest_inputs("faber-krahn", 64),
-                values={
-                    "gap": gap,
-                    "lambda1_square": lam_sq,
-                    "lambda1_disk": lam_disk,
-                    "analytic_gap": analytic_gap,
-                },
-                tolerances={"relative_gap_error": 0.15},
-                verdict=verdict,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="spectral-faber-krahn",
+        inputs_digest=digest_inputs("faber-krahn", 64),
+        values={
+            "gap": gap,
+            "lambda1_square": lam_sq,
+            "lambda1_disk": lam_disk,
+            "analytic_gap": analytic_gap,
+        },
+        tolerances={"relative_gap_error": 0.15},
+        verdict=verdict,
     )
 
-    t0 = time.monotonic()
-    pair_viols, pair_scales = [], []
+
+def _heat_trace_random(config) -> ExperimentReport:
     rung_ns = (16, 32, 64)
     base_h = 4.0 / 16
     n_pairs = 20
-    for rung, n in enumerate(rung_ns):
-        h = base_h / 2**rung
-        grid = _grid(2, n, h)
-        worst, scale = 0.0, 0.0
-        for case in range(n_pairs):
-            rng = rng_for(config.seed, 41, case)
-            sample = sample_bumps(rng, 2, BOX_HALF[2], config.n_bumps, 0.45)
-            omega = bump_mask(sample, grid, threshold=0.55)
-            vs = sample_bumps(rng, 2, BOX_HALF[2], config.n_bumps, config.support_fraction)
-            V = ScalarField(grid, 3.0 * np.abs(vs(grid.coords())))
-            vstar, ostar = increasing_rearrangement(V, omega)
-            ev = dirichlet_eigenvalues(omega, V)
-            evs = dirichlet_eigenvalues(ostar, vstar)
-            for t in (0.05, 0.1, 0.2):
-                a = float(np.exp(-t * ev).sum())
-                b = float(np.exp(-t * evs).sum())
-                worst = max(worst, a - b)
-                scale = max(scale, abs(b))
-        pair_viols.append(worst)
-        pair_scales.append(scale)
-    verdict = _contraction_verdict(pair_viols, pair_scales, config)
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="spectral-heat-trace-random",
-                inputs_digest=digest_inputs(config.seed, "heat-random", rung_ns, n_pairs),
-                values={"final_violation": pair_viols[-1], "final_scale": pair_scales[-1]},
-                tolerances={
-                    "contraction_factor": config.contraction_factor,
-                    "final_fraction": config.final_violation_fraction,
-                },
-                series={"violations": pair_viols, "scales": pair_scales},
-                verdict=verdict,
-            ),
-            t0,
-        )
+    keys = [(41, case) for case in range(n_pairs)]
+    ladder = [
+        _worst(_heat_trace_pairs(config, _grid(2, n, base_h / 2**rung), keys, 0.55, (0.05, 0.1, 0.2)))
+        for rung, n in enumerate(rung_ns)
+    ]
+    pair_viols, pair_scales = [v for v, _ in ladder], [s for _, s in ladder]
+    return ExperimentReport(
+        experiment_id="spectral-heat-trace-random",
+        inputs_digest=digest_inputs(config.seed, "heat-random", rung_ns, n_pairs),
+        values={"final_violation": pair_viols[-1], "final_scale": pair_scales[-1]},
+        tolerances={
+            "contraction_factor": config.contraction_factor,
+            "final_fraction": config.final_violation_fraction,
+        },
+        series={"violations": pair_viols, "scales": pair_scales},
+        verdict=_contraction_verdict(pair_viols, pair_scales, config),
     )
 
-    t0 = time.monotonic()
+
+def _heat_perimeter_square() -> ExperimentReport:
     n = 64
     h = 1.0 / n
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
@@ -623,21 +575,18 @@ def run_spectral(config: SuiteConfig) -> list[ExperimentReport]:
     # below ~100 h^2 the stencil's spectral bias distorts the fit by ~20%
     t_list = np.geomspace(100 * h * h, 900 * h * h, 8)
     per_est = heat_perimeter_estimate(square, t_list, eigenvalues=ev)
-    verdict = VERDICT_PASS if abs(per_est - 4.0) <= 0.4 else VERDICT_FAIL
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="spectral-heat-perimeter-square",
-                inputs_digest=digest_inputs("heat-perimeter", n),
-                values={"perimeter_estimate": per_est, "target": 4.0},
-                tolerances={"relative_error": 0.10},
-                series={"t_list": [float(t) for t in t_list]},
-                verdict=verdict,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="spectral-heat-perimeter-square",
+        inputs_digest=digest_inputs("heat-perimeter", n),
+        values={"perimeter_estimate": per_est, "target": 4.0},
+        tolerances={"relative_error": 0.10},
+        series={"t_list": [float(t) for t in t_list]},
+        verdict=VERDICT_PASS if abs(per_est - 4.0) <= 0.4 else VERDICT_FAIL,
     )
-    return reports
+
+
+def run_spectral(config: SuiteConfig) -> list[ExperimentReport]:
+    return _run([_faber_krahn, partial(_heat_trace_random, config), _heat_perimeter_square])
 
 
 # ----------------------------------------------------------------------------
@@ -673,33 +622,25 @@ def two_ball_density(grid: Grid, mass: float, eps: float) -> ScalarField:
     return ScalarField(grid, vals.reshape(grid.shape))
 
 
-def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
-    reports = []
-
-    # equality cases: the bathtub profile is its own symmetrization
-    t0 = time.monotonic()
+def _equality_cases() -> ExperimentReport:
+    """The bathtub profile is its own symmetrization: both deficits vanish."""
     grid = _grid(2, 48, 4.0 / 48)
     ball = bathtub_fill(1.2, grid)
     dr_ball = ball_kernel_deficit(ball, radius=math.sqrt(1.2 / math.pi))
     dr_riesz = riesz_deficit(ball, lam=0.5)
     eq_worst = max(abs(dr_ball.deficit), abs(dr_riesz.deficit))
     scale = max(abs(dr_ball.symmetrized_value), abs(dr_riesz.symmetrized_value))
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="stability-equality-cases",
-                inputs_digest=digest_inputs("equality", 48),
-                values={"max_abs_deficit": eq_worst, "scale": scale},
-                deficits={"ball_kernel": dr_ball.deficit, "riesz": dr_riesz.deficit},
-                tolerances={"abs_deficit": 1e-10 * scale},
-                verdict=VERDICT_PASS if eq_worst <= 1e-10 * scale else VERDICT_FAIL,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="stability-equality-cases",
+        inputs_digest=digest_inputs("equality", 48),
+        values={"max_abs_deficit": eq_worst, "scale": scale},
+        deficits={"ball_kernel": dr_ball.deficit, "riesz": dr_riesz.deficit},
+        tolerances={"abs_deficit": 1e-10 * scale},
+        verdict=VERDICT_PASS if eq_worst <= 1e-10 * scale else VERDICT_FAIL,
     )
 
-    # two-ball sweep
-    t0 = time.monotonic()
+
+def _two_ball_sweep() -> ExperimentReport:
     grid = _grid(2, 96, 4.0 / 96)
     mass = 1.2
     radius = math.sqrt(mass / math.pi)
@@ -712,23 +653,19 @@ def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
         asyms.append(rep.asym)
     positive = all(r > 0 for r in ratios)
     spread = max(ratios) / min(ratios) if positive else math.inf
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="stability-two-ball-sweep",
-                inputs_digest=digest_inputs("two-ball", 96, mass),
-                values={"ratio_spread": spread},
-                deficits={f"eps_{eps}": d for eps, d in zip((0.05, 0.1, 0.2), deficits)},
-                tolerances={"ratio_spread": 3.0},
-                series={"ratios": ratios, "asymmetries": asyms, "eps": [0.05, 0.1, 0.2]},
-                verdict=VERDICT_PASS if positive and spread <= 3.0 else VERDICT_FAIL,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="stability-two-ball-sweep",
+        inputs_digest=digest_inputs("two-ball", 96, mass),
+        values={"ratio_spread": spread},
+        deficits={f"eps_{eps}": d for eps, d in zip((0.05, 0.1, 0.2), deficits)},
+        tolerances={"ratio_spread": 3.0},
+        series={"ratios": ratios, "asymmetries": asyms, "eps": [0.05, 0.1, 0.2]},
+        verdict=VERDICT_PASS if positive and spread <= 3.0 else VERDICT_FAIL,
     )
 
-    # asymmetry audit: descent equals brute force
-    t0 = time.monotonic()
+
+def _asymmetry_audit(config) -> ExperimentReport:
+    """The descent search for the asymmetry equals the exhaustive oracle."""
     grid = _grid(2, 24, 4.0 / 24)
     mism = 0
     n_rho = 50
@@ -740,21 +677,17 @@ def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
             continue
         if asymmetry(rho) != asymmetry_bruteforce(rho):
             mism += 1
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="stability-asymmetry-audit",
-                inputs_digest=digest_inputs(config.seed, "asymmetry", n_rho),
-                values={"mismatches": float(mism), "cases": float(n_rho)},
-                tolerances={"mismatches": 0.0},
-                verdict=VERDICT_PASS if mism == 0 else VERDICT_FAIL,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="stability-asymmetry-audit",
+        inputs_digest=digest_inputs(config.seed, "asymmetry", n_rho),
+        values={"mismatches": float(mism), "cases": float(n_rho)},
+        tolerances={"mismatches": 0.0},
+        verdict=VERDICT_PASS if mism == 0 else VERDICT_FAIL,
     )
 
-    # fractional isoperimetric deficits: equality case and an elongated block
-    t0 = time.monotonic()
+
+def _fractional_isoperimetric() -> ExperimentReport:
+    """Fractional isoperimetric deficits: equality case and an elongated block."""
     grid = _grid(2, 24, 4.0 / 24)
     prefix = np.zeros(grid.ncells, dtype=bool)
     prefix[cell_order(grid.shape)[:60]] = True
@@ -763,22 +696,18 @@ def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
     elong[10:13, 2:22] = True
     el_rep = fractional_isoperimetric_deficit(GridSet(grid, elong), 0.5)
     ok = eq_rep.deficit == 0.0 and el_rep.deficit > 0
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="stability-fractional-isoperimetric",
-                inputs_digest=digest_inputs("frac-isoper", 24),
-                values={"equality_deficit": eq_rep.deficit, "elongated_deficit": el_rep.deficit},
-                deficits={"equality": eq_rep.deficit, "elongated": el_rep.deficit},
-                tolerances={"equality_deficit": 0.0},
-                verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="stability-fractional-isoperimetric",
+        inputs_digest=digest_inputs("frac-isoper", 24),
+        values={"equality_deficit": eq_rep.deficit, "elongated_deficit": el_rep.deficit},
+        deficits={"equality": eq_rep.deficit, "elongated": el_rep.deficit},
+        tolerances={"equality_deficit": 0.0},
+        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
     )
 
-    # layered decomposition identity
-    t0 = time.monotonic()
+
+def _layered_identity(config) -> ExperimentReport:
+    """The layered decomposition rebuilds the Riesz energy in d = 2 and 3."""
     rng = rng_for(config.seed, 52)
     grid = _grid(2, 48, 4.0 / 48)
     sample = sample_bumps(rng, 2, BOX_HALF[2], config.n_bumps, 0.6)
@@ -792,19 +721,25 @@ def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
     recon3 = layered_riesz_reconstruction(rho3, 1.0)
     rel3 = abs(recon3 - direct3) / direct3
     worst = max(rel2, rel3)
-    reports.append(
-        _timed(
-            ExperimentReport(
-                experiment_id="stability-layered-identity",
-                inputs_digest=digest_inputs(config.seed, "layered"),
-                values={"max_relative_error": worst, "d2": rel2, "d3": rel3},
-                tolerances={"relative_error": 0.01},
-                verdict=VERDICT_PASS if worst <= 0.01 else VERDICT_FAIL,
-            ),
-            t0,
-        )
+    return ExperimentReport(
+        experiment_id="stability-layered-identity",
+        inputs_digest=digest_inputs(config.seed, "layered"),
+        values={"max_relative_error": worst, "d2": rel2, "d3": rel3},
+        tolerances={"relative_error": 0.01},
+        verdict=VERDICT_PASS if worst <= 0.01 else VERDICT_FAIL,
     )
-    return reports
+
+
+def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
+    return _run(
+        [
+            _equality_cases,
+            _two_ball_sweep,
+            partial(_asymmetry_audit, config),
+            _fractional_isoperimetric,
+            partial(_layered_identity, config),
+        ]
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -823,7 +758,10 @@ def run_choquard(config: SuiteConfig, n: int = 32, steps: int = 500) -> Experime
     resolution an individual sort can cost up to ~0.03 * step_size because
     the unconstrained lattice minimizer is slightly off the symmetric cone.
     """
-    t0 = time.monotonic()
+    return _run([partial(_choquard, config, n, steps)])[0]
+
+
+def _choquard(config: SuiteConfig, n: int, steps: int) -> ExperimentReport:
     grid = _grid(3, n, 2 * BOX_HALF[3] / n)
     rng = rng_for(config.seed, 61)
     sample = sample_bumps(rng, 3, BOX_HALF[3], 4, 0.45)
@@ -860,7 +798,7 @@ def run_choquard(config: SuiteConfig, n: int = 32, steps: int = 500) -> Experime
         and not result.diverged
         else VERDICT_FAIL
     )
-    rep = ExperimentReport(
+    return ExperimentReport(
         experiment_id="choquard-descent",
         inputs_digest=digest_inputs(config.seed, "choquard", n, steps),
         values={
@@ -879,7 +817,40 @@ def run_choquard(config: SuiteConfig, n: int = 32, steps: int = 500) -> Experime
         series={"energies": energies, "post_rearrange_energies": post},
         verdict=verdict,
     )
-    return _timed(rep, t0)
+
+
+def _continuity(config, kind, u, space, expectation) -> ExperimentReport:
+    res = continuity_probe(u, kind, n_steps=8, space=space)
+    first, last = res.distances[0], res.distances[-1]
+    if expectation == "decay":
+        ok = last <= 0.1 * first
+        tol = {"final_over_initial": 0.1}
+    else:
+        ok = min(res.distances) >= 0.5 * first
+        tol = {"min_over_initial": 0.5}
+    # dist/input at the first step: how much the rearrangement amplifies
+    # the chosen seminorm (reported so auditors can compare kinds)
+    amplification = res.distances[0] / res.input_distances[0] if res.input_distances[0] else 0.0
+    return ExperimentReport(
+        experiment_id=f"continuity-{kind}-{space}",
+        inputs_digest=digest_inputs(config.seed, kind, space),
+        values={
+            "initial": first,
+            "final": last,
+            "ratio": last / first if first else 0.0,
+            "amplification": amplification,
+        },
+        tolerances=tol,
+        series={
+            "amplitudes": list(res.amplitudes),
+            "input_distances": list(res.input_distances),
+            "distances": list(res.distances),
+        },
+        warnings=[]
+        if expectation == "decay" or ok
+        else ["discontinuity signature absent: discrete rearrangement is Lipschitz on a fixed grid"],
+        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
+    )
 
 
 def run_probe_continuity(config: SuiteConfig) -> list[ExperimentReport]:
@@ -892,39 +863,4 @@ def run_probe_continuity(config: SuiteConfig) -> list[ExperimentReport]:
         ("plateau", u_plateau, "wsp", "decay"),
         ("plateau", u_plateau, "w1p", "nonvanishing"),
     ]
-    reports = []
-    for kind, u, space, expectation in probes:
-        t0 = time.monotonic()
-        res = continuity_probe(u, kind, n_steps=8, space=space)
-        first, last = res.distances[0], res.distances[-1]
-        if expectation == "decay":
-            ok = last <= 0.1 * first
-            tol = {"final_over_initial": 0.1}
-        else:
-            ok = min(res.distances) >= 0.5 * first
-            tol = {"min_over_initial": 0.5}
-        # dist/input at the first step: how much the rearrangement amplifies
-        # the chosen seminorm (reported so auditors can compare kinds)
-        amplification = res.distances[0] / res.input_distances[0] if res.input_distances[0] else 0.0
-        rep = ExperimentReport(
-            experiment_id=f"continuity-{kind}-{space}",
-            inputs_digest=digest_inputs(config.seed, kind, space),
-            values={
-                "initial": first,
-                "final": last,
-                "ratio": last / first if first else 0.0,
-                "amplification": amplification,
-            },
-            tolerances=tol,
-            series={
-                "amplitudes": list(res.amplitudes),
-                "input_distances": list(res.input_distances),
-                "distances": list(res.distances),
-            },
-            warnings=[]
-            if expectation == "decay" or ok
-            else ["discontinuity signature absent: discrete rearrangement is Lipschitz on a fixed grid"],
-            verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-        )
-        reports.append(_timed(rep, t0))
-    return reports
+    return _run(partial(_continuity, config, *probe) for probe in probes)

@@ -99,12 +99,16 @@ class Grid:
         return tuple(n * self.h / 2.0 for n in self.shape)
 
 
-@lru_cache(maxsize=64)
-def _radius2_cached(shape: tuple[int, ...]) -> np.ndarray:
-    # integer squared distances in units of (h/2)^2, exact
+def _int_radius2(shape: tuple[int, ...]) -> np.ndarray:
+    """Exact integer squared cell-center distances to the origin, in units of (h/2)^2."""
     axes = [2 * np.arange(n, dtype=np.int64) - (n - 1) for n in shape]
     grids = np.meshgrid(*axes, indexing="ij")
-    r2 = sum(g.astype(np.int64) ** 2 for g in grids)
+    return sum(g.astype(np.int64) ** 2 for g in grids)
+
+
+@lru_cache(maxsize=64)
+def _radius2_cached(shape: tuple[int, ...]) -> np.ndarray:
+    r2 = _int_radius2(shape)
     r2.setflags(write=False)
     return r2
 
@@ -210,10 +214,7 @@ class DistributionFunction:
         object.__setattr__(self, "measures", mu)
 
     def __call__(self, tau) -> np.ndarray | float:
-        tau = np.asarray(tau, dtype=np.float64)
-        idx = np.searchsorted(self.levels, tau, side="right") - 1
-        out = np.where(idx >= 0, self.measures[np.maximum(idx, 0)], self.total_measure)
-        return float(out) if out.ndim == 0 else out
+        return _step_lookup(self.levels, self.measures, self.total_measure, tau)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistributionFunction):
@@ -224,6 +225,14 @@ class DistributionFunction:
             and bool(np.all(self.measures == other.measures))
             and self.total_measure == other.total_measure
         )
+
+
+def _step_lookup(levels: np.ndarray, values: np.ndarray, below: float, tau) -> np.ndarray | float:
+    """Step function equal to values[i] on [levels[i], levels[i+1]) and `below` under levels[0]."""
+    tau = np.asarray(tau, dtype=np.float64)
+    idx = np.searchsorted(levels, tau, side="right") - 1
+    out = np.where(idx >= 0, values[np.maximum(idx, 0)], below)
+    return float(out) if out.ndim == 0 else out
 
 
 def distribution_function(f: ScalarField) -> DistributionFunction:

@@ -57,6 +57,7 @@ __all__ = [
     "weighted_F_energy",
     "bll_integral",
     "fractional_seminorm",
+    "unit_ball_volume",
     "fractional_perimeter",
     "perimeter",
     "minkowski_content",
@@ -593,7 +594,10 @@ def fractional_seminorm(u: ScalarField, s: float, p: float, method: str = "auto"
     return total * volsq
 
 
-def _unit_ball_volume(d: int) -> float:
+def unit_ball_volume(d: int) -> float:
+    """Volume of the unit ball in R^d: pi^(d/2) / Gamma(d/2 + 1)."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
@@ -627,7 +631,7 @@ def fractional_perimeter(A: GridSet, s: float) -> float:
     lattice_row = float(kv.sum()) * g.cell_volume  # sum over the full lattice within R
     conv = convolve(kfield, A.indicator())
     near = float(np.sum(lattice_row - conv.values[A.mask])) * g.cell_volume
-    tail = measure(A) * d * _unit_ball_volume(d) * R ** (-s) / s
+    tail = measure(A) * d * unit_ball_volume(d) * R ** (-s) / s
     return near + tail
 
 
@@ -759,6 +763,6 @@ def pointwise_decay_check(f: ScalarField, p: float) -> float:
     r2 = f.grid.radius2()
     mask = r2 > 0
     d = f.dim
-    bound = _unit_ball_volume(d) ** (-1.0 / p) * r2[mask] ** (-d / (2.0 * p)) * lp_norm(f, p)
+    bound = unit_ball_volume(d) ** (-1.0 / p) * r2[mask] ** (-d / (2.0 * p)) * lp_norm(f, p)
     diff = fstar.values[mask] - bound
     return float(diff.max()) if diff.size else 0.0

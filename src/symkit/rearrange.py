@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid, GridSet, ScalarField
+from .field import Grid, GridSet, ScalarField, _int_radius2
 
 __all__ = [
     "cell_order",
@@ -37,10 +37,8 @@ def cell_order(shape: tuple[int, ...]) -> np.ndarray:
     index order coincides with lexicographic multi-index order, hence a stable
     argsort implements the tie-break.
     """
-    axes = [2 * np.arange(n, dtype=np.int64) - (n - 1) for n in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    r2 = sum(g**2 for g in grids).ravel()
-    order = np.argsort(r2, kind="stable")
+    # the order itself is cached, so the r^2 grid is built uncached here
+    order = np.argsort(_int_radius2(shape).ravel(), kind="stable")
     order.setflags(write=False)
     return order
 

@@ -46,7 +46,7 @@ class SuiteConfig:
     contraction_factor: float = 0.7
     final_violation_fraction: float = 1e-3
     out_dir: str = "symkit-out"
-    jobs: int = 1
+    jobs: int = 1  # accepted and validated; currently no effect (DECISIONS.md D6)
 
     def __post_init__(self):
         ladder = tuple((int(d), int(n), float(h)) for d, n, h in self.ladder)
@@ -88,7 +88,13 @@ def load_config(path) -> SuiteConfig:
 
 @dataclass
 class ExperimentReport:
-    """Auditable record: the verdict is derivable from the recorded numbers alone."""
+    """Auditable record: the verdict is derivable from the recorded numbers alone.
+
+    ``wall_time_s`` is the wall time of the experiment call that produced the
+    report; reports returned by one call (the ``verify`` checks, which share
+    one pass over the cases) carry that call's time.  It is the only field
+    that varies between runs of the same config.
+    """
 
     experiment_id: str
     inputs_digest: str = ""

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .field import Grid, ScalarField
-from .functionals import lp_norm, riesz_triple
+from .functionals import lp_norm, riesz_triple, unit_ball_volume
 from .kernels import PowerLaw, displacement_grid, sample_kernel_averaged
 
 __all__ = [
@@ -37,13 +37,6 @@ __all__ = [
     "hls_norm_tail",
     "hls_quotient",
 ]
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in R^d: pi^(d/2) / Gamma(d/2 + 1)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def young_constant(s: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .field import GridSet, ScalarField
+from .field import GridSet, ScalarField, _step_lookup
 from .functionals import (
     fractional_perimeter,
     fractional_seminorm,
@@ -23,10 +23,10 @@ from .functionals import (
     gradient_pnorm,
     riesz_energy,
     riesz_triple,
+    unit_ball_volume,
 )
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
 from .rearrange import bathtub_fill, rearrange, set_symmetrize
-from .sharp import unit_ball_volume
 
 __all__ = [
     "DeficitReport",
@@ -135,7 +135,7 @@ def asymmetry(rho: ScalarField) -> float:
     return dist / (2.0 * rho.integral())
 
 
-def asymmetry_bruteforce(rho: ScalarField, max_candidates: int = 20000) -> float:
+def asymmetry_bruteforce(rho: ScalarField) -> float:
     """Exhaustive-shift oracle for the asymmetry.
 
     An FFT cross-correlation scores every shift at once through
@@ -155,8 +155,6 @@ def asymmetry_bruteforce(rho: ScalarField, max_candidates: int = 20000) -> float
     frac = float(cv[(cv > 0) & (cv < 1)].sum())  # at most one cell
     thresh = corr.max() - frac - 1e-10 * (1.0 + abs(corr.max()))
     flat = np.nonzero(corr.ravel() >= thresh)[0]
-    if flat.size > max_candidates:
-        flat = flat[np.argsort(corr.ravel()[flat])[::-1][:max_candidates]]
     best = math.inf
     for fidx in flat:
         k = np.unravel_index(int(fidx), corr.shape)
@@ -253,10 +251,7 @@ class ResidualDistribution:
     total_critical: float
 
     def __call__(self, tau) -> np.ndarray | float:
-        tau = np.asarray(tau, dtype=np.float64)
-        idx = np.searchsorted(self.levels, tau, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.total_critical)
-        return float(out) if out.ndim == 0 else out
+        return _step_lookup(self.levels, self.values, self.total_critical, tau)
 
 
 def residual_distribution(u: ScalarField, eta: float) -> ResidualDistribution:

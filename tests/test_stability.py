@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from symkit import (
     BallIndicator,
@@ -22,7 +23,7 @@ from symkit import (
     riesz_triple,
 )
 from symkit.random_fields import plateau_field, radial_bump_field, rng_for, sample_bumps
-from symkit.stability import pair_correlation_curve
+from symkit.stability import _l1_at_shift, pair_correlation_curve
 
 
 class TestAsymmetry:
@@ -83,6 +84,27 @@ class TestAsymmetry:
             if rho.integral() == 0:
                 continue
             assert asymmetry(rho) == asymmetry_bruteforce(rho)
+
+    def test_bruteforce_exhaustive_beyond_20000_candidates(self):
+        # Nearly constant 1-d density: a faint ramp falling to the right plus
+        # one heavy last cell.  About 20,900 shifts score within the
+        # fractional-cell bound of the best, and the minimizer is the shift
+        # that puts the fractional bathtub cell on the heavy cell, which ranks
+        # lowest by score: keeping only the best-scoring 20,000 misses it.
+        n = 22000
+        vals = 0.05 + 2e-4 * np.arange(n)[::-1] / n
+        vals[-1] = 0.9
+        vals[:-1] += (math.floor(vals.sum()) + 0.95 - vals.sum()) / (n - 1)
+        rho = ScalarField(Grid((n,), 1.0), vals)
+        chi = bathtub_fill(rho.integral(), rho.grid).values
+        frac = float(chi[(chi > 0) & (chi < 1)].sum())
+        scores = correlate(vals, (chi == 1.0).astype(float), mode="full")
+        assert np.count_nonzero(scores >= scores.max() - frac) > 20000
+
+        best = math.inf
+        for s in range(-(n - 1), n):
+            best = min(best, _l1_at_shift(vals, chi, (s,)))
+        assert asymmetry_bruteforce(rho) == best * rho.grid.cell_volume / (2.0 * rho.integral())
 
     def test_validation(self):
         g = Grid((6,), 0.5)
