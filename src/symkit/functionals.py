@@ -6,8 +6,8 @@ Conventions:
   approximate the continuum integrals of the piecewise-constant extensions.
 * Convolutions take the kernel on an odd-extent displacement grid (see
   ``kernels.displacement_grid``) so that kernel samples sit exactly at the
-  pairwise differences of data-grid cell centers; the transform is always
-  fully zero padded internally, never circular.
+  pairwise differences of data-grid cell centers; every value kept is the
+  exact linear convolution, never a wrapped-around circular one.
 * Monte Carlo estimates use a counter-based generator (Philox) and snap
   samples to the cell-center lattice, which makes them unbiased for the
   lattice functionals that the deterministic oracles compute.
@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.ndimage import distance_transform_edt, map_coordinates
 from scipy.optimize import linprog
-from scipy.signal import fftconvolve
 
 from .field import Grid, GridSet, ScalarField, measure
 from .kernels import (
@@ -243,6 +243,41 @@ def _nonzero_extent(a: np.ndarray) -> list[tuple[int, int]] | None:
     return [(int(ix.min()), int(ix.max())) for ix in nz]
 
 
+def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank by FFT.
+
+    Same transform lengths, axes and operand order as
+    ``scipy.signal.fftconvolve(a, b, mode="full")``, so the result agrees with
+    it bit for bit: each axis of extent 1 in either operand is broadcast, every
+    other axis is padded to ``next_fast_len(na + nb - 1, real=True)``.
+    """
+    shape = [na + nb - 1 for na, nb in zip(a.shape, b.shape)]
+    axes = [ax for ax in range(a.ndim) if a.shape[ax] != 1 and b.shape[ax] != 1]
+    if not axes:
+        return a * b
+    lengths = [next_fast_len(shape[ax], True) for ax in axes]
+    prod = rfftn(a, lengths, axes=axes) * rfftn(b, lengths, axes=axes)
+    return irfftn(prod, lengths, axes=axes)[tuple(slice(n) for n in shape)]
+
+
+# (lengths, private copy of the kernel values, read-only kernel spectrum) of
+# the most recent convolve call.  One entry, replaced whole on every miss, so
+# a reader always sees a consistent triple (DECISIONS.md D8).
+_kernel_memo: tuple[tuple[int, ...], np.ndarray, np.ndarray] | None = None
+
+
+def _kernel_spectrum(kv: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+    """rfftn(kv, lengths), reused while the lengths and kernel values repeat."""
+    global _kernel_memo
+    memo = _kernel_memo
+    if memo is not None and memo[0] == lengths and np.array_equal(memo[1], kv):
+        return memo[2]
+    spec = rfftn(kv, lengths)
+    spec.setflags(write=False)
+    _kernel_memo = (lengths, kv.copy(), spec)
+    return spec
+
+
 def convolve(
     kernel: ScalarField, f: ScalarField, pad: int = 0, require_support: bool = False
 ) -> ScalarField:
@@ -250,11 +285,18 @@ def convolve(
 
     The kernel must live on an odd-extent displacement grid with the same
     spacing as f; the output lives on f's grid enlarged by ``pad`` cells per
-    side.  The transform is fully zero padded internally, so retained values
-    are always the exact linear convolution; ``pad`` only controls how much
-    of the (possibly wider) result is kept.  With ``require_support`` a
-    support-extent analysis raises ``InsufficientPaddingError`` whenever
-    nonzero output would be discarded.
+    side.  With ``require_support`` a support-extent analysis raises
+    ``InsufficientPaddingError`` whenever nonzero output would be discarded.
+
+    The FFTs are circular, of the shortest fast length per axis at which no
+    wrapped-around term reaches the kept window (Hockney's free-space
+    method): with ``full = n + nk - 1`` and the kept slice ``[s0, s1)`` of
+    the full linear result, the length is at least ``max(full - s0, s1)``,
+    and never below the kernel extent.  Retained values are therefore the
+    exact linear convolution; ``pad`` only controls how much of the
+    (possibly wider) result is kept.  The kernel spectrum of the most recent
+    call is memoized and reused when the FFT lengths and the kernel values
+    are equal (DECISIONS.md D8).
     """
     if kernel.dim != f.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -279,19 +321,20 @@ def convolve(
                         f"axis {ax}: convolution support needs pad >= {need}, got {pad}"
                     )
 
-    full = fftconvolve(f.values, kernel.values, mode="full") * f.grid.cell_volume
     out_shape = tuple(n + 2 * pad for n in f.grid.shape)
-    out = np.zeros(out_shape, dtype=np.float64)
-    src = []
-    dst = []
-    for ax, (n, nk) in enumerate(zip(f.grid.shape, kernel.grid.shape)):
-        rk = nk // 2
-        start = rk - pad
-        stop = start + out_shape[ax]
-        s0, s1 = max(start, 0), min(stop, full.shape[ax])
+    src, dst, lengths = [], [], []
+    for n, nk, m in zip(f.grid.shape, kernel.grid.shape, out_shape):
+        full = n + nk - 1
+        start = nk // 2 - pad
+        s0, s1 = max(start, 0), min(start + m, full)
         src.append(slice(s0, s1))
         dst.append(slice(s0 - start, s1 - start))
-    out[tuple(dst)] = full[tuple(src)]
+        lengths.append(next_fast_len(max(full - s0, s1, nk), True))
+    lengths = tuple(lengths)
+    spec = _kernel_spectrum(kernel.values, lengths)
+    circ = irfftn(rfftn(f.values, lengths) * spec, lengths)
+    out = np.zeros(out_shape, dtype=np.float64)
+    out[tuple(dst)] = circ[tuple(src)] * f.grid.cell_volume
     return ScalarField(Grid(out_shape, f.h), out)
 
 
@@ -627,10 +670,12 @@ def fractional_perimeter(A: GridSet, s: float) -> float:
     center = tuple(n // 2 for n in kgrid.shape)
     kv[center] = 0.0
     kv[r2 > R * R] = 0.0
-    kfield = ScalarField(kgrid, kv)
     lattice_row = float(kv.sum()) * g.cell_volume  # sum over the full lattice within R
-    conv = convolve(kfield, A.indicator())
-    near = float(np.sum(lattice_row - conv.values[A.mask])) * g.cell_volume
+    # full-length transform: the refinement contract records rounding-level
+    # violations of this value, so its summation order stays fixed (D8)
+    full = _fftconvolve_full(A.mask.astype(np.float64), kv) * g.cell_volume
+    conv = full[tuple(slice(nk // 2, nk // 2 + n) for n, nk in zip(g.shape, kv.shape))]
+    near = float(np.sum(lattice_row - conv[A.mask])) * g.cell_volume
     tail = measure(A) * d * unit_ball_volume(d) * R ** (-s) / s
     return near + tail
 

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .field import GridSet, ScalarField, _step_lookup
 from .functionals import (
+    _fftconvolve_full,
     fractional_perimeter,
     fractional_seminorm,
     gradient_magnitude,
@@ -151,7 +151,7 @@ def asymmetry_bruteforce(rho: ScalarField) -> float:
     rv, cv = rho.values, chi.values
     ones = (cv == 1.0).astype(np.float64)
     rev = ones[tuple(slice(None, None, -1) for _ in range(rv.ndim))]
-    corr = fftconvolve(rv, rev, mode="full")
+    corr = _fftconvolve_full(rv, rev)
     frac = float(cv[(cv > 0) & (cv < 1)].sum())  # at most one cell
     thresh = corr.max() - frac - 1e-10 * (1.0 + abs(corr.max()))
     flat = np.nonzero(corr.ravel() >= thresh)[0]
@@ -367,7 +367,7 @@ def pair_correlation_curve(rho: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     it into the exact ball-kernel interaction as a function of the radius.
     """
     rv = rho.values
-    corr = fftconvolve(rv, rv[tuple(slice(None, None, -1) for _ in range(rv.ndim))], mode="full")
+    corr = _fftconvolve_full(rv, rv[tuple(slice(None, None, -1) for _ in range(rv.ndim))])
     dgrid = displacement_grid(rho.grid)
     r2 = dgrid.radius2().ravel()
     order = np.argsort(r2, kind="stable")

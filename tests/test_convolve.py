@@ -1,0 +1,172 @@
+"""The FFT convolution routes against their oracles (DECISIONS.md D8).
+
+* ``convolve`` (short circular transforms, memoized kernel spectrum) against
+  a plain O(N^2) lattice sum, to 1e-12 relative to max|k| sum|f| h^d, which
+  bounds every output value;
+* the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
+  changed kernel of the same shape gets its own spectrum;
+* ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
+  bit for bit;
+* ``import symkit.cli`` does not load ``scipy.signal``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import symkit
+from symkit import Grid, InsufficientPaddingError, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
+from symkit import functionals
+from symkit.functionals import _fftconvolve_full
+
+RTOL = 1e-12
+
+
+def _lattice_sum(kv: np.ndarray, fv: np.ndarray, pad: int, h: float) -> np.ndarray:
+    """out[x] = sum_y k(x - y) f(y) h^d on f's grid widened by ``pad`` cells per side."""
+    rk = tuple(nk // 2 for nk in kv.shape)
+    out = np.zeros(tuple(n + 2 * pad for n in fv.shape))
+    for xo in np.ndindex(out.shape):
+        x = tuple(i - pad for i in xo)
+        for y in np.ndindex(fv.shape):
+            z = tuple(xi - yi + r for xi, yi, r in zip(x, y, rk))
+            if all(0 <= zi < nk for zi, nk in zip(z, kv.shape)):
+                out[xo] += kv[z] * fv[y]
+    return out * h ** fv.ndim
+
+
+# zeros, and magnitudes in [1/64, 1]: no product of two values underflows
+_values = st.one_of(
+    st.just(0.0), st.builds(lambda x, sign: sign * x, st.floats(1 / 64, 1.0), st.sampled_from([1.0, -1.0]))
+)
+
+
+@st.composite
+def _cases(draw):
+    d = draw(st.integers(1, 3))
+    nmax = {1: 9, 2: 5, 3: 3}[d]
+    shape = tuple(draw(st.integers(1, nmax)) for _ in range(d))
+    # radii below, equal to and (for the kernel-extent bound) above n - 1
+    radii = tuple(draw(st.integers(0, n + 1)) for n in shape)
+    kv = draw(arrays(np.float64, tuple(2 * r + 1 for r in radii), elements=_values))
+    fv = draw(arrays(np.float64, shape, elements=_values))
+    pad = draw(st.integers(0, 3))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return kv, fv, pad, h
+
+
+def _close(got: np.ndarray, want: np.ndarray, kv: np.ndarray, fv: np.ndarray, h: float) -> bool:
+    scale = float(np.abs(kv).max()) * float(np.abs(fv).sum()) * h**fv.ndim
+    return bool(np.all(np.abs(got - want) <= RTOL * scale))
+
+
+class TestConvolveOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_cases())
+    def test_matches_lattice_sum(self, case):
+        kv, fv, pad, h = case
+        g = Grid(fv.shape, h)
+        out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(g, fv), pad=pad)
+        assert out.grid.shape == tuple(n + 2 * pad for n in fv.shape)
+        assert _close(out.values, _lattice_sum(kv, fv, pad, h), kv, fv, h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cases())
+    def test_require_support_raises_exactly_when_output_is_cut(self, case):
+        # nonnegative values: no lattice sum cancels, so the support of the
+        # full convolution is the union of the products' supports
+        kv, fv, pad, h = np.abs(case[0]), np.abs(case[1]), case[2], case[3]
+        kern, f = ScalarField(Grid(kv.shape, h), kv), ScalarField(Grid(fv.shape, h), fv)
+        widest = max(kv.shape) // 2 + 1
+        wide = _lattice_sum(kv, fv, pad + widest, h)
+        inner = tuple(slice(widest, widest + n + 2 * pad) for n in fv.shape)
+        outside = wide.copy()
+        outside[inner] = 0.0
+        if np.any(outside > 0.0):
+            with pytest.raises(InsufficientPaddingError):
+                convolve(kern, f, pad=pad, require_support=True)
+        else:
+            out = convolve(kern, f, pad=pad, require_support=True)
+            assert _close(out.values, wide[inner], kv, fv, h)
+
+
+class TestKernelMemo:
+    def _coulomb(self, shape, h):
+        g = Grid(shape, h)
+        return g, sample_kernel(PowerLaw(1.0), displacement_grid(g))
+
+    def test_warm_call_is_bit_identical_to_cold(self, monkeypatch):
+        g, kern = self._coulomb((8, 8, 8), 0.25)
+        f = ScalarField(g, np.random.default_rng(1).random(g.shape))
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        cold = convolve(kern, f).values
+        spec = functionals._kernel_memo[2]
+        warm = convolve(kern, f).values
+        assert functionals._kernel_memo[2] is spec  # the second call reused the spectrum
+        assert np.array_equal(cold, warm)
+
+    def test_changed_kernel_of_same_shape_gets_its_own_spectrum(self, monkeypatch):
+        g, kern = self._coulomb((5, 6), 0.5)
+        f = ScalarField(g, np.random.default_rng(2).random(g.shape))
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        convolve(kern, f)
+        kv = np.array(kern.values)
+        kv[2, 3] += 1.0
+        other = ScalarField(kern.grid, kv)
+        out = convolve(other, f)
+        assert _close(out.values, _lattice_sum(kv, f.values, 0, g.h), kv, f.values, g.h)
+        assert not _close(out.values, convolve(kern, f).values, kv, f.values, g.h)
+
+    def test_memo_holds_a_private_copy(self, monkeypatch):
+        g = Grid((6,), 0.5)
+        rng = np.random.default_rng(3)
+        kern = ScalarField(displacement_grid(g), rng.random(11))
+        f = ScalarField(g, rng.random(6))
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        convolve(kern, f)
+        assert not np.shares_memory(functionals._kernel_memo[1], kern.values)
+
+
+_shapes = st.lists(st.integers(1, 9), min_size=1, max_size=3)
+
+
+class TestFullMode:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_scipy_signal(self, data):
+        from scipy.signal import fftconvolve
+
+        sa = data.draw(_shapes)
+        sb = data.draw(st.lists(st.integers(1, 9), min_size=len(sa), max_size=len(sa)))
+        a = data.draw(arrays(np.float64, tuple(sa), elements=_values))
+        b = data.draw(arrays(np.float64, tuple(sb), elements=_values))
+        want = fftconvolve(a, b, mode="full")
+        got = _fftconvolve_full(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "sa, sb", [((7,), (13,)), ((33,), (65,)), ((4, 9, 3), (5, 2, 7)), ((1, 5), (3, 1)), ((6, 1, 5), (1, 1, 9))]
+    )
+    def test_mismatched_and_odd_shapes(self, sa, sb):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        rev = b[tuple(slice(None, None, -1) for _ in sb)]  # negative strides, as the correlations pass
+        assert np.array_equal(_fftconvolve_full(a, b), fftconvolve(a, b, mode="full"))
+        assert np.array_equal(_fftconvolve_full(a, rev), fftconvolve(a, rev, mode="full"))
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(symkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, symkit.cli; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
