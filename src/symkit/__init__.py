@@ -21,7 +21,6 @@ from .field import (
 )
 from .functionals import (
     BLLSpec,
-    InsufficientPaddingError,
     JExpansionF,
     MCEstimate,
     MinF,

@@ -21,6 +21,10 @@ from .rearrange import rearrange
 
 __all__ = ["DescentResult", "choquard_descent"]
 
+# Step size of the polishing phase: small enough that one sort costs far less
+# than the 1e-3 sort-cost slack of the choquard report (DECISIONS.md D9).
+_POLISH_STEP_SIZE = 1e-5
+
 
 @dataclass
 class DescentResult:
@@ -47,7 +51,6 @@ def choquard_descent(
     step_size: float = 0.02,
     rearrange_every: int = 5,
     polish_steps: int = 0,
-    polish_step_size: float = 1e-5,
 ) -> DescentResult:
     """Run the projected descent; the returned iterate ends on a rearrangement.
 
@@ -61,7 +64,8 @@ def choquard_descent(
     the unconstrained lattice minimizer sits slightly off the symmetric
     decreasing cone; the cost is first order in the step size (about
     0.03 * step at 32^3), which is why a short polishing phase with a tiny
-    step follows the main phase when ``polish_steps`` is set.
+    step (``_POLISH_STEP_SIZE``) follows the main phase when ``polish_steps``
+    is set.
     """
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
@@ -82,7 +86,7 @@ def choquard_descent(
     result.energies.append(energy)
     total = steps + polish_steps
     for step in range(1, total + 1):
-        tau = step_size if step <= steps else polish_step_size
+        tau = step_size if step <= steps else _POLISH_STEP_SIZE
         grad = kinetic_gradient(ScalarField(grid, u)) - 4.0 * u * phi.values
         u = _l2_normalize(u - tau * grad, vol)
         do_rearrange = step % rearrange_every == 0 or step == total

@@ -168,23 +168,18 @@ def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
             gstar = rearrange(g)
             fp = ScalarField(grid, np.abs(f.values))
             gp = ScalarField(grid, np.abs(g.values))
-            fps = fstar  # rearrangement only sees |f|
-            gps = gstar
             vol = grid.cell_volume
             for p in (0.5, 1.0, 2.0, 3.0):
                 a = float(np.sum(np.abs(f.values) ** p)) * vol
                 b = float(np.sum(np.abs(fstar.values) ** p)) * vol
                 note("norm_preservation", abs(_rel_gap(a, b)))
-            note("pairing", _rel_gap(pairing(fp, gp), pairing(fps, gps)))
+            # the rearrangements only see |f| and |g|
+            note("pairing", _rel_gap(pairing(fp, gp), pairing(fstar, gstar)))
             for fname, form in forms.items():
-                note(
-                    f"supermodular_{fname}",
-                    _rel_gap(
-                        supermodular_pairing(form, fp, gp), supermodular_pairing(form, fps, gps)
-                    ),
-                )
+                lhs = supermodular_pairing(form, fp, gp)
+                note(f"supermodular_{fname}", _rel_gap(lhs, supermodular_pairing(form, fstar, gstar)))
             diff0, sum0 = expansion_gaps(profile, fp, gp)
-            diff1, sum1 = expansion_gaps(profile, fps, gps)
+            diff1, sum1 = expansion_gaps(profile, fstar, gstar)
             note("expand_contraction", _rel_gap(diff1, diff0))
             note("expand_expansion", _rel_gap(sum0, sum1))
             for p in (1.5, 3.0):
@@ -227,26 +222,21 @@ def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
 # ----------------------------------------------------------------------------
 
 
-def _suite_fields(config, d, n, h, count, stream):
-    grid = _grid(d, n, h)
-    half = BOX_HALF[d]
-    out = []
-    for case in range(count):
+def _suite_samples(config, d, stream):
+    """The three seeded bump samples of a refinement contract, in physical units."""
+    for case in range(3):
         rng = rng_for(config.seed, stream, d, case)
-        sample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
-        out.append(bump_field(sample, grid, nonneg=True))
-    return out
+        yield sample_bumps(rng, d, BOX_HALF[d], config.n_bumps, config.support_fraction)
 
 
-def _suite_masks(config, d, n, h, count, stream):
+def _suite_fields(config, d, n, h, stream):
     grid = _grid(d, n, h)
-    half = BOX_HALF[d]
-    out = []
-    for case in range(count):
-        rng = rng_for(config.seed, stream, d, case)
-        sample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
-        out.append(bump_mask(sample, grid, 0.3))
-    return out
+    return [bump_field(s, grid, nonneg=True) for s in _suite_samples(config, d, stream)]
+
+
+def _suite_masks(config, d, n, h, stream):
+    grid = _grid(d, n, h)
+    return [bump_mask(s, grid, 0.3) for s in _suite_samples(config, d, stream)]
 
 
 def _riesz_inputs(config, d, n, h):
@@ -293,26 +283,26 @@ _CONTRACTS = {
     ),
     "frac-seminorm": lambda c, d, n, h: (
         (fractional_seminorm(rearrange(u), 0.5, 2.0), fractional_seminorm(u, 0.5, 2.0))
-        for u in _suite_fields(c, d, n, h, 3, stream=22)
+        for u in _suite_fields(c, d, n, h, stream=22)
     ),
     "frac-perimeter": lambda c, d, n, h: (
         (fractional_perimeter(set_symmetrize(A), 0.5), fractional_perimeter(A, 0.5))
-        for A in _suite_masks(c, d, n, h, 3, stream=23)
+        for A in _suite_masks(c, d, n, h, stream=23)
     ),
     "gradient": lambda c, d, n, h: (
         (gradient_pnorm(rearrange(u), 2.0), gradient_pnorm(u, 2.0))
-        for u in _suite_fields(c, d, n, h, 3, stream=24)
+        for u in _suite_fields(c, d, n, h, stream=24)
     ),
     "heat-pairing": lambda c, d, n, h: (
         (heat_pairing(u, 0.04), heat_pairing(rearrange(u), 0.04))
-        for u in _suite_fields(c, d, n, h, 3, stream=25)
+        for u in _suite_fields(c, d, n, h, stream=25)
     ),
     "heat-trace": lambda c, d, n, h: _heat_trace_pairs(
         c, _grid(d, n, h), [(26, d, case) for case in range(2)], 0.4, (0.01, 0.03)
     ),
     "minkowski": lambda c, d, n, h: (
         (minkowski_content(set_symmetrize(A), 3 * h), minkowski_content(A, 3 * h))
-        for A in _suite_masks(c, d, n, h, 3, stream=27)
+        for A in _suite_masks(c, d, n, h, stream=27)
     ),
 }
 
@@ -386,7 +376,7 @@ HLS_BOX_HALF = 96.0
 HLS_RUNGS = (256, 512, 1024)
 
 
-def hls_optimizer_quotients(ns=HLS_RUNGS, lam=HLS_LAMBDA, box_half=HLS_BOX_HALF):
+def hls_optimizer_quotients():
     """Tail-corrected optimizer quotients in d=1 plus the reported bias bound.
 
     The bias bound estimates the double-integral mass outside the box:
@@ -395,11 +385,12 @@ def hls_optimizer_quotients(ns=HLS_RUNGS, lam=HLS_LAMBDA, box_half=HLS_BOX_HALF)
     """
     from scipy.integrate import quad
 
+    lam, box_half = HLS_LAMBDA, HLS_BOX_HALF
     opt = HLSOptimizer(lam=lam, amplitude=1.0, center=(0.0,), gamma=1.0)
     prof = lambda r: opt.profile(r, 1)
     mass_total = 2.0 * quad(prof, 0.0, np.inf, limit=200)[0]
     quotients, bias = [], []
-    for n in ns:
+    for n in HLS_RUNGS:
         grid = _grid(1, n, 2 * box_half / n)
         f = hls_optimizer(opt, grid, tail_budget=0.2)
         tail = hls_norm_tail(opt, grid)
@@ -501,17 +492,21 @@ def bessel_j0_first_zero() -> float:
     return float(brentq(j0, 2.0, 3.0, xtol=1e-14))
 
 
-def faber_krahn_pair(h: float = 1.0 / 64.0) -> tuple[float, float]:
+FABER_KRAHN_N = 64  # cells per side of the unit square, h = 1/64 (D9)
+
+
+def faber_krahn_pair() -> tuple[float, float]:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
     The disk grid is sized to hold the disk of area 1 with about two cells of
     margin; its cell count (~1/h^2) stays under the dense-solve cap.
     """
-    n = round(1.0 / h)
+    n = FABER_KRAHN_N
+    h = 1.0 / n
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
     lam_sq = float(dirichlet_spectrum(square, None, 1)[0])
     radius = 1.0 / math.sqrt(math.pi)
-    m = n + 10 if (n + 10) * h > 2 * radius + 4 * h else round((2 * radius + 4 * h) / h)
+    m = round((2 * radius + 4 * h) / h)
     dgrid = Grid((m, m), h)
     mask = dgrid.radius2() < radius * radius
     lam_disk = float(dirichlet_spectrum(GridSet(dgrid, mask), None, 1)[0])
@@ -532,7 +527,7 @@ def _faber_krahn() -> ExperimentReport:
     )
     return ExperimentReport(
         experiment_id="spectral-faber-krahn",
-        inputs_digest=digest_inputs("faber-krahn", 64),
+        inputs_digest=digest_inputs("faber-krahn", FABER_KRAHN_N),
         values={
             "gap": gap,
             "lambda1_square": lam_sq,
@@ -747,8 +742,12 @@ def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
 # ----------------------------------------------------------------------------
 
 
-def run_choquard(config: SuiteConfig, n: int = 32, steps: int = 500) -> ExperimentReport:
-    """Ground-state descent at n^3 with a polishing phase.
+CHOQUARD_N = 32  # cells per side of the 3-d grid (D9)
+CHOQUARD_STEPS = 500  # main-phase steps, before 50 polishing steps (D9)
+
+
+def run_choquard(config: SuiteConfig) -> ExperimentReport:
+    """Ground-state descent at 32^3 with a polishing phase.
 
     Checks: the energy strictly decreases over the first 50 steps; the
     trajectory of post-rearrangement energies (the symmetric minimizing
@@ -758,10 +757,11 @@ def run_choquard(config: SuiteConfig, n: int = 32, steps: int = 500) -> Experime
     resolution an individual sort can cost up to ~0.03 * step_size because
     the unconstrained lattice minimizer is slightly off the symmetric cone.
     """
-    return _run([partial(_choquard, config, n, steps)])[0]
+    return _run([partial(_choquard, config)])[0]
 
 
-def _choquard(config: SuiteConfig, n: int, steps: int) -> ExperimentReport:
+def _choquard(config: SuiteConfig) -> ExperimentReport:
+    n, steps = CHOQUARD_N, CHOQUARD_STEPS
     grid = _grid(3, n, 2 * BOX_HALF[3] / n)
     rng = rng_for(config.seed, 61)
     sample = sample_bumps(rng, 3, BOX_HALF[3], 4, 0.45)

@@ -322,6 +322,8 @@ def _parse_header(lines: list[str]):
         h = float(lines[3])
     except ValueError:
         raise FieldFormatError(f"spacing is not a number: {lines[3].strip()!r}", line=4) from None
+    if not (h > 0 and math.isfinite(h)):
+        raise FieldFormatError(f"spacing must be positive and finite, got {h}", line=4)
     try:
         grid = Grid(shape, h)
     except ValueError as e:

@@ -36,7 +36,6 @@ from .kernels import (
 from .rearrange import rearrange
 
 __all__ = [
-    "InsufficientPaddingError",
     "UnboundedRegionError",
     "ProductF",
     "MinF",
@@ -70,10 +69,6 @@ __all__ = [
     "choquard_energy",
     "pointwise_decay_check",
 ]
-
-
-class InsufficientPaddingError(ValueError):
-    """Requested output box cannot hold the support of the convolution."""
 
 
 class UnboundedRegionError(ValueError):
@@ -278,25 +273,20 @@ def _kernel_spectrum(kv: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
     return spec
 
 
-def convolve(
-    kernel: ScalarField, f: ScalarField, pad: int = 0, require_support: bool = False
-) -> ScalarField:
-    """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d.
+def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
+    """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d on f's grid.
 
     The kernel must live on an odd-extent displacement grid with the same
-    spacing as f; the output lives on f's grid enlarged by ``pad`` cells per
-    side.  With ``require_support`` a support-extent analysis raises
-    ``InsufficientPaddingError`` whenever nonzero output would be discarded.
+    spacing as f.
 
     The FFTs are circular, of the shortest fast length per axis at which no
     wrapped-around term reaches the kept window (Hockney's free-space
-    method): with ``full = n + nk - 1`` and the kept slice ``[s0, s1)`` of
-    the full linear result, the length is at least ``max(full - s0, s1)``,
-    and never below the kernel extent.  Retained values are therefore the
-    exact linear convolution; ``pad`` only controls how much of the
-    (possibly wider) result is kept.  The kernel spectrum of the most recent
-    call is memoized and reused when the FFT lengths and the kernel values
-    are equal (DECISIONS.md D8).
+    method): with kernel radius r the kept values are entries r .. r + n - 1
+    of the full linear result, so the length is at least n + r, and never
+    below the kernel extent 2r + 1.  Retained values are therefore the exact
+    linear convolution.  The kernel spectrum of the most recent call is
+    memoized and reused when the FFT lengths and the kernel values are equal
+    (DECISIONS.md D8).
     """
     if kernel.dim != f.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -304,38 +294,14 @@ def convolve(
         raise ValueError("kernel and field spacings differ")
     if any(n % 2 == 0 for n in kernel.grid.shape):
         raise ValueError("kernel grid must have odd extents (displacement aligned)")
-    if pad < 0:
-        raise ValueError("pad must be nonnegative")
-
-    if require_support:
-        ke = _nonzero_extent(kernel.values)
-        fe = _nonzero_extent(f.values)
-        if ke is not None and fe is not None:
-            for ax, (n, nk) in enumerate(zip(f.grid.shape, kernel.grid.shape)):
-                rk = nk // 2
-                lo = fe[ax][0] + (ke[ax][0] - rk)
-                hi = fe[ax][1] + (ke[ax][1] - rk)
-                if lo < -pad or hi > n - 1 + pad:
-                    need = max(-lo, hi - (n - 1))
-                    raise InsufficientPaddingError(
-                        f"axis {ax}: convolution support needs pad >= {need}, got {pad}"
-                    )
-
-    out_shape = tuple(n + 2 * pad for n in f.grid.shape)
-    src, dst, lengths = [], [], []
-    for n, nk, m in zip(f.grid.shape, kernel.grid.shape, out_shape):
-        full = n + nk - 1
-        start = nk // 2 - pad
-        s0, s1 = max(start, 0), min(start + m, full)
-        src.append(slice(s0, s1))
-        dst.append(slice(s0 - start, s1 - start))
-        lengths.append(next_fast_len(max(full - s0, s1, nk), True))
-    lengths = tuple(lengths)
+    radii = [nk // 2 for nk in kernel.grid.shape]
+    lengths = tuple(
+        next_fast_len(max(n + r, 2 * r + 1), True) for n, r in zip(f.grid.shape, radii)
+    )
     spec = _kernel_spectrum(kernel.values, lengths)
     circ = irfftn(rfftn(f.values, lengths) * spec, lengths)
-    out = np.zeros(out_shape, dtype=np.float64)
-    out[tuple(dst)] = circ[tuple(src)] * f.grid.cell_volume
-    return ScalarField(Grid(out_shape, f.h), out)
+    kept = tuple(slice(r, r + n) for n, r in zip(f.grid.shape, radii))
+    return ScalarField(f.grid, circ[kept] * f.grid.cell_volume)
 
 
 def riesz_triple(f: ScalarField, kern: KernelSpec | ScalarField, h: ScalarField) -> float:
@@ -510,7 +476,13 @@ def _nearest_cell_values(fld: ScalarField, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def bll_integral(spec: BLLSpec, samples: int, seed: int, chunk: int = 131072) -> MCEstimate:
+# Samples drawn per batch.  Each batch draws its integers variable by variable
+# and axis by axis, so the batch size fixes which Philox draws land in which
+# variable: changing it changes every estimate (DECISIONS.md D9).
+_BLL_CHUNK = 131072
+
+
+def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the multilinear integral prod_n f_n(sum_m b_{n m} x_m).
 
     Each variable is drawn uniformly from the cell centers of the reference
@@ -549,7 +521,7 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int, chunk: int = 131072) ->
     s2 = 0.0
     done = 0
     while done < samples:
-        k = min(chunk, samples - done)
+        k = min(_BLL_CHUNK, samples - done)
         xs = np.empty((m, k, d), dtype=np.float64)
         for j in range(m):
             for ax in range(d):

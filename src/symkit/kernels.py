@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _SUBSAMPLE = 32
+# cells per side, around the origin, that sample_kernel_averaged averages (D9)
+_AVG_RADIUS = 8
 
 
 @dataclass(frozen=True)
@@ -114,18 +116,18 @@ def displacement_grid(grid: Grid, radius_cells: int | None = None) -> Grid:
 
 
 @lru_cache(maxsize=32)
-def _central_cell_average_power(lam: float, h: float, dim: int) -> float:
-    """Cell average of |z|^(-lam) over the central cell by midpoint subsampling."""
-    pts = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5  # midpoints of [-1/2, 1/2)
-    axes = np.meshgrid(*([pts * h] * dim), indexing="ij")
-    r = np.sqrt(sum(a**2 for a in axes))
+def _cell_average_power(lam: float, h: float, z0: tuple[float, ...], subs: int) -> float:
+    """Average of |z|^(-lam) over the cell centered at z0, by subs^d midpoints."""
+    pts = ((np.arange(subs) + 0.5) / subs - 0.5) * h  # midpoints of [-h/2, h/2)
+    offsets = np.meshgrid(*([pts] * len(z0)), indexing="ij")
+    r = np.sqrt(sum((c + off) ** 2 for c, off in zip(z0, offsets)))
     return float(np.mean(r ** (-lam)))
 
 
-def sample_kernel_averaged(spec: PowerLaw, grid: Grid, avg_radius: int = 8) -> ScalarField:
+def sample_kernel_averaged(spec: PowerLaw, grid: Grid) -> ScalarField:
     """Power-law kernel with per-cell averages near the singularity.
 
-    Cells with max-norm index within ``avg_radius`` of the origin carry the
+    Cells with max-norm index within ``_AVG_RADIUS`` of the origin carry the
     midpoint-subsampled cell average of |z|^(-lam) instead of the center
     sample; beyond that the center sample is within O((h/|z|)^2) of the
     average and is kept.  This quadrature is used where the slow convergence
@@ -138,17 +140,9 @@ def sample_kernel_averaged(spec: PowerLaw, grid: Grid, avg_radius: int = 8) -> S
     d = grid.dim
     center = tuple(n // 2 for n in grid.shape)
     span = [
-        range(max(0, c - avg_radius), min(n, c + avg_radius + 1))
+        range(max(0, c - _AVG_RADIUS), min(n, c + _AVG_RADIUS + 1))
         for c, n in zip(center, grid.shape)
     ]
-
-    def cell_average(cell, subs):
-        pts = ((np.arange(subs) + 0.5) / subs - 0.5) * grid.h
-        offsets = np.meshgrid(*([pts] * d), indexing="ij")
-        z0 = [(cell[k] - center[k]) * grid.h for k in range(d)]
-        r = np.sqrt(sum((z0[k] + offsets[k]) ** 2 for k in range(d)))
-        return float(np.mean(r ** (-spec.lam)))
-
     subs_regular = {1: 64, 2: 24, 3: 8}[d]
     # the singular cell needs a much finer rule: midpoint against the
     # |z|^(-lam) singularity converges only like subs^(-1)
@@ -156,7 +150,8 @@ def sample_kernel_averaged(spec: PowerLaw, grid: Grid, avg_radius: int = 8) -> S
     for idx in np.ndindex(*[len(s) for s in span]):
         cell = tuple(s[i] for s, i in zip(span, idx))
         subs = subs_singular if cell == center else subs_regular
-        vals[cell] = cell_average(cell, subs)
+        z0 = tuple((cell[k] - center[k]) * grid.h for k in range(d))
+        vals[cell] = _cell_average_power(spec.lam, grid.h, z0, subs)
     return ScalarField(grid, vals)
 
 
@@ -174,7 +169,7 @@ def sample_kernel(spec: KernelSpec, grid: Grid) -> ScalarField:
     if isinstance(spec, PowerLaw):
         with np.errstate(divide="ignore"):
             vals = r2 ** (-spec.lam / 2.0)
-        vals[center] = _central_cell_average_power(spec.lam, grid.h, grid.dim)
+        vals[center] = _cell_average_power(spec.lam, grid.h, (0.0,) * grid.dim, _SUBSAMPLE)
     elif isinstance(spec, FracKernel):
         expo = -(grid.dim + spec.s * spec.p) / 2.0
         with np.errstate(divide="ignore"):

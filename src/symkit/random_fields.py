@@ -58,11 +58,14 @@ def sample_bumps(
     n_bumps: int = 6,
     support_fraction: float = 0.6,
     signed: bool = False,
-    width_range: tuple[float, float] = (0.15, 0.45),
 ) -> BumpSum:
-    """Draw bump parameters keeping every bump inside support_fraction of the box."""
+    """Draw bump parameters keeping every bump inside support_fraction of the box.
+
+    Widths are uniform on [0.15, 0.45] times the reach, support_fraction *
+    half_width.
+    """
     reach = support_fraction * half_width
-    widths = rng.uniform(width_range[0], width_range[1], size=n_bumps) * reach
+    widths = rng.uniform(0.15, 0.45, size=n_bumps) * reach
     centers = np.empty((n_bumps, dim))
     for i in range(n_bumps):
         centers[i] = rng.uniform(-(reach - widths[i]), reach - widths[i], size=dim)

@@ -81,42 +81,19 @@ def steiner_symmetrize(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, np.moveaxis(out, -1, axis))
 
 
-def _phi_route_order(vals: np.ndarray, phi) -> np.ndarray:
-    # Descending in phi(v), secondary ascending in v: for any strictly
-    # decreasing phi this reproduces the ascending-in-v placement even when
-    # rounding collapses nearby keys.
-    keys = phi(vals)
-    return np.lexsort((vals, -keys))
-
-
-def increasing_rearrangement(
-    V: ScalarField, omega: GridSet, route: str = "sort"
-) -> tuple[ScalarField, GridSet]:
+def increasing_rearrangement(V: ScalarField, omega: GridSet) -> tuple[ScalarField, GridSet]:
     """Symmetric increasing rearrangement of V on a domain.
 
     Returns ``(V_low, omega_sym)`` where ``omega_sym`` is the symmetrized
     domain and ``V_low`` carries V's domain values sorted ascending along cell
     order into ``omega_sym`` (0 outside, where the values are meaningless).
-
-    ``route`` selects the implementation: ``"sort"`` sorts directly;
-    ``"exp"`` and ``"logistic"`` order by a strictly decreasing transform
-    (exp(-v), respectively 1/(1+exp(v))) and must agree with the direct sort
-    exactly.
     """
     if V.grid != omega.grid:
         raise ValueError("V and the domain must share a grid")
     k = omega.count()
     if k == 0:
         raise ValueError("domain is empty")
-    vals = V.values[omega.mask]
-    if route == "sort":
-        asc = np.sort(vals)
-    elif route == "exp":
-        asc = vals[_phi_route_order(vals, lambda v: np.exp(-v))]
-    elif route == "logistic":
-        asc = vals[_phi_route_order(vals, lambda v: 1.0 / (1.0 + np.exp(v)))]
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    asc = np.sort(V.values[omega.mask])
     omega_sym = set_symmetrize(omega)
     order = cell_order(V.grid.shape)
     out = np.zeros(V.grid.ncells, dtype=np.float64)

@@ -24,6 +24,19 @@ VERDICT_FAIL = "fail"
 VERDICT_TREND = "trend-pass"
 
 
+# Integer config keys and their least allowed values.  Seed 0 is a valid
+# Philox key; negative seeds are not.
+_INT_MINIMUM = {
+    "seed": 0,
+    "verify_cases": 0,
+    "verify_shape_1d": 1,
+    "verify_shape_2d": 1,
+    "n_bumps": 1,
+    "mc_samples": 1,
+    "jobs": 1,
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Suite parameters; the ladder is a list of (d, n, h) triples, h halving per d."""
@@ -58,8 +71,12 @@ class SuiteConfig:
                     raise ValueError(f"ladder for d={d} must refine by halving h: {rungs}")
         if not 0 < self.support_fraction <= 1:
             raise ValueError("support_fraction must be in (0, 1]")
-        if self.mc_samples <= 0 or self.verify_cases < 0 or self.jobs < 1:
-            raise ValueError("counts must be positive")
+        for key, least in _INT_MINIMUM.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
 
     def rungs(self, d: int) -> list[tuple[int, float]]:
         return [(n, h) for dd, n, h in self.ladder if dd == d]
@@ -117,20 +134,6 @@ class ExperimentReport:
             return v
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "inputs_digest": self.inputs_digest,
-            "values": self.values,
-            "deficits": self.deficits,
-            "standard_errors": self.standard_errors,
-            "tolerances": self.tolerances,
-            "series": self.series,
-            "warnings": self.warnings,
-            "verdict": self.verdict,
-            "wall_time_s": self.wall_time_s,
-        }
-
 
 def digest_inputs(*parts) -> str:
     """Stable hash of configuration scalars, strings, and arrays."""
@@ -150,7 +153,7 @@ def write_reports(reports: list[ExperimentReport], out_dir) -> Path:
     for rep in reports:
         path = out / f"{rep.experiment_id}.json"
         with open(path, "w") as fh:
-            json.dump(rep.to_dict(), fh, indent=1, sort_keys=True)
+            json.dump(asdict(rep), fh, indent=1, sort_keys=True)
             fh.write("\n")
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -229,7 +229,7 @@ def hls_optimizer(opt: HLSOptimizer, grid: Grid, tail_budget: float = 1e-6) -> S
         raise ValueError(f"lambda must be in (0, {d})")
     if len(opt.center) != d:
         raise ValueError("center dimension does not match grid")
-    frac = hls_norm_tail(opt, grid) / _optimizer_pnorm_total(opt, d)
+    frac = hls_norm_tail(opt, grid) / _pnorm_beyond(opt, d, 0.0)
     if frac > tail_budget:
         raise ValueError(
             f"tail mass fraction {frac:.3e} exceeds budget {tail_budget:.1e}; "
@@ -242,13 +242,13 @@ def hls_optimizer(opt: HLSOptimizer, grid: Grid, tail_budget: float = 1e-6) -> S
     return ScalarField(grid, opt.profile(np.sqrt(r2), d))
 
 
-def _optimizer_pnorm_total(opt: HLSOptimizer, d: int) -> float:
-    """Exact ||f||_p^p over all of R^d for the optimizer profile (radial quadrature)."""
+def _pnorm_beyond(opt: HLSOptimizer, d: int, r0: float) -> float:
+    """||f||_p^p of the optimizer profile over |x - a| > r0, by 1-d radial quadrature."""
     p = hls_exponent(opt.lam, d)
     surf = d * unit_ball_volume(d)
     integrand = lambda r: surf * r ** (d - 1) * opt.profile(r, d) ** p
-    total, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return float(total)
+    value, _ = quad(integrand, r0, np.inf, limit=200)
+    return float(value)
 
 
 def hls_norm_tail(opt: HLSOptimizer, grid: Grid) -> float:
@@ -258,14 +258,8 @@ def hls_norm_tail(opt: HLSOptimizer, grid: Grid) -> float:
     integral beyond the largest centered ball inside the box, so the reported
     denominator can only grow.
     """
-    d = grid.dim
-    p = hls_exponent(opt.lam, d)
     rin = min(grid.half_widths()) - max((abs(c) for c in opt.center), default=0.0)
-    rin = max(rin, grid.h)
-    surf = d * unit_ball_volume(d)
-    integrand = lambda r: surf * r ** (d - 1) * opt.profile(r, d) ** p
-    tail, _ = quad(integrand, rin, np.inf, limit=200)
-    return float(tail)
+    return _pnorm_beyond(opt, grid.dim, max(rin, grid.h))
 
 
 def hls_quotient(

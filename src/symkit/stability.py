@@ -31,7 +31,6 @@ from .rearrange import bathtub_fill, rearrange, set_symmetrize
 __all__ = [
     "DeficitReport",
     "asymmetry",
-    "asymmetry_search",
     "asymmetry_bruteforce",
     "ball_kernel_deficit",
     "riesz_deficit",
@@ -98,12 +97,12 @@ def _descend(rho: np.ndarray, chi: np.ndarray, start: tuple[int, ...], best_cach
     return cur
 
 
-def asymmetry_search(rho: ScalarField) -> tuple[float, tuple[int, ...]]:
-    """Minimal L^1 distance to shifted bathtub profiles and the optimal shift.
+def asymmetry(rho: ScalarField) -> float:
+    """A[rho] = (2 ||rho||_1)^(-1) min over whole-cell shifts of ||rho - chi(. - a)||_1.
 
     Search: centroid-initialized local descent over neighboring whole-cell
     shifts, plus a global coarse scan on a stride-4 lattice followed by a
-    second descent; the better of the two is returned.
+    second descent from the best few scan points; the best shift found wins.
     """
     mass = _check_density(rho)
     chi = bathtub_fill(mass, rho.grid)
@@ -125,14 +124,8 @@ def asymmetry_search(rho: ScalarField) -> tuple[float, tuple[int, ...]]:
     scan.sort(key=lambda s: cache[s])
     for s in scan[:4]:
         candidates.append(_descend(rv, cv, s, cache))
-    winner = min(candidates, key=lambda s: cache[s])
-    return cache[winner] * rho.grid.cell_volume, winner
-
-
-def asymmetry(rho: ScalarField) -> float:
-    """A[rho] = (2 ||rho||_1)^(-1) min over whole-cell shifts of ||rho - chi(. - a)||_1."""
-    dist, _ = asymmetry_search(rho)
-    return dist / (2.0 * rho.integral())
+    dist = min(cache[s] for s in candidates) * rho.grid.cell_volume
+    return dist / (2.0 * mass)
 
 
 def asymmetry_bruteforce(rho: ScalarField) -> float:
@@ -379,13 +372,13 @@ def pair_correlation_curve(rho: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return uniq, mass[last]
 
 
-def layered_riesz_reconstruction(rho: ScalarField, lam: float, n_nodes: int = 256) -> float:
+def layered_riesz_reconstruction(rho: ScalarField, lam: float) -> float:
     """Rebuild the power-kernel energy from ball-kernel values by radial quadrature.
 
     Uses |z|^(-lam) = lam * integral_R R^(-lam-1) 1_{|z| <= R} dR applied to
-    the off-diagonal pair mass: a log-spaced trapezoid rule over R between
-    the grid spacing and the set diameter, an exact analytic tail above the
-    diameter, and the cell-averaged kernel value on the diagonal.
+    the off-diagonal pair mass: a 256-node log-spaced trapezoid rule over R
+    between the grid spacing and the set diameter, an exact analytic tail
+    above the diameter, and the cell-averaged kernel value on the diagonal.
     """
     PowerLaw(lam).validate(rho.dim)
     dists, cum = pair_correlation_curve(rho)
@@ -398,7 +391,7 @@ def layered_riesz_reconstruction(rho: ScalarField, lam: float, n_nodes: int = 25
         return cum[np.maximum(idx, 0)] - diag
 
     r_lo, r_hi = 0.95 * h, float(dists[-1])
-    nodes = np.geomspace(r_lo, r_hi, n_nodes)
+    nodes = np.geomspace(r_lo, r_hi, 256)
     integrand = lam * nodes ** (-lam - 1.0) * offdiag(nodes)
     inner = float(np.trapezoid(integrand, nodes))
     tail = (total - diag) * r_hi ** (-lam)

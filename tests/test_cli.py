@@ -125,6 +125,22 @@ class TestSuiteVerbs:
         p.write_text(json.dumps({"schema": "nope"}))
         assert main(["--config", str(p), "verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("verify_shape_2d", 0, "verify_shape_2d must be at least 1"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("n_bumps", 0, "n_bumps must be at least 1"),
+        ],
+        ids=["zero_2d_shape", "fractional_seed", "zero_bumps"],
+    )
+    def test_bad_integer_key_exit_code(self, tiny_config, capsys, key, value, message):
+        cfg = json.loads(tiny_config.read_text())
+        cfg[key] = value
+        tiny_config.write_text(json.dumps(cfg))
+        assert main(["--config", str(tiny_config), "verify"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_inequality_exit_code(self, tiny_config):
         assert main(["--config", str(tiny_config), "refine", "--inequality", "bogus"]) == 2
 

@@ -3,6 +3,7 @@
 * ``convolve`` (short circular transforms, memoized kernel spectrum) against
   a plain O(N^2) lattice sum, to 1e-12 relative to max|k| sum|f| h^d, which
   bounds every output value;
+* the transform length per axis, next_fast_len(max(n + r, 2r + 1));
 * the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
   changed kernel of the same shape gets its own spectrum;
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
@@ -21,23 +22,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import symkit
-from symkit import Grid, InsufficientPaddingError, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
+from symkit import Grid, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
 from symkit import functionals
 from symkit.functionals import _fftconvolve_full
 
 RTOL = 1e-12
 
 
-def _lattice_sum(kv: np.ndarray, fv: np.ndarray, pad: int, h: float) -> np.ndarray:
-    """out[x] = sum_y k(x - y) f(y) h^d on f's grid widened by ``pad`` cells per side."""
+def _lattice_sum(kv: np.ndarray, fv: np.ndarray, h: float) -> np.ndarray:
+    """out[x] = sum_y k(x - y) f(y) h^d on f's grid."""
     rk = tuple(nk // 2 for nk in kv.shape)
-    out = np.zeros(tuple(n + 2 * pad for n in fv.shape))
-    for xo in np.ndindex(out.shape):
-        x = tuple(i - pad for i in xo)
+    out = np.zeros(fv.shape)
+    for x in np.ndindex(fv.shape):
         for y in np.ndindex(fv.shape):
             z = tuple(xi - yi + r for xi, yi, r in zip(x, y, rk))
             if all(0 <= zi < nk for zi, nk in zip(z, kv.shape)):
-                out[xo] += kv[z] * fv[y]
+                out[x] += kv[z] * fv[y]
     return out * h ** fv.ndim
 
 
@@ -56,9 +56,8 @@ def _cases(draw):
     radii = tuple(draw(st.integers(0, n + 1)) for n in shape)
     kv = draw(arrays(np.float64, tuple(2 * r + 1 for r in radii), elements=_values))
     fv = draw(arrays(np.float64, shape, elements=_values))
-    pad = draw(st.integers(0, 3))
     h = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    return kv, fv, pad, h
+    return kv, fv, h
 
 
 def _close(got: np.ndarray, want: np.ndarray, kv: np.ndarray, fv: np.ndarray, h: float) -> bool:
@@ -70,30 +69,31 @@ class TestConvolveOracle:
     @settings(max_examples=150, deadline=None)
     @given(_cases())
     def test_matches_lattice_sum(self, case):
-        kv, fv, pad, h = case
+        kv, fv, h = case
         g = Grid(fv.shape, h)
-        out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(g, fv), pad=pad)
-        assert out.grid.shape == tuple(n + 2 * pad for n in fv.shape)
-        assert _close(out.values, _lattice_sum(kv, fv, pad, h), kv, fv, h)
+        out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(g, fv))
+        assert out.grid == g
+        assert _close(out.values, _lattice_sum(kv, fv, h), kv, fv, h)
 
-    @settings(max_examples=100, deadline=None)
-    @given(_cases())
-    def test_require_support_raises_exactly_when_output_is_cut(self, case):
-        # nonnegative values: no lattice sum cancels, so the support of the
-        # full convolution is the union of the products' supports
-        kv, fv, pad, h = np.abs(case[0]), np.abs(case[1]), case[2], case[3]
-        kern, f = ScalarField(Grid(kv.shape, h), kv), ScalarField(Grid(fv.shape, h), fv)
-        widest = max(kv.shape) // 2 + 1
-        wide = _lattice_sum(kv, fv, pad + widest, h)
-        inner = tuple(slice(widest, widest + n + 2 * pad) for n in fv.shape)
-        outside = wide.copy()
-        outside[inner] = 0.0
-        if np.any(outside > 0.0):
-            with pytest.raises(InsufficientPaddingError):
-                convolve(kern, f, pad=pad, require_support=True)
-        else:
-            out = convolve(kern, f, pad=pad, require_support=True)
-            assert _close(out.values, wide[inner], kv, fv, h)
+
+class TestLengthRule:
+    def test_coulomb_32_cubed_uses_64(self, monkeypatch):
+        g = Grid((32, 32, 32), 0.25)
+        kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        convolve(kern, ScalarField(g, np.ones(g.shape)))
+        assert functionals._kernel_memo[0] == (64, 64, 64)
+
+    def test_kernel_wider_than_short_axis_uses_its_extent(self, monkeypatch):
+        # axis 0: n + r = 7 would round to 8 and cut the 9-wide kernel, so 2r + 1 = 9
+        g = Grid((3, 12), 0.5)
+        rng = np.random.default_rng(5)
+        kern = ScalarField(displacement_grid(g, 4), rng.random((9, 9)))
+        f = ScalarField(g, rng.random(g.shape))
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        out = convolve(kern, f)
+        assert functionals._kernel_memo[0] == (9, 16)
+        assert _close(out.values, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
 
 
 class TestKernelMemo:
@@ -120,7 +120,7 @@ class TestKernelMemo:
         kv[2, 3] += 1.0
         other = ScalarField(kern.grid, kv)
         out = convolve(other, f)
-        assert _close(out.values, _lattice_sum(kv, f.values, 0, g.h), kv, f.values, g.h)
+        assert _close(out.values, _lattice_sum(kv, f.values, g.h), kv, f.values, g.h)
         assert not _close(out.values, convolve(kern, f).values, kv, f.values, g.h)
 
     def test_memo_holds_a_private_copy(self, monkeypatch):

@@ -13,25 +13,12 @@ from symkit import (
     ScalarField,
     bathtub_fill,
     bll_integral,
-    convolve,
     displacement_grid,
     distribution_function,
     lp_norm,
     steiner_symmetrize,
     weighted_F_energy,
 )
-
-
-def test_convolve_pad_exceeds_kernel_radius():
-    g = Grid((6,), 0.5)
-    kv = np.zeros(3)
-    kv[1] = 1.0 / 0.5  # delta kernel, radius 1
-    kern = ScalarField(displacement_grid(g, 1), kv)
-    f = ScalarField(g, np.arange(6.0))
-    out = convolve(kern, f, pad=5)
-    assert out.grid.shape == (16,)
-    assert np.allclose(out.values[5:11], f.values, rtol=1e-12)
-    assert np.all(out.values[:4] == 0) and np.all(out.values[12:] == 0)
 
 
 def test_bll_infeasible_region_gives_zero():

@@ -187,6 +187,12 @@ class TestFieldFile:
         with pytest.raises(FieldFormatError, match="line 1"):
             load(p)
 
+    def test_bad_spacing_reported_on_line_4(self, tmp_path):
+        p = tmp_path / "h.sk"
+        p.write_text("SYMKIT-FIELD 1\n1\n2\n-0.5\n1.0\n2.0\n")
+        with pytest.raises(FieldFormatError, match="line 4: spacing must be positive"):
+            load(p)
+
     def test_mask_values_validated(self, tmp_path):
         p = tmp_path / "m.sk"
         p.write_text("SYMKIT-SET 1\n1\n2\n0.5\n1\n0.5\n")

@@ -10,7 +10,6 @@ from symkit import (
     Grid,
     GridSet,
     HeatGaussian,
-    InsufficientPaddingError,
     JExpansionF,
     MinF,
     PiecewiseLinearProfile,
@@ -286,24 +285,6 @@ class TestConvolve:
                 key = tuple(np.round((x - y) / g.h).astype(int))
                 direct[i] += kmap[key] * f.values.ravel()[j] * g.cell_volume
         assert np.allclose(out.values.ravel(), direct, rtol=1e-10, atol=1e-12)
-
-    def test_padding_extends_grid(self):
-        g = Grid((6,), 0.5)
-        kern = sample_kernel(HeatGaussian(0.1), displacement_grid(g, 3))
-        f = ScalarField(g, np.ones(6))
-        out = convolve(kern, f, pad=2)
-        assert out.grid.shape == (10,)
-
-    def test_insufficient_padding_detected(self):
-        g = Grid((8,), 0.5)
-        kv = np.zeros(9)
-        kv[-1] = 1.0  # support at displacement +4 cells
-        kern = ScalarField(displacement_grid(g, 4), kv)
-        fv = np.zeros(8)
-        fv[6] = 1.0
-        with pytest.raises(InsufficientPaddingError):
-            convolve(kern, ScalarField(g, fv), pad=0, require_support=True)
-        convolve(kern, ScalarField(g, fv), pad=3, require_support=True)
 
     def test_alignment_checks(self):
         g = Grid((6,), 0.5)

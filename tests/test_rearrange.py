@@ -208,12 +208,16 @@ class TestIncreasingRearrangement:
         assert np.array_equal(low.values, V.values * mask)
 
     def test_phi_independence_exact(self):
+        # Placing the domain values by a strictly decreasing transform phi
+        # (descending in phi(v), ties ascending in v) equals the direct sort.
         V, omega = self._setup()
-        a, _ = increasing_rearrangement(V, omega, route="sort")
-        b, _ = increasing_rearrangement(V, omega, route="exp")
-        c, _ = increasing_rearrangement(V, omega, route="logistic")
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
+        a, _ = increasing_rearrangement(V, omega)
+        vals = V.values[omega.mask]
+        order = cell_order(V.grid.shape)[: omega.count()]
+        for phi in (lambda v: np.exp(-v), lambda v: 1.0 / (1.0 + np.exp(v))):
+            placed = np.zeros(V.grid.ncells)
+            placed[order] = vals[np.lexsort((vals, -phi(vals)))]
+            assert np.array_equal(a.values.ravel(), placed)
 
     def test_empty_domain(self):
         V, _ = self._setup()
