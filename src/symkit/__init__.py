@@ -14,8 +14,6 @@ from .field import (
     distribution_function,
     layer_cake_reconstruct,
     load,
-    load_field,
-    load_set,
     measure,
     save,
 )
@@ -24,12 +22,10 @@ from .functionals import (
     JExpansionF,
     MCEstimate,
     MinF,
-    PiecewiseLinearProfile,
     PowerProfile,
     ProductF,
     UnboundedRegionError,
     bll_integral,
-    choquard_energy,
     convolve,
     expansion_gaps,
     fractional_perimeter,
@@ -78,7 +74,7 @@ from .sharp import (
     young_gaussian_triple,
     young_quotient,
 )
-from .spectral import dirichlet_eigenvalues, dirichlet_spectrum, heat_perimeter_estimate, heat_trace
+from .spectral import dirichlet_eigenvalues, dirichlet_spectrum, heat_perimeter_estimate
 from .stability import (
     DeficitReport,
     ResidualDistribution,

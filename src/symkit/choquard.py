@@ -33,10 +33,6 @@ class DescentResult:
     final: ScalarField | None = None
     diverged: bool = False
 
-    @property
-    def final_energy(self) -> float:
-        return self.energies[-1]
-
 
 def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray:
     nrm = math.sqrt(float(np.sum(values * values)) * vol)

@@ -29,8 +29,6 @@ __all__ = [
     "layer_cake_reconstruct",
     "save",
     "load",
-    "load_field",
-    "load_set",
 ]
 
 _SUPPORTED_DIMS = (1, 2, 3)
@@ -369,17 +367,3 @@ def load(path) -> ScalarField | GridSet:
     if tag == _FIELD_TAG:
         return ScalarField(grid, _parse_payload(lines[4:], grid, as_mask=False))
     return GridSet(grid, _parse_payload(lines[4:], grid, as_mask=True).astype(bool))
-
-
-def load_field(path) -> ScalarField:
-    obj = load(path)
-    if not isinstance(obj, ScalarField):
-        raise FieldFormatError("expected a SYMKIT-FIELD file, found a set", line=1)
-    return obj
-
-
-def load_set(path) -> GridSet:
-    obj = load(path)
-    if not isinstance(obj, GridSet):
-        raise FieldFormatError("expected a SYMKIT-SET file, found a field", line=1)
-    return obj

@@ -42,8 +42,6 @@ __all__ = [
     "JExpansionF",
     "SupermodularF",
     "PowerProfile",
-    "PiecewiseLinearProfile",
-    "ConvexProfile",
     "BLLSpec",
     "MCEstimate",
     "lp_norm",
@@ -66,7 +64,6 @@ __all__ = [
     "heat_pairing",
     "riesz_energy",
     "power_energy",
-    "choquard_energy",
     "pointwise_decay_check",
 ]
 
@@ -94,46 +91,6 @@ class PowerProfile:
         return np.asarray(t, dtype=np.float64) ** self.p
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearProfile:
-    """Convex piecewise-linear j with j(0) = 0.
-
-    ``slopes[k]`` applies on ``[breakpoints[k-1], breakpoints[k])`` (with
-    breakpoints[-1] = 0 and the last slope extending to infinity); convexity
-    requires nondecreasing slopes, nonnegativity requires slopes[0] >= 0.
-    """
-
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
-
-    def __post_init__(self):
-        b = tuple(float(x) for x in self.breakpoints)
-        s = tuple(float(x) for x in self.slopes)
-        if len(s) != len(b) + 1:
-            raise ValueError("need one more slope than breakpoints")
-        if any(x <= 0 for x in b) or any(x2 <= x1 for x1, x2 in zip(b, b[1:])):
-            raise ValueError("breakpoints must be positive and strictly increasing")
-        if any(s2 < s1 for s1, s2 in zip(s, s[1:])):
-            raise ValueError("slopes must be nondecreasing (convexity)")
-        if s[0] < 0:
-            raise ValueError("first slope must be >= 0 (nonnegativity)")
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "slopes", s)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        knots = np.array((0.0,) + self.breakpoints)
-        svec = np.array(self.slopes)
-        # yk[k] = j(knots[k])
-        yk = np.concatenate([[0.0], np.cumsum(svec[: len(self.breakpoints)] * np.diff(knots))])
-        idx = np.searchsorted(knots, t, side="right") - 1
-        idx = np.clip(idx, 0, len(knots) - 1)
-        return yk[idx] + svec[idx] * (t - knots[idx])
-
-
-ConvexProfile = PowerProfile | PiecewiseLinearProfile
-
-
 class ProductF:
     """F(u, v) = u v."""
 
@@ -158,7 +115,7 @@ class MinF:
 class JExpansionF:
     """F(u, v) = j(u) + j(v) - j(|u - v|) for a convex profile j."""
 
-    profile: ConvexProfile
+    profile: PowerProfile
 
     def __call__(self, u, v):
         j = self.profile
@@ -203,7 +160,7 @@ def supermodular_pairing(F: SupermodularF, f: ScalarField, g: ScalarField) -> fl
     return float(np.sum(F(f.values, g.values))) * f.grid.cell_volume
 
 
-def expansion_gaps(j: ConvexProfile, f: ScalarField, g: ScalarField) -> tuple[float, float]:
+def expansion_gaps(j: PowerProfile, f: ScalarField, g: ScalarField) -> tuple[float, float]:
     """(sum j(|f-g|) h^d, sum j(f+g) h^d) for nonnegative fields."""
     _check_same_grid(f, g)
     if not (f.nonneg and g.nonneg):
@@ -388,10 +345,6 @@ class BLLSpec:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "fields", tuple(self.fields))
-
-    @property
-    def n_factors(self) -> int:
-        return self.coeffs.shape[0]
 
     @property
     def n_variables(self) -> int:
@@ -757,14 +710,6 @@ def power_energy(rho: ScalarField, alpha: float) -> float:
     PowerGrowth(alpha).validate(rho.dim)
     kfield = sample_kernel(PowerGrowth(alpha), displacement_grid(rho.grid))
     return pairing(rho, convolve(kfield, rho))
-
-
-def choquard_energy(u: ScalarField) -> float:
-    """Kinetic minus Coulomb self-interaction of |u|^2 in dimension 3."""
-    if u.dim != 3:
-        raise ValueError("the Choquard energy is defined on 3-d grids")
-    usq = ScalarField(u.grid, u.values**2)
-    return gradient_pnorm(u, 2.0) ** 2 - riesz_energy(usq, 1.0)
 
 
 def pointwise_decay_check(f: ScalarField, p: float) -> float:

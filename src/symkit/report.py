@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
@@ -35,6 +36,9 @@ _INT_MINIMUM = {
     "mc_samples": 1,
     "jobs": 1,
 }
+
+# Float config keys; each must be a finite real number in (0, 1].
+_UNIT_INTERVAL_KEYS = ("support_fraction", "contraction_factor", "final_violation_fraction")
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,12 @@ class SuiteConfig:
             for (n1, h1), (n2, h2) in zip(rungs, rungs[1:]):
                 if not (n2 == 2 * n1 and abs(h2 - h1 / 2) <= 1e-12 * h1):
                     raise ValueError(f"ladder for d={d} must refine by halving h: {rungs}")
-        if not 0 < self.support_fraction <= 1:
-            raise ValueError("support_fraction must be in (0, 1]")
+        for key in _UNIT_INTERVAL_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            if not (math.isfinite(value) and 0 < value <= 1):
+                raise ValueError(f"{key} must be finite and in (0, 1], got {value!r}")
         for key, least in _INT_MINIMUM.items():
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -80,12 +88,6 @@ class SuiteConfig:
 
     def rungs(self, d: int) -> list[tuple[int, float]]:
         return [(n, h) for dd, n, h in self.ladder if dd == d]
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["schema"] = SCHEMA_TAG
-        out["ladder"] = [list(r) for r in self.ladder]
-        return out
 
 
 def load_config(path) -> SuiteConfig:

@@ -25,7 +25,6 @@ from .functionals import lp_norm, riesz_triple, unit_ball_volume
 from .kernels import PowerLaw, displacement_grid, sample_kernel_averaged
 
 __all__ = [
-    "unit_ball_volume",
     "young_constant",
     "GaussianTriple",
     "young_gaussian_triple",
@@ -56,7 +55,7 @@ def young_constant(s: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianTriple:
-    """Parameters of the Gaussian equality family (real realization, k = 0).
+    """Parameters of the Gaussian equality family (real realization, zero frequency).
 
     The three factors are A exp(-p'(x-a, J(x-a))), B exp(-q'(x-b, J(x-b))),
     C exp(-r'(y-c, J(y-c))) with conjugate exponents; the exponent identity
@@ -73,7 +72,6 @@ class GaussianTriple:
     b: tuple[float, ...]
     c: tuple[float, ...]
     J: np.ndarray
-    k: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for t in (self.p, self.q, self.r):
@@ -92,13 +90,9 @@ class GaussianTriple:
         for ctr in (self.a, self.b, self.c):
             if len(ctr) != d:
                 raise ValueError("center dimension does not match J")
-        k = self.k if self.k is not None else tuple(0.0 for _ in range(d))
-        if any(v != 0.0 for v in k):
-            raise ValueError("the real-field realization requires k = 0")
         J = J.copy()
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
-        object.__setattr__(self, "k", tuple(k))
 
     @property
     def dim(self) -> int:

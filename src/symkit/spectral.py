@@ -1,4 +1,4 @@
-"""Dirichlet spectra on masked domains, heat traces, and the short-time perimeter fit.
+"""Dirichlet spectra on masked domains and the short-time heat-trace perimeter fit.
 
 The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
@@ -19,7 +19,6 @@ __all__ = [
     "DENSE_CELL_CAP",
     "dirichlet_spectrum",
     "dirichlet_eigenvalues",
-    "heat_trace",
     "heat_perimeter_estimate",
 ]
 
@@ -74,20 +73,7 @@ def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def heat_trace(
-    omega: GridSet, V: ScalarField | None, t: float, eigenvalues: np.ndarray | None = None
-) -> float:
-    """Trace of the heat semigroup at time t; pass cached eigenvalues to reuse a solve."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if eigenvalues is None:
-        eigenvalues = dirichlet_eigenvalues(omega, V)
-    return float(np.exp(-t * eigenvalues).sum())
-
-
-def heat_perimeter_estimate(
-    omega: GridSet, t_list, eigenvalues: np.ndarray | None = None
-) -> float:
+def heat_perimeter_estimate(omega: GridSet, t_list, eigenvalues: np.ndarray) -> float:
     """Perimeter from the short-time trace expansion, by least squares.
 
     The V = 0 trace behaves like (4 pi t)^(-d/2) (|Omega| - sqrt(pi t / 4) per
@@ -95,12 +81,12 @@ def heat_perimeter_estimate(
     two-term model per * sqrt(pi t / 4) + c t; the linear term absorbs the
     corner contribution.  Times should sit above ~100 h^2 (the stencil's
     spectral bias dominates below) while staying in the short-time regime.
+    ``eigenvalues`` is the full V = 0 spectrum of omega, as returned by
+    ``dirichlet_eigenvalues(omega, None)``.
     """
     t_arr = np.asarray(list(t_list), dtype=np.float64)
     if t_arr.size < 2 or np.any(t_arr <= 0):
         raise ValueError("need at least two positive times")
-    if eigenvalues is None:
-        eigenvalues = dirichlet_eigenvalues(omega, None)
     d = omega.grid.dim
     vol = measure(omega)
     traces = np.array([float(np.exp(-t * eigenvalues).sum()) for t in t_arr])

@@ -10,7 +10,7 @@ caller's to report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .functionals import (
     gradient_pnorm,
     riesz_energy,
     riesz_triple,
-    unit_ball_volume,
 )
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
 from .rearrange import bathtub_fill, rearrange, set_symmetrize
@@ -178,14 +177,12 @@ class DeficitReport:
     deficit: float
     asym: float
     ratio: float
-    metadata: dict = dc_field(default_factory=dict)
 
 
 def ball_kernel_deficit(rho: ScalarField, radius: float) -> DeficitReport:
     """Deficit of the ball-kernel interaction against the bathtub profile.
 
-    Reports the window quantity |B_R|^(1/d) / (2 ||rho||_1^(1/d)) without
-    enforcing it, and the ratio deficit / (||rho||_1^2 A[rho]^2).
+    The ratio is deficit / (||rho||_1^2 A[rho]^2).
     """
     mass = _check_density(rho)
     chi = bathtub_fill(mass, rho.grid)
@@ -196,11 +193,7 @@ def ball_kernel_deficit(rho: ScalarField, radius: float) -> DeficitReport:
     deficit = right - left
     denom = mass * mass * asym * asym
     ratio = deficit / denom if denom > 0 else math.nan
-    d = rho.dim
-    window = (unit_ball_volume(d) * radius**d) ** (1.0 / d) / (2.0 * mass ** (1.0 / d))
-    return DeficitReport(
-        left, right, deficit, asym, ratio, {"radius": radius, "window": window, "mass": mass}
-    )
+    return DeficitReport(left, right, deficit, asym, ratio)
 
 
 def riesz_deficit(rho: ScalarField, lam: float) -> DeficitReport:
@@ -214,7 +207,7 @@ def riesz_deficit(rho: ScalarField, lam: float) -> DeficitReport:
     d = rho.dim
     denom = mass ** (2.0 - lam / d) * asym * asym
     ratio = deficit / denom if denom > 0 else math.nan
-    return DeficitReport(left, right, deficit, asym, ratio, {"lam": lam, "mass": mass})
+    return DeficitReport(left, right, deficit, asym, ratio)
 
 
 def fractional_isoperimetric_deficit(A: GridSet, s: float) -> DeficitReport:
@@ -226,7 +219,7 @@ def fractional_isoperimetric_deficit(A: GridSet, s: float) -> DeficitReport:
     deficit = left - right
     denom = asym * asym
     ratio = deficit / denom if denom > 0 else math.nan
-    return DeficitReport(left, right, deficit, asym, ratio, {"s": s})
+    return DeficitReport(left, right, deficit, asym, ratio)
 
 
 # ----------------------------------------------------------------------------
@@ -276,7 +269,6 @@ class ContinuityProbeResult:
     amplitudes: tuple[float, ...]
     input_distances: tuple[float, ...]
     distances: tuple[float, ...]
-    norm_label: str
 
 
 def _plateau_radius(u: ScalarField) -> float:
@@ -343,8 +335,7 @@ def continuity_probe(
         amps.append(a)
         din.append(dist(uk.values, u.values))
         dout.append(dist(rearrange(uk).values, ustar.values))
-    label = f"W^(1,{p})" if space == "w1p" else f"W^({s},{p})"
-    return ContinuityProbeResult(tuple(amps), tuple(din), tuple(dout), label)
+    return ContinuityProbeResult(tuple(amps), tuple(din), tuple(dout))
 
 
 # ----------------------------------------------------------------------------

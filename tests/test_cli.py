@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestSuiteVerbs:
         ids=["zero_2d_shape", "fractional_seed", "zero_bumps"],
     )
     def test_bad_integer_key_exit_code(self, tiny_config, capsys, key, value, message):
+        cfg = json.loads(tiny_config.read_text())
+        cfg[key] = value
+        tiny_config.write_text(json.dumps(cfg))
+        assert main(["--config", str(tiny_config), "verify"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("contraction_factor", "0.7", "contraction_factor must be a real number"),
+            ("final_violation_fraction", math.nan, "final_violation_fraction must be finite"),
+            ("support_fraction", True, "support_fraction must be a real number"),
+            ("contraction_factor", 1.5, "contraction_factor must be finite and in (0, 1]"),
+        ],
+        ids=[
+            "string_contraction", "nan_violation_fraction", "bool_support", "contraction_above_one"
+        ],
+    )
+    def test_bad_float_key_exit_code(self, tiny_config, capsys, key, value, message):
         cfg = json.loads(tiny_config.read_text())
         cfg[key] = value
         tiny_config.write_text(json.dumps(cfg))

@@ -1,14 +1,22 @@
-"""scripts/compare_reports.py, the byte-identity gate for refactors."""
+"""scripts/compare_reports.py, the byte-identity gate for refactors, and the file part of
+scripts/run_full_suite.py that it checks."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
-_spec = importlib.util.spec_from_file_location("compare_reports", _SCRIPT)
-compare_reports = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load_script("compare_reports")
 
 
 def _report(wall: float, value: float = 1.5) -> str:
@@ -57,3 +65,18 @@ def test_non_directory_argument(dirs, capsys):
     a, _ = dirs
     assert compare_reports.main([str(a), str(a / "verify" / "summary.csv")]) == 2
     assert "not a directory" in capsys.readouterr().err
+
+
+def test_field_files_are_reproducible(tmp_path):
+    run_full_suite = _load_script("run_full_suite")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        assert run_full_suite.write_field_files(root) == 0
+    names = {p.name for p in a.iterdir()}
+    assert names == {
+        f"{stem}{suffix}"
+        for stem in ("field", "field.rearranged", "set", "set.rearranged")
+        for suffix in (".sk", ".info.json")
+    }
+    assert '"kind": "set"' in (a / "set.rearranged.info.json").read_text()
+    assert compare_reports.compare(a, b) == []

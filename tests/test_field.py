@@ -12,8 +12,6 @@ from symkit import (
     distribution_function,
     layer_cake_reconstruct,
     load,
-    load_field,
-    load_set,
     measure,
     save,
 )
@@ -146,7 +144,8 @@ class TestFieldFile:
     def test_round_trip_bit_exact(self, tmp_path_factory, f):
         path = tmp_path_factory.mktemp("io") / "f.sk"
         save(f, path)
-        back = load_field(path)
+        back = load(path)
+        assert isinstance(back, ScalarField)
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
 
@@ -154,7 +153,9 @@ class TestFieldFile:
         g = Grid((4, 3), 0.5)
         A = GridSet(g, np.arange(12).reshape(4, 3) % 3 == 0)
         save(A, tmp_path / "a.sk")
-        back = load_set(tmp_path / "a.sk")
+        back = load(tmp_path / "a.sk")
+        assert isinstance(back, GridSet)
+        assert back.grid == g
         assert np.array_equal(back.mask, A.mask)
 
     def test_unsupported_dimension(self, tmp_path):
@@ -198,9 +199,3 @@ class TestFieldFile:
         p.write_text("SYMKIT-SET 1\n1\n2\n0.5\n1\n0.5\n")
         with pytest.raises(FieldFormatError, match="0 or 1"):
             load(p)
-
-    def test_load_kind_mismatch(self, tmp_path):
-        g = Grid((3,), 1.0)
-        save(ScalarField(g, np.zeros(3)), tmp_path / "f.sk")
-        with pytest.raises(FieldFormatError):
-            load_set(tmp_path / "f.sk")

@@ -102,10 +102,6 @@ class TestGaussianTriple:
         with pytest.raises(ValueError, match="positive definite"):
             self._triple(J=np.array([[-1.0]]))
 
-    def test_real_realization_requires_zero_frequency(self):
-        with pytest.raises(ValueError, match="k = 0"):
-            self._triple(k=(0.5,))
-
     def test_centered_family_is_own_rearrangement(self):
         grid = Grid((128,), 16.0 / 128)
         f, g, h = young_gaussian_triple(self._triple(), grid)

@@ -130,7 +130,6 @@ class TestBallKernelDeficit:
         rep = ball_kernel_deficit(ScalarField(g, vals), radius=0.4)
         assert rep.deficit > 0
         assert rep.ratio > 0
-        assert 0 < rep.metadata["window"] < 1
 
     def test_perturbation_family_ratio_bounded_below(self):
         from symkit.experiments import two_ball_density
