@@ -59,8 +59,6 @@ from .rearrange import (
     increasing_rearrangement,
     rearrange,
     set_symmetrize,
-    steiner_symmetrize,
-    truncate,
 )
 from .sharp import (
     GaussianTriple,

@@ -20,10 +20,8 @@ __all__ = [
     "cell_order",
     "set_symmetrize",
     "rearrange",
-    "steiner_symmetrize",
     "increasing_rearrangement",
     "bathtub_fill",
-    "truncate",
 ]
 
 
@@ -63,22 +61,6 @@ def rearrange(f: ScalarField) -> ScalarField:
     out = np.empty(f.grid.ncells, dtype=np.float64)
     out[order] = desc
     return ScalarField(f.grid, out.reshape(f.grid.shape))
-
-
-def steiner_symmetrize(f: ScalarField, axis: int) -> ScalarField:
-    """1-d rearrangement applied to every grid line parallel to the given axis."""
-    d = f.dim
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dimension {d}")
-    n = f.grid.shape[axis]
-    order = cell_order((n,))
-    moved = np.moveaxis(f.values, axis, -1)
-    lines = np.abs(moved).reshape(-1, n)
-    desc = np.sort(lines, axis=1)[:, ::-1]
-    out = np.empty_like(lines)
-    out[:, order] = desc
-    out = out.reshape(moved.shape)
-    return ScalarField(f.grid, np.moveaxis(out, -1, axis))
 
 
 def increasing_rearrangement(V: ScalarField, omega: GridSet) -> tuple[ScalarField, GridSet]:
@@ -126,18 +108,3 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
         out[order[k]] = frac
     return ScalarField(grid, out.reshape(grid.shape))
 
-
-def truncate(f: ScalarField, eps: float, cap: float | None = None) -> ScalarField:
-    """Pointwise min((|f| - eps)_+, cap); ``cap=None`` means no upper cutoff.
-
-    Both steps are nondecreasing functions of |f|, so truncation commutes with
-    rearrangement exactly.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    out = np.maximum(np.abs(f.values) - eps, 0.0)
-    if cap is not None:
-        if cap <= 0:
-            raise ValueError("cap must be positive")
-        out = np.minimum(out, cap)
-    return ScalarField(f.grid, out)

@@ -16,7 +16,6 @@ from symkit import (
     displacement_grid,
     distribution_function,
     lp_norm,
-    steiner_symmetrize,
     weighted_F_energy,
 )
 
@@ -60,20 +59,6 @@ def test_bathtub_exactly_full_box():
     g = Grid((4, 4), 0.5)
     out = bathtub_fill(g.box_volume, g)
     assert np.all(out.values == 1.0)
-
-
-def test_steiner_3d_lines_independent():
-    rng = np.random.default_rng(2)
-    g = Grid((4, 5, 6), 0.5)
-    f = ScalarField(g, rng.normal(size=(4, 5, 6)))
-    out = steiner_symmetrize(f, 2)
-    # every line parallel to axis 2 is individually rearranged
-    from symkit import rearrange
-
-    for i in range(4):
-        for j in range(5):
-            line = ScalarField(Grid((6,), 0.5), f.values[i, j])
-            assert np.array_equal(out.values[i, j], rearrange(line).values)
 
 
 def test_gridset_indicator_round_trip():
