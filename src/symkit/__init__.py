@@ -36,9 +36,6 @@ from .functionals import (
     lp_norm,
     minkowski_content,
     pairing,
-    perimeter,
-    pointwise_decay_check,
-    power_energy,
     riesz_energy,
     riesz_triple,
     supermodular_pairing,
@@ -48,7 +45,6 @@ from .kernels import (
     BallIndicator,
     FracKernel,
     HeatGaussian,
-    PowerGrowth,
     PowerLaw,
     displacement_grid,
     sample_kernel,

@@ -23,17 +23,15 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.ndimage import distance_transform_edt, map_coordinates
 from scipy.optimize import linprog
 
-from .field import Grid, GridSet, ScalarField, measure
+from .field import GridSet, ScalarField, measure
 from .kernels import (
     FracKernel,
     HeatGaussian,
     KernelSpec,
-    PowerGrowth,
     PowerLaw,
     displacement_grid,
     sample_kernel,
 )
-from .rearrange import rearrange
 
 __all__ = [
     "UnboundedRegionError",
@@ -56,15 +54,12 @@ __all__ = [
     "fractional_seminorm",
     "unit_ball_volume",
     "fractional_perimeter",
-    "perimeter",
     "minkowski_content",
     "gradient_pnorm",
     "gradient_magnitude",
     "kinetic_gradient",
     "heat_pairing",
     "riesz_energy",
-    "power_energy",
-    "pointwise_decay_check",
 ]
 
 
@@ -605,19 +600,6 @@ def fractional_perimeter(A: GridSet, s: float) -> float:
     return near + tail
 
 
-def perimeter(A: GridSet) -> float:
-    """Exposed cell faces times h^(d-1)."""
-    g = A.grid
-    m = A.mask.astype(np.int8)
-    faces = 0
-    for ax in range(g.dim):
-        pad = [(0, 0)] * g.dim
-        pad[ax] = (1, 1)
-        padded = np.pad(m, pad)
-        faces += int(np.abs(np.diff(padded, axis=ax)).sum())
-    return faces * g.h ** (g.dim - 1)
-
-
 def minkowski_content(A: GridSet, eps: float) -> float:
     """eps^(-1) measure of the inner boundary strip {x in A : dist(x, A^c) < eps}.
 
@@ -704,27 +686,3 @@ def riesz_energy(rho: ScalarField, lam: float) -> float:
     kfield = sample_kernel(PowerLaw(lam), displacement_grid(rho.grid))
     return pairing(rho, convolve(kfield, rho))
 
-
-def power_energy(rho: ScalarField, alpha: float) -> float:
-    """Interaction energy of rho against the growing kernel |x - y|^alpha."""
-    PowerGrowth(alpha).validate(rho.dim)
-    kfield = sample_kernel(PowerGrowth(alpha), displacement_grid(rho.grid))
-    return pairing(rho, convolve(kfield, rho))
-
-
-def pointwise_decay_check(f: ScalarField, p: float) -> float:
-    """Largest violation of the radial decay bound for the rearrangement.
-
-    Checks f*(x) <= omega_d^(-1/p) |x|^(-d/p) ||f||_p at every cell center
-    except the origin cell; the return value is the max of f* minus the bound
-    (nonpositive when the bound holds).
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    fstar = rearrange(f)
-    r2 = f.grid.radius2()
-    mask = r2 > 0
-    d = f.dim
-    bound = unit_ball_volume(d) ** (-1.0 / p) * r2[mask] ** (-d / (2.0 * p)) * lp_norm(f, p)
-    diff = fstar.values[mask] - bound
-    return float(diff.max()) if diff.size else 0.0

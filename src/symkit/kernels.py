@@ -27,7 +27,6 @@ __all__ = [
     "FracKernel",
     "BallIndicator",
     "HeatGaussian",
-    "PowerGrowth",
     "KernelSpec",
     "displacement_grid",
     "sample_kernel",
@@ -86,18 +85,7 @@ class HeatGaussian:
             raise ValueError(f"time must be positive, got {self.t}")
 
 
-@dataclass(frozen=True)
-class PowerGrowth:
-    """|z|^alpha with alpha > 0; symmetric increasing."""
-
-    alpha: float
-
-    def validate(self, dim: int) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-KernelSpec = PowerLaw | FracKernel | BallIndicator | HeatGaussian | PowerGrowth
+KernelSpec = PowerLaw | FracKernel | BallIndicator | HeatGaussian
 
 
 def displacement_grid(grid: Grid, radius_cells: int | None = None) -> Grid:
@@ -179,8 +167,6 @@ def sample_kernel(spec: KernelSpec, grid: Grid) -> ScalarField:
         vals = (r2 <= spec.radius**2).astype(np.float64)
     elif isinstance(spec, HeatGaussian):
         vals = (4.0 * math.pi * spec.t) ** (-grid.dim / 2.0) * np.exp(-r2 / (4.0 * spec.t))
-    elif isinstance(spec, PowerGrowth):
-        vals = r2 ** (spec.alpha / 2.0)
     else:
         raise TypeError(f"unknown kernel spec {type(spec).__name__}")
     return ScalarField(grid, vals)
