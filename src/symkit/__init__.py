@@ -39,7 +39,6 @@ from .functionals import (
     riesz_energy,
     riesz_triple,
     supermodular_pairing,
-    weighted_F_energy,
 )
 from .kernels import (
     BallIndicator,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.ndimage import distance_transform_edt, map_coordinates
+from scipy.ndimage import distance_transform_edt
 from scipy.optimize import linprog
 
 from .field import GridSet, ScalarField, measure
@@ -49,7 +49,6 @@ __all__ = [
     "hanner_sum",
     "convolve",
     "riesz_triple",
-    "weighted_F_energy",
     "bll_integral",
     "fractional_seminorm",
     "unit_ball_volume",
@@ -264,48 +263,6 @@ def riesz_triple(f: ScalarField, kern: KernelSpec | ScalarField, h: ScalarField)
     else:
         kfield = sample_kernel(kern, displacement_grid(f.grid))
     return pairing(f, convolve(kfield, h))
-
-
-def _interp_at(W: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of W at physical points (K, d), 0 outside."""
-    g = W.grid
-    idx = np.empty((g.dim, pts.shape[0]), dtype=np.float64)
-    for k in range(g.dim):
-        idx[k] = pts[:, k] / g.h + (g.shape[k] - 1) / 2.0
-    return map_coordinates(W.values, idx, order=1, mode="constant", cval=0.0)
-
-
-def weighted_F_energy(
-    F: SupermodularF,
-    f: ScalarField,
-    g: ScalarField,
-    W: ScalarField,
-    a: float,
-    b: float,
-    chunk: int = 4096,
-) -> float:
-    """Double sum of F(f(x), g(y)) W(a x + b y) h^(2d).
-
-    W is evaluated by multilinear interpolation at a x + b y (0 outside its
-    box); the sum runs over all cell pairs, O(N^2).
-    """
-    if a == 0 or b == 0:
-        raise ValueError("coefficients a, b must be nonzero")
-    if not (f.nonneg and g.nonneg and W.nonneg):
-        raise ValueError("weighted energy requires nonnegative fields")
-    if f.dim != g.dim or f.dim != W.dim:
-        raise ValueError("dimension mismatch")
-    xc = np.stack([c.ravel() for c in f.grid.coords()], axis=1)
-    yc = np.stack([c.ravel() for c in g.grid.coords()], axis=1)
-    fv = f.values.ravel()
-    gv = g.values.ravel()
-    total = 0.0
-    for start in range(0, xc.shape[0], chunk):
-        sl = slice(start, min(start + chunk, xc.shape[0]))
-        pts = a * xc[sl, None, :] + b * yc[None, :, :]
-        wv = _interp_at(W, pts.reshape(-1, f.dim)).reshape(pts.shape[0], yc.shape[0])
-        total += float(np.sum(F(fv[sl, None], gv[None, :]) * wv))
-    return total * f.grid.cell_volume * g.grid.cell_volume
 
 
 # ----------------------------------------------------------------------------

@@ -9,14 +9,11 @@ from symkit import (
     BLLSpec,
     Grid,
     GridSet,
-    ProductF,
     ScalarField,
     bathtub_fill,
     bll_integral,
-    displacement_grid,
     distribution_function,
     lp_norm,
-    weighted_F_energy,
 )
 
 
@@ -28,17 +25,6 @@ def test_bll_infeasible_region_gives_zero():
     spec = BLLSpec(np.array([[1.0], [1.0]]), (left, right))
     est = bll_integral(spec, 1000, seed=3)
     assert est.value == 0.0 and est.standard_error == 0.0
-
-
-def test_weighted_energy_small_chunks_match():
-    rng = np.random.default_rng(0)
-    g = Grid((10,), 0.5)
-    f = ScalarField(g, rng.random(10))
-    dg = displacement_grid(g)
-    W = ScalarField(dg, np.exp(-dg.radius2()))
-    a = weighted_F_energy(ProductF(), f, f, W, 1.0, -1.0, chunk=3)
-    b = weighted_F_energy(ProductF(), f, f, W, 1.0, -1.0)
-    assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_distribution_function_vector_query():

@@ -35,7 +35,6 @@ from symkit import (
     sample_kernel,
     set_symmetrize,
     supermodular_pairing,
-    weighted_F_energy,
 )
 from symkit.choquard import choquard_descent
 
@@ -330,42 +329,6 @@ def cell_order_positions(grid, k):
     from symkit import cell_order
 
     return cell_order(grid.shape)[:k]
-
-
-class TestWeightedFEnergy:
-    def test_zero_weight(self):
-        g = Grid((6,), 0.5)
-        f = ScalarField(g, np.ones(6))
-        W = ScalarField(displacement_grid(g), np.zeros(11))
-        assert weighted_F_energy(ProductF(), f, f, W, 1.0, -1.0) == 0.0
-
-    def test_product_matches_fft_route(self):
-        rng = np.random.default_rng(2)
-        g = Grid((18,), 0.5)
-        f = ScalarField(g, rng.random(18))
-        h = ScalarField(g, rng.random(18))
-        dg = displacement_grid(g)
-        W = ScalarField(dg, np.exp(-dg.radius2()))
-        slow = weighted_F_energy(ProductF(), f, h, W, 1.0, -1.0)
-        fast = riesz_triple(f, W, h)
-        assert slow == pytest.approx(fast, rel=1e-8)
-
-    def test_jexpansion_direction(self):
-        rng = np.random.default_rng(4)
-        g = Grid((14,), 0.5)
-        f = ScalarField(g, rng.random(14))
-        dg = displacement_grid(g)
-        W = ScalarField(dg, np.exp(-dg.radius2()))
-        F = JExpansionF(PowerProfile(2.0))
-        val = weighted_F_energy(F, f, f, W, 1.0, -1.0)
-        sym = weighted_F_energy(F, rearrange(f), rearrange(f), rearrange(W), 1.0, -1.0)
-        assert val <= sym + 1e-8 * max(abs(val), abs(sym))
-
-    def test_zero_coefficient_rejected(self):
-        g = Grid((4,), 0.5)
-        f = ScalarField(g, np.ones(4))
-        with pytest.raises(ValueError):
-            weighted_F_energy(ProductF(), f, f, f, 0.0, 1.0)
 
 
 class TestBLL:
