@@ -6,13 +6,10 @@ tolerance-controlled experiment suites that verify every in-scope inequality.
 """
 
 from .field import (
-    DistributionFunction,
     FieldFormatError,
     Grid,
     GridSet,
     ScalarField,
-    distribution_function,
-    layer_cake_reconstruct,
     load,
     measure,
     save,

@@ -1,4 +1,4 @@
-"""Grid data model: scalar fields, cell-mask sets, distribution functions, file I/O.
+"""Grid data model: scalar fields, cell-mask sets, file I/O.
 
 Everything lives on uniform, origin-centered, cell-centered grids in dimension
 1, 2 or 3.  The cell with multi-index ``(i_1, ..., i_d)`` has its center at
@@ -22,11 +22,8 @@ __all__ = [
     "Grid",
     "ScalarField",
     "GridSet",
-    "DistributionFunction",
     "FieldFormatError",
     "measure",
-    "distribution_function",
-    "layer_cake_reconstruct",
     "save",
     "load",
 ]
@@ -184,88 +181,6 @@ class GridSet:
 def measure(A: GridSet) -> float:
     """Measure of a grid set: (number of true cells) * h^d."""
     return A.count() * A.grid.cell_volume
-
-
-@dataclass(frozen=True)
-class DistributionFunction:
-    """Superlevel-measure step function tau -> |{|f| > tau}|.
-
-    ``levels`` are the sorted distinct values of |f|; ``measures[i]`` is the
-    measure of ``{|f| > levels[i]}``.  Between levels the function is constant;
-    below the smallest level it equals the total cell measure.
-    """
-
-    levels: np.ndarray
-    measures: np.ndarray
-    total_measure: float
-
-    def __post_init__(self):
-        lv = _freeze(np.asarray(self.levels, dtype=np.float64))
-        mu = _freeze(np.asarray(self.measures, dtype=np.float64))
-        if lv.ndim != 1 or lv.shape != mu.shape:
-            raise ValueError("levels and measures must be 1-d arrays of equal length")
-        if lv.size and np.any(np.diff(lv) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        if mu.size and np.any(np.diff(mu) > 0):
-            raise ValueError("measures must be nonincreasing in the level")
-        object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "measures", mu)
-
-    def __call__(self, tau) -> np.ndarray | float:
-        return _step_lookup(self.levels, self.measures, self.total_measure, tau)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DistributionFunction):
-            return NotImplemented
-        return (
-            self.levels.shape == other.levels.shape
-            and bool(np.all(self.levels == other.levels))
-            and bool(np.all(self.measures == other.measures))
-            and self.total_measure == other.total_measure
-        )
-
-
-def _step_lookup(levels: np.ndarray, values: np.ndarray, below: float, tau) -> np.ndarray | float:
-    """Step function equal to values[i] on [levels[i], levels[i+1]) and `below` under levels[0]."""
-    tau = np.asarray(tau, dtype=np.float64)
-    idx = np.searchsorted(levels, tau, side="right") - 1
-    out = np.where(idx >= 0, values[np.maximum(idx, 0)], below)
-    return float(out) if out.ndim == 0 else out
-
-
-def distribution_function(f: ScalarField) -> DistributionFunction:
-    """Distribution function of |f| as a step function over its distinct levels."""
-    av = np.abs(f.values).ravel()
-    srt = np.sort(av)
-    levels = np.unique(srt)
-    # cells strictly above each level
-    counts = av.size - np.searchsorted(srt, levels, side="right")
-    vol = f.grid.cell_volume
-    return DistributionFunction(levels, counts * vol, av.size * vol)
-
-
-def layer_cake_reconstruct(f: ScalarField, quadrature_levels: int) -> ScalarField:
-    """Rebuild |f| as a finite sum of superlevel-indicator layers.
-
-    When ``quadrature_levels`` is at least the number of distinct positive
-    values of |f| the reconstruction is exact: with positive levels
-    ``0 = t_0 < t_1 < ... < t_m`` the layer sum is
-    ``sum_j (t_j - t_{j-1}) * 1_{|f| >= t_j}``.  With fewer levels a
-    subsample of the level set is used and the result underestimates |f|.
-    """
-    if quadrature_levels <= 0:
-        raise ValueError("quadrature_levels must be positive")
-    av = np.abs(f.values)
-    pos = np.unique(av[av > 0])
-    if pos.size == 0:
-        return ScalarField(f.grid, np.zeros_like(av))
-    if quadrature_levels < pos.size:
-        idx = np.unique(np.round(np.linspace(0, pos.size - 1, quadrature_levels)).astype(int))
-        pos = pos[idx]
-    gaps = np.diff(pos, prepend=0.0)
-    cumw = np.concatenate([[0.0], np.cumsum(gaps)])
-    rank = np.searchsorted(pos, av, side="right")
-    return ScalarField(f.grid, cumw[rank])
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridSet, ScalarField, _step_lookup
+from .field import GridSet, ScalarField
 from .functionals import (
     _fftconvolve_full,
     fractional_perimeter,
@@ -237,7 +237,11 @@ class ResidualDistribution:
     total_critical: float
 
     def __call__(self, tau) -> np.ndarray | float:
-        return _step_lookup(self.levels, self.values, self.total_critical, tau)
+        # values[i] on [levels[i], levels[i+1]), total_critical below levels[0]
+        tau = np.asarray(tau, dtype=np.float64)
+        idx = np.searchsorted(self.levels, tau, side="right") - 1
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.total_critical)
+        return float(out) if out.ndim == 0 else out
 
 
 def residual_distribution(u: ScalarField, eta: float) -> ResidualDistribution:

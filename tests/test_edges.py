@@ -12,7 +12,7 @@ from symkit import (
     ScalarField,
     bathtub_fill,
     bll_integral,
-    distribution_function,
+    residual_distribution,
     lp_norm,
 )
 
@@ -27,12 +27,18 @@ def test_bll_infeasible_region_gives_zero():
     assert est.value == 0.0 and est.standard_error == 0.0
 
 
-def test_distribution_function_vector_query():
-    g = Grid((8,), 0.5)
-    f = ScalarField(g, np.array([0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 3.0, 1.0]))
-    df = distribution_function(f)
-    got = df(np.array([-0.5, 0.0, 0.5, 1.0, 2.5, 5.0]))
-    assert np.array_equal(got, np.array([4.0, 2.5, 2.5, 1.0, 0.5, 0.0]))
+def test_residual_distribution_vector_query():
+    # residual distribution tau -> |{u > tau, |grad u| <= eta}|, queried with an array
+    g = Grid((10,), 0.5)
+    u = ScalarField(g, np.array([1.0, 1.0, 2.0, 2.0, 2.0, 0.0, 3.0, 3.0, 0.0, 0.0]))
+    # forward differences vanish at cells 0, 2, 3, 6, 8 and 9 (values 1, 2, 2, 3, 0, 0)
+    res = residual_distribution(u, eta=1.0)
+    assert res.total_critical == 3.0
+    # below the lowest level, at each level and between levels
+    taus = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0])
+    got = res(taus)
+    assert np.array_equal(got, np.array([3.0, 2.0, 2.0, 1.5, 1.5, 0.5, 0.5, 0.0, 0.0]))
+    assert [res(float(t)) for t in taus] == got.tolist()
 
 
 def test_lp_norm_infinity():

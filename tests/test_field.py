@@ -4,13 +4,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symkit import (
-    DistributionFunction,
     FieldFormatError,
     Grid,
     GridSet,
     ScalarField,
-    distribution_function,
-    layer_cake_reconstruct,
     load,
     measure,
     save,
@@ -68,74 +65,6 @@ class TestMeasure:
         small = rng.random((8, 8)) > 0.6
         big = small | (rng.random((8, 8)) > 0.6)
         assert measure(GridSet(g, small)) <= measure(GridSet(g, big))
-
-
-class TestDistributionFunction:
-    def test_zero_field(self):
-        f = ScalarField(Grid((6,), 0.5), np.zeros(6))
-        df = distribution_function(f)
-        assert df(0.0) == 0.0 and df(3.0) == 0.0
-
-    def test_indicator(self):
-        g = Grid((10,), 0.5)
-        vals = np.zeros(10)
-        vals[2:5] = 1.0
-        df = distribution_function(ScalarField(g, vals))
-        assert df(0.0) == 3 * 0.5
-        assert df(0.999) == 3 * 0.5
-        assert df(1.0) == 0.0
-
-    @given(arrays(np.float64, (12,), elements=finite_vals))
-    @settings(max_examples=50)
-    def test_threshold_sweep_oracle(self, vals):
-        f = ScalarField(Grid((12,), 0.5), vals)
-        df = distribution_function(f)
-        for tau in np.unique(np.abs(vals)):
-            assert df(tau) == 0.5 * int((np.abs(vals) > tau).sum())
-
-    @given(arrays(np.float64, (10,), elements=finite_vals))
-    @settings(max_examples=50)
-    def test_equimeasurability_complete(self, vals):
-        g = Grid((10,), 0.5)
-        shuffled = vals[np.argsort(np.sin(np.arange(10.0)))]
-        assert distribution_function(ScalarField(g, vals)) == distribution_function(
-            ScalarField(g, shuffled)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DistributionFunction(np.array([1.0, 1.0]), np.array([1.0, 0.0]), 2.0)
-        with pytest.raises(ValueError):
-            DistributionFunction(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 2.0)
-
-
-class TestLayerCake:
-    def test_two_valued_exact(self):
-        vals = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        f = ScalarField(Grid((5,), 1.0), vals)
-        assert np.array_equal(layer_cake_reconstruct(f, 1).values, vals)
-
-    def test_three_level_exact(self):
-        vals = np.array([0.0, 0.3, 0.7, 0.3, 0.0, 0.7])
-        f = ScalarField(Grid((6,), 1.0), vals)
-        out = layer_cake_reconstruct(f, 2)
-        assert np.allclose(out.values, vals, rtol=0, atol=1e-15)
-
-    def test_zero(self):
-        f = ScalarField(Grid((4,), 1.0), np.zeros(4))
-        assert np.array_equal(layer_cake_reconstruct(f, 3).values, np.zeros(4))
-
-    @given(small_fields())
-    @settings(max_examples=40)
-    def test_full_level_set_recovers_abs(self, f):
-        out = layer_cake_reconstruct(f, f.grid.ncells + 1)
-        assert np.allclose(out.values, np.abs(f.values), rtol=1e-12, atol=1e-12)
-
-    def test_undersampled_is_lower_bound(self):
-        rng = np.random.default_rng(5)
-        f = ScalarField(Grid((30,), 1.0), rng.random(30))
-        out = layer_cake_reconstruct(f, 4)
-        assert np.all(out.values <= np.abs(f.values) + 1e-15)
 
 
 class TestFieldFile:
