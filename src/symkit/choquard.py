@@ -24,6 +24,10 @@ __all__ = ["DescentResult", "choquard_descent"]
 # Step size of the polishing phase: small enough that one sort costs far less
 # than the 1e-3 sort-cost slack of the choquard report (DECISIONS.md D9).
 _POLISH_STEP_SIZE = 1e-5
+# Steps between rearrangements of the iterate.  Each one costs an extra energy
+# evaluation, so this fixes the audit length and the convolution count
+# (DECISIONS.md D9).
+_REARRANGE_EVERY = 5
 
 
 @dataclass
@@ -45,7 +49,6 @@ def choquard_descent(
     u0: ScalarField,
     steps: int = 200,
     step_size: float = 0.02,
-    rearrange_every: int = 5,
     polish_steps: int = 0,
 ) -> DescentResult:
     """Run the projected descent; the returned iterate ends on a rearrangement.
@@ -85,7 +88,7 @@ def choquard_descent(
         tau = step_size if step <= steps else _POLISH_STEP_SIZE
         grad = kinetic_gradient(ScalarField(grid, u)) - 4.0 * u * phi.values
         u = _l2_normalize(u - tau * grad, vol)
-        do_rearrange = step % rearrange_every == 0 or step == total
+        do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
         if do_rearrange:
             before, _ = energy_and_potential(u)
             u = rearrange(ScalarField(grid, u)).values

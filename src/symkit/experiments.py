@@ -766,12 +766,8 @@ def _choquard(config: SuiteConfig) -> ExperimentReport:
     rng = rng_for(config.seed, 61)
     sample = sample_bumps(rng, 3, BOX_HALF[3], 4, 0.45)
     u0 = bump_field(sample, grid, nonneg=True)
-    result = choquard_descent(
-        u0, steps=steps, step_size=0.02, rearrange_every=5, polish_steps=50
-    )
-    restart = choquard_descent(
-        result.final, steps=10, step_size=2e-6, rearrange_every=5
-    )
+    result = choquard_descent(u0, steps=steps, step_size=0.02, polish_steps=50)
+    restart = choquard_descent(result.final, steps=10, step_size=2e-6)
     restart_change = max(
         abs(b - a) for a, b in zip(restart.energies, restart.energies[1:])
     )
