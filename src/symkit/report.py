@@ -66,13 +66,9 @@ class SuiteConfig:
     jobs: int = 1  # accepted and validated; currently no effect (DECISIONS.md D6)
 
     def __post_init__(self):
-        ladder = tuple((int(d), int(n), float(h)) for d, n, h in self.ladder)
-        object.__setattr__(self, "ladder", ladder)
-        for d in {d for d, _, _ in ladder}:
-            rungs = [(n, h) for dd, n, h in ladder if dd == d]
-            for (n1, h1), (n2, h2) in zip(rungs, rungs[1:]):
-                if not (n2 == 2 * n1 and abs(h2 - h1 / 2) <= 1e-12 * h1):
-                    raise ValueError(f"ladder for d={d} must refine by halving h: {rungs}")
+        object.__setattr__(self, "ladder", _checked_ladder(self.ladder))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for key in _UNIT_INTERVAL_KEYS:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -90,14 +86,46 @@ class SuiteConfig:
         return [(n, h) for dd, n, h in self.ladder if dd == d]
 
 
+def _checked_ladder(ladder) -> tuple[tuple[int, int, float], ...]:
+    """The ladder as (d, n, h) tuples; raises unless every rung is valid.
+
+    d is 1 or 2, n an integer >= 1 and h a finite real number > 0 (bools are
+    rejected), and each dimension has at least 3 rungs, each halving h.
+    """
+    if not isinstance(ladder, (list, tuple)):
+        raise ValueError(f"ladder must be a list of (d, n, h) rungs, got {ladder!r}")
+    out = []
+    for rung in ladder:
+        if not isinstance(rung, (list, tuple)) or len(rung) != 3:
+            raise ValueError(f"ladder rung must be a (d, n, h) triple, got {rung!r}")
+        d, n, h = rung
+        if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2):
+            raise ValueError(f"ladder dimension must be 1 or 2, got {d!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"ladder extent must be an integer >= 1, got {n!r}")
+        if isinstance(h, bool) or not isinstance(h, (int, float)):
+            raise ValueError(f"ladder spacing must be a real number, got {h!r}")
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"ladder spacing must be a finite real number > 0, got {h!r}")
+        out.append((d, n, float(h)))
+    for d in (1, 2):
+        rungs = [(n, h) for dd, n, h in out if dd == d]
+        if len(rungs) < 3:
+            raise ValueError(f"ladder for d={d} must have at least 3 rungs, got {len(rungs)}")
+        for (n1, h1), (n2, h2) in zip(rungs, rungs[1:]):
+            if not (n2 == 2 * n1 and abs(h2 - h1 / 2) <= 1e-12 * h1):
+                raise ValueError(f"ladder for d={d} must refine by halving h: {rungs}")
+    return tuple(out)
+
+
 def load_config(path) -> SuiteConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     tag = raw.pop("schema", None)
     if tag != SCHEMA_TAG:
         raise ValueError(f"config schema must be {SCHEMA_TAG!r}, got {tag!r}")
-    if "ladder" in raw:
-        raw["ladder"] = tuple(tuple(r) for r in raw["ladder"])
     known = {f for f in SuiteConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:

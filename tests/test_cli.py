@@ -11,6 +11,14 @@ from symkit.experiments import run_verify
 from symkit.report import SCHEMA_TAG, SuiteConfig, load_config, write_reports
 
 
+_DEFAULT_LADDER = [list(rung) for rung in SuiteConfig().ladder]
+
+
+def _with_rung(i, rung):
+    """The default ladder with rung i replaced (or, at its end, appended)."""
+    return _DEFAULT_LADDER[:i] + [rung] + _DEFAULT_LADDER[i + 1 :]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     cfg = {
@@ -157,6 +165,36 @@ class TestSuiteVerbs:
     def test_bad_float_key_exit_code(self, tiny_config, capsys, key, value, message):
         cfg = json.loads(tiny_config.read_text())
         cfg[key] = value
+        tiny_config.write_text(json.dumps(cfg))
+        assert main(["--config", str(tiny_config), "verify"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (None, [], "config must be a JSON object, got list"),
+            ("out_dir", 5, "out_dir must be a string"),
+            ("ladder", 5, "ladder must be a list of (d, n, h) rungs"),
+            ("ladder", [[1, 128, None]], "ladder spacing must be a real number"),
+            ("ladder", _with_rung(0, [1, 128, 0.0625, 1]), "ladder rung must be a (d, n, h) triple"),
+            ("ladder", _with_rung(0, [1, 128.9, 0.0625]), "ladder extent must be an integer"),
+            ("ladder", _with_rung(0, [True, 128, 0.0625]), "ladder dimension must be 1 or 2"),
+            ("ladder", _with_rung(6, [4, 8, 0.5]), "ladder dimension must be 1 or 2"),
+            ("ladder", _with_rung(0, [1, 128, math.nan]), "ladder spacing must be a finite"),
+            ("ladder", _DEFAULT_LADDER[3:], "ladder for d=1 must have at least 3 rungs"),
+        ],
+        ids=[
+            "top_level_list", "integer_out_dir", "integer_ladder", "null_spacing",
+            "four_entry_rung", "fractional_extent", "bool_dimension", "dimension_four",
+            "nan_spacing", "no_1d_rungs",
+        ],
+    )
+    def test_bad_config_document_exit_code(self, tiny_config, capsys, key, value, message):
+        cfg = json.loads(tiny_config.read_text())
+        if key is None:
+            cfg = value
+        else:
+            cfg[key] = value
         tiny_config.write_text(json.dumps(cfg))
         assert main(["--config", str(tiny_config), "verify"]) == 2
         assert message in capsys.readouterr().err
