@@ -483,9 +483,12 @@ def _shifted_views(a: np.ndarray, m: tuple[int, ...]):
 def fractional_seminorm(u: ScalarField, s: float, p: float, method: str = "auto") -> float:
     """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d).
 
-    ``method="direct"`` loops over displacements; for p = 2 an FFT route via
-    the expansion |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j evaluates the same
-    sum in O(N log N) and is selected by default.
+    ``method="direct"`` loops over displacements.  ``method="fft"`` (p = 2
+    only) evaluates the same sum in O(N log N) through the expansion
+    |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j, so its rounding error scales
+    with 2 sum_i u_i^2 srow_i h^d (srow the kernel's row sums), not with the
+    result.  ``method="auto"`` takes the fft route when p = 2 and the grid
+    has more than 4,096 cells, and the direct route otherwise.
     """
     FracKernel(s, p).validate(u.dim)
     if method not in ("auto", "direct", "fft"):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from symkit import (
     BLLSpec,
+    FracKernel,
     Grid,
     GridSet,
     HeatGaussian,
@@ -420,6 +421,33 @@ class TestFractionalSeminorm:
         a = fractional_seminorm(u, 0.3, 2.0, method="direct")
         b = fractional_seminorm(u, 0.3, 2.0, method="fft")
         assert a == pytest.approx(b, rel=1e-11)
+
+    @given(
+        st.one_of(
+            st.tuples(st.integers(2, 64)), st.tuples(st.integers(2, 12), st.integers(2, 12))
+        ),
+        st.floats(0.01, 2.0),
+        st.floats(0.01, 0.99),
+        st.sampled_from(["random", "difference", "near_constant"]),
+        st.sampled_from([1e-8, 1e-6, 1e-3, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fft_matches_direct_at_cancellation_scale(self, shape, h, s, kind, eps, seed):
+        # the fft route returns 2 (sum_i u_i^2 srow_i h^d - cross): its rounding
+        # error scales with the first term, which a nearly constant field or a
+        # difference of close fields cancels almost entirely
+        rng = np.random.default_rng(seed)
+        f, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        values = {"random": f, "difference": (f + eps * g) - f, "near_constant": 1.0 + eps * g}
+        grid = Grid(shape, h)
+        u = ScalarField(grid, values[kind])
+        kfield = sample_kernel(FracKernel(s, 2.0), displacement_grid(grid))
+        srow = convolve(kfield, ScalarField(grid, np.ones(shape))).values
+        scale = 2.0 * float(np.sum(u.values**2 * srow)) * grid.cell_volume
+        direct = fractional_seminorm(u, s, 2.0, method="direct")
+        fft = fractional_seminorm(u, s, 2.0, method="fft")
+        assert abs(fft - direct) <= 1e-13 * scale
 
     def test_parameter_validation(self):
         f = ScalarField(Grid((4,), 0.5), np.zeros(4))
