@@ -1,59 +1,160 @@
 #!/usr/bin/env python3
-"""Time ``symkit.convolve`` at fixed sizes and write ``BENCH_<label>.json``.
+"""Time symkit's per-layer primitives at fixed sizes and write ``BENCH_<label>.json``.
 
-    PYTHONPATH=src python scripts/bench.py LABEL [--repeats R] [--calls C]
+    PYTHONPATH=src python scripts/bench.py LABEL [--repeats R]
 
-Two cases, each with a Coulomb kernel |z|^-1 on the full displacement grid:
-a 128x128 field and a 32x32x32 field (the Choquard descent's size).  Each
-case is timed in two modes:
+Cases, each at one fixed size:
 
-* ``reused_kernel``: C calls on one kernel, alternating two data fields, as
-  the Choquard descent and the fft seminorm route call it;
-* ``fresh_kernel``: C calls, each on a kernel whose values differ from the
-  previous call's, so nothing about the kernel can be reused.
+* ``convolve`` with a Coulomb kernel |z|^-1 on the full displacement grid, on
+  a 128x128 field and a 32x32x32 field (the Choquard descent's size), in two
+  modes: ``reused_kernel`` alternates two data fields on one kernel, as the
+  Choquard descent and the fft seminorm route call it; ``fresh_kernel`` gives
+  every call a kernel whose values differ from the previous call's, so
+  nothing about the kernel can be reused;
+* ``rearrange`` of a 1000x1000 field (10^6 cells);
+* ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
+  h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it;
+* ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square;
+* ``bll_integral``: 10^6 samples of a three-factor 1-d integral on 128 cells;
+* ``fractional_seminorm`` at s = 1/2, p = 2 on a 64x64 field, by the direct
+  and by the fft route;
+* ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values).
 
-A repeat times C calls; the file records the per-call median over R repeats
-(at least 5), the spread (interquartile range over median), the extremes,
-``nproc`` and the Python, numpy and scipy versions.  The fields and kernels
-are built before the timed region.  Run it once per source tree on the same
-host, e.g. with ``PYTHONPATH`` pointing at each tree's ``src``.
+Every case is timed by the same loop: one warm-up call, then R repeats (at
+least 5) of the case's fixed number of calls.  The file records, per case,
+the sizes, the per-call median over repeats, the spread (interquartile range
+over median), the extremes, ``nproc`` and the Python, numpy and scipy
+versions.  Inputs are built before the timed region.  Run it once per source
+tree on the same host, e.g. with ``PYTHONPATH`` pointing at each tree's
+``src``.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from symkit import Grid, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
+from symkit import (
+    BLLSpec,
+    Grid,
+    GridSet,
+    PowerLaw,
+    ScalarField,
+    bll_integral,
+    convolve,
+    dirichlet_eigenvalues,
+    dirichlet_spectrum,
+    displacement_grid,
+    fractional_seminorm,
+    load,
+    rearrange,
+    sample_kernel,
+    save,
+)
 
-CASES = {"convolve_128x128": ((128, 128), 1.0 / 128), "convolve_32x32x32": ((32, 32, 32), 0.25)}
+MEGA = (1000, 1000)  # 10^6 cells
 
 
-def _time_case(shape, h, repeats, calls, mode):
-    grid = Grid(shape, h)
-    rng = np.random.default_rng(0)
-    fields = [ScalarField(grid, rng.random(shape)) for _ in range(2)]
-    kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
-    if mode == "reused_kernel":
-        kernels = [kernel] * calls
-    else:
-        kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
-    convolve(kernel, fields[0])  # warm-up: imports, FFT plan caches
+def _convolve(shape, h, mode, calls=10):
+    def setup(tmp):
+        grid = Grid(shape, h)
+        rng = np.random.default_rng(0)
+        fields = [ScalarField(grid, rng.random(shape)) for _ in range(2)]
+        kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
+        if mode == "reused_kernel":
+            kernels = [kernel] * calls
+        else:
+            kernels = [
+                ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)
+            ]
+        sizes = {"field_shape": list(shape), "kernel_shape": list(kernel.grid.shape)}
+        return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
+
+    return setup
+
+
+def _rearrange(tmp):
+    f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(1).standard_normal(MEGA))
+    return lambda i: rearrange(f), 3, {"cells": f.grid.ncells}
+
+
+def _faber_krahn_disk(tmp):
+    h = 1.0 / 64
+    radius = 1.0 / math.sqrt(math.pi)
+    m = round((2 * radius + 4 * h) / h)
+    grid = Grid((m, m), h)
+    disk = GridSet(grid, grid.radius2() < radius * radius)
+    return lambda i: dirichlet_spectrum(disk, None, 1), 1, {"cells": disk.count(), "k": 1}
+
+
+def _square_spectrum(tmp):
+    square = GridSet(Grid((64, 64), 1.0 / 64), np.ones((64, 64), dtype=bool))
+    return lambda i: dirichlet_eigenvalues(square, None), 1, {"cells": square.count()}
+
+
+def _bll(tmp):
+    grid = Grid((128,), 8.0 / 128)
+    x = grid.axis_coords(0)
+    fields = tuple(ScalarField(grid, np.exp(-(x / w) ** 2)) for w in (0.8, 1.0, 1.3))
+    spec = BLLSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), fields)
+    samples = 10**6
+    return lambda i: bll_integral(spec, samples, seed=0), 1, {"samples": samples, "cells": 128}
+
+
+def _seminorm(method, calls):
+    def setup(tmp):
+        u = ScalarField(Grid((64, 64), 4.0 / 64), np.random.default_rng(2).random((64, 64)))
+        return lambda i: fractional_seminorm(u, 0.5, 2.0, method=method), calls, {"cells": 64 * 64}
+
+    return setup
+
+
+def _field(op):
+    def setup(tmp):
+        f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(3).standard_normal(MEGA))
+        path = Path(tmp) / f"field_{op}.sk"
+        save(f, path)
+        run = (lambda i: save(f, path)) if op == "save" else (lambda i: load(path))
+        return run, 1, {"values": f.grid.ncells, "bytes": path.stat().st_size}
+
+    return setup
+
+
+CASES = {
+    "convolve_128x128.reused_kernel": _convolve((128, 128), 1.0 / 128, "reused_kernel"),
+    "convolve_128x128.fresh_kernel": _convolve((128, 128), 1.0 / 128, "fresh_kernel"),
+    "convolve_32x32x32.reused_kernel": _convolve((32, 32, 32), 0.25, "reused_kernel"),
+    "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
+    "rearrange_1000x1000": _rearrange,
+    "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
+    "dirichlet_eigenvalues_64x64": _square_spectrum,
+    "bll_integral_1e6_samples": _bll,
+    "fractional_seminorm_64x64.direct": _seminorm("direct", 1),
+    "fractional_seminorm_64x64.fft": _seminorm("fft", 10),
+    "field_save_1e6": _field("save"),
+    "field_load_1e6": _field("load"),
+}
+
+
+def _time_case(op, calls, repeats):
+    # warm up with the last call, so each repeat's first call follows the
+    # same call as in steady state (a fresh kernel is then always a miss)
+    op(calls - 1)
     per_call = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for i, k in enumerate(kernels):
-            convolve(k, fields[i % 2])
+        for i in range(calls):
+            op(i)
         per_call.append((time.perf_counter() - t0) / calls)
     q1, med, q3 = np.percentile(per_call, [25, 50, 75])
     return {
-        "field_shape": list(shape),
-        "kernel_shape": list(kernel.grid.shape),
         "calls_per_repeat": calls,
         "repeats": repeats,
         "median_ms": 1e3 * float(med),
@@ -67,15 +168,15 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--calls", type=int, default=10)
     args = ap.parse_args()
-    if args.repeats < 5 or args.calls < 1:
-        ap.error("need --repeats >= 5 and --calls >= 1")
+    if args.repeats < 5:
+        ap.error("need --repeats >= 5")
     results = {}
-    for name, (shape, h) in CASES.items():
-        for mode in ("reused_kernel", "fresh_kernel"):
-            results[f"{name}.{mode}"] = r = _time_case(shape, h, args.repeats, args.calls, mode)
-            print(f"{name}.{mode}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f})")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, setup in CASES.items():
+            op, calls, sizes = setup(tmp)
+            results[name] = r = {**sizes, **_time_case(op, calls, args.repeats)}
+            print(f"{name}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f})", flush=True)
     doc = {
         "label": args.label,
         "nproc": len(os.sched_getaffinity(0)),
