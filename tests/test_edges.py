@@ -27,8 +27,8 @@ def test_bll_infeasible_region_gives_zero():
     assert est.value == 0.0 and est.standard_error == 0.0
 
 
-def test_residual_distribution_vector_query():
-    # residual distribution tau -> |{u > tau, |grad u| <= eta}|, queried with an array
+def test_distribution_function_vector_query():
+    # residual distribution function tau -> |{u > tau, |grad u| <= eta}|, queried with an array
     g = Grid((10,), 0.5)
     u = ScalarField(g, np.array([1.0, 1.0, 2.0, 2.0, 2.0, 0.0, 3.0, 3.0, 0.0, 0.0]))
     # forward differences vanish at cells 0, 2, 3, 6, 8 and 9 (values 1, 2, 2, 3, 0, 0)

@@ -36,6 +36,7 @@ from symkit import (
     sample_kernel,
     set_symmetrize,
     supermodular_pairing,
+    unit_ball_volume,
 )
 from symkit.choquard import choquard_descent
 
@@ -588,6 +589,48 @@ class TestEnergies:
         assert riesz_energy(ScalarField(g, np.zeros(8)), 0.5) == 0.0
 
     @staticmethod
+    def _power(rho, alpha):
+        # interaction energy of rho against the growing kernel |x - y|^alpha
+        dg = displacement_grid(rho.grid)
+        return riesz_triple(rho, ScalarField(dg, dg.radius2() ** (alpha / 2.0)), rho)
+
+    def test_power_single_cell(self):
+        g = Grid((9,), 0.5)
+        v = np.zeros(9)
+        v[4] = 1.0
+        # |0|^alpha = 0; the transform evaluation leaves only rounding noise
+        assert self._power(ScalarField(g, v), 1.5) == pytest.approx(0.0, abs=1e-12)
+
+    def test_power_two_cells(self):
+        g = Grid((9,), 0.5)
+        v = np.zeros(9)
+        v[2] = 1.0
+        v[7] = 1.0  # distance 5 h = 2.5
+        assert self._power(ScalarField(g, v), 1.5) == pytest.approx(
+            2 * 2.5**1.5 * 0.25, rel=1e-12
+        )
+
+    def test_power_energy_ball_minimizes(self):
+        from symkit import bathtub_fill, cell_order
+
+        g = Grid((24, 24), 0.25)
+        mass = 2.0
+        ball = bathtub_fill(mass, g)
+        k = int(round(mass / g.cell_volume))
+        blocks = np.zeros(g.ncells)
+        blocks[:k // 2] = 1.0
+        blocks[-(k - k // 2):] = 1.0
+        spread = ScalarField(g, blocks.reshape(g.shape))
+        r2 = g.radius2().ravel()
+        ann_idx = np.argsort(r2, kind="stable")[g.ncells // 3 : g.ncells // 3 + k]
+        ann = np.zeros(g.ncells)
+        ann[ann_idx] = 1.0
+        annulus = ScalarField(g, ann.reshape(g.shape))
+        e_ball = self._power(ball, 1.0)
+        assert e_ball < self._power(annulus, 1.0)
+        assert e_ball < self._power(spread, 1.0)
+
+    @staticmethod
     def _choquard(u):
         # kinetic minus Coulomb self-interaction of |u|^2, as choquard_descent computes it
         return gradient_pnorm(u, 2.0) ** 2 - riesz_energy(ScalarField(u.grid, u.values**2), 1.0)
@@ -628,3 +671,35 @@ class TestEnergies:
         assert math.log2(k2 / k1) == pytest.approx(2.0, abs=0.04)
         assert math.log2(p2 / p1) == pytest.approx(1.0, abs=0.02)
 
+
+class TestPointwiseDecay:
+    @staticmethod
+    def _excess(f, p):
+        # max over cell centers x != 0 of f*(x) - omega_d^(-1/p) |x|^(-d/p) ||f||_p
+        r2 = f.grid.radius2()
+        mask = r2 > 0
+        d = f.dim
+        bound = unit_ball_volume(d) ** (-1.0 / p) * r2[mask] ** (-d / (2.0 * p)) * lp_norm(f, p)
+        diff = rearrange(f).values[mask] - bound
+        return float(diff.max()) if diff.size else 0.0
+
+    def test_indicator_ball_within_bound(self):
+        from symkit import bathtub_fill
+
+        g = Grid((32, 32), 0.25)
+        rho = bathtub_fill(3.0, g)
+        assert self._excess(rho, 2.0) <= 1e-12
+
+    def test_zero_field(self):
+        g = Grid((8,), 0.5)
+        assert self._excess(ScalarField(g, np.zeros(8)), 1.0) == 0.0
+
+    def test_random_fields_contract_under_refinement(self):
+        def worst(n):
+            g = Grid((n, n), 8.0 / n)
+            rng = np.random.default_rng(77)
+            vals = rng.random((n, n)) * (g.radius2() < 4.0)
+            return self._excess(ScalarField(g, vals), 2.0)
+
+        v1, v2 = max(worst(32), 0.0), max(worst(64), 0.0)
+        assert v2 <= 0.7 * v1 + 1e-12

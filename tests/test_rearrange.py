@@ -97,6 +97,16 @@ class TestRearrange:
         out = rearrange(f)
         assert np.array_equal(np.sort(out.values.ravel()), np.sort(np.abs(f.values).ravel()))
 
+    @given(field_strategy((4, 6)))
+    @settings(max_examples=40)
+    def test_distribution_function_preserved(self, f):
+        # tau -> |{|f| > tau}| at every level of |f| and below the lowest one
+        out = rearrange(f)
+        for tau in np.append(np.unique(np.abs(f.values)), -1.0):
+            assert measure(GridSet(f.grid, out.values > tau)) == measure(
+                GridSet(f.grid, np.abs(f.values) > tau)
+            )
+
     @given(field_strategy((12,)))
     @settings(max_examples=50)
     def test_superlevel_identity(self, f):
