@@ -497,7 +497,8 @@ def faber_krahn_pair() -> tuple[float, float]:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
     The disk grid is sized to hold the disk of area 1 with about two cells of
-    margin; its cell count (~1/h^2) stays under the dense-solve cap.
+    margin.  Both lowest eigenvalues come from the sparse shift-invert solver
+    (DECISIONS.md D11), so the cell counts (~1/h^2) meet no cap.
     """
     n = FABER_KRAHN_N
     h = 1.0 / n

@@ -2,8 +2,12 @@
 
 The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
-mask.  Solves are dense and capped, so accuracy is deterministic; larger
-domains are rejected rather than silently switched to an iterative method.
+mask.  It is assembled once, as a sparse matrix.  The lowest eigenvalues come
+from shift-invert Lanczos about 0 (ARPACK through ``eigsh``), with no cell
+cap; a solver failure raises.  A full spectrum of a full box with no
+potential is the closed-form Kronecker sum of 1-d stencil spectra.  Any other
+full spectrum is a dense ``eigvalsh``, capped at ``DENSE_CELL_CAP`` cells;
+larger domains are rejected, never truncated or sent to another method.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
-from .field import GridSet, ScalarField, measure
+from .field import Grid, GridSet, ScalarField, measure
 
 __all__ = [
     "DENSE_CELL_CAP",
@@ -23,25 +28,23 @@ __all__ = [
 ]
 
 DENSE_CELL_CAP = 5000
+_START_SEED = 0  # seeds the Lanczos start vector (D11)
 
 
-def _dirichlet_matrix(omega: GridSet, V: ScalarField | None) -> np.ndarray:
+def _dirichlet_operator(omega: GridSet, V: ScalarField | None) -> sparse.csc_matrix:
     g = omega.grid
     ncells = omega.count()
     if ncells == 0:
         raise ValueError("domain is empty")
-    if ncells > DENSE_CELL_CAP:
-        raise ValueError(f"domain has {ncells} cells, dense cap is {DENSE_CELL_CAP}")
     if V is not None and V.grid != g:
         raise ValueError("potential must live on the domain grid")
     index = -np.ones(g.shape, dtype=np.int64)
     index[omega.mask] = np.arange(ncells)
     h2 = g.h * g.h
-    A = np.zeros((ncells, ncells), dtype=np.float64)
     diag = np.full(ncells, 2.0 * g.dim / h2)
     if V is not None:
         diag += V.values[omega.mask]
-    A[np.arange(ncells), np.arange(ncells)] = diag
+    rows, cols = [np.arange(ncells)], [np.arange(ncells)]
     for ax in range(g.dim):
         sl_lo = [slice(None)] * g.dim
         sl_hi = [slice(None)] * g.dim
@@ -50,27 +53,56 @@ def _dirichlet_matrix(omega: GridSet, V: ScalarField | None) -> np.ndarray:
         both = omega.mask[tuple(sl_lo)] & omega.mask[tuple(sl_hi)]
         i = index[tuple(sl_lo)][both]
         j = index[tuple(sl_hi)][both]
-        A[i, j] = -1.0 / h2
-        A[j, i] = -1.0 / h2
-    return A
+        rows += [i, j]
+        cols += [j, i]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = np.full(rows.size, -1.0 / h2)
+    data[:ncells] = diag
+    return sparse.csc_matrix((data, (rows, cols)), shape=(ncells, ncells))
+
+
+def _box_eigenvalues(grid: Grid) -> np.ndarray:
+    # Kronecker sum of the 1-d stencil spectra (4/h^2) sin^2(j pi / (2(n+1)))
+    total = np.zeros(1)
+    for n in grid.shape:
+        j = np.arange(1, n + 1)
+        lam = (4.0 / (grid.h * grid.h)) * np.sin(j * math.pi / (2 * (n + 1))) ** 2
+        total = np.add.outer(total, lam).ravel()
+    return np.sort(total)
 
 
 def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending."""
+    """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending.
+
+    Shift-invert Lanczos about 0 from a fixed, seeded, positive start vector
+    (DECISIONS.md D11).  k equal to the cell count asks for the whole spectrum, which ARPACK
+    cannot give, so it is ``dirichlet_eigenvalues``.  A singular operator or
+    a Lanczos run that does not converge raises.
+    """
     ncells = omega.count()
     if ncells == 0:
         raise ValueError("domain is empty")
     if k <= 0 or k > ncells:
         raise ValueError(f"k must be in [1, {ncells}], got {k}")
-    A = _dirichlet_matrix(omega, V)
-    vals = eigh(A, eigvals_only=True, subset_by_index=[0, k - 1])
-    return np.asarray(vals, dtype=np.float64)
+    if k == ncells:
+        return dirichlet_eigenvalues(omega, V)
+    A = _dirichlet_operator(omega, V)
+    v0 = np.random.default_rng(_START_SEED).uniform(0.5, 1.5, ncells)
+    return np.sort(eigsh(A, k, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
-    """Full spectrum; needed for heat traces."""
-    A = _dirichlet_matrix(omega, V)
-    return np.linalg.eigvalsh(A)
+    """Full spectrum, ascending; needed for heat traces.
+
+    A full box with no potential takes the closed form; any other domain a
+    dense solve of at most ``DENSE_CELL_CAP`` cells (DECISIONS.md D3).
+    """
+    if V is None and omega.mask.all():
+        return _box_eigenvalues(omega.grid)
+    ncells = omega.count()
+    if ncells > DENSE_CELL_CAP:
+        raise ValueError(f"domain has {ncells} cells, dense cap is {DENSE_CELL_CAP}")
+    return np.linalg.eigvalsh(_dirichlet_operator(omega, V).toarray())
 
 
 def heat_perimeter_estimate(omega: GridSet, t_list, eigenvalues: np.ndarray) -> float:
