@@ -4,7 +4,8 @@ Verbs: verify, refine, spectral, stability, choquard, probe-continuity,
 rearrange (file to file), info.  Global flags: --config, --seed, --out,
 --jobs (accepted and validated, currently no effect: experiments run in
 order in one process).  Exit codes: 0 all pass, 1 fail verdicts present, 2
-usage or config errors.
+usage or config errors, including an output directory that cannot be
+created, which is checked before any experiment runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from . import experiments
 from .field import FieldFormatError, GridSet, ScalarField, load, save
@@ -109,6 +111,11 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"symkit: config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"symkit: output directory: {exc}", file=sys.stderr)
         return 2
 
     if args.verb == "verify":

@@ -205,6 +205,19 @@ class TestSuiteVerbs:
     def test_jobs_flag_accepted(self, tiny_config):
         assert main(["--config", str(tiny_config), "--jobs", "2", "verify"]) == 0
 
+    def test_out_naming_a_file_exits_before_running(self, tiny_config, tmp_path, monkeypatch, capsys):
+        import symkit.cli as cli_mod
+
+        def no_run(config):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(cli_mod.experiments, "run_verify", no_run)
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        assert main(["--config", str(tiny_config), "--out", str(afile), "verify"]) == 2
+        assert "symkit: output directory" in capsys.readouterr().err
+        assert afile.read_text() == "not a directory\n"
+
     def test_exit_code_propagates_failures(self, tiny_config, tmp_path, monkeypatch):
         import symkit.cli as cli_mod
 
