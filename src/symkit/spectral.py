@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 DENSE_CELL_CAP = 5000
-_START_SEED = 0  # seeds the Lanczos start vector (D11)
 
 
 def _dirichlet_operator(omega: GridSet, V: ScalarField | None) -> sparse.csc_matrix:
@@ -75,9 +74,9 @@ def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndar
     """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending.
 
     Shift-invert Lanczos about 0 from a fixed, seeded, positive start vector
-    (DECISIONS.md D11).  k equal to the cell count asks for the whole spectrum, which ARPACK
-    cannot give, so it is ``dirichlet_eigenvalues``.  A singular operator or
-    a Lanczos run that does not converge raises.
+    (DECISIONS.md D11).  k equal to the cell count asks for the whole
+    spectrum, which ARPACK cannot give, so it is ``dirichlet_eigenvalues``.
+    A singular operator or a Lanczos run that does not converge raises.
     """
     ncells = omega.count()
     if ncells == 0:
@@ -87,7 +86,7 @@ def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndar
     if k == ncells:
         return dirichlet_eigenvalues(omega, V)
     A = _dirichlet_operator(omega, V)
-    v0 = np.random.default_rng(_START_SEED).uniform(0.5, 1.5, ncells)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, ncells)  # D11
     return np.sort(eigsh(A, k, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
 
 
