@@ -112,6 +112,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"symkit: config error: {exc}", file=sys.stderr)
         return 2
+    if args.verb == "refine":
+        unknown = [i for i in args.inequality or () if i not in experiments.REFINE_IDS]
+        if unknown:
+            print(f"symkit: unknown inequality id {unknown[0]!r}", file=sys.stderr)
+            return 2
     try:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -121,11 +126,7 @@ def main(argv=None) -> int:
     if args.verb == "verify":
         reports = experiments.run_verify(config)
     elif args.verb == "refine":
-        try:
-            reports = experiments.run_refine(config, args.inequality)
-        except ValueError as exc:
-            print(f"symkit: {exc}", file=sys.stderr)
-            return 2
+        reports = experiments.run_refine(config, args.inequality)
     elif args.verb == "spectral":
         reports = experiments.run_spectral(config)
     elif args.verb == "stability":

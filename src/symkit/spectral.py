@@ -3,8 +3,8 @@
 The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  It is assembled once, as a sparse matrix.  The lowest eigenvalues come
-from shift-invert Lanczos about 0 (ARPACK through ``eigsh``), with no cell
-cap; a solver failure raises.  A full spectrum of a full box with no
+from shift-invert Lanczos below the spectrum (ARPACK through ``eigsh``),
+with no cell cap; a solver failure raises.  A full spectrum of a full box with no
 potential is the closed-form Kronecker sum of 1-d stencil spectra.  Any other
 full spectrum is a dense ``eigvalsh``, capped at ``DENSE_CELL_CAP`` cells;
 larger domains are rejected, never truncated or sent to another method.
@@ -73,10 +73,12 @@ def _box_eigenvalues(grid: Grid) -> np.ndarray:
 def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending.
 
-    Shift-invert Lanczos about 0 from a fixed, seeded, positive start vector
-    (DECISIONS.md D11).  k equal to the cell count asks for the whole
+    Shift-invert Lanczos about sigma = min(0, min V on omega) from a fixed,
+    seeded, positive start vector (DECISIONS.md D11).  The stencil part is
+    positive definite, so every eigenvalue lies above sigma and the k nearest
+    to it are the lowest k.  k equal to the cell count asks for the whole
     spectrum, which ARPACK cannot give, so it is ``dirichlet_eigenvalues``.
-    A singular operator or a Lanczos run that does not converge raises.
+    A Lanczos run that does not converge raises.
     """
     ncells = omega.count()
     if ncells == 0:
@@ -86,8 +88,9 @@ def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndar
     if k == ncells:
         return dirichlet_eigenvalues(omega, V)
     A = _dirichlet_operator(omega, V)
+    sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, ncells)  # D11
-    return np.sort(eigsh(A, k, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
+    return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:

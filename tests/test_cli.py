@@ -202,6 +202,10 @@ class TestSuiteVerbs:
     def test_unknown_inequality_exit_code(self, tiny_config):
         assert main(["--config", str(tiny_config), "refine", "--inequality", "bogus"]) == 2
 
+    def test_usage_error_creates_no_output_directory(self, tiny_config, tmp_path):
+        assert main(["--config", str(tiny_config), "refine", "--inequality", "bogus"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_flag_accepted(self, tiny_config):
         assert main(["--config", str(tiny_config), "--jobs", "2", "verify"]) == 0
 

@@ -4,7 +4,8 @@ The two fast routes are checked against a dense ``eigvalsh`` of an operator
 assembled cell by cell in this file, independently of ``spectral``:
 
 * shift-invert ``dirichlet_spectrum`` on small random 1-d and 2-d masks,
-  V >= 0 or none, to ``SPARSE_RTOL`` per eigenvalue;
+  V of either sign or none, to ``SPARSE_RTOL`` per eigenvalue, measured from
+  the shift min(0, min V) (where V >= 0 or none, from 0);
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
 * the capped dense route of ``dirichlet_eigenvalues`` on random masks.
@@ -55,7 +56,7 @@ def _dense_oracle(omega, V):
 
 @st.composite
 def _masked_domains(draw):
-    """A small random mask (1-d or 2-d) with at least two cells, and V >= 0 or None."""
+    """A small random mask (1-d or 2-d) with at least two cells, and V in [-3, 3] or None."""
     d = draw(st.integers(1, 2))
     shape = (draw(st.integers(2, (30, 8)[d - 1])),) + (draw(st.integers(1, 8)),) * (d - 1)
     h = draw(st.sampled_from([0.05, 0.25, 1.0]))
@@ -65,7 +66,7 @@ def _masked_domains(draw):
     if mask.sum() < 2:
         mask.flat[:2] = True
     grid = Grid(shape, h)
-    V = draw(st.sampled_from([None, ScalarField(grid, rng.uniform(0.0, 3.0, shape))]))
+    V = draw(st.sampled_from([None, ScalarField(grid, rng.uniform(-3.0, 3.0, shape))]))
     return GridSet(grid, mask), V
 
 
@@ -129,7 +130,10 @@ class TestDirichletSpectrum:
         omega, V = case
         k = min(k, omega.count() - 1)
         got = dirichlet_spectrum(omega, V, k)
-        np.testing.assert_allclose(got, _dense_oracle(omega, V)[:k], rtol=SPARSE_RTOL)
+        # relative to the shift, below which the whole spectrum lies
+        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
+        want = _dense_oracle(omega, V)[:k]
+        np.testing.assert_allclose(got - shift, want - shift, rtol=SPARSE_RTOL)
 
     def test_repeated_eigenvalues_of_translated_components(self):
         # pieces of equal length repeat eigenvalues; an all-ones Lanczos start
@@ -156,11 +160,14 @@ class TestDirichletSpectrum:
             n = omega.count()
             assert np.array_equal(dirichlet_spectrum(omega, pot, n), dirichlet_eigenvalues(omega, pot))
 
-    def test_singular_operator_raises(self):
-        # V = -1 on two cells at h = 1 makes the operator [[1, -1], [-1, 1]]
+    def test_negative_potential_gives_lowest_eigenvalues(self):
+        # two cells at h = 1: V = -2.5 gives [[-0.5, -1], [-1, -0.5]] with
+        # eigenvalues -1.5 and 0.5, so the one nearest 0 is not the lowest;
+        # V = -1 gives the singular [[1, -1], [-1, 1]] with eigenvalues 0 and 2
         omega = _interval(2, 1.0)
-        with pytest.raises(RuntimeError, match="singular"):
-            dirichlet_spectrum(omega, ScalarField(omega.grid, np.full(2, -1.0)), 1)
+        for v, lowest in ((-2.5, -1.5), (-1.0, 0.0)):
+            got = dirichlet_spectrum(omega, ScalarField(omega.grid, np.full(2, v)), 1)
+            assert got[0] == pytest.approx(lowest, abs=1e-12)
 
 
 class TestFullSpectrum:
