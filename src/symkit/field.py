@@ -66,7 +66,7 @@ class Grid:
 
     @property
     def ncells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
@@ -274,10 +274,22 @@ def _parse_payload(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
     return arr
 
 
+def _read_lines(path) -> list[str]:
+    """The file's lines, split as in text mode; invalid UTF-8 is a format error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FieldFormatError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line=line) from None
+    del data  # the bytes go before the lines are built, as in text mode
+    return text.splitlines()
+
+
 def load(path) -> ScalarField | GridSet:
     """Load a field or set file, dispatching on its tag."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     tag, grid = _parse_header(lines)
     if tag == _FIELD_TAG:
         return ScalarField(grid, _parse_payload(lines[4:], grid, as_mask=False))

@@ -4,11 +4,15 @@ The asymmetry of a density 0 <= rho <= 1 is the normalized minimal L^1
 distance to whole-cell translates of its bathtub profile.  The infimum is
 restricted to whole-cell shifts: off-grid translates would need resampling,
 which contaminates the L^1 distance at O(h); the resolution bound is the
-caller's to report.
+caller's to report.  ``asymmetry`` is the exact minimum over the shifts that
+an FFT correlation leaves as candidates; ``asymmetry_bruteforce`` is its
+oracle, the same minimum by a plain loop over every shift under which the
+supports can meet (DECISIONS.md D4).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +21,7 @@ import numpy as np
 from .field import GridSet, ScalarField
 from .functionals import (
     _fftconvolve_full,
+    _nonzero_extent,
     fractional_perimeter,
     fractional_seminorm,
     gradient_magnitude,
@@ -75,68 +80,15 @@ def _l1_at_shift(rho: np.ndarray, chi: np.ndarray, shift: tuple[int, ...]) -> fl
     return overlap + float(rho.sum() - r.sum()) + float(chi.sum() - c.sum())
 
 
-def _descend(rho: np.ndarray, chi: np.ndarray, start: tuple[int, ...], best_cache: dict):
-    d = rho.ndim
-    moves = [m for m in np.ndindex(*([3] * d)) if any(c != 1 for c in m)]
-    cur = tuple(start)
-    if cur not in best_cache:
-        best_cache[cur] = _l1_at_shift(rho, chi, cur)
-    for _ in range(4 * sum(rho.shape)):
-        best_move = None
-        for mv in moves:
-            cand = tuple(c + m - 1 for c, m in zip(cur, mv))
-            if cand not in best_cache:
-                best_cache[cand] = _l1_at_shift(rho, chi, cand)
-            if best_cache[cand] < best_cache[cur] - 1e-15:
-                if best_move is None or best_cache[cand] < best_cache[best_move]:
-                    best_move = cand
-        if best_move is None:
-            return cur
-        cur = best_move
-    return cur
-
-
 def asymmetry(rho: ScalarField) -> float:
     """A[rho] = (2 ||rho||_1)^(-1) min over whole-cell shifts of ||rho - chi(. - a)||_1.
-
-    Search: centroid-initialized local descent over neighboring whole-cell
-    shifts, plus a global coarse scan on a stride-4 lattice followed by a
-    second descent from the best few scan points; the best shift found wins.
-    """
-    mass = _check_density(rho)
-    chi = bathtub_fill(mass, rho.grid)
-    rv, cv = rho.values, chi.values
-    coords = rho.grid.coords()
-    centroid = [float((rv * c).sum() / rv.sum()) for c in coords]
-    start = tuple(int(round(x / rho.h)) for x in centroid)
-    cache: dict = {}
-    candidates = [_descend(rv, cv, start, cache)]
-    # stride-4 global scan over the window of overlapping shifts; descend from
-    # the best few scan points to escape secondary basins
-    windows = [range(-n, n + 1, 4) for n in rho.grid.shape]
-    scan = []
-    for shift in np.stack(np.meshgrid(*windows, indexing="ij"), axis=-1).reshape(-1, rho.dim):
-        s = tuple(int(x) for x in shift)
-        if s not in cache:
-            cache[s] = _l1_at_shift(rv, cv, s)
-        scan.append(s)
-    scan.sort(key=lambda s: cache[s])
-    for s in scan[:4]:
-        candidates.append(_descend(rv, cv, s, cache))
-    dist = min(cache[s] for s in candidates) * rho.grid.cell_volume
-    return dist / (2.0 * mass)
-
-
-def asymmetry_bruteforce(rho: ScalarField) -> float:
-    """Exhaustive-shift oracle for the asymmetry.
 
     An FFT cross-correlation scores every shift at once through
     |r - c| = r + c - 2 min(r, c): on the unit cells of the bathtub profile
     min(rho, 1) = rho, so the correlation with the unit-cell indicator ranks
     shifts up to the bounded contribution of the single fractional cell.
-    Every shift whose score is within that bound of the best is re-evaluated
-    with the exact per-shift sum, so the returned minimum is exact and
-    bit-comparable with the descent search.
+    Every shift whose score is within that bound of the best is evaluated
+    with the exact per-shift sum, so the returned minimum is exact.
     """
     mass = _check_density(rho)
     chi = bathtub_fill(mass, rho.grid)
@@ -146,12 +98,34 @@ def asymmetry_bruteforce(rho: ScalarField) -> float:
     corr = _fftconvolve_full(rv, rev)
     frac = float(cv[(cv > 0) & (cv < 1)].sum())  # at most one cell
     thresh = corr.max() - frac - 1e-10 * (1.0 + abs(corr.max()))
-    flat = np.nonzero(corr.ravel() >= thresh)[0]
     best = math.inf
-    for fidx in flat:
-        k = np.unravel_index(int(fidx), corr.shape)
+    for k in zip(*np.nonzero(corr >= thresh)):
         s = tuple(int(ki) - (n - 1) for ki, n in zip(k, rv.shape))
         best = min(best, _l1_at_shift(rv, cv, s))
+    dist = best * rho.grid.cell_volume
+    return dist / (2.0 * mass)
+
+
+def asymmetry_bruteforce(rho: ScalarField) -> float:
+    """Plain-loop oracle for the asymmetry: no correlation, no scoring.
+
+    Takes the exact per-shift minimum over every shift under which the
+    bounding boxes of the supports of rho and chi overlap.  Under any other
+    shift the supports are disjoint and the distance is ||rho||_1 + ||chi||_1,
+    the largest possible, while a shift that puts a cell of rho's support on
+    one of chi's is strictly closer; so the minimum is the minimum over all
+    shifts.
+    """
+    mass = _check_density(rho)
+    chi = bathtub_fill(mass, rho.grid)
+    rv, cv = rho.values, chi.values
+    r_box, c_box = _nonzero_extent(rv), _nonzero_extent(cv)
+    if c_box is None:
+        # bathtub_fill leaves chi = 0 below a mass of 1e-9 cells: there is no
+        # support to meet, so every shift of the window is taken
+        r_box = c_box = [(0, n - 1) for n in rv.shape]
+    ranges = [range(r_lo - c_hi, r_hi - c_lo + 1) for (r_lo, r_hi), (c_lo, c_hi) in zip(r_box, c_box)]
+    best = min(_l1_at_shift(rv, cv, s) for s in itertools.product(*ranges))
     dist = best * rho.grid.cell_volume
     return dist / (2.0 * mass)
 

@@ -78,6 +78,19 @@ class TestFileVerbs:
         assert main(["rearrange", str(bad), str(tmp_path / "o.sk")]) == 2
         assert main(["info", str(bad)]) == 2
 
+    def test_cell_count_beyond_int64_exit_code(self, tmp_path, capsys):
+        big = tmp_path / "big.sk"
+        big.write_text("SYMKIT-FIELD 1\n2\n4294967296 4294967296\n1.0\n")
+        assert main(["info", str(big)]) == 2
+        assert "cell-count mismatch" in capsys.readouterr().err
+
+    def test_invalid_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bytes.sk"
+        bad.write_bytes(b"SYMKIT-FIELD 1\n1\n2\n0.5\n\xc3(\n2.0\n")
+        assert main(["info", str(bad)]) == 2
+        assert main(["rearrange", str(bad), str(tmp_path / "o.sk")]) == 2
+        assert "line 5: invalid UTF-8" in capsys.readouterr().err
+
     def test_info(self, tmp_path, capsys):
         g = Grid((8,), 0.25)
         save(ScalarField(g, np.arange(8.0)), tmp_path / "f.sk")
@@ -201,6 +214,16 @@ class TestSuiteVerbs:
 
     def test_unknown_inequality_exit_code(self, tiny_config):
         assert main(["--config", str(tiny_config), "refine", "--inequality", "bogus"]) == 2
+
+    def test_repeated_inequality_runs_once(self, tiny_config, tmp_path, capsys):
+        argv = ["--config", str(tiny_config), "refine"]
+        for ineq in ("hls-quotient", "young-quotient", "hls-quotient", "young-quotient"):
+            argv += ["--inequality", ineq]
+        assert main(argv) == 0
+        printed = [ln.split()[-1] for ln in capsys.readouterr().out.splitlines()[:-1]]
+        assert printed == ["refine-hls-quotient-1d", "refine-young-quotient-1d"]
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == printed
 
     def test_usage_error_creates_no_output_directory(self, tiny_config, tmp_path):
         assert main(["--config", str(tiny_config), "refine", "--inequality", "bogus"]) == 2

@@ -33,6 +33,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((4,), -1.0)
 
+    def test_ncells_is_exact_beyond_int64(self):
+        assert Grid((2**32, 2**32), 1.0).ncells == 2**64
+
     def test_centering(self):
         g = Grid((4,), 0.5)
         assert np.allclose(g.axis_coords(0), [-0.75, -0.25, 0.25, 0.75])
@@ -122,6 +125,17 @@ class TestFieldFile:
         p.write_text("SYMKIT-FIELD 1\n1\n2\n-0.5\n1.0\n2.0\n")
         with pytest.raises(FieldFormatError, match="line 4: spacing must be positive"):
             load(p)
+
+    def test_invalid_utf8_reported_with_line(self, tmp_path):
+        p = tmp_path / "bytes.sk"
+        p.write_bytes(b"SYMKIT-FIELD 1\n1\n2\n0.5\n1.0\n2.\xff0\n")
+        with pytest.raises(FieldFormatError, match="line 6: invalid UTF-8 byte 0xff"):
+            load(p)
+
+    def test_cr_and_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "eol.sk"
+        p.write_bytes(b"SYMKIT-FIELD 1\r\n1\r2\n0.5\r\n\r1.0\r\n2.0\r")
+        assert np.array_equal(load(p).values, [1.0, 2.0])
 
     def test_mask_values_validated(self, tmp_path):
         p = tmp_path / "m.sk"

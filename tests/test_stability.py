@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal import correlate
 
 from symkit import (
@@ -75,7 +78,7 @@ class TestAsymmetry:
         fine = ScalarField(Grid((32,), 0.25), np.repeat(vals, 2))
         assert asymmetry(rho) == pytest.approx(asymmetry(fine), abs=1e-14)
 
-    def test_descent_matches_bruteforce(self):
+    def test_search_matches_bruteforce(self):
         g = Grid((18, 18), 0.25)
         for case in range(12):
             rng = rng_for(31, case)
@@ -90,7 +93,8 @@ class TestAsymmetry:
         # one heavy last cell.  About 20,900 shifts score within the
         # fractional-cell bound of the best, and the minimizer is the shift
         # that puts the fractional bathtub cell on the heavy cell, which ranks
-        # lowest by score: keeping only the best-scoring 20,000 misses it.
+        # lowest by score: keeping only the best-scoring 20,000 misses it,
+        # and so does re-evaluating only the best-scoring shift.
         n = 22000
         vals = 0.05 + 2e-4 * np.arange(n)[::-1] / n
         vals[-1] = 0.9
@@ -104,6 +108,33 @@ class TestAsymmetry:
         best = math.inf
         for s in range(-(n - 1), n):
             best = min(best, _l1_at_shift(vals, chi, (s,)))
+        assert asymmetry(rho) == best * rho.grid.cell_volume / (2.0 * rho.integral())
+
+    @staticmethod
+    def _random_density(data) -> ScalarField:
+        d = data.draw(st.integers(1, 3), label="d")
+        shape = data.draw(st.tuples(*[st.integers(1, (10, 5, 3)[d - 1])] * d), label="shape")
+        unit = st.floats(0.0, 1.0, allow_subnormal=False)
+        vals = data.draw(arrays(np.float64, shape, elements=unit), label="vals")
+        assume(vals.sum() > 0)
+        return ScalarField(Grid(shape, 0.5), vals)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_search_equals_bruteforce_on_random_densities(self, data):
+        rho = self._random_density(data)
+        assert asymmetry(rho) == asymmetry_bruteforce(rho)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bruteforce_equals_loop_over_every_shift(self, data):
+        # the oracle skips shifts under which the support boxes do not meet;
+        # the plain minimum over all (2n - 1)^d shifts must agree exactly
+        rho = self._random_density(data)
+        vals, shape = rho.values, rho.grid.shape
+        chi = bathtub_fill(rho.integral(), rho.grid).values
+        shifts = itertools.product(*[range(-(n - 1), n) for n in shape])
+        best = min(_l1_at_shift(vals, chi, s) for s in shifts)
         assert asymmetry_bruteforce(rho) == best * rho.grid.cell_volume / (2.0 * rho.integral())
 
     def test_validation(self):
