@@ -18,6 +18,8 @@ Cases, each at one fixed size:
 * ``bll_integral``: 10^6 samples of a three-factor 1-d integral on 128 cells;
 * ``fractional_seminorm`` at s = 1/2, p = 2 on a 64x64 field, by the direct
   and by the fft route;
+* ``continuity_probe`` of the default 64x64 plateau field of
+  ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
 * ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values).
 
 Every case is timed by the same loop: one warm-up call, then R repeats (at
@@ -48,6 +50,7 @@ from symkit import (
     PowerLaw,
     ScalarField,
     bll_integral,
+    continuity_probe,
     convolve,
     dirichlet_eigenvalues,
     dirichlet_spectrum,
@@ -58,6 +61,7 @@ from symkit import (
     sample_kernel,
     save,
 )
+from symkit.random_fields import plateau_field
 
 MEGA = (1000, 1000)  # 10^6 cells
 
@@ -116,6 +120,12 @@ def _seminorm(method, calls):
     return setup
 
 
+def _probe(tmp):
+    u = plateau_field(Grid((64, 64), 4.0 / 64), top_radius=0.7, outer_radius=1.4)
+    run = lambda i: continuity_probe(u, "plateau", n_steps=8, space="wsp")
+    return run, 1, {"cells": 64 * 64, "steps": 8}
+
+
 def _field(op):
     def setup(tmp):
         f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(3).standard_normal(MEGA))
@@ -138,6 +148,7 @@ CASES = {
     "bll_integral_1e6_samples": _bll,
     "fractional_seminorm_64x64.direct": _seminorm("direct", 1),
     "fractional_seminorm_64x64.fft": _seminorm("fft", 10),
+    "continuity_probe_64x64.plateau_wsp": _probe,
     "field_save_1e6": _field("save"),
     "field_load_1e6": _field("load"),
 }

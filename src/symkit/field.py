@@ -197,11 +197,11 @@ def measure(A: GridSet) -> float:
 def save(obj: ScalarField | GridSet, path) -> None:
     """Write a field or set; the round trip through load() is bit-exact."""
     if isinstance(obj, ScalarField):
-        tag, flat = _FIELD_TAG, obj.values.ravel()
-        body = "\n".join(repr(float(v)) for v in flat)
+        tag = _FIELD_TAG
+        body = "\n".join(map(repr, obj.values.ravel().tolist()))
     elif isinstance(obj, GridSet):
-        tag, flat = _SET_TAG, obj.mask.ravel()
-        body = "\n".join("1" if v else "0" for v in flat)
+        tag = _SET_TAG
+        body = "\n".join(np.where(obj.mask.ravel(), "1", "0").tolist())
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
     g = obj.grid
@@ -245,6 +245,26 @@ def _parse_header(lines: list[str]):
 
 
 def _parse_payload(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
+    """The payload values; one vectorized parse, or the per-line loop to name the bad line.
+
+    ``np.array`` hands each ``str`` to ``float()``, so it accepts exactly the
+    tokens the loop accepts.  Any payload the fast path does not accept whole
+    (wrong count, a bad token, a non-finite or non-0/1 mask value) goes
+    through ``_parse_payload_loop``, which raises the ``FieldFormatError``.
+    """
+    vals = [s for s in map(str.strip, lines) if s]
+    if len(vals) == grid.ncells:
+        try:
+            arr = np.array(vals, dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(arr).all() and not (as_mask and ((arr != 0.0) & (arr != 1.0)).any()):
+                return arr.reshape(grid.shape)
+    return _parse_payload_loop(lines, grid, as_mask)
+
+
+def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
     ncells = grid.ncells
     vals = []
     for off, raw in enumerate(lines):

@@ -487,8 +487,11 @@ def fractional_seminorm(u: ScalarField, s: float, p: float, method: str = "auto"
     only) evaluates the same sum in O(N log N) through the expansion
     |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j, so its rounding error scales
     with 2 sum_i u_i^2 srow_i h^d (srow the kernel's row sums), not with the
-    result.  ``method="auto"`` takes the fft route when p = 2 and the grid
-    has more than 4,096 cells, and the direct route otherwise.
+    result.  The sum is nonnegative, so an fft result in [-1e-13 scale, 0),
+    scale being that first term, is rounding and returns 0.0, and a lower one
+    raises ``FloatingPointError``.  ``method="auto"`` takes the fft route when
+    p = 2 and the grid has more than 4,096 cells, and the direct route
+    otherwise.
     """
     FracKernel(s, p).validate(u.dim)
     if method not in ("auto", "direct", "fft"):
@@ -506,7 +509,12 @@ def fractional_seminorm(u: ScalarField, s: float, p: float, method: str = "auto"
         srow = convolve(kfield, ones)
         cross = pairing(u, convolve(kfield, u))
         diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume
-        return 2.0 * (diag - cross)
+        total, scale = 2.0 * (diag - cross), 2.0 * diag
+        if total >= 0.0:
+            return total
+        if total >= -1e-13 * scale:
+            return 0.0
+        raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
     expo = -(d + s * p)
     total = 0.0
     uv = u.values

@@ -88,7 +88,7 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
 
     Value 1 on the first floor(mass / h^d) cells in cell order, the leftover
     fraction on the next cell, 0 elsewhere, so the integral equals ``mass``
-    up to one rounding.
+    up to rounding, however small the mass.
     """
     if mass < 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
@@ -97,9 +97,12 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
     if q > grid.ncells * (1 + 1e-12):
         raise ValueError(f"mass {mass} exceeds box volume {grid.box_volume}")
     q = min(q, float(grid.ncells))
-    k = int(np.floor(q + 1e-9))
+    # q = mass / h^d carries the rounding of that division: within a few ulps
+    # of a whole number it is whole, and no mass is too small to be kept
+    snap = 4.0 * np.finfo(np.float64).eps * q
+    k = int(np.floor(q + snap))
     frac = q - k
-    if frac < 1e-9:
+    if frac <= snap:
         frac = 0.0
     order = cell_order(grid.shape)
     out = np.zeros(grid.ncells, dtype=np.float64)

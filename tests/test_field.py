@@ -142,3 +142,57 @@ class TestFieldFile:
         p.write_text("SYMKIT-SET 1\n1\n2\n0.5\n1\n0.5\n")
         with pytest.raises(FieldFormatError, match="0 or 1"):
             load(p)
+
+
+class TestVectorizedFieldIO:
+    """The vectorized parse and save against the per-value code they replaced."""
+
+    _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    _TOKENS = st.one_of(
+        _FINITE.map(repr),
+        st.sampled_from(
+            ["0", "1", "-0", "0.5", "1.0", "nan", "inf", "-inf", "1e400", "bad", "1_000", "0x10", ""]
+        ),
+    )
+    _PADS = st.sampled_from(["", " ", "\t", "\xa0"])
+    _LINES = st.tuples(_PADS, _TOKENS, _PADS).map("".join)
+
+    @given(st.integers(1, 6), st.lists(_LINES, max_size=9), st.booleans())
+    @settings(max_examples=300)
+    def test_parse_matches_per_line_loop(self, ncells, lines, as_mask):
+        from symkit.field import _parse_payload, _parse_payload_loop
+
+        grid = Grid((ncells,), 0.5)
+
+        def outcome(parse):
+            try:
+                return parse(lines, grid, as_mask).view(np.int64).tolist()
+            except FieldFormatError as e:
+                return str(e), e.line
+
+        assert outcome(_parse_payload) == outcome(_parse_payload_loop)
+
+    @staticmethod
+    def _per_value_bytes(obj) -> bytes:
+        # the body expressions save() used before it was vectorized
+        if isinstance(obj, ScalarField):
+            tag, body = "SYMKIT-FIELD 1", "\n".join(repr(float(v)) for v in obj.values.ravel())
+        else:
+            tag, body = "SYMKIT-SET 1", "\n".join("1" if v else "0" for v in obj.mask.ravel())
+        g = obj.grid
+        header = "\n".join([tag, str(g.dim), " ".join(str(n) for n in g.shape), repr(g.h)])
+        return (header + "\n" + body + "\n").encode()
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=_FINITE))
+    @settings(max_examples=60)
+    def test_save_bytes_match_per_value_writer(self, tmp_path_factory, vals):
+        edge = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(np.float64).tiny, 1e308, -1e308, 0.1])
+        f = ScalarField(Grid((vals.size + edge.size,), 0.3), np.concatenate([vals, edge]))
+        path = tmp_path_factory.mktemp("io") / "f.sk"
+        save(f, path)
+        assert path.read_bytes() == self._per_value_bytes(f)
+
+    def test_set_save_bytes_match_per_value_writer(self, tmp_path):
+        A = GridSet(Grid((5, 4, 3), 0.25), np.random.default_rng(4).random((5, 4, 3)) < 0.5)
+        save(A, tmp_path / "a.sk")
+        assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(A)

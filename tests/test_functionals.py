@@ -450,6 +450,28 @@ class TestFractionalSeminorm:
         fft = fractional_seminorm(u, s, 2.0, method="fft")
         assert abs(fft - direct) <= 1e-13 * scale
 
+    @given(
+        st.integers(4, 39),
+        st.floats(0.05, 0.95),
+        st.sampled_from([0.0, 1e-12, 1e-8]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fft_route_is_nonnegative_on_near_constant_fields(self, n, s, eps, seed):
+        # 2 (diag - cross) cancels to rounding on these fields and fell below 0
+        g = np.random.default_rng(seed).standard_normal((n, n))
+        u = ScalarField(Grid((n, n), 1.0 / n), 1.0 + eps * g)
+        assert fractional_seminorm(u, s, 2.0, method="fft") >= 0.0
+
+    def test_fft_route_raises_below_its_rounding_scale(self, monkeypatch):
+        import symkit.functionals as fn
+
+        u = ScalarField(Grid((6, 6), 0.5), np.random.default_rng(3).random((6, 6)))
+        real_pairing = fn.pairing
+        monkeypatch.setattr(fn, "pairing", lambda a, b: 2.0 * real_pairing(a, b))
+        with pytest.raises(FloatingPointError, match="rounding scale"):
+            fractional_seminorm(u, 0.5, 2.0, method="fft")
+
     def test_parameter_validation(self):
         f = ScalarField(Grid((4,), 0.5), np.zeros(4))
         with pytest.raises(ValueError):

@@ -206,6 +206,21 @@ class TestBathtub:
         assert vals[0] == vals[1] == 1.0 and vals[2] == 0.5 and np.all(vals[3:] == 0)
         assert abs(out.integral() - 1.25) <= 1e-12
 
+    @given(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        st.floats(0.01, 10.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(-300, 0),
+    )
+    @settings(max_examples=200)
+    def test_integral_is_mass_down_to_tiny_masses(self, shape, h, t, e):
+        g = Grid(shape, h)
+        mass = t * 10.0**e * g.box_volume
+        out = bathtub_fill(mass, g)
+        # one rounding each in mass / h^d, the sum and the product with h^d,
+        # and the snap of q within 4 eps q of a whole cell count
+        assert abs(out.integral() - mass) <= 8 * np.finfo(np.float64).eps * mass
+
     def test_errors(self):
         g = Grid((4,), 0.5)
         with pytest.raises(ValueError):

@@ -137,6 +137,10 @@ class TestAsymmetry:
         best = min(_l1_at_shift(vals, chi, s) for s in shifts)
         assert asymmetry_bruteforce(rho) == best * rho.grid.cell_volume / (2.0 * rho.integral())
 
+    def test_tiny_one_cell_density_is_its_own_profile(self):
+        rho = ScalarField(Grid((1,), 0.5), np.array([7.2e-125]))
+        assert asymmetry(rho) == asymmetry_bruteforce(rho) == 0.0
+
     def test_validation(self):
         g = Grid((6,), 0.5)
         with pytest.raises(ValueError, match="zero mass"):
@@ -269,6 +273,24 @@ class TestContinuityProbe:
         u = plateau_field(g, 0.7, 1.4)
         res = continuity_probe(u, "plateau", n_steps=6, space="w1p", p=2.0)
         assert res.distances[-1] <= 0.2 * res.distances[0]
+
+    def test_wsp_distances_match_direct_route(self, monkeypatch):
+        # the default probe fields of `probe-continuity`; the probes take the
+        # fft route at p = 2 and the direct route is the oracle
+        import symkit.stability as stab
+
+        g = Grid((64, 64), 4.0 / 64)
+        fields = {"smooth": radial_bump_field(g, radius=1.2), "plateau": plateau_field(g, 0.7, 1.4)}
+        fast = {kind: continuity_probe(u, kind, n_steps=8, space="wsp") for kind, u in fields.items()}
+        seminorm = stab.fractional_seminorm
+        direct = lambda u, s, p, method: seminorm(u, s, p, "direct")
+        monkeypatch.setattr(stab, "fractional_seminorm", direct)
+        for kind, u in fields.items():
+            slow = continuity_probe(u, kind, n_steps=8, space="wsp")
+            got = fast[kind].distances + fast[kind].input_distances
+            want = slow.distances + slow.input_distances
+            assert all(type(x) is float and x > 0.0 for x in got)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_input_validation(self):
         g = Grid((16, 16), 0.25)
