@@ -11,6 +11,8 @@ Cases, each at one fixed size:
   Choquard descent and the fft seminorm route call it; ``fresh_kernel`` gives
   every call a kernel whose values differ from the previous call's, so
   nothing about the kernel can be reused;
+* the Choquard descent's stencils on a 32x32x32 field: ``kinetic_gradient``
+  and ``gradient_pnorm`` at p = 2;
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
 * ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
   h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it;
@@ -23,12 +25,17 @@ Cases, each at one fixed size:
 * ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values).
 
 Every case is timed by the same loop: one warm-up call, then R repeats (at
-least 5) of the case's fixed number of calls.  The file records, per case,
-the sizes, the per-call median over repeats, the spread (interquartile range
-over median), the extremes, ``nproc`` and the Python, numpy and scipy
-versions.  Inputs are built before the timed region.  Run it once per source
-tree on the same host, e.g. with ``PYTHONPATH`` pointing at each tree's
-``src``.
+least 5) of the case's fixed number of calls, each repeat followed by one
+timed control op, ``np.sort`` of 10^6 seeded normal values.  The file
+records, per case, the sizes, the per-call median over repeats, the spread
+(interquartile range over median), the extremes, the median control time
+and ``median_ratio_to_control``: the median over repeats of the per-call
+time over that repeat's control time.  Host load slows the control as it
+slows the case, so the ratio compares runs taken under different load
+better than the raw time does.  The file also records ``nproc`` and the
+Python, numpy and scipy versions.  Inputs are built before the timed
+region.  Run it once per source tree on the same host, e.g. with
+``PYTHONPATH`` pointing at each tree's ``src``, alternating the trees.
 """
 
 import argparse
@@ -56,11 +63,13 @@ from symkit import (
     dirichlet_spectrum,
     displacement_grid,
     fractional_seminorm,
+    gradient_pnorm,
     load,
     rearrange,
     sample_kernel,
     save,
 )
+from symkit.functionals import kinetic_gradient
 from symkit.random_fields import plateau_field
 
 MEGA = (1000, 1000)  # 10^6 cells
@@ -80,6 +89,17 @@ def _convolve(shape, h, mode, calls=10):
             ]
         sizes = {"field_shape": list(shape), "kernel_shape": list(kernel.grid.shape)}
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
+
+    return setup
+
+
+def _stencil(name, calls=20):
+    def setup(tmp):
+        shape = (32, 32, 32)
+        u = ScalarField(Grid(shape, 0.25), np.random.default_rng(4).random(shape))
+        if name == "kinetic_gradient":
+            return (lambda i: kinetic_gradient(u)), calls, {"field_shape": list(shape)}
+        return (lambda i: gradient_pnorm(u, 2.0)), calls, {"field_shape": list(shape)}
 
     return setup
 
@@ -142,6 +162,8 @@ CASES = {
     "convolve_128x128.fresh_kernel": _convolve((128, 128), 1.0 / 128, "fresh_kernel"),
     "convolve_32x32x32.reused_kernel": _convolve((32, 32, 32), 0.25, "reused_kernel"),
     "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
+    "kinetic_gradient_32x32x32": _stencil("kinetic_gradient"),
+    "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "rearrange_1000x1000": _rearrange,
     "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
@@ -154,24 +176,36 @@ CASES = {
 }
 
 
+CONTROL_VALUES = np.random.default_rng(5).standard_normal(10**6)
+
+
+def _control_s():
+    t0 = time.perf_counter()
+    np.sort(CONTROL_VALUES)
+    return time.perf_counter() - t0
+
+
 def _time_case(op, calls, repeats):
     # warm up with the last call, so each repeat's first call follows the
     # same call as in steady state (a fresh kernel is then always a miss)
     op(calls - 1)
-    per_call = []
+    per_call, control = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for i in range(calls):
             op(i)
         per_call.append((time.perf_counter() - t0) / calls)
+        control.append(_control_s())
     q1, med, q3 = np.percentile(per_call, [25, 50, 75])
     return {
         "calls_per_repeat": calls,
         "repeats": repeats,
         "median_ms": 1e3 * float(med),
+        "median_ratio_to_control": float(np.median(np.divide(per_call, control))),
         "spread": float((q3 - q1) / med),
         "min_ms": 1e3 * min(per_call),
         "max_ms": 1e3 * max(per_call),
+        "control_median_ms": 1e3 * float(np.median(control)),
     }
 
 
@@ -187,7 +221,11 @@ def main() -> None:
         for name, setup in CASES.items():
             op, calls, sizes = setup(tmp)
             results[name] = r = {**sizes, **_time_case(op, calls, args.repeats)}
-            print(f"{name}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f})", flush=True)
+            print(
+                f"{name}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f}, "
+                f"{r['median_ratio_to_control']:.3f} x control)",
+                flush=True,
+            )
     doc = {
         "label": args.label,
         "nproc": len(os.sched_getaffinity(0)),
@@ -195,7 +233,12 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "statistics": "per-call wall time: median, (q3 - q1) / median, min and max over repeats",
+        "statistics": (
+            "per-call wall time: median, (q3 - q1) / median, min and max over repeats; "
+            "median_ratio_to_control: median over repeats of per-call time / that repeat's "
+            "control time (np.sort of 10^6 seeded normal values, timed once after every repeat); "
+            "control_median_ms: median control time over the case's repeats"
+        ),
         "results": results,
     }
     out = Path(f"BENCH_{args.label}.json")

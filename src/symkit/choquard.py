@@ -38,11 +38,12 @@ class DescentResult:
     diverged: bool = False
 
 
-def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray:
+def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray | None:
+    """values / ||values||_2, or None when the norm is not finite."""
     nrm = math.sqrt(float(np.sum(values * values)) * vol)
     if nrm == 0:
         raise ValueError("cannot normalize the zero field")
-    return values / nrm
+    return values / nrm if math.isfinite(nrm) else None
 
 
 def choquard_descent(
@@ -55,7 +56,8 @@ def choquard_descent(
 
     The audit list holds (step, energy before, energy after) for every
     rearrangement, and ``energies`` the post-step energies.  Divergence
-    (non-finite energy) aborts with ``diverged`` set.
+    (a non-finite step, norm or energy) aborts with ``diverged`` set; after
+    a non-finite step or norm ``final`` is the last finite iterate.
 
     The energy of the *rearranged* iterates decreases along the run (the
     discrete version of passing to a symmetric minimizing sequence).  An
@@ -81,13 +83,19 @@ def choquard_descent(
 
     result = DescentResult()
     u = _l2_normalize(np.abs(u0.values), vol)
+    if u is None:
+        raise ValueError("the L^2 norm of u0 overflows")
     energy, phi = energy_and_potential(u)
     result.energies.append(energy)
     total = steps + polish_steps
     for step in range(1, total + 1):
         tau = step_size if step <= steps else _POLISH_STEP_SIZE
         grad = kinetic_gradient(ScalarField(grid, u)) - 4.0 * u * phi.values
-        u = _l2_normalize(u - tau * grad, vol)
+        stepped = _l2_normalize(u - tau * grad, vol)
+        if stepped is None:
+            result.diverged = True
+            break
+        u = stepped
         do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
         if do_rearrange:
             before, _ = energy_and_potential(u)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, irfftn, next_fast_len, rfft, rfftn
 from scipy.ndimage import distance_transform_edt
 from scipy.optimize import linprog
 
@@ -181,6 +181,11 @@ def hanner_sum(f: ScalarField, g: ScalarField, p: float) -> float:
 # ----------------------------------------------------------------------------
 
 
+def _along(ax: int, s: slice) -> tuple:
+    """Index selecting ``s`` on axis ``ax`` and everything on the other axes."""
+    return (slice(None),) * ax + (s,)
+
+
 def _nonzero_extent(a: np.ndarray) -> list[tuple[int, int]] | None:
     """Per-axis index range of the nonzero entries, or None if all zero."""
     nz = np.nonzero(a)
@@ -238,6 +243,13 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     linear convolution.  The kernel spectrum of the most recent call is
     memoized and reused when the FFT lengths and the kernel values are equal
     (DECISIONS.md D8).
+
+    The transforms are pruned (Markel): r2c on the last axis over f's own
+    lines, then c2c on axes 0 .. d-2, each padded only at its own stage; the
+    inverse cuts each axis to the kept rows right after its c2c stage.  The
+    axis order and the one 1/prod(L) scaling are irfftn's and rfftn's, so
+    the window is theirs bit for bit; the c2c stages overwrite arrays made
+    here (DECISIONS.md D8).
     """
     if kernel.dim != f.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -250,9 +262,16 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
         next_fast_len(max(n + r, 2 * r + 1), True) for n, r in zip(f.grid.shape, radii)
     )
     spec = _kernel_spectrum(kernel.values, lengths)
-    circ = irfftn(rfftn(f.values, lengths) * spec, lengths)
-    kept = tuple(slice(r, r + n) for n, r in zip(f.grid.shape, radii))
-    return ScalarField(f.grid, circ[kept] * f.grid.cell_volume)
+    x = rfft(f.values, lengths[-1])
+    for ax in range(f.dim - 1):
+        x = fft(x, lengths[ax], axis=ax, overwrite_x=True)
+    x *= spec
+    for ax, (n, r) in enumerate(zip(f.grid.shape[:-1], radii)):
+        x = ifft(x, axis=ax, overwrite_x=True, norm="forward")[_along(ax, slice(r, r + n))]
+    r, n = radii[-1], f.grid.shape[-1]
+    # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
+    kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * (1.0 / math.prod(lengths))
+    return ScalarField(f.grid, kept * f.grid.cell_volume)
 
 
 def riesz_triple(f: ScalarField, kern: KernelSpec | ScalarField, h: ScalarField) -> float:
@@ -598,10 +617,13 @@ def _forward_diffs(u: ScalarField) -> list[np.ndarray]:
     out = []
     v = u.values
     for ax in range(u.dim):
-        pad = [(0, 0)] * u.dim
-        pad[ax] = (0, 1)
-        padded = np.pad(v, pad)
-        out.append(np.diff(padded, axis=ax) / u.h)
+        head, tail, edge = _along(ax, slice(-1)), _along(ax, slice(1, None)), _along(ax, slice(-1, None))
+        dk = np.empty_like(v)
+        np.subtract(v[tail], v[head], out=dk[head])
+        # 0.0 - v, not -v: past the far edge the extension is +0.0
+        np.subtract(0.0, v[edge], out=dk[edge])
+        dk /= u.h
+        out.append(dk)
     return out
 
 
@@ -624,11 +646,14 @@ def gradient_pnorm(u: ScalarField, p: float) -> float:
 def kinetic_gradient(u: ScalarField) -> np.ndarray:
     """Gradient of ||grad u||_2^2 with respect to u in L^2(h^d)."""
     out = np.zeros_like(u.values)
+    term = np.empty_like(out)
     for ax, dk in enumerate(_forward_diffs(u)):
-        pad = [(0, 0)] * u.dim
-        pad[ax] = (1, 0)
-        shifted = np.pad(dk, pad)[tuple(slice(0, n) for n in u.grid.shape)]
-        out += (shifted - dk) * (2.0 / u.h)
+        # minus the backward difference of dk, zero-extended before the near edge
+        head, tail, edge = _along(ax, slice(-1)), _along(ax, slice(1, None)), _along(ax, slice(1))
+        np.subtract(dk[head], dk[tail], out=term[tail])
+        np.subtract(0.0, dk[edge], out=term[edge])
+        term *= 2.0 / u.h
+        out += term
     return out
 
 

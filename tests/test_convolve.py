@@ -1,8 +1,14 @@
 """The FFT convolution routes against their oracles (DECISIONS.md D8).
 
-* ``convolve`` (short circular transforms, memoized kernel spectrum) against
-  a plain O(N^2) lattice sum, to 1e-12 relative to max|k| sum|f| h^d, which
-  bounds every output value;
+* ``convolve`` (short circular transforms, pruned axis by axis, memoized
+  kernel spectrum) against a plain O(N^2) lattice sum, to 1e-12 relative to
+  max|k| sum|f| h^d, which bounds every output value;
+* the pruned transforms against the unpruned window
+  ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d``, bit for bit: they
+  take scipy.fft's axis order and its single 1/prod(L) scaling, so every
+  report stays byte-identical;
+* the in-place c2c stages: the field's values and the memoized spectrum are
+  untouched by repeated calls;
 * the transform length per axis, next_fast_len(max(n + r, 2r + 1));
 * the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
   changed kernel of the same shape gets its own spectrum;
@@ -20,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import irfftn, rfftn
 
 import symkit
 from symkit import Grid, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
@@ -65,6 +72,12 @@ def _close(got: np.ndarray, want: np.ndarray, kv: np.ndarray, fv: np.ndarray, h:
     return bool(np.all(np.abs(got - want) <= RTOL * scale))
 
 
+def _unpruned_window(kv: np.ndarray, fv: np.ndarray, h: float, lengths: tuple[int, ...]) -> np.ndarray:
+    """The full-box transform pair that the pruned route replaces."""
+    circ = irfftn(rfftn(fv, lengths) * rfftn(kv, lengths), lengths)
+    return circ[tuple(slice(nk // 2, nk // 2 + n) for nk, n in zip(kv.shape, fv.shape))] * h**fv.ndim
+
+
 class TestConvolveOracle:
     @settings(max_examples=150, deadline=None)
     @given(_cases())
@@ -74,6 +87,42 @@ class TestConvolveOracle:
         out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(g, fv))
         assert out.grid == g
         assert _close(out.values, _lattice_sum(kv, fv, h), kv, fv, h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cases())
+    def test_matches_unpruned_window(self, case):
+        kv, fv, h = case
+        out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(Grid(fv.shape, h), fv)).values
+        assert out.tobytes() == _unpruned_window(kv, fv, h, functionals._kernel_memo[0]).tobytes()
+
+
+class TestPrunedTransforms:
+    # power-of-two lengths (the descent's 64^3) and others, whose 1/L factors
+    # round: the pruned route scales once, as irfftn does
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 30, 18), (45, 33), (200,)])
+    def test_riesz_kernel_matches_unpruned_window(self, shape):
+        g = Grid(shape, 0.125)
+        kern = sample_kernel(PowerLaw(0.5), displacement_grid(g))
+        fv = np.random.default_rng(6).standard_normal(shape)
+        out = convolve(kern, ScalarField(g, fv)).values
+        assert out.tobytes() == _unpruned_window(kern.values, fv, g.h, functionals._kernel_memo[0]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(40,), (12, 10), (8, 6, 7)])
+    def test_in_place_stages_leave_inputs_and_memo_alone(self, shape, monkeypatch):
+        g = Grid(shape, 0.5)
+        rng = np.random.default_rng(8)
+        kern = ScalarField(displacement_grid(g), rng.random(tuple(2 * n - 1 for n in shape)))
+        fields = [ScalarField(g, rng.random(shape)) for _ in range(2)]
+        before = [f.values.copy() for f in fields]
+        monkeypatch.setattr(functionals, "_kernel_memo", None)
+        first = [convolve(kern, f).values for f in fields]
+        for _ in range(3):
+            for f, want in zip(fields, first):
+                assert np.array_equal(convolve(kern, f).values, want)
+        for f, b in zip(fields, before):
+            assert f.values.tobytes() == b.tobytes()
+        lengths, _, spec = functionals._kernel_memo
+        assert spec.tobytes() == rfftn(kern.values, lengths).tobytes()
 
 
 class TestLengthRule:

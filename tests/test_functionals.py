@@ -39,6 +39,7 @@ from symkit import (
     unit_ball_volume,
 )
 from symkit.choquard import choquard_descent
+from symkit.functionals import _forward_diffs, kinetic_gradient
 
 nonneg_vals = st.floats(min_value=0, max_value=50, allow_nan=False, allow_infinity=False)
 signed_vals = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -566,6 +567,51 @@ class TestGradient:
         assert gradient_pnorm(f, math.inf) == pytest.approx(2.0)
 
 
+def _padded_forward_diffs(u):
+    """The np.pad formulation the slice-based stencils replaced."""
+    out = []
+    for ax in range(u.dim):
+        pad = [(0, 0)] * u.dim
+        pad[ax] = (0, 1)
+        out.append(np.diff(np.pad(u.values, pad), axis=ax) / u.h)
+    return out
+
+
+def _padded_kinetic_gradient(u):
+    out = np.zeros_like(u.values)
+    for ax, dk in enumerate(_padded_forward_diffs(u)):
+        pad = [(0, 0)] * u.dim
+        pad[ax] = (1, 0)
+        shifted = np.pad(dk, pad)[tuple(slice(0, n) for n in u.grid.shape)]
+        out += (shifted - dk) * (2.0 / u.h)
+    return out
+
+
+@st.composite
+def _stencil_fields(draw):
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 9, 2: 6, 3: 4}[d])) for _ in range(d))
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), signed_vals)
+    h = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    return ScalarField(Grid(shape, h), draw(arrays(np.float64, shape, elements=elements)))
+
+
+class TestPadFreeStencils:
+    @settings(max_examples=200, deadline=None)
+    @given(_stencil_fields())
+    def test_byte_identical_to_padded_formulation(self, u):
+        got, want = _forward_diffs(u), _padded_forward_diffs(u)
+        assert len(got) == len(want) == u.dim
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert kinetic_gradient(u).tobytes() == _padded_kinetic_gradient(u).tobytes()
+
+    def test_zero_far_edge_gives_positive_zero(self):
+        u = ScalarField(Grid((2, 3), 1.0), np.zeros((2, 3)))
+        for dk in _forward_diffs(u):
+            assert not np.signbit(dk).any()
+        assert not np.signbit(kinetic_gradient(u)).any()
+
+
 class TestHeatPairing:
     def test_single_cell_self_value(self):
         g = Grid((17,), 0.5)
@@ -664,6 +710,23 @@ class TestEnergies:
     def test_choquard_dimension_guard(self):
         with pytest.raises(ValueError, match="3-d"):
             choquard_descent(ScalarField(Grid((8, 8), 0.5), np.ones((8, 8))), steps=1)
+
+    def test_choquard_divergence_is_reported(self):
+        # the step overflows the squared norm; the descent must stop on the
+        # last finite iterate instead of normalizing a flushed-to-zero field
+        g = Grid((8, 8, 8), 0.5)
+        u0 = ScalarField(g, np.exp(-np.random.default_rng(0).uniform(0.0, 1.0, g.shape)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = choquard_descent(u0, steps=3, step_size=1e200)
+        assert result.diverged
+        assert len(result.energies) == 1 and math.isfinite(result.energies[0])
+        assert np.all(np.isfinite(result.final.values))
+        assert float(np.sum(result.final.values**2)) * g.cell_volume == pytest.approx(1.0)
+
+    def test_choquard_overflowing_start_raises(self):
+        g = Grid((4, 4, 4), 0.5)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            choquard_descent(ScalarField(g, np.full(g.shape, 1e200)), steps=1)
 
     def test_choquard_rearrangement_lowers_energy(self):
         rng = np.random.default_rng(17)
