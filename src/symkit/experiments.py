@@ -15,8 +15,6 @@ import time
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0
 
 from .choquard import choquard_descent
 from .field import Grid, GridSet, ScalarField
@@ -486,8 +484,9 @@ def run_refine(config: SuiteConfig, ids=None) -> list[ExperimentReport]:
 # ----------------------------------------------------------------------------
 
 
-def bessel_j0_first_zero() -> float:
-    return float(brentq(j0, 2.0, 3.0, xtol=1e-14))
+# First positive zero of the Bessel function J_0: brentq(j0, 2, 3, xtol=1e-14)
+# returns exactly this double, 1 ulp from scipy.special.jn_zeros(0, 1)[0].
+J0_FIRST_ZERO = 2.404825557695773
 
 
 FABER_KRAHN_N = 64  # cells per side of the unit square, h = 1/64 (D9)
@@ -514,9 +513,8 @@ def faber_krahn_pair() -> tuple[float, float]:
 
 def _faber_krahn() -> ExperimentReport:
     lam_sq, lam_disk = faber_krahn_pair()
-    j01 = bessel_j0_first_zero()
     analytic_sq = 2.0 * math.pi**2
-    analytic_disk = math.pi * j01 * j01
+    analytic_disk = math.pi * J0_FIRST_ZERO * J0_FIRST_ZERO
     gap = lam_sq - lam_disk
     analytic_gap = analytic_sq - analytic_disk
     verdict = (

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, irfft, irfftn, next_fast_len, rfft, rfftn
-from scipy.ndimage import distance_transform_edt
-from scipy.optimize import linprog
 
 from .field import GridSet, ScalarField, measure
 from .kernels import (
@@ -351,6 +349,8 @@ def _bounding_ranges(spec: BLLSpec) -> list[list[tuple[float, float]]] | None:
     LO_n <= sum_m b_{n m} x_m <= HI_n.  Returns None when the constraints are
     infeasible (integrand vanishes identically); raises when unbounded.
     """
+    from scipy.optimize import linprog
+
     b = spec.coeffs
     n, m = b.shape
     d = spec.fields[0].dim
@@ -499,49 +499,43 @@ def _shifted_views(a: np.ndarray, m: tuple[int, ...]):
     return a[tuple(src)], a[tuple(dst)]
 
 
-def fractional_seminorm(u: ScalarField, s: float, p: float, method: str = "auto") -> float:
+def fractional_seminorm(u: ScalarField, s: float, p: float) -> float:
     """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d).
 
-    ``method="direct"`` loops over displacements.  ``method="fft"`` (p = 2
-    only) evaluates the same sum in O(N log N) through the expansion
-    |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j, so its rounding error scales
-    with 2 sum_i u_i^2 srow_i h^d (srow the kernel's row sums), not with the
-    result.  The sum is nonnegative, so an fft result in [-1e-13 scale, 0),
-    scale being that first term, is rounding and returns 0.0, and a lower one
-    raises ``FloatingPointError``.  ``method="auto"`` takes the fft route when
-    p = 2 and the grid has more than 4,096 cells, and the direct route
-    otherwise.
+    This is the p-th power of the discrete W^(s,p) seminorm, and p alone
+    picks the route (DECISIONS.md D12).  At p = 2 the sum is taken in
+    O(N log N) by FFT through |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j, so
+    its rounding error scales with scale = 2 sum_i u_i^2 srow_i h^d (srow the
+    kernel's row sums), not with the result: a result within 1e-13 scale of
+    0 is rounding and returns 0.0, and a lower one raises
+    ``FloatingPointError``, since the sum is nonnegative.  Any other p runs
+    ``_seminorm_direct``, the loop over displacements, which the tests keep
+    as the oracle of the p = 2 route.
     """
     FracKernel(s, p).validate(u.dim)
-    if method not in ("auto", "direct", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fft" and p != 2:
-        raise ValueError("the fft route needs p = 2")
-    d = u.dim
-    h = u.h
-    volsq = u.grid.cell_volume ** 2
-    if method == "auto" and (p != 2 or u.grid.ncells <= 4096):
-        method = "direct"  # exact cancellation for trivial cases, cheap at this size
-    if p == 2 and method in ("auto", "fft"):
-        kfield = sample_kernel(FracKernel(s, p), displacement_grid(u.grid))
-        ones = ScalarField(u.grid, np.ones(u.grid.shape))
-        srow = convolve(kfield, ones)
-        cross = pairing(u, convolve(kfield, u))
-        diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume
-        total, scale = 2.0 * (diag - cross), 2.0 * diag
-        if total >= 0.0:
-            return total
-        if total >= -1e-13 * scale:
-            return 0.0
-        raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
-    expo = -(d + s * p)
+    if p != 2:
+        return _seminorm_direct(u, s, p)
+    kfield = sample_kernel(FracKernel(s, p), displacement_grid(u.grid))
+    srow = convolve(kfield, ScalarField(u.grid, np.ones(u.grid.shape)))
+    cross = pairing(u, convolve(kfield, u))
+    diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume
+    total, scale = 2.0 * (diag - cross), 2.0 * diag
+    if abs(total) <= 1e-13 * scale:
+        return 0.0
+    if total > 0.0:
+        return total
+    raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
+
+
+def _seminorm_direct(u: ScalarField, s: float, p: float) -> float:
+    """The sum of ``fractional_seminorm``, by a loop over displacements."""
+    expo = -(u.dim + s * p)
     total = 0.0
-    uv = u.values
     for m in _displacement_iter(u.grid.shape):
-        a, b = _shifted_views(uv, m)
-        w = (math.sqrt(sum(c * c for c in m)) * h) ** expo
+        a, b = _shifted_views(u.values, m)
+        w = (math.sqrt(sum(c * c for c in m)) * u.h) ** expo
         total += 2.0 * w * float(np.sum(np.abs(a - b) ** p))
-    return total * volsq
+    return total * u.grid.cell_volume ** 2
 
 
 def unit_ball_volume(d: int) -> float:
@@ -594,6 +588,8 @@ def minkowski_content(A: GridSet, eps: float) -> float:
     cell is subtracted so that a cell adjacent to the complement sits at
     distance h/2 from it, matching the continuum strip for slab geometries.
     """
+    from scipy.ndimage import distance_transform_edt
+
     g = A.grid
     if eps < g.h:
         raise ValueError(f"eps = {eps} is below the grid resolution h = {g.h}")

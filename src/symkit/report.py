@@ -26,7 +26,8 @@ VERDICT_TREND = "trend-pass"
 
 
 # Integer config keys and their least allowed values.  Seed 0 is a valid
-# Philox key; negative seeds are not.
+# Philox key; negative seeds are not, nor seeds of 2^64 or more, which
+# ``rng_for`` masks to 64 bits and so to the key of a smaller seed.
 _INT_MINIMUM = {
     "seed": 0,
     "verify_cases": 0,
@@ -81,6 +82,8 @@ class SuiteConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be at most 2**64 - 1, got {self.seed}")
 
     def rungs(self, d: int) -> list[tuple[int, float]]:
         return [(n, h) for dd, n, h in self.ladder if dd == d]

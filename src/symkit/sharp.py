@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .field import Grid, ScalarField
 from .functionals import lp_norm, riesz_triple, unit_ball_volume
@@ -238,6 +237,8 @@ def hls_optimizer(opt: HLSOptimizer, grid: Grid, tail_budget: float = 1e-6) -> S
 
 def _pnorm_beyond(opt: HLSOptimizer, d: int, r0: float) -> float:
     """||f||_p^p of the optimizer profile over |x - a| > r0, by 1-d radial quadrature."""
+    from scipy.integrate import quad
+
     p = hls_exponent(opt.lam, d)
     surf = d * unit_ball_volume(d)
     integrand = lambda r: surf * r ** (d - 1) * opt.profile(r, d) ** p

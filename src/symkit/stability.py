@@ -262,8 +262,6 @@ def continuity_probe(
     kind: str,
     n_steps: int = 8,
     space: str = "w1p",
-    p: float = 2.0,
-    s: float = 0.5,
 ) -> ContinuityProbeResult:
     """Distances of rearranged perturbations along a shrinking-amplitude ladder.
 
@@ -271,9 +269,10 @@ def continuity_probe(
     psi: a smooth compact bump inside the support for ``kind="smooth"``, an
     oscillatory bump localized on the top plateau (assumed origin centered)
     for ``kind="plateau"``.  Emits the input distances ||u_k - u|| and the
-    rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,p)
-    seminorm (gradient_pnorm of the difference) or the W^(s,p) seminorm
-    (fractional_seminorm of the difference, to the power 1/p).
+    rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,2)
+    seminorm for ``space="w1p"`` (gradient_pnorm of the difference at p = 2)
+    or the W^(1/2,2) seminorm for ``space="wsp"`` (the square root of
+    fractional_seminorm of the difference at s = 1/2, p = 2).
     """
     if not u.nonneg:
         raise ValueError("u must be nonnegative")
@@ -298,9 +297,8 @@ def continuity_probe(
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         diff = ScalarField(g, a - b)
         if space == "w1p":
-            return gradient_pnorm(diff, p)
-        # fft at p = 2 whatever the size; `auto` keeps its threshold (D12)
-        return fractional_seminorm(diff, s, p, method="fft" if p == 2 else "direct") ** (1.0 / p)
+            return gradient_pnorm(diff, 2.0)
+        return fractional_seminorm(diff, 0.5, 2.0) ** 0.5
 
     ustar = rearrange(u)
     amps, din, dout = [], [], []

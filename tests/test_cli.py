@@ -47,6 +47,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(p)
 
+    def test_largest_seed_is_accepted(self):
+        assert SuiteConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_ladder_must_halve(self):
         with pytest.raises(ValueError, match="halving"):
             SuiteConfig(ladder=((1, 128, 1 / 16), (1, 256, 1 / 16), (1, 512, 1 / 64)))
@@ -195,21 +198,28 @@ class TestSuiteVerbs:
             ("ladder", _with_rung(6, [4, 8, 0.5]), "ladder dimension must be 1 or 2"),
             ("ladder", _with_rung(0, [1, 128, math.nan]), "ladder spacing must be a finite"),
             ("ladder", _DEFAULT_LADDER[3:], "ladder for d=1 must have at least 3 rungs"),
+            # a Philox key has 64 bits: 2^64 would run the inputs of seed 0
+            ("seed", 2**64, "seed must be at most 2**64 - 1"),
+            ("--seed", 2**64, "seed must be at most 2**64 - 1"),
         ],
         ids=[
             "top_level_list", "integer_out_dir", "integer_ladder", "null_spacing",
             "four_entry_rung", "fractional_extent", "bool_dimension", "dimension_four",
-            "nan_spacing", "no_1d_rungs",
+            "nan_spacing", "no_1d_rungs", "seed_above_64_bits", "seed_flag_above_64_bits",
         ],
     )
     def test_bad_config_document_exit_code(self, tiny_config, capsys, key, value, message):
+        # a key starting with "--" is a command-line flag, not a config key
         cfg = json.loads(tiny_config.read_text())
+        flags = []
         if key is None:
             cfg = value
+        elif key.startswith("--"):
+            flags = [key, str(value)]
         else:
             cfg[key] = value
         tiny_config.write_text(json.dumps(cfg))
-        assert main(["--config", str(tiny_config), "verify"]) == 2
+        assert main(["--config", str(tiny_config), *flags, "verify"]) == 2
         assert message in capsys.readouterr().err
 
     def test_unknown_inequality_exit_code(self, tiny_config):

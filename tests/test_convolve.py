@@ -14,9 +14,13 @@
   changed kernel of the same shape gets its own spectrum;
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
   bit for bit;
-* ``import symkit.cli`` does not load ``scipy.signal``.
+* ``import symkit.cli`` does not load ``scipy.signal``, nor the submodules
+  that only some verbs call (``scipy.optimize``, ``scipy.ndimage`` and
+  ``scipy.integrate``), and the ``spectral`` verb loads none of those three.
 """
 
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -213,9 +217,29 @@ class TestFullMode:
         assert np.array_equal(_fftconvolve_full(a, rev), fftconvolve(a, rev, mode="full"))
 
 
-def test_cli_import_leaves_scipy_signal_out():
+# imported inside the functions that call them, which no verb but refine reaches
+_LAZY_SCIPY = ("scipy.optimize", "scipy.ndimage", "scipy.integrate")
+
+
+@functools.cache
+def _modules_loaded_by(code: str) -> frozenset[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
     src = str(Path(symkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, symkit.cli; print('scipy.signal' in sys.modules)"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    return frozenset(json.loads(res.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module", ["scipy.signal", *_LAZY_SCIPY])
+def test_cli_import_leaves_scipy_module_out(module):
+    assert "symkit.cli" in _modules_loaded_by("import symkit.cli")
+    assert module not in _modules_loaded_by("import symkit.cli")
+
+
+def test_spectral_verb_leaves_lazy_scipy_modules_out(tmp_path):
+    # the `spectra` benchmark workload runs this verb in about 0.2 s
+    code = f"import symkit.cli\nassert symkit.cli.main(['--out', {str(tmp_path)!r}, 'spectral']) == 0"
+    loaded = _modules_loaded_by(code)
+    assert "symkit.spectral" in loaded
+    assert not loaded & set(_LAZY_SCIPY)

@@ -39,7 +39,7 @@ from symkit import (
     unit_ball_volume,
 )
 from symkit.choquard import choquard_descent
-from symkit.functionals import _forward_diffs, kinetic_gradient
+from symkit.functionals import _forward_diffs, _seminorm_direct, kinetic_gradient
 
 nonneg_vals = st.floats(min_value=0, max_value=50, allow_nan=False, allow_infinity=False)
 signed_vals = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -400,15 +400,19 @@ class TestBLL:
 
 class TestFractionalSeminorm:
     def test_constant_is_zero(self):
-        f = ScalarField(Grid((8,), 0.5), np.full(8, 3.0))
-        assert fractional_seminorm(f, 0.5, 2.0) == 0.0
+        # without its rounding rule the fft route returns 5.7e-14 on 8 cells;
+        # 64x64 and 65x65 sit on both sides of the old direct-route size
+        for shape in [(8,), (5000,), (8, 8), (64, 64), (65, 65), (8, 8, 8)]:
+            f = ScalarField(Grid(shape, 0.5), np.full(shape, 3.0))
+            assert fractional_seminorm(f, 0.5, 2.0) == 0.0, shape
 
     def test_indicator_vs_double_loop(self):
         g = Grid((10,), 0.5)
         mask = np.zeros(10)
         mask[3:6] = 1.0
         u = ScalarField(g, mask)
-        val = fractional_seminorm(u, 0.5, 1.0, method="direct")
+        val = _seminorm_direct(u, 0.5, 1.0)
+        assert fractional_seminorm(u, 0.5, 1.0) == val  # p != 2 takes the loop
         x = g.axis_coords(0)
         acc = 0.0
         for i in range(10):
@@ -420,8 +424,8 @@ class TestFractionalSeminorm:
     def test_fft_equals_direct(self):
         rng = np.random.default_rng(8)
         u = ScalarField(Grid((9, 7), 0.4), rng.random((9, 7)))
-        a = fractional_seminorm(u, 0.3, 2.0, method="direct")
-        b = fractional_seminorm(u, 0.3, 2.0, method="fft")
+        a = _seminorm_direct(u, 0.3, 2.0)
+        b = fractional_seminorm(u, 0.3, 2.0)
         assert a == pytest.approx(b, rel=1e-11)
 
     @given(
@@ -447,8 +451,8 @@ class TestFractionalSeminorm:
         kfield = sample_kernel(FracKernel(s, 2.0), displacement_grid(grid))
         srow = convolve(kfield, ScalarField(grid, np.ones(shape))).values
         scale = 2.0 * float(np.sum(u.values**2 * srow)) * grid.cell_volume
-        direct = fractional_seminorm(u, s, 2.0, method="direct")
-        fft = fractional_seminorm(u, s, 2.0, method="fft")
+        direct = _seminorm_direct(u, s, 2.0)
+        fft = fractional_seminorm(u, s, 2.0)
         assert abs(fft - direct) <= 1e-13 * scale
 
     @given(
@@ -462,7 +466,7 @@ class TestFractionalSeminorm:
         # 2 (diag - cross) cancels to rounding on these fields and fell below 0
         g = np.random.default_rng(seed).standard_normal((n, n))
         u = ScalarField(Grid((n, n), 1.0 / n), 1.0 + eps * g)
-        assert fractional_seminorm(u, s, 2.0, method="fft") >= 0.0
+        assert fractional_seminorm(u, s, 2.0) >= 0.0
 
     def test_fft_route_raises_below_its_rounding_scale(self, monkeypatch):
         import symkit.functionals as fn
@@ -471,7 +475,7 @@ class TestFractionalSeminorm:
         real_pairing = fn.pairing
         monkeypatch.setattr(fn, "pairing", lambda a, b: 2.0 * real_pairing(a, b))
         with pytest.raises(FloatingPointError, match="rounding scale"):
-            fractional_seminorm(u, 0.5, 2.0, method="fft")
+            fractional_seminorm(u, 0.5, 2.0)
 
     def test_parameter_validation(self):
         f = ScalarField(Grid((4,), 0.5), np.zeros(4))

@@ -103,6 +103,16 @@ class TestDirichletSpectrum:
         lam_disk = dirichlet_spectrum(disk, None, 1)[0]
         assert lam_sq > lam_disk
 
+    def test_j0_first_zero(self):
+        from scipy.optimize import brentq
+        from scipy.special import j0, jn_zeros
+
+        from symkit.experiments import J0_FIRST_ZERO
+
+        assert J0_FIRST_ZERO == brentq(j0, 2.0, 3.0, xtol=1e-14)
+        ref = float(jn_zeros(0, 1)[0])
+        assert abs(J0_FIRST_ZERO - ref) <= 2 * np.spacing(ref)
+
     def test_guards(self):
         g = Grid((4,), 0.5)
         with pytest.raises(ValueError, match="empty"):

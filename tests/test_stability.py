@@ -255,14 +255,14 @@ class TestContinuityProbe:
     def test_smooth_w12_decays(self):
         g = Grid((48, 48), 4.0 / 48)
         u = radial_bump_field(g, radius=1.2)
-        res = continuity_probe(u, "smooth", n_steps=6, space="w1p", p=2.0)
+        res = continuity_probe(u, "smooth", n_steps=6, space="w1p")
         assert res.distances[-1] <= 0.2 * res.distances[0]
         assert res.input_distances[-1] <= 0.2 * res.input_distances[0]
 
     def test_fractional_space_decays_for_plateau(self):
         g = Grid((48, 48), 4.0 / 48)
         u = plateau_field(g, 0.7, 1.4)
-        res = continuity_probe(u, "plateau", n_steps=6, space="wsp", s=0.5, p=2.0)
+        res = continuity_probe(u, "plateau", n_steps=6, space="wsp")
         assert res.distances[-1] <= 0.2 * res.distances[0]
 
     def test_plateau_w12_decays_at_amplitude_rate(self):
@@ -271,20 +271,19 @@ class TestContinuityProbe:
         # the measured behavior the acceptance criterion asks to exceed
         g = Grid((48, 48), 4.0 / 48)
         u = plateau_field(g, 0.7, 1.4)
-        res = continuity_probe(u, "plateau", n_steps=6, space="w1p", p=2.0)
+        res = continuity_probe(u, "plateau", n_steps=6, space="w1p")
         assert res.distances[-1] <= 0.2 * res.distances[0]
 
     def test_wsp_distances_match_direct_route(self, monkeypatch):
         # the default probe fields of `probe-continuity`; the probes take the
-        # fft route at p = 2 and the direct route is the oracle
+        # fft route at p = 2 and the direct loop is the oracle
         import symkit.stability as stab
+        from symkit.functionals import _seminorm_direct
 
         g = Grid((64, 64), 4.0 / 64)
         fields = {"smooth": radial_bump_field(g, radius=1.2), "plateau": plateau_field(g, 0.7, 1.4)}
         fast = {kind: continuity_probe(u, kind, n_steps=8, space="wsp") for kind, u in fields.items()}
-        seminorm = stab.fractional_seminorm
-        direct = lambda u, s, p, method: seminorm(u, s, p, "direct")
-        monkeypatch.setattr(stab, "fractional_seminorm", direct)
+        monkeypatch.setattr(stab, "fractional_seminorm", _seminorm_direct)
         for kind, u in fields.items():
             slow = continuity_probe(u, kind, n_steps=8, space="wsp")
             got = fast[kind].distances + fast[kind].input_distances
