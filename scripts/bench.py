@@ -144,7 +144,7 @@ def _seminorm(seminorm, calls):
 
 def _probe(tmp):
     u = plateau_field(Grid((64, 64), 4.0 / 64), top_radius=0.7, outer_radius=1.4)
-    run = lambda i: continuity_probe(u, "plateau", n_steps=8, space="wsp")
+    run = lambda i: continuity_probe(u, "plateau", space="wsp")
     return run, 1, {"cells": 64 * 64, "steps": 8}
 
 

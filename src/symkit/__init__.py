@@ -18,9 +18,7 @@ from .functionals import (
     BLLSpec,
     JExpansionF,
     MCEstimate,
-    MinF,
     PowerProfile,
-    ProductF,
     UnboundedRegionError,
     bll_integral,
     convolve,
@@ -53,8 +51,6 @@ from .rearrange import (
     set_symmetrize,
 )
 from .sharp import (
-    GaussianTriple,
-    HLSOptimizer,
     hls_constant,
     hls_exponent,
     hls_optimizer,

@@ -21,9 +21,7 @@ from .field import Grid, GridSet, ScalarField
 from .functionals import (
     BLLSpec,
     JExpansionF,
-    MinF,
     PowerProfile,
-    ProductF,
     bll_integral,
     expansion_gaps,
     fractional_perimeter,
@@ -57,11 +55,10 @@ from .report import (
     digest_inputs,
 )
 from .sharp import (
-    GaussianTriple,
-    HLSOptimizer,
     hls_constant,
     hls_norm_tail,
     hls_optimizer,
+    hls_profile,
     hls_quotient,
     young_gaussian_triple,
     young_quotient,
@@ -114,39 +111,29 @@ def _worst(pairs) -> tuple[float, float]:
 # ----------------------------------------------------------------------------
 
 
-def _corruptible_rearrange(f: ScalarField, corrupt: bool) -> ScalarField:
-    out = rearrange(f)
-    if corrupt and out.grid.ncells >= 2:
-        v = out.values.copy().ravel()
-        order = cell_order(out.grid.shape)
-        v[order[0]], v[order[-1]] = v[order[-1]], v[order[0]]
-        out = ScalarField(out.grid, v.reshape(out.grid.shape))
-    return out
-
-
 def _rel_gap(bad: float, good: float) -> float:
     """Positive when `bad` exceeds `good`, relative to the larger magnitude."""
     scale = max(abs(bad), abs(good), 1e-300)
     return (bad - good) / scale
 
 
-def run_verify(config: SuiteConfig, corrupt: bool = False) -> list[ExperimentReport]:
+def run_verify(config: SuiteConfig) -> list[ExperimentReport]:
     """Exact discrete inequalities on seeded random pairs; slack 1e-12 relative.
 
     All checks share one pass over the cases, so every report carries that
     pass's wall time.
     """
-    return _run([partial(_verify, config, corrupt)])
+    return _run([partial(_verify, config)])
 
 
-def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
+def _verify(config: SuiteConfig) -> list[ExperimentReport]:
     worst: dict[str, float] = {}
 
     def note(name: str, gap: float):
         worst[name] = max(worst.get(name, 0.0), gap)
 
     profile = PowerProfile(2.0)
-    forms = {"product": ProductF(), "min": MinF(), "jexp": JExpansionF(profile)}
+    forms = {"product": np.multiply, "min": np.minimum, "jexp": JExpansionF(profile)}
     n_cases = config.verify_cases
     for d in (1, 2):
         n = config.verify_shape_1d if d == 1 else config.verify_shape_2d
@@ -162,7 +149,7 @@ def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
                 sample_bumps(rng, d, half, config.n_bumps, config.support_fraction, signed=True),
                 grid,
             )
-            fstar = _corruptible_rearrange(f, corrupt)
+            fstar = rearrange(f)
             gstar = rearrange(g)
             fp = ScalarField(grid, np.abs(f.values))
             gp = ScalarField(grid, np.abs(g.values))
@@ -193,7 +180,8 @@ def _verify(config: SuiteConfig, corrupt: bool) -> list[ExperimentReport]:
             note("hanner_high", _rel_gap(h_hi0, h_hi1))
 
     reports = []
-    digest = digest_inputs(config.seed, n_cases, corrupt)
+    # the literal False fills the slot of a removed option, so digests keep their bytes (D13)
+    digest = digest_inputs(config.seed, n_cases, False)
     for name, violation in sorted(worst.items()):
         rep = ExperimentReport(
             experiment_id=f"verify-{name}",
@@ -305,50 +293,47 @@ _CONTRACTS = {
 }
 
 
-def _contraction_verdict(viols, scales, config) -> str:
+def _ladder_report(config, experiment_id, digest, ladder) -> ExperimentReport:
+    """Contraction report of a ladder of ``_worst`` (violation, scale) pairs, coarse to fine.
+
+    Passes (as a trend) when each violation is at most the contraction factor
+    times the previous one, up to rounding of the scales, and the finest
+    violation is at most the final fraction of its scale.
+    """
+    viols, scales = [v for v, _ in ladder], [s for _, s in ladder]
     atol = 1e-14 * max(scales + [1.0])
     ok = all(v2 <= config.contraction_factor * v1 + atol for v1, v2 in zip(viols, viols[1:]))
     final_ok = viols[-1] <= config.final_violation_fraction * max(scales[-1], 1e-300)
-    return VERDICT_TREND if ok and final_ok else VERDICT_FAIL
-
-
-def _contract_report(config, ineq_id, d) -> ExperimentReport:
-    rungs = config.rungs(d)
-    ladder = [_worst(_CONTRACTS[ineq_id](config, d, n, h)) for n, h in rungs]
-    viols, scales = [v for v, _ in ladder], [s for _, s in ladder]
-    factors = [
-        (v2 / v1 if v1 > 0 else 0.0) for v1, v2 in zip(viols, viols[1:])
-    ]
     return ExperimentReport(
-        experiment_id=f"refine-{ineq_id}-{d}d",
-        inputs_digest=digest_inputs(config.seed, ineq_id, d, tuple(rungs)),
+        experiment_id=experiment_id,
+        inputs_digest=digest,
         values={"final_violation": viols[-1], "final_scale": scales[-1]},
         tolerances={
             "contraction_factor": config.contraction_factor,
             "final_fraction": config.final_violation_fraction,
         },
-        series={"violations": viols, "scales": scales, "factors": factors},
-        verdict=_contraction_verdict(viols, scales, config),
+        series={"violations": viols, "scales": scales},
+        verdict=VERDICT_TREND if ok and final_ok else VERDICT_FAIL,
     )
+
+
+def _contract_report(config, ineq_id, d) -> ExperimentReport:
+    rungs = config.rungs(d)
+    ladder = [_worst(_CONTRACTS[ineq_id](config, d, n, h)) for n, h in rungs]
+    digest = digest_inputs(config.seed, ineq_id, d, tuple(rungs))
+    rep = _ladder_report(config, f"refine-{ineq_id}-{d}d", digest, ladder)
+    viols = rep.series["violations"]
+    rep.series["factors"] = [(v2 / v1 if v1 > 0 else 0.0) for v1, v2 in zip(viols, viols[1:])]
+    return rep
 
 
 def young_equality_quotients(config) -> list[float]:
     """Quotient of the 1-d Gaussian equality family along the d=1 ladder."""
+    p, q, r = 2.0, 4.0 / 3.0, 4.0 / 3.0
     out = []
-    triple = GaussianTriple(
-        p=2.0,
-        q=4.0 / 3.0,
-        r=4.0 / 3.0,
-        amplitudes=(1.0, 1.0, 1.0),
-        a=(0.0,),
-        b=(0.0,),
-        c=(0.0,),
-        J=np.array([[1.0]]),
-    )
     for n, h in config.rungs(1):
-        grid = _grid(1, n, h)
-        f, g, hh = young_gaussian_triple(triple, grid)
-        out.append(young_quotient(f, g, hh, triple.p, triple.q, triple.r))
+        f, g, hh = young_gaussian_triple(_grid(1, n, h), p, q, r)
+        out.append(young_quotient(f, g, hh, p, q, r))
     return out
 
 
@@ -382,14 +367,13 @@ def hls_optimizer_quotients():
     from scipy.integrate import quad
 
     lam, box_half = HLS_LAMBDA, HLS_BOX_HALF
-    opt = HLSOptimizer(lam=lam, amplitude=1.0, center=(0.0,), gamma=1.0)
-    prof = lambda r: opt.profile(r, 1)
+    prof = lambda r: hls_profile(r, lam, 1)
     mass_total = 2.0 * quad(prof, 0.0, np.inf, limit=200)[0]
     quotients, bias = [], []
     for n in HLS_RUNGS:
         grid = _grid(1, n, 2 * box_half / n)
-        f = hls_optimizer(opt, grid, tail_budget=0.2)
-        tail = hls_norm_tail(opt, grid)
+        f = hls_optimizer(lam, grid)
+        tail = hls_norm_tail(lam, grid)
         q = hls_quotient(f, f, lam, norm_tails=(tail, tail))
         quotients.append(q)
         outer = 2.0 * quad(lambda r: prof(r) * r ** (-lam), box_half, np.inf, limit=200)[0]
@@ -545,18 +529,8 @@ def _heat_trace_random(config) -> ExperimentReport:
         _worst(_heat_trace_pairs(config, _grid(2, n, base_h / 2**rung), keys, 0.55, (0.05, 0.1, 0.2)))
         for rung, n in enumerate(rung_ns)
     ]
-    pair_viols, pair_scales = [v for v, _ in ladder], [s for _, s in ladder]
-    return ExperimentReport(
-        experiment_id="spectral-heat-trace-random",
-        inputs_digest=digest_inputs(config.seed, "heat-random", rung_ns, n_pairs),
-        values={"final_violation": pair_viols[-1], "final_scale": pair_scales[-1]},
-        tolerances={
-            "contraction_factor": config.contraction_factor,
-            "final_fraction": config.final_violation_fraction,
-        },
-        series={"violations": pair_viols, "scales": pair_scales},
-        verdict=_contraction_verdict(pair_viols, pair_scales, config),
-    )
+    digest = digest_inputs(config.seed, "heat-random", rung_ns, n_pairs)
+    return _ladder_report(config, "spectral-heat-trace-random", digest, ladder)
 
 
 def _heat_perimeter_square() -> ExperimentReport:
@@ -808,7 +782,7 @@ def _choquard(config: SuiteConfig) -> ExperimentReport:
 
 
 def _continuity(config, kind, u, space, expectation) -> ExperimentReport:
-    res = continuity_probe(u, kind, n_steps=8, space=space)
+    res = continuity_probe(u, kind, space=space)
     first, last = res.distances[0], res.distances[-1]
     if expectation == "decay":
         ok = last <= 0.1 * first

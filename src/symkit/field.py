@@ -294,6 +294,18 @@ def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarr
     return arr
 
 
+def _split_lines(text: str) -> list[str]:
+    r"""Lines as text mode reads them: only \n, \r\n and \r end a line.
+
+    ``str.splitlines`` would also split at \x0b, \x0c, \x1c-\x1e, \x85,
+    U+2028 and U+2029, which text mode keeps inside the line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _read_lines(path) -> list[str]:
     """The file's lines, split as in text mode; invalid UTF-8 is a format error."""
     with open(path, "rb") as fh:
@@ -301,10 +313,10 @@ def _read_lines(path) -> list[str]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        line = len(_split_lines(data[: e.start].decode("utf-8") + "x"))
         raise FieldFormatError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line=line) from None
     del data  # the bytes go before the lines are built, as in text mode
-    return text.splitlines()
+    return _split_lines(text)
 
 
 def load(path) -> ScalarField | GridSet:

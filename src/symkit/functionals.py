@@ -25,7 +25,6 @@ from .field import GridSet, ScalarField, measure
 from .kernels import (
     FracKernel,
     HeatGaussian,
-    KernelSpec,
     PowerLaw,
     displacement_grid,
     sample_kernel,
@@ -33,10 +32,7 @@ from .kernels import (
 
 __all__ = [
     "UnboundedRegionError",
-    "ProductF",
-    "MinF",
     "JExpansionF",
-    "SupermodularF",
     "PowerProfile",
     "BLLSpec",
     "MCEstimate",
@@ -83,26 +79,6 @@ class PowerProfile:
         return np.asarray(t, dtype=np.float64) ** self.p
 
 
-class ProductF:
-    """F(u, v) = u v."""
-
-    def __call__(self, u, v):
-        return np.asarray(u) * np.asarray(v)
-
-    def __repr__(self):
-        return "ProductF()"
-
-
-class MinF:
-    """F(u, v) = min(u, v)."""
-
-    def __call__(self, u, v):
-        return np.minimum(u, v)
-
-    def __repr__(self):
-        return "MinF()"
-
-
 @dataclass(frozen=True)
 class JExpansionF:
     """F(u, v) = j(u) + j(v) - j(|u - v|) for a convex profile j."""
@@ -114,9 +90,6 @@ class JExpansionF:
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         return j(u) + j(v) - j(np.abs(u - v))
-
-
-SupermodularF = ProductF | MinF | JExpansionF
 
 
 # ----------------------------------------------------------------------------
@@ -144,8 +117,8 @@ def pairing(f: ScalarField, g: ScalarField) -> float:
     return float(np.sum(f.values * g.values)) * f.grid.cell_volume
 
 
-def supermodular_pairing(F: SupermodularF, f: ScalarField, g: ScalarField) -> float:
-    """sum F(f_i, g_i) h^d for nonnegative fields."""
+def supermodular_pairing(F, f: ScalarField, g: ScalarField) -> float:
+    """sum F(f_i, g_i) h^d for nonnegative fields; F maps two value arrays to one."""
     _check_same_grid(f, g)
     if not (f.nonneg and g.nonneg):
         raise ValueError("supermodular pairing requires nonnegative fields")
@@ -272,14 +245,10 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, kept * f.grid.cell_volume)
 
 
-def riesz_triple(f: ScalarField, kern: KernelSpec | ScalarField, h: ScalarField) -> float:
-    """Double integral f(x) g(x-y) h(y) dx dy with g the middle kernel."""
+def riesz_triple(f: ScalarField, kern: ScalarField, h: ScalarField) -> float:
+    """Double integral f(x) g(x-y) h(y) dx dy; the kernel g is sampled on a displacement grid."""
     _check_same_grid(f, h)
-    if isinstance(kern, ScalarField):
-        kfield = kern
-    else:
-        kfield = sample_kernel(kern, displacement_grid(f.grid))
-    return pairing(f, convolve(kfield, h))
+    return pairing(f, convolve(kern, h))
 
 
 # ----------------------------------------------------------------------------

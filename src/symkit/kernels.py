@@ -112,8 +112,8 @@ def _cell_average_power(lam: float, h: float, z0: tuple[float, ...], subs: int) 
     return float(np.mean(r ** (-lam)))
 
 
-def sample_kernel_averaged(spec: PowerLaw, grid: Grid) -> ScalarField:
-    """Power-law kernel with per-cell averages near the singularity.
+def sample_kernel_averaged(lam: float, grid: Grid) -> ScalarField:
+    """Power-law kernel |z|^(-lam) with per-cell averages near the singularity.
 
     Cells with max-norm index within ``_AVG_RADIUS`` of the origin carry the
     midpoint-subsampled cell average of |z|^(-lam) instead of the center
@@ -121,9 +121,7 @@ def sample_kernel_averaged(spec: PowerLaw, grid: Grid) -> ScalarField:
     average and is kept.  This quadrature is used where the slow convergence
     of center sampling against a |z|^(-lam) singularity would dominate the
     error budget (the sharp-constant quotients)."""
-    if not isinstance(spec, PowerLaw):
-        raise TypeError("averaged sampling is defined for power-law kernels")
-    field = sample_kernel(spec, grid)
+    field = sample_kernel(PowerLaw(lam), grid)
     vals = field.values.copy()
     d = grid.dim
     center = tuple(n // 2 for n in grid.shape)
@@ -139,7 +137,7 @@ def sample_kernel_averaged(spec: PowerLaw, grid: Grid) -> ScalarField:
         cell = tuple(s[i] for s, i in zip(span, idx))
         subs = subs_singular if cell == center else subs_regular
         z0 = tuple((cell[k] - center[k]) * grid.h for k in range(d))
-        vals[cell] = _cell_average_power(spec.lam, grid.h, z0, subs)
+        vals[cell] = _cell_average_power(lam, grid.h, z0, subs)
     return ScalarField(grid, vals)
 
 

@@ -15,22 +15,20 @@ induced bias bound is returned for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import Grid, ScalarField
 from .functionals import lp_norm, riesz_triple, unit_ball_volume
-from .kernels import PowerLaw, displacement_grid, sample_kernel_averaged
+from .kernels import displacement_grid, sample_kernel_averaged
 
 __all__ = [
     "young_constant",
-    "GaussianTriple",
     "young_gaussian_triple",
     "young_quotient",
     "hls_constant",
-    "HLSOptimizer",
     "hls_exponent",
+    "hls_profile",
     "hls_optimizer",
     "hls_norm_tail",
     "hls_quotient",
@@ -52,107 +50,39 @@ def young_constant(s: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianTriple:
-    """Parameters of the Gaussian equality family (real realization, zero frequency).
-
-    The three factors are A exp(-p'(x-a, J(x-a))), B exp(-q'(x-b, J(x-b))),
-    C exp(-r'(y-c, J(y-c))) with conjugate exponents; the exponent identity
-    1/p + 1/q + 1/r = 2 must hold to 1e-12 and J must be symmetric positive
-    definite.  Equality in the inequality additionally needs b = a - c, which
-    is the caller's choice of centers.
-    """
-
-    p: float
-    q: float
-    r: float
-    amplitudes: tuple[float, float, float]
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
-    J: np.ndarray
-
-    def __post_init__(self):
-        for t in (self.p, self.q, self.r):
-            if not 1 < t < math.inf:
-                raise ValueError("Gaussian family needs exponents strictly between 1 and inf")
-        if abs(1 / self.p + 1 / self.q + 1 / self.r - 2.0) > 1e-12:
-            raise ValueError("exponent identity 1/p + 1/q + 1/r = 2 violated")
-        J = np.asarray(self.J, dtype=np.float64)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValueError("J must be a square matrix")
-        if not np.allclose(J, J.T, rtol=0, atol=1e-12):
-            raise ValueError("J must be symmetric")
-        if np.linalg.eigvalsh(J).min() <= 0:
-            raise ValueError("J must be positive definite")
-        d = J.shape[0]
-        for ctr in (self.a, self.b, self.c):
-            if len(ctr) != d:
-                raise ValueError("center dimension does not match J")
-        J = J.copy()
-        J.setflags(write=False)
-        object.__setattr__(self, "J", J)
-
-    @property
-    def dim(self) -> int:
-        return self.J.shape[0]
-
-
 def _conjugate(s: float) -> float:
     return s / (s - 1.0)
 
 
-def _sample_gaussian(grid: Grid, amp: float, expo: float, center, J: np.ndarray) -> ScalarField:
-    coords = grid.coords()
-    d = grid.dim
-    diffs = [coords[k] - center[k] for k in range(d)]
-    quad_form = np.zeros(grid.shape)
-    for i in range(d):
-        for j in range(d):
-            if J[i, j] != 0.0:
-                quad_form += J[i, j] * diffs[i] * diffs[j]
-    return ScalarField(grid, amp * np.exp(-expo * quad_form))
-
-
-def _gaussian_tail_fraction(grid: Grid, expo: float, center, J: np.ndarray) -> float:
-    """Upper bound on the mass fraction of exp(-expo (x-a, J(x-a))) outside the box."""
-    alpha = expo * float(np.linalg.eigvalsh(J).min())
-    frac = 0.0
-    for k in range(grid.dim):
-        half = grid.half_widths()[k]
-        margin = half - abs(center[k])
-        if margin <= 0:
-            return 1.0
-        frac += math.erfc(math.sqrt(alpha) * margin)
-    return frac
-
-
 def young_gaussian_triple(
-    t: GaussianTriple, grid: Grid
+    grid: Grid, p: float, q: float, r: float
 ) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Sample the equality family: f, h on the data grid, g on its displacement grid.
+    """Sample the centered equality family exp(-p'|x|^2), exp(-q'|z|^2), exp(-r'|y|^2).
 
-    The middle factor g is the convolution kernel, so it lives on the
-    displacement companion of ``grid``.  Raises when any factor keeps more
-    than 1e-10 of its mass outside its box.
+    The exponents must lie strictly between 1 and inf and satisfy
+    1/p + 1/q + 1/r = 2 to 1e-12.  f and h live on the data grid; the middle
+    factor g is the convolution kernel, so it lives on the displacement
+    companion of ``grid``.  Raises when any factor keeps more than 1e-10 of
+    its mass outside its box.
     """
-    if t.dim != grid.dim:
-        raise ValueError("triple dimension does not match grid")
+    for t in (p, q, r):
+        if not 1 < t < math.inf:
+            raise ValueError("Gaussian family needs exponents strictly between 1 and inf")
+    if abs(1 / p + 1 / q + 1 / r - 2.0) > 1e-12:
+        raise ValueError("exponent identity 1/p + 1/q + 1/r = 2 violated")
     gd = displacement_grid(grid)
-    A, B, C = t.amplitudes
-    specs = [
-        (grid, A, _conjugate(t.p), t.a),
-        (gd, B, _conjugate(t.q), t.b),
-        (grid, C, _conjugate(t.r), t.c),
-    ]
-    for g_, _, expo, ctr in specs:
-        frac = _gaussian_tail_fraction(g_, expo, ctr, t.J)
+    specs = [(grid, _conjugate(p)), (gd, _conjugate(q)), (grid, _conjugate(r))]
+    for g_, expo in specs:
+        frac = sum(math.erfc(math.sqrt(expo) * half) for half in g_.half_widths())
         if frac > 1e-10:
             raise ValueError(f"box too small: tail mass fraction {frac:.2e} exceeds 1e-10")
-    f = _sample_gaussian(grid, A, _conjugate(t.p), t.a, t.J)
-    g = _sample_gaussian(gd, B, _conjugate(t.q), t.b, t.J)
-    h = _sample_gaussian(grid, C, _conjugate(t.r), t.c, t.J)
-    return f, g, h
+    out = []
+    for g_, expo in specs:
+        quad_form = np.zeros(g_.shape)
+        for c in g_.coords():
+            quad_form += c * c
+        out.append(ScalarField(g_, np.exp(-expo * quad_form)))
+    return tuple(out)
 
 
 def young_quotient(
@@ -192,69 +122,52 @@ def hls_constant(lam: float, d: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class HLSOptimizer:
-    """Optimizer family f(x) = A (gamma^2 + |x - a|^2)^(-(2d - lam)/2)."""
-
-    lam: float
-    amplitude: float
-    center: tuple[float, ...]
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    def profile(self, r, d: int):
-        r = np.asarray(r, dtype=np.float64)
-        return self.amplitude * (self.gamma**2 + r**2) ** (-(2.0 * d - self.lam) / 2.0)
+def hls_profile(r, lam: float, d: int):
+    """The centered optimizer profile (1 + r^2)^(-(2d - lam)/2)."""
+    r = np.asarray(r, dtype=np.float64)
+    return (1.0 + r**2) ** (-(2.0 * d - lam) / 2.0)
 
 
-def hls_optimizer(opt: HLSOptimizer, grid: Grid, tail_budget: float = 1e-6) -> ScalarField:
-    """Sample the optimizer; rejects boxes keeping more than tail_budget of the L^p mass.
+def hls_optimizer(lam: float, grid: Grid) -> ScalarField:
+    """Sample the centered optimizer; rejects boxes keeping more than 0.2 of the L^p mass.
 
-    The tails are power laws, so at desk resolutions the budget usually has
-    to be relaxed and the norm evaluated with the analytic correction from
-    ``hls_norm_tail``.
+    The tails are power laws, so at desk resolutions the norm is evaluated
+    with the analytic correction from ``hls_norm_tail``.
     """
     d = grid.dim
-    if not 0 < opt.lam < d:
+    if not 0 < lam < d:
         raise ValueError(f"lambda must be in (0, {d})")
-    if len(opt.center) != d:
-        raise ValueError("center dimension does not match grid")
-    frac = hls_norm_tail(opt, grid) / _pnorm_beyond(opt, d, 0.0)
-    if frac > tail_budget:
+    frac = hls_norm_tail(lam, grid) / _pnorm_beyond(lam, d, 0.0)
+    if frac > 0.2:
         raise ValueError(
-            f"tail mass fraction {frac:.3e} exceeds budget {tail_budget:.1e}; "
-            "enlarge the box or raise the budget and use the tail correction"
+            f"tail mass fraction {frac:.3e} exceeds 0.2; "
+            "enlarge the box and use the tail correction"
         )
-    coords = grid.coords()
     r2 = np.zeros(grid.shape)
-    for k in range(d):
-        r2 += (coords[k] - opt.center[k]) ** 2
-    return ScalarField(grid, opt.profile(np.sqrt(r2), d))
+    for c in grid.coords():
+        r2 += c**2
+    return ScalarField(grid, hls_profile(np.sqrt(r2), lam, d))
 
 
-def _pnorm_beyond(opt: HLSOptimizer, d: int, r0: float) -> float:
-    """||f||_p^p of the optimizer profile over |x - a| > r0, by 1-d radial quadrature."""
+def _pnorm_beyond(lam: float, d: int, r0: float) -> float:
+    """||f||_p^p of the optimizer profile over |x| > r0, by 1-d radial quadrature."""
     from scipy.integrate import quad
 
-    p = hls_exponent(opt.lam, d)
+    p = hls_exponent(lam, d)
     surf = d * unit_ball_volume(d)
-    integrand = lambda r: surf * r ** (d - 1) * opt.profile(r, d) ** p
+    integrand = lambda r: surf * r ** (d - 1) * hls_profile(r, lam, d) ** p
     value, _ = quad(integrand, r0, np.inf, limit=200)
     return float(value)
 
 
-def hls_norm_tail(opt: HLSOptimizer, grid: Grid) -> float:
+def hls_norm_tail(lam: float, grid: Grid) -> float:
     """Analytic tail of ||f||_p^p outside the box's inscribed ball, by 1-d quadrature.
 
     Conservative for the quotient: the corrected norm uses the exact radial
     integral beyond the largest centered ball inside the box, so the reported
     denominator can only grow.
     """
-    rin = min(grid.half_widths()) - max((abs(c) for c in opt.center), default=0.0)
-    return _pnorm_beyond(opt, grid.dim, max(rin, grid.h))
+    return _pnorm_beyond(lam, grid.dim, max(min(grid.half_widths()), grid.h))
 
 
 def hls_quotient(
@@ -278,6 +191,6 @@ def hls_quotient(
     nph = lp_norm(h, p) ** p + norm_tails[1]
     if npf <= 0 or nph <= 0:
         raise ValueError("zero norm")
-    kernel = sample_kernel_averaged(PowerLaw(lam), displacement_grid(f.grid))
+    kernel = sample_kernel_averaged(lam, displacement_grid(f.grid))
     value = riesz_triple(f, kernel, h)
     return abs(value) / (npf ** (1.0 / p) * nph ** (1.0 / p))

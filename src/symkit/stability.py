@@ -156,7 +156,7 @@ def ball_kernel_deficit(rho: ScalarField, radius: float) -> DeficitReport:
     """
     mass = _check_density(rho)
     chi = bathtub_fill(mass, rho.grid)
-    kern = BallIndicator(radius)
+    kern = sample_kernel(BallIndicator(radius), displacement_grid(rho.grid))
     left = riesz_triple(rho, kern, rho)
     right = riesz_triple(chi, kern, chi)
     asym = asymmetry(rho)
@@ -257,16 +257,11 @@ def _bump(grid, center, radius) -> np.ndarray:
     return np.maximum(1.0 - r2 / radius**2, 0.0) ** 3
 
 
-def continuity_probe(
-    u: ScalarField,
-    kind: str,
-    n_steps: int = 8,
-    space: str = "w1p",
-) -> ContinuityProbeResult:
+def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> ContinuityProbeResult:
     """Distances of rearranged perturbations along a shrinking-amplitude ladder.
 
-    Perturbations are u_k = u + a_k psi with a_k = 2^(1-k) and a fixed bump
-    psi: a smooth compact bump inside the support for ``kind="smooth"``, an
+    Perturbations are u_k = u + a_k psi with a_k = 2^(1-k) for k = 1, ..., 8
+    and a fixed bump psi: a smooth compact bump inside the support for ``kind="smooth"``, an
     oscillatory bump localized on the top plateau (assumed origin centered)
     for ``kind="plateau"``.  Emits the input distances ||u_k - u|| and the
     rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,2)
@@ -302,7 +297,7 @@ def continuity_probe(
 
     ustar = rearrange(u)
     amps, din, dout = [], [], []
-    for k in range(1, n_steps + 1):
+    for k in range(1, 9):
         a = 2.0 ** (1 - k)
         uk = ScalarField(g, np.maximum(u.values + a * psi, 0.0))
         amps.append(a)

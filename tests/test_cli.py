@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from symkit import Grid, GridSet, ScalarField, load, rearrange, save, set_symmetrize
+import symkit.experiments as experiments
+from symkit import Grid, GridSet, ScalarField, cell_order, load, rearrange, save, set_symmetrize
 from symkit.cli import main
 from symkit.experiments import run_verify
 from symkit.report import SCHEMA_TAG, SuiteConfig, load_config, write_reports
@@ -17,6 +18,26 @@ _DEFAULT_LADDER = [list(rung) for rung in SuiteConfig().ladder]
 def _with_rung(i, rung):
     """The default ladder with rung i replaced (or, at its end, appended)."""
     return _DEFAULT_LADDER[:i] + [rung] + _DEFAULT_LADDER[i + 1 :]
+
+
+def _corrupt_every_other_rearrange(monkeypatch):
+    """Swap the first and last cells in cell order on every other ``rearrange`` call.
+
+    ``verify`` rearranges f and then g for each case, so only f* is corrupted.
+    """
+    calls = [0]
+
+    def mutant(f):
+        out = rearrange(f)
+        calls[0] += 1
+        if calls[0] % 2 == 1 and out.grid.ncells >= 2:
+            v = out.values.copy().ravel()
+            order = cell_order(out.grid.shape)
+            v[order[0]], v[order[-1]] = v[order[-1]], v[order[0]]
+            out = ScalarField(out.grid, v.reshape(out.grid.shape))
+        return out
+
+    monkeypatch.setattr(experiments, "rearrange", mutant)
 
 
 @pytest.fixture
@@ -125,9 +146,10 @@ class TestSuiteVerbs:
             da.pop("wall_time_s"), db.pop("wall_time_s")
             assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
-    def test_corrupted_rearrange_fails_pairing(self, tiny_config):
+    def test_corrupted_rearrange_fails_pairing(self, tiny_config, monkeypatch):
         cfg = load_config(tiny_config)
-        reports = run_verify(cfg, corrupt=True)
+        _corrupt_every_other_rearrange(monkeypatch)
+        reports = run_verify(cfg)
         by_id = {r.experiment_id: r for r in reports}
         assert by_id["verify-pairing"].verdict == "fail"
         assert by_id["verify-norm_preservation"].verdict == "pass"
@@ -256,12 +278,5 @@ class TestSuiteVerbs:
         assert afile.read_text() == "not a directory\n"
 
     def test_exit_code_propagates_failures(self, tiny_config, tmp_path, monkeypatch):
-        import symkit.cli as cli_mod
-
-        cfg_path = tiny_config
-
-        def fake_verify(config, corrupt=False):
-            return run_verify(config, corrupt=True)
-
-        monkeypatch.setattr(cli_mod.experiments, "run_verify", fake_verify)
-        assert main(["--config", str(cfg_path), "verify"]) == 1
+        _corrupt_every_other_rearrange(monkeypatch)
+        assert main(["--config", str(tiny_config), "verify"]) == 1

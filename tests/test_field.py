@@ -12,6 +12,7 @@ from symkit import (
     measure,
     save,
 )
+from symkit.field import _read_lines
 
 finite_vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -136,6 +137,22 @@ class TestFieldFile:
         p = tmp_path / "eol.sk"
         p.write_bytes(b"SYMKIT-FIELD 1\r\n1\r2\n0.5\r\n\r1.0\r\n2.0\r")
         assert np.array_equal(load(p).values, [1.0, 2.0])
+        for eol in ("\r\n", "\r"):
+            p.write_bytes(eol.join(["SYMKIT-FIELD 1", "1", "2", "0.5", "1.0", "x", ""]).encode())
+            with open(p, encoding="utf-8") as fh:
+                assert _read_lines(p) == [ln.rstrip("\n") for ln in fh]
+            with pytest.raises(FieldFormatError, match=r"line 6: unparseable value 'x'"):
+                load(p)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x1c", "\x85", "\x0c"])
+    def test_only_text_mode_line_ends_split(self, tmp_path, sep):
+        # str.splitlines would split "1.0<sep>2.0" into the two values
+        p = tmp_path / "sep.sk"
+        p.write_text(f"SYMKIT-FIELD 1\n1\n2\n0.5\n1.0{sep}2.0\n", encoding="utf-8", newline="")
+        with open(p, encoding="utf-8") as fh:
+            assert _read_lines(p) == [ln.rstrip("\n") for ln in fh]
+        with pytest.raises(FieldFormatError, match=r"line 5: unparseable value"):
+            load(p)
 
     def test_mask_values_validated(self, tmp_path):
         p = tmp_path / "m.sk"

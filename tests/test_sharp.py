@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from symkit import (
-    GaussianTriple,
     Grid,
-    HLSOptimizer,
     ScalarField,
     hls_constant,
     hls_exponent,
@@ -20,6 +18,8 @@ from symkit import (
     young_quotient,
 )
 from symkit.sharp import hls_norm_tail
+
+P, Q, R = 2.0, 4 / 3, 4 / 3  # the Gaussian triple of refine-young-quotient-1d
 
 
 def _paper_display_variant(s: float) -> float:
@@ -80,63 +80,39 @@ class TestYoungConstant:
 
 
 class TestGaussianTriple:
-    def _triple(self, **kw):
-        base = dict(
-            p=2.0,
-            q=4 / 3,
-            r=4 / 3,
-            amplitudes=(1.0, 1.0, 1.0),
-            a=(0.0,),
-            b=(0.0,),
-            c=(0.0,),
-            J=np.array([[1.0]]),
-        )
-        base.update(kw)
-        return GaussianTriple(**base)
-
     def test_exponent_identity_enforced(self):
+        grid = Grid((128,), 16.0 / 128)
         with pytest.raises(ValueError, match="identity"):
-            self._triple(p=2.0, q=2.0, r=2.0)
-
-    def test_spd_enforced(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            self._triple(J=np.array([[-1.0]]))
+            young_gaussian_triple(grid, 2.0, 2.0, 2.0)
+        for p, q, r in ((1.0, 2.0, 2.0), (math.inf, 4 / 3, 4 / 3)):
+            with pytest.raises(ValueError, match="strictly between 1 and inf"):
+                young_gaussian_triple(grid, p, q, r)
 
     def test_centered_family_is_own_rearrangement(self):
         grid = Grid((128,), 16.0 / 128)
-        f, g, h = young_gaussian_triple(self._triple(), grid)
+        f, g, h = young_gaussian_triple(grid, P, Q, R)
         assert np.array_equal(rearrange(f).values, f.values)
         assert np.array_equal(rearrange(g).values, g.values)
-
-    def test_whole_cell_translation_preserves_norms(self):
-        grid = Grid((256,), 16.0 / 256)
-        t0 = self._triple()
-        f0, _, _ = young_gaussian_triple(t0, grid)
-        t1 = self._triple(a=(grid.h,), b=(grid.h,))
-        f1, _, _ = young_gaussian_triple(t1, grid)
-        assert lp_norm(f1, 2.0) == pytest.approx(lp_norm(f0, 2.0), rel=1e-10)
 
     def test_box_too_small_rejected(self):
         grid = Grid((16,), 0.25)  # half-width 2: keeps ~erfc(2.8) of the mass out
         with pytest.raises(ValueError, match="tail mass"):
-            young_gaussian_triple(self._triple(), grid)
+            young_gaussian_triple(grid, P, Q, R)
 
     def test_equality_family_quotient_near_one(self):
         grid = Grid((512,), 16.0 / 512)
-        t = self._triple()
-        f, g, h = young_gaussian_triple(t, grid)
-        qv = young_quotient(f, g, h, t.p, t.q, t.r)
+        f, g, h = young_gaussian_triple(grid, P, Q, R)
+        qv = young_quotient(f, g, h, P, Q, R)
         assert qv == pytest.approx(1.0, abs=1e-2)
 
     def test_quotient_validations(self):
         grid = Grid((128,), 16.0 / 128)
-        t = self._triple()
-        f, g, h = young_gaussian_triple(t, grid)
+        f, g, h = young_gaussian_triple(grid, P, Q, R)
         with pytest.raises(ValueError, match="identity"):
             young_quotient(f, g, h, 2.0, 2.0, 2.0)
         zero = ScalarField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="zero norm"):
-            young_quotient(zero, g, h, t.p, t.q, t.r)
+            young_quotient(zero, g, h, P, Q, R)
 
     def test_single_cell_closed_form(self):
         # hand evaluation: with f, h single unit cells at the origin-adjacent
@@ -153,17 +129,15 @@ class TestGaussianTriple:
         gv = np.zeros(17)
         gv[8] = 1.0
         g = ScalarField(displacement_grid(grid), gv)
-        t = self._triple()
-        q = young_quotient(f, g, f, t.p, t.q, t.r)
-        want = 1.0 / (young_constant(t.p) * young_constant(t.q) * young_constant(t.r))
+        q = young_quotient(f, g, f, P, Q, R)
+        want = 1.0 / (young_constant(P) * young_constant(Q) * young_constant(R))
         assert q == pytest.approx(want, rel=1e-12)
 
     def test_quotient_homogeneity(self):
         grid = Grid((256,), 16.0 / 256)
-        t = self._triple()
-        f, g, h = young_gaussian_triple(t, grid)
-        q1 = young_quotient(f, g, h, t.p, t.q, t.r)
-        q2 = young_quotient(ScalarField(grid, 3.5 * f.values), g, h, t.p, t.q, t.r)
+        f, g, h = young_gaussian_triple(grid, P, Q, R)
+        q1 = young_quotient(f, g, h, P, Q, R)
+        q2 = young_quotient(ScalarField(grid, 3.5 * f.values), g, h, P, Q, R)
         assert q1 == pytest.approx(q2, rel=1e-12)
 
 
@@ -198,28 +172,22 @@ class TestHLSConstant:
 class TestHLSOptimizer:
     def test_centered_is_own_rearrangement(self):
         grid = Grid((128,), 64.0 / 128)
-        opt = HLSOptimizer(lam=0.5, amplitude=1.0, center=(0.0,), gamma=1.0)
-        f = hls_optimizer(opt, grid, tail_budget=0.2)
+        f = hls_optimizer(0.5, grid)
         assert np.array_equal(rearrange(f).values, f.values)
 
-    def test_gamma_scaling_of_norm(self):
-        lam, d = 0.5, 1
-        p = hls_exponent(lam, d)
+    def test_tail_corrected_norm_matches_whole_line(self):
+        # at lam = 1/2, d = 1: p = 4/3 and f^p = 1 / (1 + x^2), whose integral is pi;
+        # the box sum alone misses about 1% of it
+        p = hls_exponent(0.5, 1)
         grid = Grid((2048,), 128.0 / 2048)
-        norms = {}
-        for gamma in (1.0, 2.0):
-            opt = HLSOptimizer(lam=lam, amplitude=1.0, center=(0.0,), gamma=gamma)
-            f = hls_optimizer(opt, grid, tail_budget=0.2)
-            tail = hls_norm_tail(opt, grid)
-            norms[gamma] = (lp_norm(f, p) ** p + tail) ** (1 / p)
-        want = 2.0 ** (d / p - (2 * d - lam))
-        assert norms[2.0] / norms[1.0] == pytest.approx(want, rel=1e-3)
+        f = hls_optimizer(0.5, grid)
+        corrected = lp_norm(f, p) ** p + hls_norm_tail(0.5, grid)
+        assert corrected == pytest.approx(math.pi, rel=1e-6)
 
     def test_tail_budget_enforced(self):
-        grid = Grid((64,), 0.25)
-        opt = HLSOptimizer(lam=0.5, amplitude=1.0, center=(0.0,), gamma=1.0)
+        grid = Grid((16,), 0.25)  # half-width 2 keeps about 0.295 of the L^p mass out
         with pytest.raises(ValueError, match="tail mass"):
-            hls_optimizer(opt, grid, tail_budget=1e-6)
+            hls_optimizer(0.5, grid)
 
     def test_single_cell_quotient_below_constant(self):
         grid = Grid((17,), 0.5)
