@@ -3,12 +3,12 @@
 
     python scripts/run_full_suite.py DIR
 
-Each experiment verb writes its reports to ``DIR/<verb>``.  ``DIR/files``
-holds a seeded signed 64x64 field and a seeded 12^3 set written with
-``symkit.save``, their images under the CLI's ``rearrange`` verb, and the
-``info`` output of all four files as ``<name>.info.json``, so that
-``scripts/compare_reports.py`` also checks save, load, rearrange,
-set_symmetrize and info byte for byte.
+Each experiment verb of ``symkit.experiments.VERBS`` writes its reports to
+``DIR/<verb>``.  ``DIR/files`` holds a seeded signed 64x64 field and a
+seeded 12^3 set written with ``symkit.save``, their images under the CLI's
+``rearrange`` verb, and the ``info`` output of all four files as
+``<name>.info.json``, so that ``scripts/compare_reports.py`` also checks
+save, load, rearrange, set_symmetrize and info byte for byte.
 """
 
 import contextlib
@@ -20,8 +20,8 @@ import numpy as np
 
 from symkit import Grid, GridSet, ScalarField, save
 from symkit.cli import main
+from symkit.experiments import VERBS
 
-VERBS = ["verify", "refine", "spectral", "stability", "choquard", "probe-continuity"]
 FILES_SEED = 20260808
 
 

@@ -32,112 +32,70 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, help="accepted for compatibility (must be >= 1); currently has no effect"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("verify", help="exact discrete inequality suite")
-    p_refine = sub.add_parser("refine", help="refinement-ladder contracts")
-    p_refine.add_argument(
+    for verb, (_, help_text) in experiments.VERBS.items():
+        sub.add_parser(verb, help=help_text)
+    sub.choices["refine"].add_argument(
         "--inequality",
         action="append",
         help=f"restrict to an inequality id (repeatable); known: {', '.join(experiments.REFINE_IDS)}",
     )
-    sub.add_parser("spectral", help="eigenvalue and heat-trace experiments")
-    sub.add_parser("stability", help="deficit sweeps and asymmetry audits")
-    sub.add_parser("choquard", help="3-d ground-state descent")
-    sub.add_parser("probe-continuity", help="rearrangement continuity probes")
     p_re = sub.add_parser("rearrange", help="rearrange a field or set file")
     p_re.add_argument("input")
     p_re.add_argument("output")
-    p_info = sub.add_parser("info", help="print field statistics")
-    p_info.add_argument("input")
+    sub.add_parser("info", help="print field statistics").add_argument("input")
     return parser
 
 
-def _resolve_config(args) -> SuiteConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = SuiteConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+def _file_verb(args) -> int:
+    """rearrange or info; a file that cannot be read or parsed exits 2."""
+    try:
+        obj = load(args.input)
+        if args.verb == "rearrange":
+            save(rearrange(obj) if isinstance(obj, ScalarField) else set_symmetrize(obj), args.output)
+            return 0
+    except (FieldFormatError, OSError) as exc:
+        print(f"symkit: {exc}", file=sys.stderr)
+        return 2
+    f = obj.indicator() if isinstance(obj, GridSet) else obj
+    stats = {
+        "kind": "set" if isinstance(obj, GridSet) else "field",
+        "dim": obj.grid.dim,
+        "shape": list(obj.grid.shape),
+        "h": obj.grid.h,
+        "min": float(f.values.min()),
+        "max": float(f.values.max()),
+        "l1": lp_norm(f, 1.0),
+        "l2": lp_norm(f, 2.0),
+        "support_fraction": float((f.values != 0).mean()),
+    }
+    print(json.dumps(stats, indent=1, sort_keys=True))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.verb == "rearrange":
-        try:
-            obj = load(args.input)
-            out = rearrange(obj) if isinstance(obj, ScalarField) else set_symmetrize(obj)
-            save(out, args.output)
-        except (FieldFormatError, OSError) as exc:
-            print(f"symkit: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.verb == "info":
-        try:
-            obj = load(args.input)
-        except (FieldFormatError, OSError) as exc:
-            print(f"symkit: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(obj, GridSet):
-            obj_f = obj.indicator()
-            kind = "set"
-        else:
-            obj_f, kind = obj, "field"
-        stats = {
-            "kind": kind,
-            "dim": obj.grid.dim,
-            "shape": list(obj.grid.shape),
-            "h": obj.grid.h,
-            "min": float(obj_f.values.min()),
-            "max": float(obj_f.values.max()),
-            "l1": lp_norm(obj_f, 1.0),
-            "l2": lp_norm(obj_f, 2.0),
-            "support_fraction": float((obj_f.values != 0).mean()),
-        }
-        print(json.dumps(stats, indent=1, sort_keys=True))
-        return 0
-
+    args = _build_parser().parse_args(argv)
+    if args.verb not in experiments.VERBS:
+        return _file_verb(args)
+    flags = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
     try:
-        config = _resolve_config(args)
+        config = load_config(args.config) if args.config else SuiteConfig()
+        config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"symkit: config error: {exc}", file=sys.stderr)
         return 2
-    if args.verb == "refine":
-        unknown = [i for i in args.inequality or () if i not in experiments.REFINE_IDS]
-        if unknown:
-            print(f"symkit: unknown inequality id {unknown[0]!r}", file=sys.stderr)
-            return 2
+    ids = getattr(args, "inequality", None)
+    unknown = [i for i in ids or () if i not in experiments.REFINE_IDS]
+    if unknown:
+        print(f"symkit: unknown inequality id {unknown[0]!r}", file=sys.stderr)
+        return 2
     try:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"symkit: output directory: {exc}", file=sys.stderr)
         return 2
-
-    if args.verb == "verify":
-        reports = experiments.run_verify(config)
-    elif args.verb == "refine":
-        reports = experiments.run_refine(config, args.inequality)
-    elif args.verb == "spectral":
-        reports = experiments.run_spectral(config)
-    elif args.verb == "stability":
-        reports = experiments.run_stability(config)
-    elif args.verb == "choquard":
-        reports = [experiments.run_choquard(config)]
-    elif args.verb == "probe-continuity":
-        reports = experiments.run_probe_continuity(config)
-    else:  # pragma: no cover - argparse enforces the verb set
-        parser.error(f"unknown verb {args.verb}")
-
+    # looked up by name at call time, so a rebound experiments.run_* is what runs
+    run = getattr(experiments, experiments.VERBS[args.verb][0])
+    reports = run(config, ids) if args.verb == "refine" else run(config)
     out_dir = write_reports(reports, config.out_dir)
     n_fail = sum(1 for r in reports if r.verdict == VERDICT_FAIL)
     for r in reports:

@@ -1,11 +1,13 @@
 """Suite runners behind the CLI verbs.
 
-Each runner lists its experiments, plain functions that return an
-ExperimentReport (a list of them for verify), and hands them to ``_run``,
-which calls them in order and stamps each call's wall time on the reports it
-returned.  Verdicts are derivable from the recorded numbers.  Random inputs
-are drawn from counter-based streams keyed by the config seed, so identical
-configs produce byte-identical payloads (wall time aside).
+``VERBS`` names the runner of each suite verb.  Every runner takes the
+config and returns a list of ExperimentReports: it lists its experiments,
+plain functions that return an ExperimentReport (a list of them for
+verify), and hands them to ``_run``, which calls them in order and stamps
+each call's wall time on the reports it returned.  Verdicts are derivable
+from the recorded numbers.  Random inputs are drawn from counter-based
+streams keyed by the config seed, so identical configs produce
+byte-identical payloads (wall time aside).
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from .report import (
     digest_inputs,
 )
 from .sharp import (
+    _hls_profile,
     hls_constant,
     hls_norm_tail,
     hls_optimizer,
-    hls_profile,
     hls_quotient,
     young_gaussian_triple,
     young_quotient,
@@ -77,6 +79,19 @@ from .stability import (
 EXACT_TOL = 1e-12
 
 BOX_HALF = {1: 4.0, 2: 2.0, 3: 8.0}  # physical half-widths used by the suites
+
+# Suite verb -> (runner name, help text), in the order the CLI lists them.
+# The runners are named, not bound: callers look them up in this module when
+# they run, so a rebound ``run_*`` (a tracer's wrapper, a test stub) is the
+# one that runs.
+VERBS = {
+    "verify": ("run_verify", "exact discrete inequality suite"),
+    "refine": ("run_refine", "refinement-ladder contracts"),
+    "spectral": ("run_spectral", "eigenvalue and heat-trace experiments"),
+    "stability": ("run_stability", "deficit sweeps and asymmetry audits"),
+    "choquard": ("run_choquard", "3-d ground-state descent"),
+    "probe-continuity": ("run_probe_continuity", "rearrangement continuity probes"),
+}
 
 
 def _grid(d: int, n: int, h: float) -> Grid:
@@ -367,16 +382,17 @@ def hls_optimizer_quotients():
     from scipy.integrate import quad
 
     lam, box_half = HLS_LAMBDA, HLS_BOX_HALF
-    prof = lambda r: hls_profile(r, lam, 1)
+    prof = lambda r: _hls_profile(r, lam, 1)
     mass_total = 2.0 * quad(prof, 0.0, np.inf, limit=200)[0]
+    outer = 2.0 * quad(lambda r: prof(r) * r ** (-lam), box_half, np.inf, limit=200)[0]
+    grids = [_grid(1, n, 2 * box_half / n) for n in HLS_RUNGS]
+    # every rung's box has half-width box_half exactly, so one tail serves all
+    tail = hls_norm_tail(lam, grids[0])
     quotients, bias = [], []
-    for n in HLS_RUNGS:
-        grid = _grid(1, n, 2 * box_half / n)
+    for grid in grids:
         f = hls_optimizer(lam, grid)
-        tail = hls_norm_tail(lam, grid)
         q = hls_quotient(f, f, lam, norm_tails=(tail, tail))
         quotients.append(q)
-        outer = 2.0 * quad(lambda r: prof(r) * r ** (-lam), box_half, np.inf, limit=200)[0]
         t_box = max(riesz_energy(f, lam), 1e-300)
         bias.append(2.0 * outer * mass_total / t_box)
     return quotients, bias
@@ -565,7 +581,8 @@ def two_ball_density(grid: Grid, mass: float, eps: float) -> ScalarField:
 
     Exact tangency keeps the moved mass adjacent to the boundary it left, so
     the deficit scales like eps^(3/2) and the ratio to the asymmetry squared
-    varies mildly across the sweep.
+    varies mildly across the sweep.  Raises when fewer cells than the small
+    ball needs lie outside the core.
     """
     if grid.dim != 2:
         raise ValueError("the two-ball family is built in d = 2")
@@ -579,6 +596,8 @@ def two_ball_density(grid: Grid, mass: float, eps: float) -> ScalarField:
     k = int(round(eps * mass / grid.cell_volume))
     vals = core.values.copy().ravel()
     free = order[vals[order] == 0.0][:k]
+    if free.size < k:
+        raise ValueError(f"the small ball needs {k} free cells, the grid has {free.size}")
     vals[free] = 1.0
     return ScalarField(grid, vals.reshape(grid.shape))
 
@@ -712,7 +731,7 @@ CHOQUARD_N = 32  # cells per side of the 3-d grid (D9)
 CHOQUARD_STEPS = 500  # main-phase steps, before 50 polishing steps (D9)
 
 
-def run_choquard(config: SuiteConfig) -> ExperimentReport:
+def run_choquard(config: SuiteConfig) -> list[ExperimentReport]:
     """Ground-state descent at 32^3 with a polishing phase.
 
     Checks: the energy strictly decreases over the first 50 steps; the
@@ -723,7 +742,7 @@ def run_choquard(config: SuiteConfig) -> ExperimentReport:
     resolution an individual sort can cost up to ~0.03 * step_size because
     the unconstrained lattice minimizer is slightly off the symmetric cone.
     """
-    return _run([partial(_choquard, config)])[0]
+    return _run([partial(_choquard, config)])
 
 
 def _choquard(config: SuiteConfig) -> ExperimentReport:

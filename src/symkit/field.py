@@ -124,7 +124,7 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    nonneg: bool = dc_field(default=False)
+    nonneg: bool = dc_field(init=False)  # computed from the values
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)

@@ -100,7 +100,7 @@ def plateau_field(grid: Grid, top_radius: float, outer_radius: float) -> ScalarF
     return ScalarField(grid, vals)
 
 
-def radial_bump_field(grid: Grid, radius: float, amplitude: float = 1.0) -> ScalarField:
-    """Smooth strictly decreasing radial bump a (1 - r^2/R^2)_+^3."""
+def radial_bump_field(grid: Grid, radius: float) -> ScalarField:
+    """Smooth strictly decreasing radial bump (1 - r^2/R^2)_+^3."""
     r2 = grid.radius2()
-    return ScalarField(grid, amplitude * np.maximum(1.0 - r2 / radius**2, 0.0) ** 3)
+    return ScalarField(grid, np.maximum(1.0 - r2 / radius**2, 0.0) ** 3)

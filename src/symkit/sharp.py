@@ -28,7 +28,6 @@ __all__ = [
     "young_quotient",
     "hls_constant",
     "hls_exponent",
-    "hls_profile",
     "hls_optimizer",
     "hls_norm_tail",
     "hls_quotient",
@@ -122,7 +121,7 @@ def hls_constant(lam: float, d: int) -> float:
     )
 
 
-def hls_profile(r, lam: float, d: int):
+def _hls_profile(r, lam: float, d: int):
     """The centered optimizer profile (1 + r^2)^(-(2d - lam)/2)."""
     r = np.asarray(r, dtype=np.float64)
     return (1.0 + r**2) ** (-(2.0 * d - lam) / 2.0)
@@ -146,7 +145,7 @@ def hls_optimizer(lam: float, grid: Grid) -> ScalarField:
     r2 = np.zeros(grid.shape)
     for c in grid.coords():
         r2 += c**2
-    return ScalarField(grid, hls_profile(np.sqrt(r2), lam, d))
+    return ScalarField(grid, _hls_profile(np.sqrt(r2), lam, d))
 
 
 def _pnorm_beyond(lam: float, d: int, r0: float) -> float:
@@ -155,7 +154,7 @@ def _pnorm_beyond(lam: float, d: int, r0: float) -> float:
 
     p = hls_exponent(lam, d)
     surf = d * unit_ball_volume(d)
-    integrand = lambda r: surf * r ** (d - 1) * hls_profile(r, lam, d) ** p
+    integrand = lambda r: surf * r ** (d - 1) * _hls_profile(r, lam, d) ** p
     value, _ = quad(integrand, r0, np.inf, limit=200)
     return float(value)
 

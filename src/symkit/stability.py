@@ -267,17 +267,20 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,2)
     seminorm for ``space="w1p"`` (gradient_pnorm of the difference at p = 2)
     or the W^(1/2,2) seminorm for ``space="wsp"`` (the square root of
-    fractional_seminorm of the difference at s = 1/2, p = 2).
+    fractional_seminorm of the difference at s = 1/2, p = 2).  Raises
+    unless u is nonnegative with a positive value.
     """
     if not u.nonneg:
         raise ValueError("u must be nonnegative")
+    if not u.values.max() > 0:
+        raise ValueError("u must have a positive value")
     if kind not in ("smooth", "plateau"):
         raise ValueError(f"unknown kind {kind!r}")
     if space not in ("w1p", "wsp"):
         raise ValueError(f"unknown space {space!r}")
     g = u.grid
     if kind == "smooth":
-        support_r = math.sqrt(float(g.radius2()[u.values > 0].max())) if u.values.max() > 0 else 1.0
+        support_r = math.sqrt(float(g.radius2()[u.values > 0].max()))
         center = tuple(0.25 * support_r if ax == 0 else 0.0 for ax in range(g.dim))
         psi = _bump(g, center, 0.5 * support_r) * float(u.values.max())
     else:
@@ -341,7 +344,7 @@ def layered_riesz_reconstruction(rho: ScalarField, lam: float) -> float:
     """
     PowerLaw(lam).validate(rho.dim)
     dists, cum = pair_correlation_curve(rho)
-    diag = cum[0] if dists[0] == 0.0 else 0.0
+    diag = cum[0]  # a displacement grid always holds distance 0
     total = cum[-1]
     h = rho.h
 

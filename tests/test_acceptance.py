@@ -242,7 +242,7 @@ def test_criterion_7_stability():
 
 def test_criterion_8_choquard_descent():
     t0 = time.monotonic()
-    rep = run_choquard(CONFIG)
+    [rep] = run_choquard(CONFIG)
     elapsed = time.monotonic() - t0
     ok = rep.verdict == "pass" and elapsed <= 600
     assert _report(

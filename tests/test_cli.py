@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import symkit.experiments as experiments
 from symkit import Grid, GridSet, ScalarField, cell_order, load, rearrange, save, set_symmetrize
 from symkit.cli import main
 from symkit.experiments import run_verify
-from symkit.report import SCHEMA_TAG, SuiteConfig, load_config, write_reports
+from symkit.report import SCHEMA_TAG, ExperimentReport, SuiteConfig, load_config, write_reports
 
 
 _DEFAULT_LADDER = [list(rung) for rung in SuiteConfig().ladder]
@@ -276,6 +277,22 @@ class TestSuiteVerbs:
         assert main(["--config", str(tiny_config), "--out", str(afile), "verify"]) == 2
         assert "symkit: output directory" in capsys.readouterr().err
         assert afile.read_text() == "not a directory\n"
+
+    def test_runner_is_looked_up_when_the_verb_runs(self, tmp_path, monkeypatch, capsys):
+        canned = ExperimentReport(experiment_id="canned-spectral", values={"x": 1.0})
+        monkeypatch.setattr(experiments, "run_spectral", lambda config: [canned])
+        assert main(["--out", str(tmp_path), "spectral"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "pass       canned-spectral"
+        assert lines[1].endswith("(1 experiments, 0 failures)")
+        assert json.loads((tmp_path / "canned-spectral.json").read_text())["values"] == {"x": 1.0}
+
+    def test_help_lists_the_verb_table_then_the_file_verbs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+        assert listed == [*experiments.VERBS, "rearrange", "info"]
 
     def test_exit_code_propagates_failures(self, tiny_config, tmp_path, monkeypatch):
         _corrupt_every_other_rearrange(monkeypatch)

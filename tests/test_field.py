@@ -48,6 +48,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             f.values[0] = 7.0
 
+    def test_nonneg_is_computed_not_passed(self):
+        g = Grid((3,), 1.0)
+        assert not ScalarField(g, np.array([1.0, -1.0, 0.0])).nonneg
+        with pytest.raises(TypeError):
+            ScalarField(g, np.array([1.0, -1.0, 0.0]), nonneg=True)
+
 
 class TestMeasure:
     def test_empty(self):

@@ -183,6 +183,13 @@ class TestBallKernelDeficit:
             ratios.append(rep.ratio)
         assert min(ratios) > 0.5
 
+    def test_small_ball_without_room_raises(self):
+        from symkit.experiments import two_ball_density
+
+        # the small ball needs 33 cells; only 32 lie outside the core
+        with pytest.raises(ValueError, match="needs 33 free cells, the grid has 32"):
+            two_ball_density(Grid((8, 8), 0.25), 3.99, 0.51)
+
 
 class TestRieszDeficit:
     def test_equality_case(self):
@@ -300,6 +307,13 @@ class TestContinuityProbe:
             continuity_probe(u, "wiggly")
         with pytest.raises(ValueError):
             continuity_probe(u, "smooth", space="l2")
+
+    @pytest.mark.parametrize("kind", ["smooth", "plateau"])
+    def test_field_without_positive_value_raises(self, kind):
+        # all-zero distances would otherwise read as a decay pass
+        u = ScalarField(Grid((16, 16), 0.25), np.zeros((16, 16)))
+        with pytest.raises(ValueError, match="positive value"):
+            continuity_probe(u, kind)
 
 
 class TestLayeredDecomposition:
