@@ -13,6 +13,11 @@ Cases, each at one fixed size:
   nothing about the kernel can be reused;
 * the Choquard descent's stencils on a 32x32x32 field: ``kinetic_gradient``
   and ``gradient_pnorm`` at p = 2;
+* ``choquard_descent`` of a 32x32x32 Gaussian for 10 steps: 13 convolutions
+  on one Coulomb kernel between the stencils and two rearrangements.  This
+  is the ``choquard`` verb's pattern of allocations, under which arrays
+  freed by ``convolve`` went back to the system and were faulted in again;
+  the convolve cases on their own barely show that;
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
 * ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
   h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it;
@@ -26,15 +31,22 @@ Cases, each at one fixed size:
   ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
 * ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values).
 
-Every case is timed by the same loop: one warm-up call, then R repeats (at
-least 5) of the case's fixed number of calls, each repeat followed by one
-timed control op, ``np.sort`` of 10^6 seeded normal values.  The file
-records, per case, the sizes, the per-call median over repeats, the spread
+Every case runs in its own freshly spawned interpreter and is timed by the
+same loop: one warm-up call, then R repeats (at least 5) of the case's
+fixed number of calls, each repeat followed by one timed control op, an
+in-place sort of a copy of 10^6 seeded normal values.  The file records,
+per case, the sizes, the per-call median over repeats, the spread
 (interquartile range over median), the extremes, the median control time
 and ``median_ratio_to_control``: the median over repeats of the per-call
 time over that repeat's control time.  Host load slows the control as it
 slows the case, so the ratio compares runs taken under different load
-better than the raw time does.  The file also records ``nproc`` and the
+better than the raw time does.  ``minor_faults_per_call`` is the number of
+minor page faults of the case's process (``getrusage(RUSAGE_SELF).ru_minflt``)
+during its repeats, control ops excluded, over the number of calls: pages
+touched for the first time, whose kernel time no Python profiler sees.
+How many pages a freed array returns to the system depends on what the
+process freed before, so no case shares its process with another, and the
+control op allocates nothing.  The file also records ``nproc`` and the
 Python, numpy and scipy versions.  Inputs are built before the timed
 region.  Run it once per source tree on the same host, e.g. with
 ``PYTHONPATH`` pointing at each tree's ``src``, alternating the trees.
@@ -43,8 +55,10 @@ region.  Run it once per source tree on the same host, e.g. with
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
+import resource
 import tempfile
 import time
 from pathlib import Path
@@ -71,6 +85,7 @@ from symkit import (
     sample_kernel,
     save,
 )
+from symkit.choquard import choquard_descent
 from symkit.functionals import _seminorm_direct, kinetic_gradient
 from symkit.random_fields import plateau_field
 
@@ -104,6 +119,13 @@ def _stencil(name, calls=20):
         return (lambda i: gradient_pnorm(u, 2.0)), calls, {"field_shape": list(shape)}
 
     return setup
+
+
+def _descent(tmp):
+    shape, steps = (32, 32, 32), 10
+    g = Grid(shape, 0.5)
+    u0 = ScalarField(g, np.exp(-g.radius2() / 8.0))
+    return lambda i: choquard_descent(u0, steps=steps), 1, {"field_shape": list(shape), "steps": steps}
 
 
 def _rearrange(tmp):
@@ -166,6 +188,7 @@ CASES = {
     "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
     "kinetic_gradient_32x32x32": _stencil("kinetic_gradient"),
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
+    "choquard_descent_32x32x32.10_steps": _descent,
     "rearrange_1000x1000": _rearrange,
     "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
@@ -179,11 +202,16 @@ CASES = {
 
 
 CONTROL_VALUES = np.random.default_rng(5).standard_normal(10**6)
+# sorted in place: np.sort would allocate and free 8 MB after every repeat,
+# and a freed block that large raises malloc's trim threshold, after which
+# the case's own freed pages stay mapped and its page faults no longer show
+CONTROL_BUF = np.empty_like(CONTROL_VALUES)
 
 
 def _control_s():
     t0 = time.perf_counter()
-    np.sort(CONTROL_VALUES)
+    np.copyto(CONTROL_BUF, CONTROL_VALUES)
+    CONTROL_BUF.sort()
     return time.perf_counter() - t0
 
 
@@ -191,12 +219,14 @@ def _time_case(op, calls, repeats):
     # warm up with the last call, so each repeat's first call follows the
     # same call as in steady state (a fresh kernel is then always a miss)
     op(calls - 1)
-    per_call, control = [], []
+    per_call, control, faults = [], [], 0
     for _ in range(repeats):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         for i in range(calls):
             op(i)
         per_call.append((time.perf_counter() - t0) / calls)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         control.append(_control_s())
     q1, med, q3 = np.percentile(per_call, [25, 50, 75])
     return {
@@ -208,7 +238,13 @@ def _time_case(op, calls, repeats):
         "min_ms": 1e3 * min(per_call),
         "max_ms": 1e3 * max(per_call),
         "control_median_ms": 1e3 * float(np.median(control)),
+        "minor_faults_per_call": faults / (repeats * calls),
     }
+
+
+def _run_case(name, tmp, repeats):
+    op, calls, sizes = CASES[name](tmp)
+    return {**sizes, **_time_case(op, calls, repeats)}
 
 
 def main() -> None:
@@ -219,13 +255,16 @@ def main() -> None:
     if args.repeats < 5:
         ap.error("need --repeats >= 5")
     results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, setup in CASES.items():
-            op, calls, sizes = setup(tmp)
-            results[name] = r = {**sizes, **_time_case(op, calls, args.repeats)}
+    # one fresh interpreter per case, so that no case inherits the allocator
+    # state (and hence the page faults) that the cases before it left
+    spawn = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory() as tmp, spawn.Pool(1, maxtasksperchild=1) as pool:
+        for name in CASES:
+            results[name] = r = pool.apply(_run_case, (name, tmp, args.repeats))
             print(
                 f"{name}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f}, "
-                f"{r['median_ratio_to_control']:.3f} x control)",
+                f"{r['median_ratio_to_control']:.3f} x control, "
+                f"{r['minor_faults_per_call']:.0f} minor faults)",
                 flush=True,
             )
     doc = {
@@ -238,8 +277,10 @@ def main() -> None:
         "statistics": (
             "per-call wall time: median, (q3 - q1) / median, min and max over repeats; "
             "median_ratio_to_control: median over repeats of per-call time / that repeat's "
-            "control time (np.sort of 10^6 seeded normal values, timed once after every repeat); "
-            "control_median_ms: median control time over the case's repeats"
+            "control time (an in-place sort of a copy of 10^6 seeded normal values, timed once "
+            "after every repeat); control_median_ms: median control time over the case's repeats; "
+            "minor_faults_per_call: ru_minflt delta over the case's repeats (control ops excluded) "
+            "/ (repeats * calls); every case runs in its own freshly spawned interpreter"
         ),
         "results": results,
     }

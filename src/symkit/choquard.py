@@ -15,7 +15,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import ScalarField
-from .functionals import kinetic_gradient, convolve, gradient_pnorm, pairing
+from .functionals import (
+    _forward_diffs,
+    _gradient_pnorm_of,
+    _kinetic_gradient_of,
+    convolve,
+    pairing,
+)
 from .kernels import PowerLaw, displacement_grid, sample_kernel
 from .rearrange import rearrange
 
@@ -75,22 +81,26 @@ def choquard_descent(
     kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
 
     def energy_and_potential(vals: np.ndarray):
+        # the forward differences serve the energy and, for the iterate that
+        # steps next, its kinetic gradient
         usq = ScalarField(grid, vals * vals)
         phi = convolve(kernel, usq)
-        kin = gradient_pnorm(ScalarField(grid, vals), 2.0) ** 2
+        diffs = _forward_diffs(ScalarField(grid, vals))
+        kin = _gradient_pnorm_of(diffs, 2.0, vol) ** 2
         pot = pairing(usq, phi)
-        return kin - pot, phi
+        return kin - pot, phi, diffs
 
     result = DescentResult()
     u = _l2_normalize(np.abs(u0.values), vol)
     if u is None:
         raise ValueError("the L^2 norm of u0 overflows")
-    energy, phi = energy_and_potential(u)
+    energy, phi, diffs = energy_and_potential(u)
     result.energies.append(energy)
     total = steps + polish_steps
     for step in range(1, total + 1):
         tau = step_size if step <= steps else _POLISH_STEP_SIZE
-        grad = kinetic_gradient(ScalarField(grid, u)) - 4.0 * u * phi.values
+        grad = _kinetic_gradient_of(diffs, grid.h) - 4.0 * u * phi.values
+        del diffs  # freed before the next energy evaluation makes its own
         stepped = _l2_normalize(u - tau * grad, vol)
         if stepped is None:
             result.diverged = True
@@ -98,13 +108,13 @@ def choquard_descent(
         u = stepped
         do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
         if do_rearrange:
-            before, _ = energy_and_potential(u)
+            before, _, _ = energy_and_potential(u)
             u = rearrange(ScalarField(grid, u)).values
             u = _l2_normalize(u, vol)
-            energy, phi = energy_and_potential(u)
+            energy, phi, diffs = energy_and_potential(u)
             result.rearrange_audit.append((step, before, energy))
         else:
-            energy, phi = energy_and_potential(u)
+            energy, phi, diffs = energy_and_potential(u)
         result.energies.append(energy)
         if not math.isfinite(energy):
             result.diverged = True

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,40 @@ def _kernel_spectrum(kv: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
     return spec
 
 
+# This thread's FFT buffers for the most recent (field shape, lengths) of its
+# convolve calls.  One entry per thread, replaced whole on every miss; each
+# thread owns its buffers, so concurrent calls never share one (DECISIONS.md D8).
+_workspaces = threading.local()
+
+
+def _workspace(shape: tuple[int, ...], lengths: tuple[int, ...]):
+    """(real buffer, c2c stage buffers, pad slab values) for one field shape.
+
+    The real buffer has shape (n_0 .. n_{d-2}, L_{d-1}); its last-axis pad
+    is zeroed once and never written.  Stage ax has shape (L_0 .. L_ax,
+    n_{ax+1} .. n_{d-2}, L_{d-1}//2 + 1).  Its pad slab, rows n_ax ..
+    L_ax - 1 of axis ax, is refilled on every call with what ``rfftn`` holds
+    there for the zero box: the r2c of a zero line (whose imaginary parts
+    include -0.0) carried through stages 0 .. ax-1, broadcast over the axes
+    it does not vary on.
+    """
+    key = (shape, lengths)
+    ws = getattr(_workspaces, "entry", None)
+    if ws is not None and ws[0] == key:
+        return ws[1:]
+    d = len(shape)
+    cols = lengths[-1] // 2 + 1
+    real = np.zeros(shape[:-1] + (lengths[-1],))
+    stages, pads = [], []
+    pad = rfft(np.zeros(lengths[-1])).reshape((1,) * (d - 1) + (cols,))
+    for ax in range(d - 1):
+        stages.append(np.empty(lengths[: ax + 1] + shape[ax + 1 : -1] + (cols,), complex))
+        pads.append(pad)
+        pad = fft(np.broadcast_to(pad, pad.shape[:ax] + (lengths[ax],) + pad.shape[ax + 1 :]), axis=ax)
+    _workspaces.entry = (key, real, stages, pads)
+    return real, stages, pads
+
+
 def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d on f's grid.
 
@@ -218,9 +253,10 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     The transforms are pruned (Markel): r2c on the last axis over f's own
     lines, then c2c on axes 0 .. d-2, each padded only at its own stage; the
     inverse cuts each axis to the kept rows right after its c2c stage.  The
-    axis order and the one 1/prod(L) scaling are irfftn's and rfftn's, so
-    the window is theirs bit for bit; the c2c stages overwrite arrays made
-    here (DECISIONS.md D8).
+    forward stages run in place in a per-thread workspace whose pad slabs
+    hold rfftn's values for the zero box, signed zeros included.  The axis
+    order and the one 1/prod(L) scaling are irfftn's and rfftn's, so the
+    window is theirs bit for bit (DECISIONS.md D8).
     """
     if kernel.dim != f.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -228,18 +264,22 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
         raise ValueError("kernel and field spacings differ")
     if any(n % 2 == 0 for n in kernel.grid.shape):
         raise ValueError("kernel grid must have odd extents (displacement aligned)")
+    shape = f.grid.shape
     radii = [nk // 2 for nk in kernel.grid.shape]
-    lengths = tuple(
-        next_fast_len(max(n + r, 2 * r + 1), True) for n, r in zip(f.grid.shape, radii)
-    )
+    lengths = tuple(next_fast_len(max(n + r, 2 * r + 1), True) for n, r in zip(shape, radii))
     spec = _kernel_spectrum(kernel.values, lengths)
-    x = rfft(f.values, lengths[-1])
-    for ax in range(f.dim - 1):
-        x = fft(x, lengths[ax], axis=ax, overwrite_x=True)
+    real, stages, pads = _workspace(shape, lengths)
+    real[..., : shape[-1]] = f.values
+    x = rfft(real)
+    # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
+    for ax, (buf, pad) in enumerate(zip(stages, pads)):
+        buf[_along(ax, slice(shape[ax], None))] = pad
+        buf[_along(ax, slice(shape[ax]))] = x
+        x = fft(buf, axis=ax, overwrite_x=True)
     x *= spec
-    for ax, (n, r) in enumerate(zip(f.grid.shape[:-1], radii)):
+    for ax, (n, r) in enumerate(zip(shape[:-1], radii)):
         x = ifft(x, axis=ax, overwrite_x=True, norm="forward")[_along(ax, slice(r, r + n))]
-    r, n = radii[-1], f.grid.shape[-1]
+    r, n = radii[-1], shape[-1]
     # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
     kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * (1.0 / math.prod(lengths))
     return ScalarField(f.grid, kept * f.grid.cell_volume)
@@ -602,22 +642,32 @@ def gradient_pnorm(u: ScalarField, p: float) -> float:
     """L^p norm of |grad u| (forward differences, zero extension); p = inf allowed."""
     if p != math.inf and p < 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    mag = gradient_magnitude(u)
+    return _gradient_pnorm_of(_forward_diffs(u), p, u.grid.cell_volume)
+
+
+def _gradient_pnorm_of(diffs: list[np.ndarray], p: float, vol: float) -> float:
+    """``gradient_pnorm`` from the forward differences of u and its cell volume."""
+    mag = np.sqrt(sum(dk * dk for dk in diffs))
     if p == math.inf:
         return float(mag.max()) if mag.size else 0.0
-    return float(np.sum(mag**p) * u.grid.cell_volume) ** (1.0 / p)
+    return float(np.sum(mag**p) * vol) ** (1.0 / p)
 
 
 def kinetic_gradient(u: ScalarField) -> np.ndarray:
     """Gradient of ||grad u||_2^2 with respect to u in L^2(h^d)."""
-    out = np.zeros_like(u.values)
+    return _kinetic_gradient_of(_forward_diffs(u), u.h)
+
+
+def _kinetic_gradient_of(diffs: list[np.ndarray], h: float) -> np.ndarray:
+    """``kinetic_gradient`` from the forward differences of u and its spacing."""
+    out = np.zeros_like(diffs[0])
     term = np.empty_like(out)
-    for ax, dk in enumerate(_forward_diffs(u)):
+    for ax, dk in enumerate(diffs):
         # minus the backward difference of dk, zero-extended before the near edge
         head, tail, edge = _along(ax, slice(-1)), _along(ax, slice(1, None)), _along(ax, slice(1))
         np.subtract(dk[head], dk[tail], out=term[tail])
         np.subtract(0.0, dk[edge], out=term[edge])
-        term *= 2.0 / u.h
+        term *= 2.0 / h
         out += term
     return out
 

@@ -4,11 +4,15 @@
   kernel spectrum) against a plain O(N^2) lattice sum, to 1e-12 relative to
   max|k| sum|f| h^d, which bounds every output value;
 * the pruned transforms against the unpruned window
-  ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d``, bit for bit: they
-  take scipy.fft's axis order and its single 1/prod(L) scaling, so every
-  report stays byte-identical;
+  ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d``, bit for bit and
+  sign of zero included: they take scipy.fft's axis order and its single
+  1/prod(L) scaling, and the pad slabs hold rfftn's values for the zero box,
+  so every report stays byte-identical;
 * the in-place c2c stages: the field's values and the memoized spectrum are
   untouched by repeated calls;
+* the per-thread workspace: two threads convolving different shapes at once
+  get the bits of a sequential run, and a warm 32^3 call allocates no padded
+  temporaries (its tracemalloc peak stays below 1.5 MB);
 * the transform length per axis, next_fast_len(max(n + r, 2r + 1));
 * the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
   changed kernel of the same shape gets its own spectrum;
@@ -24,11 +28,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, rfftn
 
@@ -82,6 +88,14 @@ def _unpruned_window(kv: np.ndarray, fv: np.ndarray, h: float, lengths: tuple[in
     return circ[tuple(slice(nk // 2, nk // 2 + n) for nk, n in zip(kv.shape, fv.shape))] * h**fv.ndim
 
 
+def _signed_zero_case():
+    """A 3-d case whose unpruned window holds a -0.0."""
+    kv = np.zeros((3, 3, 7))
+    kv[2, 1, 0] = -1.0
+    kv[2, 2, 6] = 0.5
+    return kv, np.zeros((1, 1, 2)), 0.25
+
+
 class TestConvolveOracle:
     @settings(max_examples=150, deadline=None)
     @given(_cases())
@@ -94,6 +108,9 @@ class TestConvolveOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(_cases())
+    # r2c of the zero-padded lines gives -0.0 imaginary parts that reach the
+    # window as a -0.0, which the pad slabs must reproduce
+    @example(_signed_zero_case())
     def test_matches_unpruned_window(self, case):
         kv, fv, h = case
         out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(Grid(fv.shape, h), fv)).values
@@ -127,6 +144,60 @@ class TestPrunedTransforms:
             assert f.values.tobytes() == b.tobytes()
         lengths, _, spec = functionals._kernel_memo
         assert spec.tobytes() == rfftn(kern.values, lengths).tobytes()
+
+
+class TestWorkspace:
+    def test_concurrent_threads_match_a_sequential_run(self):
+        # more threads than cores, all on the same two field shapes, so
+        # threads that shared buffers would overwrite each other's stages
+        rng = np.random.default_rng(11)
+        shapes = [(16, 12, 10), (40, 36)]
+        cases = []
+        for t in range(4):
+            for shape in shapes:
+                g = Grid(shape, 0.5)
+                kern = ScalarField(displacement_grid(g), rng.standard_normal(tuple(2 * n - 1 for n in shape)))
+                cases.append((t, kern, ScalarField(g, rng.standard_normal(shape))))
+        want = {id(f): convolve(k, f).values.tobytes() for _, k, f in cases}
+        mismatches, errors = [], []
+
+        def work(t):
+            try:
+                mine = [(k, f) for owner, k, f in cases if owner == t]
+                for _ in range(150):
+                    for k, f in mine:
+                        if convolve(k, f).values.tobytes() != want[id(f)]:
+                            mismatches.append(t)
+            except Exception as exc:  # reported below, with the thread's result
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and mismatches == []
+
+    def test_warm_call_allocates_no_padded_temporaries(self):
+        g = Grid((32, 32, 32), 0.25)
+        kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
+        f = ScalarField(g, np.random.default_rng(12).random(g.shape))
+        convolve(kern, f)
+        tracemalloc.start()
+        try:
+            convolve(kern, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the r2c output, the c2r output and the scaled window: about 0.85 MB;
+        # padded copies and fresh c2c stage outputs took it to 3.25 MB
+        assert peak < 1.5e6
 
 
 class TestLengthRule:

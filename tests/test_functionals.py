@@ -36,6 +36,7 @@ from symkit import (
     supermodular_pairing,
     unit_ball_volume,
 )
+from symkit import choquard
 from symkit.choquard import choquard_descent
 from symkit.functionals import _forward_diffs, _seminorm_direct, kinetic_gradient
 
@@ -729,6 +730,54 @@ class TestEnergies:
         g = Grid((4, 4, 4), 0.5)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
             choquard_descent(ScalarField(g, np.full(g.shape, 1e200)), steps=1)
+
+    def test_choquard_shares_differences_between_energy_and_step(self, monkeypatch):
+        # the descent as written with the public stencils, which difference
+        # each iterate twice: once for its energy, once for its step
+        def reference(u0, steps, polish_steps):
+            grid, vol = u0.grid, u0.grid.cell_volume
+            kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
+
+            def energy(vals):
+                usq = ScalarField(grid, vals * vals)
+                phi = convolve(kernel, usq)
+                return gradient_pnorm(ScalarField(grid, vals), 2.0) ** 2 - pairing(usq, phi), phi
+
+            def normalize(vals):
+                return vals / math.sqrt(float(np.sum(vals * vals)) * vol)
+
+            u = normalize(np.abs(u0.values))
+            e, phi = energy(u)
+            energies, audit = [e], []
+            for step in range(1, steps + polish_steps + 1):
+                tau = 0.02 if step <= steps else choquard._POLISH_STEP_SIZE
+                u = normalize(u - tau * (kinetic_gradient(ScalarField(grid, u)) - 4.0 * u * phi.values))
+                if step % choquard._REARRANGE_EVERY == 0 or step == steps + polish_steps:
+                    before, _ = energy(u)
+                    u = normalize(rearrange(ScalarField(grid, u)).values)
+                    e, phi = energy(u)
+                    audit.append((step, before, e))
+                else:
+                    e, phi = energy(u)
+                energies.append(e)
+            return energies, audit, u
+
+        g = Grid((8, 8, 8), 0.75)
+        bumpy = 1.0 + 0.3 * np.random.default_rng(9).random(g.shape)
+        u0 = ScalarField(g, np.exp(-g.radius2() / 4.0) * bumpy)
+        energies, audit, final = reference(u0, 12, 3)
+        calls = {"diffs": 0, "convolve": 0}
+        for name, key in (("_forward_diffs", "diffs"), ("convolve", "convolve")):
+            def counted(*args, _f=getattr(choquard, name), _k=key):
+                calls[_k] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(choquard, name, counted)
+        result = choquard_descent(u0, steps=12, step_size=0.02, polish_steps=3)
+        assert result.energies == energies and result.rearrange_audit == audit
+        assert result.final.values.tobytes() == final.tobytes()
+        # one set of differences per energy evaluation, i.e. per convolution
+        assert calls["diffs"] == calls["convolve"] == len(energies) + len(audit)
 
     def test_choquard_rearrangement_lowers_energy(self):
         rng = np.random.default_rng(17)
