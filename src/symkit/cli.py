@@ -1,17 +1,18 @@
 """Command-line driver.
 
 Verbs: verify, refine, spectral, stability, choquard, probe-continuity,
-rearrange (file to file), info.  Global flags: --config, --seed, --out,
---jobs (accepted and validated, currently no effect: experiments run in
-order in one process).  Exit codes: 0 all pass, 1 fail verdicts present, 2
-usage or config errors, including an output directory that cannot be
-created, which is checked before any experiment runs.
+rearrange (file to file), info.  Global flags: --seed, --out, --jobs
+(accepted and validated, currently no effect: experiments run in order in
+one process).  The suite's sizes and tolerances are constants in
+symkit.experiments; the seed is the one input a run can change.  Exit
+codes: 0 all pass, 1 fail verdicts present, 2 usage errors, including a
+flag out of range and an output directory that cannot be created, both
+checked before any experiment runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,16 +21,19 @@ from . import experiments
 from .field import FieldFormatError, GridSet, ScalarField, load, save
 from .functionals import lp_norm
 from .rearrange import rearrange, set_symmetrize
-from .report import SuiteConfig, VERDICT_FAIL, load_config, write_reports
+from .report import VERDICT_FAIL, write_reports
+
+DEFAULT_SEED = 20260808
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symkit", description=__doc__)
-    parser.add_argument("--config", help="path to a symkit-config 1 JSON document")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="override the report output directory")
     parser.add_argument(
-        "--jobs", type=int, help="accepted for compatibility (must be >= 1); currently has no effect"
+        "--seed", type=int, default=DEFAULT_SEED, help="0 to 2**64 - 1 (default %(default)s)"
+    )
+    parser.add_argument("--out", default="symkit-out", help="report directory (default %(default)s)")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="accepted (must be >= 1); currently has no effect"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text) in experiments.VERBS.items():
@@ -73,30 +77,30 @@ def _file_verb(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # a Philox key has 64 bits: rng_for would mask 2^64 or more to the key of a smaller seed
+    if not 0 <= args.seed < 2**64:
+        bound = "at least 0" if args.seed < 0 else "at most 2**64 - 1"
+        parser.error(f"seed must be {bound}, got {args.seed}")
+    if args.jobs < 1:
+        parser.error(f"jobs must be at least 1, got {args.jobs}")
     if args.verb not in experiments.VERBS:
         return _file_verb(args)
-    flags = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
-    try:
-        config = load_config(args.config) if args.config else SuiteConfig()
-        config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"symkit: config error: {exc}", file=sys.stderr)
-        return 2
     ids = getattr(args, "inequality", None)
     unknown = [i for i in ids or () if i not in experiments.REFINE_IDS]
     if unknown:
         print(f"symkit: unknown inequality id {unknown[0]!r}", file=sys.stderr)
         return 2
     try:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"symkit: output directory: {exc}", file=sys.stderr)
         return 2
     # looked up by name at call time, so a rebound experiments.run_* is what runs
     run = getattr(experiments, experiments.VERBS[args.verb][0])
-    reports = run(config, ids) if args.verb == "refine" else run(config)
-    out_dir = write_reports(reports, config.out_dir)
+    reports = run(args.seed, ids) if args.verb == "refine" else run(args.seed)
+    out_dir = write_reports(reports, args.out)
     n_fail = sum(1 for r in reports if r.verdict == VERDICT_FAIL)
     for r in reports:
         print(f"{r.verdict:10s} {r.experiment_id}")

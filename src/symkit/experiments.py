@@ -1,13 +1,14 @@
 """Suite runners behind the CLI verbs.
 
 ``VERBS`` names the runner of each suite verb.  Every runner takes the
-config and returns a list of ExperimentReports: it lists its experiments,
+seed and returns a list of ExperimentReports: it lists its experiments,
 plain functions that return an ExperimentReport (a list of them for
 verify), and hands them to ``_run``, which calls them in order and stamps
 each call's wall time on the reports it returned.  Verdicts are derivable
 from the recorded numbers.  Random inputs are drawn from counter-based
-streams keyed by the config seed, so identical configs produce
-byte-identical payloads (wall time aside).
+streams keyed by the seed, so one seed produces byte-identical payloads
+(wall time aside).  The suite's sizes and tolerances are the constants
+below (DECISIONS.md D15).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .report import (
     VERDICT_PASS,
     VERDICT_TREND,
     ExperimentReport,
-    SuiteConfig,
     digest_inputs,
 )
 from .sharp import (
@@ -79,6 +79,20 @@ from .stability import (
 EXACT_TOL = 1e-12
 
 BOX_HALF = {1: 4.0, 2: 2.0, 3: 8.0}  # physical half-widths used by the suites
+
+# The suite's inputs and tolerances (DECISIONS.md D15): every report was
+# measured with these values, and its digest, tolerances or values record them.
+RUNGS = {  # refinement ladder per dimension, coarse to fine: (n, h), h halving
+    1: ((128, 8 / 128), (256, 8 / 256), (512, 8 / 512)),
+    2: ((32, 4 / 32), (64, 4 / 64), (128, 4 / 128)),
+}
+VERIFY_CASES = 200  # random signed pairs per dimension in verify
+VERIFY_SHAPE = {1: 64, 2: 16}  # cells per side of the verify grids
+N_BUMPS = 6  # bumps per random field or mask
+SUPPORT_FRACTION = 0.6  # bumps lie within this fraction of the box half-width
+MC_SAMPLES = 200_000  # Monte Carlo samples per integral in refine-bll-1d
+CONTRACTION_FACTOR = 0.7  # a ladder's violation shrinks at least this much per rung
+FINAL_VIOLATION_FRACTION = 1e-3  # and ends at most this fraction of its scale
 
 # Suite verb -> (runner name, help text), in the order the CLI lists them.
 # The runners are named, not bound: callers look them up in this module when
@@ -132,16 +146,16 @@ def _rel_gap(bad: float, good: float) -> float:
     return (bad - good) / scale
 
 
-def run_verify(config: SuiteConfig) -> list[ExperimentReport]:
+def run_verify(seed: int) -> list[ExperimentReport]:
     """Exact discrete inequalities on seeded random pairs; slack 1e-12 relative.
 
     All checks share one pass over the cases, so every report carries that
     pass's wall time.
     """
-    return _run([partial(_verify, config)])
+    return _run([partial(_verify, seed)])
 
 
-def _verify(config: SuiteConfig) -> list[ExperimentReport]:
+def _verify(seed: int) -> list[ExperimentReport]:
     worst: dict[str, float] = {}
 
     def note(name: str, gap: float):
@@ -149,21 +163,14 @@ def _verify(config: SuiteConfig) -> list[ExperimentReport]:
 
     profile = PowerProfile(2.0)
     forms = {"product": np.multiply, "min": np.minimum, "jexp": JExpansionF(profile)}
-    n_cases = config.verify_cases
     for d in (1, 2):
-        n = config.verify_shape_1d if d == 1 else config.verify_shape_2d
+        n = VERIFY_SHAPE[d]
         half = BOX_HALF[d]
         grid = _grid(d, n, 2 * half / n)
-        for case in range(n_cases):
-            rng = rng_for(config.seed, 10 + d, case)
-            f = bump_field(
-                sample_bumps(rng, d, half, config.n_bumps, config.support_fraction, signed=True),
-                grid,
-            )
-            g = bump_field(
-                sample_bumps(rng, d, half, config.n_bumps, config.support_fraction, signed=True),
-                grid,
-            )
+        for case in range(VERIFY_CASES):
+            rng = rng_for(seed, 10 + d, case)
+            f = bump_field(sample_bumps(rng, d, half, N_BUMPS, SUPPORT_FRACTION, signed=True), grid)
+            g = bump_field(sample_bumps(rng, d, half, N_BUMPS, SUPPORT_FRACTION, signed=True), grid)
             fstar = rearrange(f)
             gstar = rearrange(g)
             fp = ScalarField(grid, np.abs(f.values))
@@ -196,7 +203,7 @@ def _verify(config: SuiteConfig) -> list[ExperimentReport]:
 
     reports = []
     # the literal False fills the slot of a removed option, so digests keep their bytes (D13)
-    digest = digest_inputs(config.seed, n_cases, False)
+    digest = digest_inputs(seed, VERIFY_CASES, False)
     for name, violation in sorted(worst.items()):
         rep = ExperimentReport(
             experiment_id=f"verify-{name}",
@@ -206,15 +213,6 @@ def _verify(config: SuiteConfig) -> list[ExperimentReport]:
             verdict=VERDICT_PASS if violation <= EXACT_TOL else VERDICT_FAIL,
         )
         reports.append(rep)
-    if n_cases == 0:
-        reports = [
-            ExperimentReport(
-                experiment_id="verify-empty",
-                inputs_digest=digest,
-                warnings=["no cases configured; vacuous pass"],
-                verdict=VERDICT_PASS,
-            )
-        ]
     return reports
 
 
@@ -223,36 +221,36 @@ def _verify(config: SuiteConfig) -> list[ExperimentReport]:
 # ----------------------------------------------------------------------------
 
 
-def _suite_samples(config, d, stream):
+def _suite_samples(seed, d, stream):
     """The three seeded bump samples of a refinement contract, in physical units."""
     for case in range(3):
-        rng = rng_for(config.seed, stream, d, case)
-        yield sample_bumps(rng, d, BOX_HALF[d], config.n_bumps, config.support_fraction)
+        rng = rng_for(seed, stream, d, case)
+        yield sample_bumps(rng, d, BOX_HALF[d], N_BUMPS, SUPPORT_FRACTION)
 
 
-def _suite_fields(config, d, n, h, stream):
+def _suite_fields(seed, d, n, h, stream):
     grid = _grid(d, n, h)
-    return [bump_field(s, grid, nonneg=True) for s in _suite_samples(config, d, stream)]
+    return [bump_field(s, grid, nonneg=True) for s in _suite_samples(seed, d, stream)]
 
 
-def _suite_masks(config, d, n, h, stream):
+def _suite_masks(seed, d, n, h, stream):
     grid = _grid(d, n, h)
-    return [bump_mask(s, grid, 0.3) for s in _suite_samples(config, d, stream)]
+    return [bump_mask(s, grid, 0.3) for s in _suite_samples(seed, d, stream)]
 
 
-def _riesz_inputs(config, d, n, h):
+def _riesz_inputs(seed, d, n, h):
     """(f, g, k) per case; g is sampled on the displacement grid."""
     grid = _grid(d, n, h)
     half = BOX_HALF[d]
     for case in range(3):
-        rng = rng_for(config.seed, 21, d, case)
-        f = bump_field(sample_bumps(rng, d, half, config.n_bumps, 0.5), grid, nonneg=True)
-        k = bump_field(sample_bumps(rng, d, half, config.n_bumps, 0.5), grid, nonneg=True)
-        gsample = sample_bumps(rng, d, half, config.n_bumps, 0.5)
+        rng = rng_for(seed, 21, d, case)
+        f = bump_field(sample_bumps(rng, d, half, N_BUMPS, 0.5), grid, nonneg=True)
+        k = bump_field(sample_bumps(rng, d, half, N_BUMPS, 0.5), grid, nonneg=True)
+        gsample = sample_bumps(rng, d, half, N_BUMPS, 0.5)
         yield f, bump_field(gsample, displacement_grid(grid), nonneg=True), k
 
 
-def _heat_trace_pairs(config, grid, rng_keys, threshold, times):
+def _heat_trace_pairs(seed, grid, rng_keys, threshold, times):
     """(trace, trace after increasing rearrangement) per random domain and time.
 
     Each key seeds one random domain (a bump mask at ``threshold``) and
@@ -261,10 +259,10 @@ def _heat_trace_pairs(config, grid, rng_keys, threshold, times):
     """
     d, half = grid.dim, BOX_HALF[grid.dim]
     for key in rng_keys:
-        rng = rng_for(config.seed, *key)
-        sample = sample_bumps(rng, d, half, config.n_bumps, 0.45)
+        rng = rng_for(seed, *key)
+        sample = sample_bumps(rng, d, half, N_BUMPS, 0.45)
         omega = bump_mask(sample, grid, threshold=threshold)
-        vsample = sample_bumps(rng, d, half, config.n_bumps, config.support_fraction)
+        vsample = sample_bumps(rng, d, half, N_BUMPS, SUPPORT_FRACTION)
         V = ScalarField(grid, 3.0 * np.abs(vsample(grid.coords())))
         vstar, ostar = increasing_rearrangement(V, omega)
         ev = dirichlet_eigenvalues(omega, V)
@@ -273,42 +271,42 @@ def _heat_trace_pairs(config, grid, rng_keys, threshold, times):
             yield float(np.exp(-t * ev).sum()), float(np.exp(-t * evs).sum())
 
 
-# Refinement contracts: id -> (config, d, n, h) -> (bad, good) pairs, where
+# Refinement contracts: id -> (seed, d, n, h) -> (bad, good) pairs, where
 # ``bad`` exceeding ``good`` is the wrong direction of the inequality.  The
 # entries are lambdas so that library functions are looked up in this
 # module's globals when a contract runs, never bound at import time.
 _CONTRACTS = {
-    "riesz": lambda c, d, n, h: (
+    "riesz": lambda seed, d, n, h: (
         (riesz_triple(f, g, k), riesz_triple(rearrange(f), rearrange(g), rearrange(k)))
-        for f, g, k in _riesz_inputs(c, d, n, h)
+        for f, g, k in _riesz_inputs(seed, d, n, h)
     ),
-    "frac-seminorm": lambda c, d, n, h: (
+    "frac-seminorm": lambda seed, d, n, h: (
         (fractional_seminorm(rearrange(u), 0.5, 2.0), fractional_seminorm(u, 0.5, 2.0))
-        for u in _suite_fields(c, d, n, h, stream=22)
+        for u in _suite_fields(seed, d, n, h, stream=22)
     ),
-    "frac-perimeter": lambda c, d, n, h: (
+    "frac-perimeter": lambda seed, d, n, h: (
         (fractional_perimeter(set_symmetrize(A), 0.5), fractional_perimeter(A, 0.5))
-        for A in _suite_masks(c, d, n, h, stream=23)
+        for A in _suite_masks(seed, d, n, h, stream=23)
     ),
-    "gradient": lambda c, d, n, h: (
+    "gradient": lambda seed, d, n, h: (
         (gradient_pnorm(rearrange(u), 2.0), gradient_pnorm(u, 2.0))
-        for u in _suite_fields(c, d, n, h, stream=24)
+        for u in _suite_fields(seed, d, n, h, stream=24)
     ),
-    "heat-pairing": lambda c, d, n, h: (
+    "heat-pairing": lambda seed, d, n, h: (
         (heat_pairing(u, 0.04), heat_pairing(rearrange(u), 0.04))
-        for u in _suite_fields(c, d, n, h, stream=25)
+        for u in _suite_fields(seed, d, n, h, stream=25)
     ),
-    "heat-trace": lambda c, d, n, h: _heat_trace_pairs(
-        c, _grid(d, n, h), [(26, d, case) for case in range(2)], 0.4, (0.01, 0.03)
+    "heat-trace": lambda seed, d, n, h: _heat_trace_pairs(
+        seed, _grid(d, n, h), [(26, d, case) for case in range(2)], 0.4, (0.01, 0.03)
     ),
-    "minkowski": lambda c, d, n, h: (
+    "minkowski": lambda seed, d, n, h: (
         (minkowski_content(set_symmetrize(A), 3 * h), minkowski_content(A, 3 * h))
-        for A in _suite_masks(c, d, n, h, stream=27)
+        for A in _suite_masks(seed, d, n, h, stream=27)
     ),
 }
 
 
-def _ladder_report(config, experiment_id, digest, ladder) -> ExperimentReport:
+def _ladder_report(experiment_id, digest, ladder) -> ExperimentReport:
     """Contraction report of a ladder of ``_worst`` (violation, scale) pairs, coarse to fine.
 
     Passes (as a trend) when each violation is at most the contraction factor
@@ -317,49 +315,48 @@ def _ladder_report(config, experiment_id, digest, ladder) -> ExperimentReport:
     """
     viols, scales = [v for v, _ in ladder], [s for _, s in ladder]
     atol = 1e-14 * max(scales + [1.0])
-    ok = all(v2 <= config.contraction_factor * v1 + atol for v1, v2 in zip(viols, viols[1:]))
-    final_ok = viols[-1] <= config.final_violation_fraction * max(scales[-1], 1e-300)
+    ok = all(v2 <= CONTRACTION_FACTOR * v1 + atol for v1, v2 in zip(viols, viols[1:]))
+    final_ok = viols[-1] <= FINAL_VIOLATION_FRACTION * max(scales[-1], 1e-300)
     return ExperimentReport(
         experiment_id=experiment_id,
         inputs_digest=digest,
         values={"final_violation": viols[-1], "final_scale": scales[-1]},
         tolerances={
-            "contraction_factor": config.contraction_factor,
-            "final_fraction": config.final_violation_fraction,
+            "contraction_factor": CONTRACTION_FACTOR,
+            "final_fraction": FINAL_VIOLATION_FRACTION,
         },
         series={"violations": viols, "scales": scales},
         verdict=VERDICT_TREND if ok and final_ok else VERDICT_FAIL,
     )
 
 
-def _contract_report(config, ineq_id, d) -> ExperimentReport:
-    rungs = config.rungs(d)
-    ladder = [_worst(_CONTRACTS[ineq_id](config, d, n, h)) for n, h in rungs]
-    digest = digest_inputs(config.seed, ineq_id, d, tuple(rungs))
-    rep = _ladder_report(config, f"refine-{ineq_id}-{d}d", digest, ladder)
+def _contract_report(seed, ineq_id, d) -> ExperimentReport:
+    ladder = [_worst(_CONTRACTS[ineq_id](seed, d, n, h)) for n, h in RUNGS[d]]
+    digest = digest_inputs(seed, ineq_id, d, RUNGS[d])
+    rep = _ladder_report(f"refine-{ineq_id}-{d}d", digest, ladder)
     viols = rep.series["violations"]
     rep.series["factors"] = [(v2 / v1 if v1 > 0 else 0.0) for v1, v2 in zip(viols, viols[1:])]
     return rep
 
 
-def young_equality_quotients(config) -> list[float]:
+def young_equality_quotients() -> list[float]:
     """Quotient of the 1-d Gaussian equality family along the d=1 ladder."""
     p, q, r = 2.0, 4.0 / 3.0, 4.0 / 3.0
     out = []
-    for n, h in config.rungs(1):
+    for n, h in RUNGS[1]:
         f, g, hh = young_gaussian_triple(_grid(1, n, h), p, q, r)
         out.append(young_quotient(f, g, hh, p, q, r))
     return out
 
 
-def _refine_young(config) -> ExperimentReport:
-    quotients = young_equality_quotients(config)
+def _refine_young(seed) -> ExperimentReport:
+    quotients = young_equality_quotients()
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
     final_gap = abs(quotients[-1] - 1.0)
     verdict = VERDICT_TREND if monotone and final_gap <= 1e-2 else VERDICT_FAIL
     return ExperimentReport(
         experiment_id="refine-young-quotient-1d",
-        inputs_digest=digest_inputs(config.seed, "young", tuple(config.rungs(1))),
+        inputs_digest=digest_inputs(seed, "young", RUNGS[1]),
         values={"final_gap": final_gap},
         tolerances={"final_gap": 1e-2, "monotone_noise": 1e-3},
         series={"quotients": quotients},
@@ -398,7 +395,7 @@ def hls_optimizer_quotients():
     return quotients, bias
 
 
-def _refine_hls(config) -> ExperimentReport:
+def _refine_hls(seed) -> ExperimentReport:
     quotients, bias = hls_optimizer_quotients()
     target = hls_constant(HLS_LAMBDA, 1)
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
@@ -406,7 +403,7 @@ def _refine_hls(config) -> ExperimentReport:
     verdict = VERDICT_TREND if monotone and final_gap <= 0.02 else VERDICT_FAIL
     return ExperimentReport(
         experiment_id="refine-hls-quotient-1d",
-        inputs_digest=digest_inputs(config.seed, "hls", HLS_RUNGS, HLS_BOX_HALF),
+        inputs_digest=digest_inputs(seed, "hls", HLS_RUNGS, HLS_BOX_HALF),
         values={"final_relative_gap": final_gap, "target": target},
         tolerances={"final_relative_gap": 0.02},
         series={"quotients": quotients, "bias_bounds": bias},
@@ -414,14 +411,14 @@ def _refine_hls(config) -> ExperimentReport:
     )
 
 
-def _refine_bll(config) -> ExperimentReport:
+def _refine_bll(seed) -> ExperimentReport:
     """Statistical contract: I[f] <= I[f*] + 5 SE on seeded random 1-d specs."""
-    n, h = config.rungs(1)[0]
+    n, h = RUNGS[1][0]
     grid = _grid(1, n, h)
     cases = 4
     margins = []
     for case in range(cases):
-        rng = rng_for(config.seed, 31, case)
+        rng = rng_for(seed, 31, case)
         n_factors = int(rng.integers(2, 5))
         n_vars = int(rng.integers(1, min(n_factors, 3) + 1))
         coeffs = _random_bll_coeffs(rng, n_factors, n_vars)
@@ -431,17 +428,17 @@ def _refine_bll(config) -> ExperimentReport:
         ]
         spec = BLLSpec(coeffs, tuple(fields))
         spec_star = BLLSpec(coeffs, tuple(rearrange(f) for f in fields))
-        est = bll_integral(spec, config.mc_samples, seed=config.seed + case)
-        est_star = bll_integral(spec_star, config.mc_samples, seed=config.seed + 1000 + case)
+        est = bll_integral(spec, MC_SAMPLES, seed=seed + case)
+        est_star = bll_integral(spec_star, MC_SAMPLES, seed=seed + 1000 + case)
         se = math.hypot(est.standard_error, est_star.standard_error)
         margins.append((est.value - est_star.value) / max(se, 1e-300))
     worst = max(margins)
     return ExperimentReport(
         experiment_id="refine-bll-1d",
-        inputs_digest=digest_inputs(config.seed, "bll", n, cases),
+        inputs_digest=digest_inputs(seed, "bll", n, cases),
         values={"worst_margin_in_se": worst},
         tolerances={"margin_se": 5.0},
-        standard_errors={"samples": float(config.mc_samples)},
+        standard_errors={"samples": float(MC_SAMPLES)},
         verdict=VERDICT_PASS if worst <= 5.0 else VERDICT_FAIL,
     )
 
@@ -464,7 +461,7 @@ _SINGLE_REFINES = {"young-quotient": _refine_young, "hls-quotient": _refine_hls,
 REFINE_IDS = tuple(_CONTRACTS) + tuple(_SINGLE_REFINES)
 
 
-def run_refine(config: SuiteConfig, ids=None) -> list[ExperimentReport]:
+def run_refine(seed: int, ids=None) -> list[ExperimentReport]:
     """Refinement reports for the given ids (all by default); contracts run in d = 1 and 2."""
     ids = tuple(dict.fromkeys(ids)) if ids else REFINE_IDS  # first occurrence of each id
     unknown = [i for i in ids if i not in REFINE_IDS]
@@ -473,9 +470,9 @@ def run_refine(config: SuiteConfig, ids=None) -> list[ExperimentReport]:
     experiments = []
     for ineq_id in ids:
         if ineq_id in _CONTRACTS:
-            experiments += [partial(_contract_report, config, ineq_id, d) for d in (1, 2)]
+            experiments += [partial(_contract_report, seed, ineq_id, d) for d in (1, 2)]
         else:
-            experiments.append(partial(_SINGLE_REFINES[ineq_id], config))
+            experiments.append(partial(_SINGLE_REFINES[ineq_id], seed))
     return _run(experiments)
 
 
@@ -536,17 +533,17 @@ def _faber_krahn() -> ExperimentReport:
     )
 
 
-def _heat_trace_random(config) -> ExperimentReport:
+def _heat_trace_random(seed) -> ExperimentReport:
     rung_ns = (16, 32, 64)
     base_h = 4.0 / 16
     n_pairs = 20
     keys = [(41, case) for case in range(n_pairs)]
     ladder = [
-        _worst(_heat_trace_pairs(config, _grid(2, n, base_h / 2**rung), keys, 0.55, (0.05, 0.1, 0.2)))
+        _worst(_heat_trace_pairs(seed, _grid(2, n, base_h / 2**rung), keys, 0.55, (0.05, 0.1, 0.2)))
         for rung, n in enumerate(rung_ns)
     ]
-    digest = digest_inputs(config.seed, "heat-random", rung_ns, n_pairs)
-    return _ladder_report(config, "spectral-heat-trace-random", digest, ladder)
+    digest = digest_inputs(seed, "heat-random", rung_ns, n_pairs)
+    return _ladder_report("spectral-heat-trace-random", digest, ladder)
 
 
 def _heat_perimeter_square() -> ExperimentReport:
@@ -567,8 +564,8 @@ def _heat_perimeter_square() -> ExperimentReport:
     )
 
 
-def run_spectral(config: SuiteConfig) -> list[ExperimentReport]:
-    return _run([_faber_krahn, partial(_heat_trace_random, config), _heat_perimeter_square])
+def run_spectral(seed: int) -> list[ExperimentReport]:
+    return _run([_faber_krahn, partial(_heat_trace_random, seed), _heat_perimeter_square])
 
 
 # ----------------------------------------------------------------------------
@@ -644,14 +641,14 @@ def _two_ball_sweep() -> ExperimentReport:
     )
 
 
-def _asymmetry_audit(config) -> ExperimentReport:
+def _asymmetry_audit(seed) -> ExperimentReport:
     """The FFT-pruned asymmetry search equals the plain-loop oracle, bit for bit."""
     grid = _grid(2, 24, 4.0 / 24)
     mism = 0
     n_rho = 50
     for case in range(n_rho):
-        rng = rng_for(config.seed, 51, case)
-        sample = sample_bumps(rng, 2, BOX_HALF[2], config.n_bumps, 0.7)
+        rng = rng_for(seed, 51, case)
+        sample = sample_bumps(rng, 2, BOX_HALF[2], N_BUMPS, 0.7)
         rho = ScalarField(grid, np.clip(np.abs(sample(grid.coords())), 0.0, 1.0))
         if rho.integral() <= 0:
             continue
@@ -659,7 +656,7 @@ def _asymmetry_audit(config) -> ExperimentReport:
             mism += 1
     return ExperimentReport(
         experiment_id="stability-asymmetry-audit",
-        inputs_digest=digest_inputs(config.seed, "asymmetry", n_rho),
+        inputs_digest=digest_inputs(seed, "asymmetry", n_rho),
         values={"mismatches": float(mism), "cases": float(n_rho)},
         tolerances={"mismatches": 0.0},
         verdict=VERDICT_PASS if mism == 0 else VERDICT_FAIL,
@@ -686,11 +683,11 @@ def _fractional_isoperimetric() -> ExperimentReport:
     )
 
 
-def _layered_identity(config) -> ExperimentReport:
+def _layered_identity(seed) -> ExperimentReport:
     """The layered decomposition rebuilds the Riesz energy in d = 2 and 3."""
-    rng = rng_for(config.seed, 52)
+    rng = rng_for(seed, 52)
     grid = _grid(2, 48, 4.0 / 48)
-    sample = sample_bumps(rng, 2, BOX_HALF[2], config.n_bumps, 0.6)
+    sample = sample_bumps(rng, 2, BOX_HALF[2], N_BUMPS, 0.6)
     rho = ScalarField(grid, np.clip(np.abs(sample(grid.coords())), 0.0, 1.0))
     direct = riesz_energy(rho, 0.5)
     recon = layered_riesz_reconstruction(rho, 0.5)
@@ -703,21 +700,21 @@ def _layered_identity(config) -> ExperimentReport:
     worst = max(rel2, rel3)
     return ExperimentReport(
         experiment_id="stability-layered-identity",
-        inputs_digest=digest_inputs(config.seed, "layered"),
+        inputs_digest=digest_inputs(seed, "layered"),
         values={"max_relative_error": worst, "d2": rel2, "d3": rel3},
         tolerances={"relative_error": 0.01},
         verdict=VERDICT_PASS if worst <= 0.01 else VERDICT_FAIL,
     )
 
 
-def run_stability(config: SuiteConfig) -> list[ExperimentReport]:
+def run_stability(seed: int) -> list[ExperimentReport]:
     return _run(
         [
             _equality_cases,
             _two_ball_sweep,
-            partial(_asymmetry_audit, config),
+            partial(_asymmetry_audit, seed),
             _fractional_isoperimetric,
-            partial(_layered_identity, config),
+            partial(_layered_identity, seed),
         ]
     )
 
@@ -731,7 +728,7 @@ CHOQUARD_N = 32  # cells per side of the 3-d grid (D9)
 CHOQUARD_STEPS = 500  # main-phase steps, before 50 polishing steps (D9)
 
 
-def run_choquard(config: SuiteConfig) -> list[ExperimentReport]:
+def run_choquard(seed: int) -> list[ExperimentReport]:
     """Ground-state descent at 32^3 with a polishing phase.
 
     Checks: the energy strictly decreases over the first 50 steps; the
@@ -742,13 +739,13 @@ def run_choquard(config: SuiteConfig) -> list[ExperimentReport]:
     resolution an individual sort can cost up to ~0.03 * step_size because
     the unconstrained lattice minimizer is slightly off the symmetric cone.
     """
-    return _run([partial(_choquard, config)])
+    return _run([partial(_choquard, seed)])
 
 
-def _choquard(config: SuiteConfig) -> ExperimentReport:
+def _choquard(seed: int) -> ExperimentReport:
     n, steps = CHOQUARD_N, CHOQUARD_STEPS
     grid = _grid(3, n, 2 * BOX_HALF[3] / n)
-    rng = rng_for(config.seed, 61)
+    rng = rng_for(seed, 61)
     sample = sample_bumps(rng, 3, BOX_HALF[3], 4, 0.45)
     u0 = bump_field(sample, grid, nonneg=True)
     result = choquard_descent(u0, steps=steps, step_size=0.02, polish_steps=50)
@@ -781,7 +778,7 @@ def _choquard(config: SuiteConfig) -> ExperimentReport:
     )
     return ExperimentReport(
         experiment_id="choquard-descent",
-        inputs_digest=digest_inputs(config.seed, "choquard", n, steps),
+        inputs_digest=digest_inputs(seed, "choquard", n, steps),
         values={
             "final_energy": energies[-1],
             "strictly_decreasing_first50": float(strictly_decreasing),
@@ -800,7 +797,7 @@ def _choquard(config: SuiteConfig) -> ExperimentReport:
     )
 
 
-def _continuity(config, kind, u, space, expectation) -> ExperimentReport:
+def _continuity(seed, kind, u, space, expectation) -> ExperimentReport:
     res = continuity_probe(u, kind, space=space)
     first, last = res.distances[0], res.distances[-1]
     if expectation == "decay":
@@ -814,7 +811,7 @@ def _continuity(config, kind, u, space, expectation) -> ExperimentReport:
     amplification = res.distances[0] / res.input_distances[0] if res.input_distances[0] else 0.0
     return ExperimentReport(
         experiment_id=f"continuity-{kind}-{space}",
-        inputs_digest=digest_inputs(config.seed, kind, space),
+        inputs_digest=digest_inputs(seed, kind, space),
         values={
             "initial": first,
             "final": last,
@@ -834,7 +831,7 @@ def _continuity(config, kind, u, space, expectation) -> ExperimentReport:
     )
 
 
-def run_probe_continuity(config: SuiteConfig) -> list[ExperimentReport]:
+def run_probe_continuity(seed: int) -> list[ExperimentReport]:
     grid = _grid(2, 64, 4.0 / 64)
     u_smooth = radial_bump_field(grid, radius=1.2)
     u_plateau = plateau_field(grid, top_radius=0.7, outer_radius=1.4)
@@ -844,4 +841,4 @@ def run_probe_continuity(config: SuiteConfig) -> list[ExperimentReport]:
         ("plateau", u_plateau, "wsp", "decay"),
         ("plateau", u_plateau, "w1p", "nonvanishing"),
     ]
-    return _run(partial(_continuity, config, *probe) for probe in probes)
+    return _run(partial(_continuity, seed, *probe) for probe in probes)

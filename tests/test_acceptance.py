@@ -34,10 +34,8 @@ from symkit.experiments import (
     run_verify,
     young_equality_quotients,
 )
+from symkit.cli import DEFAULT_SEED as SEED
 from symkit.random_fields import bump_field, rng_for, sample_bumps
-from symkit.report import SuiteConfig
-
-CONFIG = SuiteConfig()
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -47,7 +45,7 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_exact_discrete_suite():
     t0 = time.monotonic()
-    reports = run_verify(CONFIG)
+    reports = run_verify(SEED)
     elapsed = time.monotonic() - t0
     worst = max(r.values.get("max_relative_violation", 0.0) for r in reports)
     ok = all(r.verdict == "pass" for r in reports) and worst <= 1e-12 and elapsed <= 60
@@ -69,7 +67,7 @@ def test_criterion_2_refinement_contracts():
         "heat-trace",
         "minkowski",
     )
-    reports = run_refine(CONFIG, ids)
+    reports = run_refine(SEED, ids)
     elapsed = time.monotonic() - t0
     bad = [r.experiment_id for r in reports if r.verdict != "trend-pass"]
     ok = not bad and elapsed <= 600
@@ -82,7 +80,7 @@ def test_criterion_2_refinement_contracts():
 
 def test_criterion_3_sharp_young():
     # equality family along the ladder: monotone and within 1e-2 at n=512
-    quotients = young_equality_quotients(CONFIG)
+    quotients = young_equality_quotients()
     monotone = all(b >= a - 1e-3 for a, b in zip(quotients, quotients[1:]))
     final_ok = abs(quotients[-1] - 1.0) <= 1e-2
 
@@ -93,7 +91,7 @@ def test_criterion_3_sharp_young():
     delta = 10 * grid.h**2
     worst = 0.0
     for case in range(200):
-        rng = rng_for(CONFIG.seed, 71, case)
+        rng = rng_for(SEED, 71, case)
         f = bump_field(sample_bumps(rng, 1, box, 5, 0.55, signed=True), grid)
         gm = bump_field(sample_bumps(rng, 1, box, 5, 0.55, signed=True), dgrid)
         hh = bump_field(sample_bumps(rng, 1, box, 5, 0.55, signed=True), grid)
@@ -129,7 +127,7 @@ def test_criterion_4_sharp_hls():
     from symkit import hls_quotient
 
     for case in range(50):
-        rng = rng_for(CONFIG.seed, 72, case)
+        rng = rng_for(SEED, 72, case)
         c1, c2 = rng.uniform(-2, 2, size=2)
         w1, w2 = rng.uniform(1.0, 4.0, size=2)
         f = ScalarField(grid, rng.uniform(0.2, 1) * np.maximum(1 - ((x - c1) / w1) ** 2, 0) ** 2)
@@ -159,7 +157,7 @@ def test_criterion_4_sharp_hls():
 
 def test_criterion_5_spectral_isoperimetry():
     t0 = time.monotonic()
-    reports = {r.experiment_id: r for r in run_spectral(CONFIG)}
+    reports = {r.experiment_id: r for r in run_spectral(SEED)}
     elapsed = time.monotonic() - t0
     fk = reports["spectral-faber-krahn"]
     gap_err = abs(fk.values["gap"] - fk.values["analytic_gap"]) / fk.values["analytic_gap"]
@@ -191,14 +189,14 @@ def test_criterion_6_bll_monte_carlo():
     dgrid = displacement_grid(grid)
     mid = ScalarField(dgrid, np.exp(-dgrid.radius2()))
     spec = BLLSpec(np.array([[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]]), (f1, mid, f2))
-    est = bll_integral(spec, 1_000_000, seed=CONFIG.seed)
+    est = bll_integral(spec, 1_000_000, seed=SEED)
     exact = riesz_triple(f1, mid, f2)
     z = abs(est.value - exact) / est.standard_error
     riesz_ok = z <= 3.0
 
     worst_margin = -math.inf
     for case in range(10):
-        rng = rng_for(CONFIG.seed, 73, case)
+        rng = rng_for(SEED, 73, case)
         n_factors = int(rng.integers(2, 5))
         n_vars = int(rng.integers(1, min(n_factors, 3) + 1))
         coeffs = _random_bll_coeffs(rng, n_factors, n_vars)
@@ -208,8 +206,8 @@ def test_criterion_6_bll_monte_carlo():
         )
         s0 = BLLSpec(coeffs, fields)
         s1 = BLLSpec(coeffs, tuple(rearrange(f) for f in fields))
-        e0 = bll_integral(s0, 150_000, seed=CONFIG.seed + case)
-        e1 = bll_integral(s1, 150_000, seed=CONFIG.seed + 500 + case)
+        e0 = bll_integral(s0, 150_000, seed=SEED + case)
+        e1 = bll_integral(s1, 150_000, seed=SEED + 500 + case)
         se = math.hypot(e0.standard_error, e1.standard_error)
         worst_margin = max(worst_margin, (e0.value - e1.value) / max(se, 1e-300))
     random_ok = worst_margin <= 5.0
@@ -224,7 +222,7 @@ def test_criterion_6_bll_monte_carlo():
 
 
 def test_criterion_7_stability():
-    reports = {r.experiment_id: r for r in run_stability(CONFIG)}
+    reports = {r.experiment_id: r for r in run_stability(SEED)}
     eq = reports["stability-equality-cases"]
     sweep = reports["stability-two-ball-sweep"]
     audit = reports["stability-asymmetry-audit"]
@@ -242,7 +240,7 @@ def test_criterion_7_stability():
 
 def test_criterion_8_choquard_descent():
     t0 = time.monotonic()
-    [rep] = run_choquard(CONFIG)
+    [rep] = run_choquard(SEED)
     elapsed = time.monotonic() - t0
     ok = rep.verdict == "pass" and elapsed <= 600
     assert _report(
@@ -256,7 +254,7 @@ def test_criterion_8_choquard_descent():
 
 
 def test_criterion_9_continuity_probes():
-    reports = {r.experiment_id: r for r in run_probe_continuity(CONFIG)}
+    reports = {r.experiment_id: r for r in run_probe_continuity(SEED)}
     decay_ids = ("continuity-smooth-w1p", "continuity-smooth-wsp", "continuity-plateau-wsp")
     decay_ok = all(reports[i].verdict == "pass" for i in decay_ids)
     ratios = {i: reports[i].values["ratio"] for i in decay_ids}
