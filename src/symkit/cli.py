@@ -4,7 +4,8 @@ Verbs: verify, refine, spectral, stability, choquard, probe-continuity,
 rearrange (file to file), info.  Global flags: --seed, --out, --jobs
 (accepted and validated, currently no effect: experiments run in order in
 one process).  The suite's sizes and tolerances are constants in
-symkit.experiments; the seed is the one input a run can change.  Exit
+symkit.experiments; the seed is the one input a run can change, and each
+suite verb writes one JSON per report into --out and nothing else.  Exit
 codes: 0 all pass, 1 fail verdicts present, 2 usage errors, including a
 flag out of range and an output directory that cannot be created, both
 checked before any experiment runs.
@@ -38,11 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text) in experiments.VERBS.items():
         sub.add_parser(verb, help=help_text)
-    sub.choices["refine"].add_argument(
-        "--inequality",
-        action="append",
-        help=f"restrict to an inequality id (repeatable); known: {', '.join(experiments.REFINE_IDS)}",
-    )
     p_re = sub.add_parser("rearrange", help="rearrange a field or set file")
     p_re.add_argument("input")
     p_re.add_argument("output")
@@ -87,11 +83,6 @@ def main(argv=None) -> int:
         parser.error(f"jobs must be at least 1, got {args.jobs}")
     if args.verb not in experiments.VERBS:
         return _file_verb(args)
-    ids = getattr(args, "inequality", None)
-    unknown = [i for i in ids or () if i not in experiments.REFINE_IDS]
-    if unknown:
-        print(f"symkit: unknown inequality id {unknown[0]!r}", file=sys.stderr)
-        return 2
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -99,7 +90,7 @@ def main(argv=None) -> int:
         return 2
     # looked up by name at call time, so a rebound experiments.run_* is what runs
     run = getattr(experiments, experiments.VERBS[args.verb][0])
-    reports = run(args.seed, ids) if args.verb == "refine" else run(args.seed)
+    reports = run(args.seed)
     out_dir = write_reports(reports, args.out)
     n_fail = sum(1 for r in reports if r.verdict == VERDICT_FAIL)
     for r in reports:

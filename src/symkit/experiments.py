@@ -455,24 +455,10 @@ def _random_bll_coeffs(rng, n_factors: int, n_vars: int) -> np.ndarray:
     return coeffs
 
 
-# Refine ids reported once, in d = 1, by an experiment of their own.
-_SINGLE_REFINES = {"young-quotient": _refine_young, "hls-quotient": _refine_hls, "bll": _refine_bll}
-
-REFINE_IDS = tuple(_CONTRACTS) + tuple(_SINGLE_REFINES)
-
-
-def run_refine(seed: int, ids=None) -> list[ExperimentReport]:
-    """Refinement reports for the given ids (all by default); contracts run in d = 1 and 2."""
-    ids = tuple(dict.fromkeys(ids)) if ids else REFINE_IDS  # first occurrence of each id
-    unknown = [i for i in ids if i not in REFINE_IDS]
-    if unknown:
-        raise ValueError(f"unknown inequality id {unknown[0]!r}; known: {REFINE_IDS}")
-    experiments = []
-    for ineq_id in ids:
-        if ineq_id in _CONTRACTS:
-            experiments += [partial(_contract_report, seed, ineq_id, d) for d in (1, 2)]
-        else:
-            experiments.append(partial(_SINGLE_REFINES[ineq_id], seed))
+def run_refine(seed: int) -> list[ExperimentReport]:
+    """Every contract in d = 1 and then d = 2, then the Young, HLS and BLL reports."""
+    experiments = [partial(_contract_report, seed, i, d) for i in _CONTRACTS for d in (1, 2)]
+    experiments += [partial(refine, seed) for refine in (_refine_young, _refine_hls, _refine_bll)]
     return _run(experiments)
 
 

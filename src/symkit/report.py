@@ -1,14 +1,12 @@
 """Machine-readable reports.
 
-Each experiment produces one JSON document plus a row in a flat CSV summary
-(id, verdict, value, tolerance).  Report payloads are deterministic for a
-fixed seed except for the wall-time field, which auditors strip before byte
-comparison.
+Each experiment produces one JSON document, named by its id.  Report
+payloads are deterministic for a fixed seed except for the wall-time field,
+which auditors strip before byte comparison.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field as dc_field
@@ -42,16 +40,6 @@ class ExperimentReport:
     verdict: str = VERDICT_PASS
     wall_time_s: float = 0.0
 
-    def primary_value(self) -> float | None:
-        for v in self.values.values():
-            return v
-        return None
-
-    def primary_tolerance(self) -> float | None:
-        for v in self.tolerances.values():
-            return v
-        return None
-
 
 def digest_inputs(*parts) -> str:
     """Stable hash of input scalars, strings, and arrays."""
@@ -65,7 +53,7 @@ def digest_inputs(*parts) -> str:
 
 
 def write_reports(reports: list[ExperimentReport], out_dir) -> Path:
-    """Write one JSON per report plus the flat CSV summary; returns the directory."""
+    """Write one JSON per report, ``<experiment_id>.json``; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rep in reports:
@@ -73,11 +61,4 @@ def write_reports(reports: list[ExperimentReport], out_dir) -> Path:
         with open(path, "w") as fh:
             json.dump(asdict(rep), fh, indent=1, sort_keys=True)
             fh.write("\n")
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "verdict", "value", "tolerance"])
-        for rep in reports:
-            writer.writerow(
-                [rep.experiment_id, rep.verdict, rep.primary_value(), rep.primary_tolerance()]
-            )
     return out

@@ -28,7 +28,8 @@ def dirs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "verify").mkdir(parents=True)
-        (root / "verify" / "summary.csv").write_text("id,verdict,value,tolerance\nx,pass,1.5,\n")
+        (root / "files").mkdir()
+        (root / "files" / "field.sk").write_text("SYMKIT-FIELD 1\n1\n2\n0.5\n1.5\n-1.5\n")
     return a, b
 
 
@@ -63,7 +64,7 @@ def test_file_on_one_side_only(dirs, capsys):
 
 def test_non_directory_argument(dirs, capsys):
     a, _ = dirs
-    assert compare_reports.main([str(a), str(a / "verify" / "summary.csv")]) == 2
+    assert compare_reports.main([str(a), str(a / "files" / "field.sk")]) == 2
     assert "not a directory" in capsys.readouterr().err
 
 
