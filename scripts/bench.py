@@ -66,28 +66,22 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from symkit import (
+from symkit.choquard import choquard_descent
+from symkit.field import Grid, GridSet, ScalarField, load, save
+from symkit.functionals import (
     BLLSpec,
-    Grid,
-    GridSet,
-    PowerLaw,
-    ScalarField,
+    _seminorm_direct,
     bll_integral,
-    continuity_probe,
     convolve,
-    dirichlet_eigenvalues,
-    dirichlet_spectrum,
-    displacement_grid,
     fractional_seminorm,
     gradient_pnorm,
-    load,
-    rearrange,
-    sample_kernel,
-    save,
+    kinetic_gradient,
 )
-from symkit.choquard import choquard_descent
-from symkit.functionals import _seminorm_direct, kinetic_gradient
+from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 from symkit.random_fields import plateau_field
+from symkit.rearrange import rearrange
+from symkit.spectral import dirichlet_eigenvalues, dirichlet_spectrum
+from symkit.stability import continuity_probe
 
 MEGA = (1000, 1000)  # 10^6 cells
 

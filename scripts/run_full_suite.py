@@ -5,10 +5,14 @@
 
 Each experiment verb of ``symkit.experiments.VERBS`` writes its reports to
 ``DIR/<verb>``.  ``DIR/files`` holds a seeded signed 64x64 field and a
-seeded 12^3 set written with ``symkit.save``, their images under the CLI's
+seeded 12^3 set written with ``symkit.field.save``, their images under the CLI's
 ``rearrange`` verb, and the ``info`` output of all four files as
 ``<name>.info.json``, so that ``scripts/compare_reports.py`` also checks
 save, load, rearrange, set_symmetrize and info byte for byte.
+
+The script imports the ``symkit`` of its own tree (``../src``), ahead of
+``PYTHONPATH`` and any installed copy, and prints that package's directory on
+its first line.  To check a refactor, run each tree's own copy of the script.
 """
 
 import contextlib
@@ -18,9 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from symkit import Grid, GridSet, ScalarField, save
-from symkit.cli import main
-from symkit.experiments import VERBS
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import symkit  # noqa: E402
+from symkit.cli import main  # noqa: E402
+from symkit.experiments import VERBS  # noqa: E402
+from symkit.field import Grid, GridSet, ScalarField, save  # noqa: E402
 
 FILES_SEED = 20260808
 
@@ -47,6 +54,7 @@ def write_field_files(out) -> int:
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "symkit-out"
+    print(f"symkit from {Path(symkit.__file__).parent}")
     worst = 0
     for verb in VERBS:
         print(f"== symkit {verb} ==")

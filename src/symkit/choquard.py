@@ -25,8 +25,6 @@ from .functionals import (
 from .kernels import PowerLaw, displacement_grid, sample_kernel
 from .rearrange import rearrange
 
-__all__ = ["DescentResult", "choquard_descent"]
-
 # Step size of the polishing phase: small enough that one sort costs far less
 # than the 1e-3 sort-cost slack of the choquard report (DECISIONS.md D9).
 _POLISH_STEP_SIZE = 1e-5

@@ -636,8 +636,6 @@ def _asymmetry_audit(seed) -> ExperimentReport:
         rng = rng_for(seed, 51, case)
         sample = sample_bumps(rng, 2, BOX_HALF[2], N_BUMPS, 0.7)
         rho = ScalarField(grid, np.clip(np.abs(sample(grid.coords())), 0.0, 1.0))
-        if rho.integral() <= 0:
-            continue
         if asymmetry(rho) != asymmetry_bruteforce(rho):
             mism += 1
     return ExperimentReport(

@@ -18,16 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "Grid",
-    "ScalarField",
-    "GridSet",
-    "FieldFormatError",
-    "measure",
-    "save",
-    "load",
-]
-
 _SUPPORTED_DIMS = (1, 2, 3)
 _FIELD_TAG = "SYMKIT-FIELD 1"
 _SET_TAG = "SYMKIT-SET 1"
@@ -162,14 +152,6 @@ class GridSet:
         if m.shape != self.grid.shape:
             raise ValueError(f"mask shape {m.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "mask", _freeze(m))
-
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
 
     def count(self) -> int:
         return int(self.mask.sum())

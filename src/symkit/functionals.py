@@ -31,31 +31,6 @@ from .kernels import (
     sample_kernel,
 )
 
-__all__ = [
-    "UnboundedRegionError",
-    "JExpansionF",
-    "PowerProfile",
-    "BLLSpec",
-    "MCEstimate",
-    "lp_norm",
-    "pairing",
-    "supermodular_pairing",
-    "expansion_gaps",
-    "hanner_sum",
-    "convolve",
-    "riesz_triple",
-    "bll_integral",
-    "fractional_seminorm",
-    "unit_ball_volume",
-    "fractional_perimeter",
-    "minkowski_content",
-    "gradient_pnorm",
-    "gradient_magnitude",
-    "kinetic_gradient",
-    "heat_pairing",
-    "riesz_energy",
-]
-
 
 class UnboundedRegionError(ValueError):
     """Interval analysis failed to confine every integration variable."""

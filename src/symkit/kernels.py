@@ -22,17 +22,6 @@ import numpy as np
 
 from .field import Grid, ScalarField
 
-__all__ = [
-    "PowerLaw",
-    "FracKernel",
-    "BallIndicator",
-    "HeatGaussian",
-    "KernelSpec",
-    "displacement_grid",
-    "sample_kernel",
-    "sample_kernel_averaged",
-]
-
 _SUBSAMPLE = 32
 # cells per side, around the origin, that sample_kernel_averaged averages (D9)
 _AVG_RADIUS = 8

@@ -16,16 +16,6 @@ import numpy as np
 
 from .field import Grid, GridSet, ScalarField
 
-__all__ = [
-    "BumpSum",
-    "rng_for",
-    "sample_bumps",
-    "bump_field",
-    "bump_mask",
-    "plateau_field",
-    "radial_bump_field",
-]
-
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator keyed by the seed and a stream index tuple."""

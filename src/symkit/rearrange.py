@@ -16,14 +16,6 @@ import numpy as np
 
 from .field import Grid, GridSet, ScalarField, _int_radius2
 
-__all__ = [
-    "cell_order",
-    "set_symmetrize",
-    "rearrange",
-    "increasing_rearrangement",
-    "bathtub_fill",
-]
-
 
 @lru_cache(maxsize=128)
 def cell_order(shape: tuple[int, ...]) -> np.ndarray:

@@ -12,8 +12,6 @@ import json
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
-__all__ = ["ExperimentReport", "write_reports"]
-
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_TREND = "trend-pass"

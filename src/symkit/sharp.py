@@ -22,17 +22,6 @@ from .field import Grid, ScalarField
 from .functionals import lp_norm, riesz_triple, unit_ball_volume
 from .kernels import displacement_grid, sample_kernel_averaged
 
-__all__ = [
-    "young_constant",
-    "young_gaussian_triple",
-    "young_quotient",
-    "hls_constant",
-    "hls_exponent",
-    "hls_optimizer",
-    "hls_norm_tail",
-    "hls_quotient",
-]
-
 
 def young_constant(s: float) -> float:
     """Sharp one-dimensional Young factor C_s; the theorem constant is (C_p C_q C_r)^d."""

@@ -20,13 +20,6 @@ from scipy.sparse.linalg import eigsh
 
 from .field import Grid, GridSet, ScalarField, measure
 
-__all__ = [
-    "DENSE_CELL_CAP",
-    "dirichlet_spectrum",
-    "dirichlet_eigenvalues",
-    "heat_perimeter_estimate",
-]
-
 DENSE_CELL_CAP = 5000
 
 

@@ -32,21 +32,6 @@ from .functionals import (
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
 from .rearrange import bathtub_fill, rearrange, set_symmetrize
 
-__all__ = [
-    "DeficitReport",
-    "asymmetry",
-    "asymmetry_bruteforce",
-    "ball_kernel_deficit",
-    "riesz_deficit",
-    "fractional_isoperimetric_deficit",
-    "ResidualDistribution",
-    "residual_distribution",
-    "ContinuityProbeResult",
-    "continuity_probe",
-    "pair_correlation_curve",
-    "layered_riesz_reconstruction",
-]
-
 
 # ----------------------------------------------------------------------------
 # asymmetry

@@ -10,18 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from symkit import (
-    BLLSpec,
-    Grid,
-    ScalarField,
-    bll_integral,
-    displacement_grid,
-    hls_constant,
-    rearrange,
-    riesz_triple,
-    young_constant,
-    young_quotient,
-)
+from symkit.cli import DEFAULT_SEED as SEED
 from symkit.experiments import (
     HLS_LAMBDA,
     _contract_report,
@@ -34,8 +23,12 @@ from symkit.experiments import (
     run_verify,
     young_equality_quotients,
 )
-from symkit.cli import DEFAULT_SEED as SEED
+from symkit.field import Grid, ScalarField
+from symkit.functionals import BLLSpec, bll_integral, riesz_triple
+from symkit.kernels import displacement_grid
 from symkit.random_fields import bump_field, rng_for, sample_bumps
+from symkit.rearrange import rearrange
+from symkit.sharp import hls_constant, young_constant, young_quotient
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -124,7 +117,7 @@ def test_criterion_4_sharp_hls():
     grid = Grid((256,), 32.0 / 256)
     x = grid.axis_coords(0)
     worst = 0.0
-    from symkit import hls_quotient
+    from symkit.sharp import hls_quotient
 
     for case in range(50):
         rng = rng_for(SEED, 72, case)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import symkit.experiments as experiments
-from symkit import Grid, GridSet, ScalarField, cell_order, load, rearrange, save, set_symmetrize
 from symkit.cli import DEFAULT_SEED, main
 from symkit.experiments import _contract_report, _refine_bll, _refine_young, run_verify
+from symkit.field import Grid, GridSet, ScalarField, load, save
+from symkit.rearrange import cell_order, rearrange, set_symmetrize
 from symkit.report import ExperimentReport, write_reports
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"

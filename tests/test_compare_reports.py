@@ -2,11 +2,15 @@
 scripts/run_full_suite.py that it checks."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+_REPO = Path(__file__).resolve().parents[1]
+_SCRIPTS = _REPO / "scripts"
 
 
 def _load_script(name: str):
@@ -81,3 +85,20 @@ def test_field_files_are_reproducible(tmp_path):
     }
     assert '"kind": "set"' in (a / "set.rearranged.info.json").read_text()
     assert compare_reports.compare(a, b) == []
+
+
+def test_full_suite_imports_its_own_tree(tmp_path):
+    # A decoy package ahead on PYTHONPATH stands for another tree's or an installed symkit.
+    decoy = tmp_path / "decoy" / "symkit"
+    decoy.mkdir(parents=True)
+    (decoy / "__init__.py").write_text("raise ImportError('decoy symkit')\n")
+    code = (
+        "import runpy, sys\n"
+        f"runpy.run_path({str(_SCRIPTS / 'run_full_suite.py')!r})\n"
+        "print(sys.modules['symkit'].__file__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(decoy.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert Path(out.strip()) == _REPO / "src" / "symkit" / "__init__.py"

@@ -39,9 +39,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, rfftn
 
 import symkit
-from symkit import Grid, PowerLaw, ScalarField, convolve, displacement_grid, sample_kernel
-from symkit import functionals
-from symkit.functionals import _fftconvolve_full
+import symkit.functionals as functionals
+from symkit.field import Grid, ScalarField
+from symkit.functionals import _fftconvolve_full, convolve
+from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 
 RTOL = 1e-12
 

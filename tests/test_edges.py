@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from symkit import (
-    BLLSpec,
-    Grid,
-    GridSet,
-    ScalarField,
-    bathtub_fill,
-    bll_integral,
-    residual_distribution,
-    lp_norm,
-)
+from symkit.field import Grid, GridSet, ScalarField
+from symkit.functionals import BLLSpec, bll_integral, lp_norm
+from symkit.rearrange import bathtub_fill
+from symkit.stability import residual_distribution
 
 
 def test_bll_infeasible_region_gives_zero():

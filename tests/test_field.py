@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symkit import (
+from symkit.field import (
     FieldFormatError,
     Grid,
     GridSet,
     ScalarField,
+    _read_lines,
     load,
     measure,
     save,
 )
-from symkit.field import _read_lines
 
 finite_vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -165,6 +165,27 @@ class TestFieldFile:
         p.write_text("SYMKIT-SET 1\n1\n2\n0.5\n1\n0.5\n")
         with pytest.raises(FieldFormatError, match="0 or 1"):
             load(p)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "empty file"),
+            ("SYMKIT-FIELD 1\n1\n", 2, "truncated header (need 4 header lines)"),
+            ("SYMKIT-FIELD 1\n2.0\n2 2\n0.5\n", 2, "dimension is not an integer: '2.0'"),
+            ("SYMKIT-FIELD 1\n2\n4\n0.5\n", 3, "expected 2 extents, got 1"),
+            ("SYMKIT-FIELD 1\n1\n4.5\n0.5\n", 3, "extents must be integers: '4.5'"),
+            ("SYMKIT-FIELD 1\n1\n0\n0.5\n", 3, "extents must be positive integers, got (0,)"),
+            ("SYMKIT-SET 1\n1\n-3\n0.5\n", 3, "extents must be positive integers, got (-3,)"),
+            ("SYMKIT-FIELD 1\n1\n2\nabc\n1.0\n2.0\n", 4, "spacing is not a number: 'abc'"),
+        ],
+    )
+    def test_header_errors(self, tmp_path, text, line, message):
+        p = tmp_path / "header.sk"
+        p.write_text(text)
+        with pytest.raises(FieldFormatError) as err:
+            load(p)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestVectorizedFieldIO:

@@ -5,40 +5,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symkit import (
+import symkit.choquard as choquard
+from symkit.choquard import choquard_descent
+from symkit.field import Grid, GridSet, ScalarField
+from symkit.functionals import (
     BLLSpec,
-    FracKernel,
-    Grid,
-    GridSet,
-    HeatGaussian,
     JExpansionF,
-    PowerLaw,
     PowerProfile,
-    ScalarField,
     UnboundedRegionError,
+    _forward_diffs,
+    _seminorm_direct,
     bll_integral,
     convolve,
-    displacement_grid,
     expansion_gaps,
     fractional_perimeter,
     fractional_seminorm,
     gradient_pnorm,
     hanner_sum,
     heat_pairing,
+    kinetic_gradient,
     lp_norm,
     minkowski_content,
     pairing,
-    rearrange,
     riesz_energy,
     riesz_triple,
-    sample_kernel,
-    set_symmetrize,
     supermodular_pairing,
     unit_ball_volume,
 )
-from symkit import choquard
-from symkit.choquard import choquard_descent
-from symkit.functionals import _forward_diffs, _seminorm_direct, kinetic_gradient
+from symkit.kernels import FracKernel, HeatGaussian, PowerLaw, displacement_grid, sample_kernel
+from symkit.rearrange import rearrange, set_symmetrize
 
 nonneg_vals = st.floats(min_value=0, max_value=50, allow_nan=False, allow_infinity=False)
 signed_vals = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -328,7 +323,7 @@ class TestRieszTriple:
 
 
 def cell_order_positions(grid, k):
-    from symkit import cell_order
+    from symkit.rearrange import cell_order
 
     return cell_order(grid.shape)[:k]
 
@@ -488,7 +483,7 @@ class TestFractionalPerimeter:
     def test_split_blocks_exceed_ball(self):
         g = Grid((24, 24), 0.25)
         order_mask = np.zeros(g.ncells, bool)
-        from symkit import cell_order
+        from symkit.rearrange import cell_order
 
         order_mask[cell_order(g.shape)[:52]] = True
         ball = GridSet(g, order_mask.reshape(g.shape))
@@ -500,7 +495,7 @@ class TestFractionalPerimeter:
 
     def test_prefix_fixed_point(self):
         g = Grid((12, 12), 0.5)
-        from symkit import cell_order
+        from symkit.rearrange import cell_order
 
         m = np.zeros(g.ncells, bool)
         m[cell_order(g.shape)[:30]] = True
@@ -510,7 +505,7 @@ class TestFractionalPerimeter:
     def test_perimeter_limit_trend(self):
         # (1-s) per_s approaches a multiple of the perimeter monotonically
         g = Grid((32, 32), 0.125)
-        from symkit import cell_order
+        from symkit.rearrange import cell_order
 
         m = np.zeros(g.ncells, bool)
         m[cell_order(g.shape)[:316]] = True
@@ -682,7 +677,7 @@ class TestEnergies:
         )
 
     def test_power_energy_ball_minimizes(self):
-        from symkit import bathtub_fill, cell_order
+        from symkit.rearrange import bathtub_fill, cell_order
 
         g = Grid((24, 24), 0.25)
         mass = 2.0
@@ -820,7 +815,7 @@ class TestPointwiseDecay:
         return float(diff.max()) if diff.size else 0.0
 
     def test_indicator_ball_within_bound(self):
-        from symkit import bathtub_fill
+        from symkit.rearrange import bathtub_fill
 
         g = Grid((32, 32), 0.25)
         rho = bathtub_fill(3.0, g)

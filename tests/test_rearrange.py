@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symkit import (
-    Grid,
-    GridSet,
-    ScalarField,
+from symkit.field import Grid, GridSet, ScalarField, measure
+from symkit.rearrange import (
     bathtub_fill,
     cell_order,
     increasing_rearrangement,
-    measure,
     rearrange,
     set_symmetrize,
 )

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from symkit import (
-    Grid,
-    ScalarField,
+from symkit.field import Grid, ScalarField
+from symkit.functionals import lp_norm, unit_ball_volume
+from symkit.rearrange import rearrange
+from symkit.sharp import (
     hls_constant,
     hls_exponent,
+    hls_norm_tail,
     hls_optimizer,
     hls_quotient,
-    lp_norm,
-    rearrange,
-    unit_ball_volume,
     young_constant,
     young_gaussian_triple,
     young_quotient,
 )
-from symkit.sharp import hls_norm_tail
 
 P, Q, R = 2.0, 4 / 3, 4 / 3  # the Gaussian triple of refine-young-quotient-1d
 
@@ -121,7 +119,7 @@ class TestGaussianTriple:
         # (C_p C_q C_r)^(-d).  Cell roughness is extremal here: the value
         # exceeds 1, which is why slack-tolerance suites use smooth fields.
         grid = Grid((9,), 0.5)
-        from symkit import displacement_grid
+        from symkit.kernels import displacement_grid
 
         fv = np.zeros(9)
         fv[4] = 1.0

@@ -17,17 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symkit import (
-    Grid,
-    GridSet,
-    ScalarField,
+import symkit.spectral as spectral
+from symkit.field import Grid, GridSet, ScalarField
+from symkit.rearrange import increasing_rearrangement
+from symkit.spectral import (
+    DENSE_CELL_CAP,
     dirichlet_eigenvalues,
     dirichlet_spectrum,
     heat_perimeter_estimate,
-    increasing_rearrangement,
 )
-from symkit import spectral
-from symkit.spectral import DENSE_CELL_CAP
 
 SPARSE_RTOL = 1e-10
 BOX_RTOL = 1e-12

@@ -7,28 +7,23 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import correlate
 
-from symkit import (
-    BallIndicator,
-    Grid,
-    GridSet,
-    ScalarField,
+from symkit.field import Grid, GridSet, ScalarField
+from symkit.functionals import riesz_energy, riesz_triple
+from symkit.kernels import BallIndicator, displacement_grid, sample_kernel
+from symkit.random_fields import plateau_field, radial_bump_field, rng_for, sample_bumps
+from symkit.rearrange import bathtub_fill, cell_order
+from symkit.stability import (
+    _l1_at_shift,
     asymmetry,
     asymmetry_bruteforce,
     ball_kernel_deficit,
-    bathtub_fill,
-    cell_order,
     continuity_probe,
-    displacement_grid,
     fractional_isoperimetric_deficit,
     layered_riesz_reconstruction,
+    pair_correlation_curve,
     residual_distribution,
     riesz_deficit,
-    riesz_energy,
-    riesz_triple,
-    sample_kernel,
 )
-from symkit.random_fields import plateau_field, radial_bump_field, rng_for, sample_bumps
-from symkit.stability import _l1_at_shift, pair_correlation_curve
 
 
 class TestAsymmetry:
