@@ -5,14 +5,20 @@
 
 Cases, each at one fixed size:
 
+* ``cli_import``: a fresh ``python -c "import symkit.cli"`` process, timed
+  from spawn to exit, so interpreter start-up is in it; the case records
+  how many modules, and how many of them scipy's, such an import leaves
+  loaded;
 * ``convolve`` with a Coulomb kernel |z|^-1 on the full displacement grid, on
   a 128x128 field and a 32x32x32 field (the Choquard descent's size), in two
   modes: ``reused_kernel`` alternates two data fields on one kernel, as the
   Choquard descent and the fft seminorm route call it; ``fresh_kernel`` gives
   every call a kernel whose values differ from the previous call's, so
   nothing about the kernel can be reused;
-* the Choquard descent's stencils on a 32x32x32 field: ``kinetic_gradient``
-  and ``gradient_pnorm`` at p = 2;
+* the Choquard descent's stencils on a 32x32x32 field: the forward
+  differences and the kinetic gradient from them
+  (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
+  descent calls them), and ``gradient_pnorm`` at p = 2;
 * ``choquard_descent`` of a 32x32x32 Gaussian for 10 steps: 13 convolutions
   on one Coulomb kernel between the stencils and two rearrangements.  This
   is the ``choquard`` verb's pattern of allocations, under which arrays
@@ -21,7 +27,9 @@ Cases, each at one fixed size:
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
 * ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
   h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it;
-* ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square;
+* ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square, which
+  takes the closed form, and of a disk at h = 1/40 (1,605 cells), which
+  takes the dense route;
 * ``bll_integral``: 10^6 samples of a three-factor 1-d integral on 128 cells;
 * the fractional seminorm at s = 1/2, p = 2 on a 64x64 field: ``.direct``
   times the displacement loop ``functionals._seminorm_direct``, the oracle
@@ -46,8 +54,9 @@ during its repeats, control ops excluded, over the number of calls: pages
 touched for the first time, whose kernel time no Python profiler sees.
 How many pages a freed array returns to the system depends on what the
 process freed before, so no case shares its process with another, and the
-control op allocates nothing.  The file also records ``nproc`` and the
-Python, numpy and scipy versions.  Inputs are built before the timed
+control op allocates nothing.  ``cli_import``'s faults happen in its child
+processes, which ``RUSAGE_SELF`` does not count.  The file also records
+``nproc`` and the Python, numpy and scipy versions.  Inputs are built before the timed
 region.  Run it once per source tree on the same host, e.g. with
 ``PYTHONPATH`` pointing at each tree's ``src``, alternating the trees.
 """
@@ -59,6 +68,8 @@ import multiprocessing
 import os
 import platform
 import resource
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -66,16 +77,18 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+import symkit
 from symkit.choquard import choquard_descent
 from symkit.field import Grid, GridSet, ScalarField, load, save
 from symkit.functionals import (
     BLLSpec,
+    _forward_diffs,
+    _kinetic_gradient_of,
     _seminorm_direct,
     bll_integral,
     convolve,
     fractional_seminorm,
     gradient_pnorm,
-    kinetic_gradient,
 )
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 from symkit.random_fields import plateau_field
@@ -84,6 +97,17 @@ from symkit.spectral import dirichlet_eigenvalues, dirichlet_spectrum
 from symkit.stability import continuity_probe
 
 MEGA = (1000, 1000)  # 10^6 cells
+
+
+def _cli_import(tmp):
+    src = str(Path(symkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    count = "import sys, symkit.cli; print(len(sys.modules), sum(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", count], env=env, capture_output=True, text=True, check=True)
+    modules, scipy_modules = map(int, out.stdout.split())
+    cmd = [sys.executable, "-c", "import symkit.cli"]
+    run = lambda i: subprocess.run(cmd, env=env, check=True)
+    return run, 1, {"modules": modules, "scipy_modules": scipy_modules}
 
 
 def _convolve(shape, h, mode, calls=10):
@@ -108,8 +132,8 @@ def _stencil(name, calls=20):
     def setup(tmp):
         shape = (32, 32, 32)
         u = ScalarField(Grid(shape, 0.25), np.random.default_rng(4).random(shape))
-        if name == "kinetic_gradient":
-            return (lambda i: kinetic_gradient(u)), calls, {"field_shape": list(shape)}
+        if name == "descent_stencils":
+            return (lambda i: _kinetic_gradient_of(_forward_diffs(u), u.h)), calls, {"field_shape": list(shape)}
         return (lambda i: gradient_pnorm(u, 2.0)), calls, {"field_shape": list(shape)}
 
     return setup
@@ -127,18 +151,27 @@ def _rearrange(tmp):
     return lambda i: rearrange(f), 3, {"cells": f.grid.ncells}
 
 
-def _faber_krahn_disk(tmp):
-    h = 1.0 / 64
+def _unit_area_disk(h):
+    """The disk of area 1 at spacing h, built as ``experiments.faber_krahn_pair`` builds it."""
     radius = 1.0 / math.sqrt(math.pi)
     m = round((2 * radius + 4 * h) / h)
     grid = Grid((m, m), h)
-    disk = GridSet(grid, grid.radius2() < radius * radius)
+    return GridSet(grid, grid.radius2() < radius * radius)
+
+
+def _faber_krahn_disk(tmp):
+    disk = _unit_area_disk(1.0 / 64)
     return lambda i: dirichlet_spectrum(disk, None, 1), 1, {"cells": disk.count(), "k": 1}
 
 
 def _square_spectrum(tmp):
     square = GridSet(Grid((64, 64), 1.0 / 64), np.ones((64, 64), dtype=bool))
     return lambda i: dirichlet_eigenvalues(square, None), 1, {"cells": square.count()}
+
+
+def _disk_spectrum(tmp):
+    disk = _unit_area_disk(1.0 / 40)
+    return lambda i: dirichlet_eigenvalues(disk, None), 1, {"cells": disk.count()}
 
 
 def _bll(tmp):
@@ -176,16 +209,18 @@ def _field(op):
 
 
 CASES = {
+    "cli_import": _cli_import,
     "convolve_128x128.reused_kernel": _convolve((128, 128), 1.0 / 128, "reused_kernel"),
     "convolve_128x128.fresh_kernel": _convolve((128, 128), 1.0 / 128, "fresh_kernel"),
     "convolve_32x32x32.reused_kernel": _convolve((32, 32, 32), 0.25, "reused_kernel"),
     "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
-    "kinetic_gradient_32x32x32": _stencil("kinetic_gradient"),
+    "forward_diffs_kinetic_gradient_of_32x32x32": _stencil("descent_stencils"),
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "choquard_descent_32x32x32.10_steps": _descent,
     "rearrange_1000x1000": _rearrange,
     "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
+    "dirichlet_eigenvalues_dense_disk_1605": _disk_spectrum,
     "bll_integral_1e6_samples": _bll,
     "fractional_seminorm_64x64.direct": _seminorm(_seminorm_direct, 1),
     "fractional_seminorm_64x64.fft": _seminorm(fractional_seminorm, 10),

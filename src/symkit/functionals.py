@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, irfftn, next_fast_len, rfft, rfftn
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .field import GridSet, ScalarField, measure
 from .kernels import (
@@ -141,21 +141,55 @@ def _nonzero_extent(a: np.ndarray) -> list[tuple[int, int]] | None:
     return [(int(ix.min()), int(ix.max())) for ix in nz]
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, as scipy's ``next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(a: np.ndarray, lengths, axes) -> np.ndarray:
+    """scipy's ``rfftn(a, lengths, axes)``, bit for bit, from numpy's 1-d transforms.
+
+    As scipy does, the array is zero-padded to the lengths first, so the zero
+    lines go through the r2c too (their imaginary parts include -0.0); then
+    r2c on the last axis and c2c on the others, in ascending order.
+    """
+    pad = [(0, 0)] * a.ndim
+    for ax, n in zip(axes, lengths):
+        pad[ax] = (0, n - a.shape[ax])
+    x = rfft(np.pad(a, pad), axis=axes[-1])
+    for ax in axes[:-1]:
+        fft(x, axis=ax, out=x)
+    return x
+
+
 def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays of equal rank by FFT.
 
     Same transform lengths, axes and operand order as
     ``scipy.signal.fftconvolve(a, b, mode="full")``, so the result agrees with
     it bit for bit: each axis of extent 1 in either operand is broadcast, every
-    other axis is padded to ``next_fast_len(na + nb - 1, real=True)``.
+    other axis is padded to ``_next_fast_len(na + nb - 1)``.
     """
     shape = [na + nb - 1 for na, nb in zip(a.shape, b.shape)]
     axes = [ax for ax in range(a.ndim) if a.shape[ax] != 1 and b.shape[ax] != 1]
     if not axes:
         return a * b
-    lengths = [next_fast_len(shape[ax], True) for ax in axes]
-    prod = rfftn(a, lengths, axes=axes) * rfftn(b, lengths, axes=axes)
-    return irfftn(prod, lengths, axes=axes)[tuple(slice(n) for n in shape)]
+    lengths = [_next_fast_len(shape[ax]) for ax in axes]
+    x = _rfftn(a, lengths, axes) * _rfftn(b, lengths, axes)
+    # irfftn's order and scaling: unscaled c2c in ascending order, c2r, one 1/prod(L)
+    for ax in axes[:-1]:
+        ifft(x, axis=ax, norm="forward", out=x)
+    full = irfft(x, lengths[-1], axis=axes[-1], norm="forward") * (1.0 / math.prod(lengths))
+    return full[tuple(slice(n) for n in shape)]
 
 
 # (lengths, private copy of the kernel values, read-only kernel spectrum) of
@@ -165,12 +199,12 @@ _kernel_memo: tuple[tuple[int, ...], np.ndarray, np.ndarray] | None = None
 
 
 def _kernel_spectrum(kv: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
-    """rfftn(kv, lengths), reused while the lengths and kernel values repeat."""
+    """rfftn(kv, lengths) over every axis, reused while the lengths and kernel values repeat."""
     global _kernel_memo
     memo = _kernel_memo
     if memo is not None and memo[0] == lengths and np.array_equal(memo[1], kv):
         return memo[2]
-    spec = rfftn(kv, lengths)
+    spec = _rfftn(kv, lengths, range(kv.ndim))
     spec.setflags(write=False)
     _kernel_memo = (lengths, kv.copy(), spec)
     return spec
@@ -229,9 +263,10 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     lines, then c2c on axes 0 .. d-2, each padded only at its own stage; the
     inverse cuts each axis to the kept rows right after its c2c stage.  The
     forward stages run in place in a per-thread workspace whose pad slabs
-    hold rfftn's values for the zero box, signed zeros included.  The axis
-    order and the one 1/prod(L) scaling are irfftn's and rfftn's, so the
-    window is theirs bit for bit (DECISIONS.md D8).
+    hold rfftn's values for the zero box, signed zeros included.  Each
+    stage is one of numpy's 1-d transforms; the axis order and the one
+    1/prod(L) scaling are those of scipy's irfftn and rfftn, so the window
+    is theirs bit for bit (DECISIONS.md D8).
     """
     if kernel.dim != f.dim:
         raise ValueError("kernel and field dimensions differ")
@@ -241,7 +276,7 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
         raise ValueError("kernel grid must have odd extents (displacement aligned)")
     shape = f.grid.shape
     radii = [nk // 2 for nk in kernel.grid.shape]
-    lengths = tuple(next_fast_len(max(n + r, 2 * r + 1), True) for n, r in zip(shape, radii))
+    lengths = tuple(_next_fast_len(max(n + r, 2 * r + 1)) for n, r in zip(shape, radii))
     spec = _kernel_spectrum(kernel.values, lengths)
     real, stages, pads = _workspace(shape, lengths)
     real[..., : shape[-1]] = f.values
@@ -250,10 +285,10 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     for ax, (buf, pad) in enumerate(zip(stages, pads)):
         buf[_along(ax, slice(shape[ax], None))] = pad
         buf[_along(ax, slice(shape[ax]))] = x
-        x = fft(buf, axis=ax, overwrite_x=True)
+        x = fft(buf, axis=ax, out=buf)
     x *= spec
     for ax, (n, r) in enumerate(zip(shape[:-1], radii)):
-        x = ifft(x, axis=ax, overwrite_x=True, norm="forward")[_along(ax, slice(r, r + n))]
+        x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
     r, n = radii[-1], shape[-1]
     # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
     kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * (1.0 / math.prod(lengths))

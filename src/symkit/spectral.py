@@ -2,12 +2,15 @@
 
 The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
-mask.  It is assembled once, as a sparse matrix.  The lowest eigenvalues come
-from shift-invert Lanczos below the spectrum (ARPACK through ``eigsh``),
-with no cell cap; a solver failure raises.  A full spectrum of a full box with no
+mask.  Its nonzero entries are built once, as (row, column, value) triplets.
+The lowest eigenvalues come from shift-invert Lanczos below the spectrum
+(ARPACK through ``eigsh``, on the triplets as a sparse matrix), with no cell
+cap; a solver failure raises.  A full spectrum of a full box with no
 potential is the closed-form Kronecker sum of 1-d stencil spectra.  Any other
-full spectrum is a dense ``eigvalsh``, capped at ``DENSE_CELL_CAP`` cells;
-larger domains are rejected, never truncated or sent to another method.
+full spectrum is a dense ``eigvalsh`` of the triplets written into a zero
+matrix, capped at ``DENSE_CELL_CAP`` cells; larger domains are rejected,
+never truncated or sent to another method.  ``scipy.sparse`` is imported only
+by the Lanczos route (DECISIONS.md D12).
 """
 
 from __future__ import annotations
@@ -15,15 +18,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 from .field import Grid, GridSet, ScalarField, measure
 
 DENSE_CELL_CAP = 5000
 
 
-def _dirichlet_operator(omega: GridSet, V: ScalarField | None) -> sparse.csc_matrix:
+def _dirichlet_triplets(omega: GridSet, V: ScalarField | None):
+    """(rows, cols, data) of the operator's nonzeros; each (row, col) occurs once."""
     g = omega.grid
     ncells = omega.count()
     if ncells == 0:
@@ -50,7 +52,16 @@ def _dirichlet_operator(omega: GridSet, V: ScalarField | None) -> sparse.csc_mat
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     data = np.full(rows.size, -1.0 / h2)
     data[:ncells] = diag
-    return sparse.csc_matrix((data, (rows, cols)), shape=(ncells, ncells))
+    return rows, cols, data
+
+
+def _dense_operator(omega: GridSet, V: ScalarField | None) -> np.ndarray:
+    """The operator as a dense matrix: each triplet written once into zeros."""
+    rows, cols, data = _dirichlet_triplets(omega, V)
+    n = omega.count()
+    dense = np.zeros((n, n))
+    dense[rows, cols] = data
+    return dense
 
 
 def _box_eigenvalues(grid: Grid) -> np.ndarray:
@@ -80,7 +91,11 @@ def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndar
         raise ValueError(f"k must be in [1, {ncells}], got {k}")
     if k == ncells:
         return dirichlet_eigenvalues(omega, V)
-    A = _dirichlet_operator(omega, V)
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    rows, cols, data = _dirichlet_triplets(omega, V)
+    A = sparse.csc_matrix((data, (rows, cols)), shape=(ncells, ncells))
     sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, ncells)  # D11
     return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
@@ -97,7 +112,7 @@ def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
     ncells = omega.count()
     if ncells > DENSE_CELL_CAP:
         raise ValueError(f"domain has {ncells} cells, dense cap is {DENSE_CELL_CAP}")
-    return np.linalg.eigvalsh(_dirichlet_operator(omega, V).toarray())
+    return np.linalg.eigvalsh(_dense_operator(omega, V))
 
 
 def heat_perimeter_estimate(omega: GridSet, t_list, eigenvalues: np.ndarray) -> float:

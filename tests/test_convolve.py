@@ -1,26 +1,33 @@
 """The FFT convolution routes against their oracles (DECISIONS.md D8).
 
+The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
+(``scipy.fft`` and ``scipy.signal``), which vendor the same pocketfft.
+
 * ``convolve`` (short circular transforms, pruned axis by axis, memoized
   kernel spectrum) against a plain O(N^2) lattice sum, to 1e-12 relative to
   max|k| sum|f| h^d, which bounds every output value;
 * the pruned transforms against the unpruned window
-  ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d``, bit for bit and
-  sign of zero included: they take scipy.fft's axis order and its single
-  1/prod(L) scaling, and the pad slabs hold rfftn's values for the zero box,
-  so every report stays byte-identical;
+  ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d`` of ``scipy.fft``,
+  bit for bit and sign of zero included: they take scipy.fft's axis order
+  and its single 1/prod(L) scaling, and the pad slabs hold rfftn's values
+  for the zero box, so every report stays byte-identical;
 * the in-place c2c stages: the field's values and the memoized spectrum are
   untouched by repeated calls;
 * the per-thread workspace: two threads convolving different shapes at once
   get the bits of a sequential run, and a warm 32^3 call allocates no padded
   temporaries (its tracemalloc peak stays below 1.5 MB);
-* the transform length per axis, next_fast_len(max(n + r, 2r + 1));
+* the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
+  ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
+  n = 1 .. 20,000;
 * the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
   changed kernel of the same shape gets its own spectrum;
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
   bit for bit;
-* ``import symkit.cli`` does not load ``scipy.signal``, nor the submodules
-  that only some verbs call (``scipy.optimize``, ``scipy.ndimage`` and
-  ``scipy.integrate``), and the ``spectral`` verb loads none of those three.
+* ``import symkit.cli`` loads no scipy module at all, and neither do the
+  ``verify``, ``stability`` and ``probe-continuity`` verbs, ``rearrange``
+  and ``info`` on small files, or an 8^3 ``choquard_descent``; the
+  ``spectral`` verb loads ``scipy.sparse`` but none of ``scipy.fft``,
+  ``scipy.optimize``, ``scipy.ndimage`` and ``scipy.integrate``.
 """
 
 import functools
@@ -36,12 +43,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.fft import irfftn, rfftn
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 import symkit
 import symkit.functionals as functionals
-from symkit.field import Grid, ScalarField
-from symkit.functionals import _fftconvolve_full, convolve
+from symkit.field import Grid, GridSet, ScalarField, save
+from symkit.functionals import _fftconvolve_full, _next_fast_len, convolve
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 
 RTOL = 1e-12
@@ -202,6 +209,10 @@ class TestWorkspace:
 
 
 class TestLengthRule:
+    def test_next_fast_len_matches_scipy(self):
+        got = [_next_fast_len(n) for n in range(1, 20_001)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 20_001)]
+
     def test_coulomb_32_cubed_uses_64(self, monkeypatch):
         g = Grid((32, 32, 32), 0.25)
         kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
@@ -303,10 +314,58 @@ def _modules_loaded_by(code: str) -> frozenset[str]:
     return frozenset(json.loads(res.stdout.splitlines()[-1]))
 
 
+def _scipy_modules(loaded: frozenset[str]) -> list[str]:
+    return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+
+
 @pytest.mark.parametrize("module", ["scipy.signal", *_LAZY_SCIPY])
 def test_cli_import_leaves_scipy_module_out(module):
     assert "symkit.cli" in _modules_loaded_by("import symkit.cli")
     assert module not in _modules_loaded_by("import symkit.cli")
+
+
+def test_cli_import_loads_no_scipy():
+    # FFTs run on numpy.fft and scipy.sparse is imported by the Lanczos route only
+    assert _scipy_modules(_modules_loaded_by("import symkit.cli")) == []
+
+
+@pytest.mark.parametrize("verb", ["verify", "stability", "probe-continuity"])
+def test_scipy_free_suite_verb_loads_no_scipy(verb, tmp_path):
+    # probe-continuity exits 1 on the criterion-9 plateau clause (DECISIONS.md D1)
+    code = f"import symkit.cli\nassert symkit.cli.main(['--out', {str(tmp_path)!r}, {verb!r}]) in (0, 1)"
+    loaded = _modules_loaded_by(code)
+    assert "symkit.experiments" in loaded
+    assert _scipy_modules(loaded) == []
+
+
+def test_file_verbs_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(13)
+    g = Grid((6, 5), 0.5)
+    paths = {"field": tmp_path / "f.sk", "set": tmp_path / "s.sk"}
+    save(ScalarField(g, rng.standard_normal(g.shape)), paths["field"])
+    save(GridSet(g, rng.random(g.shape) < 0.5), paths["set"])
+    code = "import symkit.cli"
+    for kind, path in paths.items():
+        out = tmp_path / f"{kind}_out.sk"
+        code += f"\nassert symkit.cli.main(['rearrange', {str(path)!r}, {str(out)!r}]) == 0"
+        code += f"\nassert symkit.cli.main(['info', {str(out)!r}]) == 0"
+    assert _scipy_modules(_modules_loaded_by(code)) == []
+    assert all((tmp_path / f"{kind}_out.sk").exists() for kind in paths)
+
+
+def test_choquard_descent_loads_no_scipy():
+    code = (
+        "import numpy as np\n"
+        "import symkit.cli\n"
+        "from symkit.choquard import choquard_descent\n"
+        "from symkit.field import Grid, ScalarField\n"
+        "g = Grid((8, 8, 8), 0.5)\n"
+        "res = choquard_descent(ScalarField(g, np.exp(-g.radius2() / 2.0)), steps=3)\n"
+        "assert len(res.energies) > 1"
+    )
+    loaded = _modules_loaded_by(code)
+    assert "symkit.choquard" in loaded
+    assert _scipy_modules(loaded) == []
 
 
 def test_spectral_verb_leaves_lazy_scipy_modules_out(tmp_path):
@@ -315,3 +374,4 @@ def test_spectral_verb_leaves_lazy_scipy_modules_out(tmp_path):
     loaded = _modules_loaded_by(code)
     assert "symkit.spectral" in loaded
     assert not loaded & set(_LAZY_SCIPY)
+    assert "scipy.fft" not in loaded

@@ -8,7 +8,10 @@ assembled cell by cell in this file, independently of ``spectral``:
   the shift min(0, min V) (where V >= 0 or none, from 0);
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
-* the capped dense route of ``dirichlet_eigenvalues`` on random masks.
+* the capped dense route of ``dirichlet_eigenvalues`` on random masks;
+* the dense matrix that route builds from the stencil triplets against
+  ``scipy.sparse.csc_matrix(...).toarray()`` of the same triplets, byte for
+  byte, on random 1-d and 2-d masks with V or none.
 """
 
 import math
@@ -156,10 +159,13 @@ class TestDirichletSpectrum:
         np.testing.assert_allclose(got, _dense_oracle(omega, None)[:6], rtol=SPARSE_RTOL)
 
     def test_full_count_delegates_to_full_spectrum(self, monkeypatch):
+        import scipy.sparse.linalg
+
         def no_lanczos(*args, **kwargs):
             raise AssertionError("eigsh called for k == N")
 
-        monkeypatch.setattr(spectral, "eigsh", no_lanczos)
+        # dirichlet_spectrum imports eigsh when it is called, so it reads the patch
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
         rng = np.random.default_rng(3)
         g = Grid((5, 4), 0.5)
         mask = rng.random((5, 4)) < 0.7
@@ -187,6 +193,19 @@ class TestFullSpectrum:
         h = data.draw(st.sampled_from([1.0 / 64, 0.1, 0.5, 1.0]))
         box = GridSet(Grid(shape, h), np.ones(shape, bool))
         np.testing.assert_allclose(dirichlet_eigenvalues(box, None), _dense_oracle(box, None), rtol=BOX_RTOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_masked_domains())
+    def test_dense_operator_equals_sparse_toarray(self, case):
+        from scipy import sparse
+
+        omega, V = case
+        rows, cols, data = spectral._dirichlet_triplets(omega, V)
+        n = omega.count()
+        want = sparse.csc_matrix((data, (rows, cols)), shape=(n, n)).toarray()
+        got = spectral._dense_operator(omega, V)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(_masked_domains())
