@@ -642,12 +642,6 @@ def _forward_diffs(u: ScalarField) -> list[np.ndarray]:
     return out
 
 
-def gradient_magnitude(u: ScalarField) -> np.ndarray:
-    """Euclidean length of the forward-difference gradient per cell."""
-    diffs = _forward_diffs(u)
-    return np.sqrt(sum(dk * dk for dk in diffs))
-
-
 def gradient_pnorm(u: ScalarField, p: float) -> float:
     """L^p norm of |grad u| (forward differences, zero extension); p = inf allowed."""
     if p != math.inf and p < 1:
@@ -663,13 +657,11 @@ def _gradient_pnorm_of(diffs: list[np.ndarray], p: float, vol: float) -> float:
     return float(np.sum(mag**p) * vol) ** (1.0 / p)
 
 
-def kinetic_gradient(u: ScalarField) -> np.ndarray:
-    """Gradient of ||grad u||_2^2 with respect to u in L^2(h^d)."""
-    return _kinetic_gradient_of(_forward_diffs(u), u.h)
-
-
 def _kinetic_gradient_of(diffs: list[np.ndarray], h: float) -> np.ndarray:
-    """``kinetic_gradient`` from the forward differences of u and its spacing."""
+    """Gradient of ||grad u||_2^2 with respect to u in L^2(h^d).
+
+    Takes the forward differences of u (``_forward_diffs``) and its spacing.
+    """
     out = np.zeros_like(diffs[0])
     term = np.empty_like(out)
     for ax, dk in enumerate(diffs):

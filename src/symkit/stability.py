@@ -18,19 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridSet, ScalarField
+from .field import ScalarField
 from .functionals import (
     _fftconvolve_full,
     _nonzero_extent,
-    fractional_perimeter,
     fractional_seminorm,
-    gradient_magnitude,
     gradient_pnorm,
-    riesz_energy,
     riesz_triple,
 )
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
-from .rearrange import bathtub_fill, rearrange, set_symmetrize
+from .rearrange import bathtub_fill, rearrange
 
 
 # ----------------------------------------------------------------------------
@@ -120,11 +117,9 @@ def asymmetry_bruteforce(rho: ScalarField) -> float:
 class DeficitReport:
     """Symmetrization deficit of an interaction functional.
 
-    ``deficit`` is oriented so that the continuum inequality predicts a
-    nonnegative value: symmetrized minus original for energies that
-    symmetrization increases, original minus symmetrized for perimeters.
-    ``ratio`` is the deficit over the stability normalizer, nan when the
-    asymmetry vanishes.
+    ``deficit`` is symmetrized minus original, which the continuum
+    inequality predicts nonnegative.  ``ratio`` is the deficit over the
+    stability normalizer, nan when the asymmetry vanishes.
     """
 
     value: float
@@ -151,76 +146,9 @@ def ball_kernel_deficit(rho: ScalarField, radius: float) -> DeficitReport:
     return DeficitReport(left, right, deficit, asym, ratio)
 
 
-def riesz_deficit(rho: ScalarField, lam: float) -> DeficitReport:
-    """Deficit of the power-kernel energy, normalized by ||rho||_1^(2 - lam/d) A^2."""
-    mass = _check_density(rho)
-    chi = bathtub_fill(mass, rho.grid)
-    left = riesz_energy(rho, lam)
-    right = riesz_energy(chi, lam)
-    asym = asymmetry(rho)
-    deficit = right - left
-    d = rho.dim
-    denom = mass ** (2.0 - lam / d) * asym * asym
-    ratio = deficit / denom if denom > 0 else math.nan
-    return DeficitReport(left, right, deficit, asym, ratio)
-
-
-def fractional_isoperimetric_deficit(A: GridSet, s: float) -> DeficitReport:
-    """per_s(A) - per_s(A*), nonnegative in the continuum; asymmetry of the mask."""
-    left = fractional_perimeter(A, s)
-    astar = set_symmetrize(A)
-    right = fractional_perimeter(astar, s)
-    asym = asymmetry(A.indicator())
-    deficit = left - right
-    denom = asym * asym
-    ratio = deficit / denom if denom > 0 else math.nan
-    return DeficitReport(left, right, deficit, asym, ratio)
-
-
 # ----------------------------------------------------------------------------
-# residual distribution and continuity probes
+# continuity probes
 # ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidualDistribution:
-    """Step function tau -> measure of {u > tau, |grad u| <= eta} over u's levels."""
-
-    levels: np.ndarray
-    values: np.ndarray
-    eta: float
-    total_critical: float
-
-    def __call__(self, tau) -> np.ndarray | float:
-        # values[i] on [levels[i], levels[i+1]), total_critical below levels[0]
-        tau = np.asarray(tau, dtype=np.float64)
-        idx = np.searchsorted(self.levels, tau, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.total_critical)
-        return float(out) if out.ndim == 0 else out
-
-
-def residual_distribution(u: ScalarField, eta: float) -> ResidualDistribution:
-    """Residual distribution of u with gradient-zero threshold eta (default h in callers)."""
-    if not u.nonneg:
-        raise ValueError("u must be nonnegative")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    crit = gradient_magnitude(u) <= eta
-    vals = u.values.ravel()
-    critf = crit.ravel()
-    levels = np.unique(vals)
-    # cells with u > level and |grad u| <= eta, by sorted sweep
-    order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-    crit_sorted = critf[order].astype(np.int64)
-    suffix = np.concatenate([np.cumsum(crit_sorted[::-1])[::-1], [0]])
-    pos = np.searchsorted(sorted_vals, levels, side="right")
-    counts = suffix[pos]
-    vol = u.grid.cell_volume
-    gv = counts * vol
-    levels.setflags(write=False)
-    gv.setflags(write=False)
-    return ResidualDistribution(levels, gv, float(eta), float(critf.sum()) * vol)
 
 
 @dataclass(frozen=True)
