@@ -9,18 +9,21 @@ Cases, each at one fixed size:
   from spawn to exit, so interpreter start-up is in it; the case records
   how many modules, and how many of them scipy's, such an import leaves
   loaded;
-* ``convolve`` with a Coulomb kernel |z|^-1 on the full displacement grid, on
-  a 128x128 field and a 32x32x32 field (the Choquard descent's size), in two
-  modes: ``reused_kernel`` alternates two data fields on one kernel, as the
-  Choquard descent and the fft seminorm route call it; ``fresh_kernel`` gives
-  every call a kernel whose values differ from the previous call's, so
-  nothing about the kernel can be reused;
+* convolution with a Coulomb kernel |z|^-1 on the full displacement grid,
+  on a 128x128 field and a 32x32x32 field (the Choquard descent's size), in
+  two modes: ``reused_kernel`` applies one ``convolution_plan``, built
+  before the timed region, to two alternating data fields, as the Choquard
+  descent and the fft seminorm route do; ``fresh_kernel`` calls the
+  one-shot ``convolve`` with a kernel whose values differ from the previous
+  call's, so every call transforms its kernel;
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
   descent calls them), and ``gradient_pnorm`` at p = 2;
-* ``choquard_descent`` of a 32x32x32 Gaussian for 10 steps: 13 convolutions
-  on one Coulomb kernel between the stencils and two rearrangements.  This
+* ``choquard_descent`` of a 32x32x32 Gaussian for 10 steps, with the
+  ``coulomb_potential`` plan built inside the timed call: the kernel's
+  sampling and transform, then 13 convolutions between the stencils and two
+  rearrangements.  This
   is the ``choquard`` verb's pattern of allocations, under which arrays
   freed by ``convolve`` went back to the system and were faulted in again;
   the convolve cases on their own barely show that;
@@ -78,7 +81,7 @@ import numpy as np
 import scipy
 
 import symkit
-from symkit.choquard import choquard_descent
+from symkit.choquard import choquard_descent, coulomb_potential
 from symkit.field import Grid, GridSet, ScalarField, load, save
 from symkit.functionals import (
     BLLSpec,
@@ -86,6 +89,7 @@ from symkit.functionals import (
     _kinetic_gradient_of,
     _seminorm_direct,
     bll_integral,
+    convolution_plan,
     convolve,
     fractional_seminorm,
     gradient_pnorm,
@@ -116,13 +120,11 @@ def _convolve(shape, h, mode, calls=10):
         rng = np.random.default_rng(0)
         fields = [ScalarField(grid, rng.random(shape)) for _ in range(2)]
         kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
-        if mode == "reused_kernel":
-            kernels = [kernel] * calls
-        else:
-            kernels = [
-                ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)
-            ]
         sizes = {"field_shape": list(shape), "kernel_shape": list(kernel.grid.shape)}
+        if mode == "reused_kernel":
+            plan = convolution_plan(kernel, shape)
+            return lambda i: plan(fields[i % 2]), calls, sizes
+        kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
 
     return setup
@@ -143,7 +145,8 @@ def _descent(tmp):
     shape, steps = (32, 32, 32), 10
     g = Grid(shape, 0.5)
     u0 = ScalarField(g, np.exp(-g.radius2() / 8.0))
-    return lambda i: choquard_descent(u0, steps=steps), 1, {"field_shape": list(shape), "steps": steps}
+    run = lambda i: choquard_descent(u0, coulomb_potential(g), steps=steps)
+    return run, 1, {"field_shape": list(shape), "steps": steps}
 
 
 def _rearrange(tmp):
@@ -246,7 +249,7 @@ def _control_s():
 
 def _time_case(op, calls, repeats):
     # warm up with the last call, so each repeat's first call follows the
-    # same call as in steady state (a fresh kernel is then always a miss)
+    # same call as in steady state
     op(calls - 1)
     per_call, control, faults = [], [], 0
     for _ in range(repeats):

@@ -10,16 +10,17 @@ and after every rearrangement so the claim is checkable from the result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ScalarField
+from .field import Grid, ScalarField
 from .functionals import (
     _forward_diffs,
     _gradient_pnorm_of,
     _kinetic_gradient_of,
-    convolve,
+    convolution_plan,
     pairing,
 )
 from .kernels import PowerLaw, displacement_grid, sample_kernel
@@ -50,15 +51,27 @@ def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray | None:
     return values / nrm if math.isfinite(nrm) else None
 
 
+def coulomb_potential(grid: Grid) -> Callable[[ScalarField], ScalarField]:
+    """Convolution plan of the Coulomb kernel |z|^-1 for fields on ``grid``.
+
+    The kernel is sampled on the full displacement grid and dropped once it
+    is transformed; the plan keeps only its spectrum.
+    """
+    return convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(grid)), grid.shape)
+
+
 def choquard_descent(
     u0: ScalarField,
+    potential: Callable[[ScalarField], ScalarField],
     steps: int = 200,
     step_size: float = 0.02,
     polish_steps: int = 0,
 ) -> DescentResult:
     """Run the projected descent; the returned iterate ends on a rearrangement.
 
-    The audit list holds (step, energy before, energy after) for every
+    ``potential`` is ``coulomb_potential(u0.grid)``; a caller that runs
+    several descents on one grid passes the same plan to each.  The audit
+    list holds (step, energy before, energy after) for every
     rearrangement, and ``energies`` the post-step energies.  Divergence
     (a non-finite step, norm or energy) aborts with ``diverged`` set; after
     a non-finite step or norm ``final`` is the last finite iterate.
@@ -76,13 +89,12 @@ def choquard_descent(
         raise ValueError("the Choquard descent runs on 3-d grids")
     grid = u0.grid
     vol = grid.cell_volume
-    kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
 
     def energy_and_potential(vals: np.ndarray):
         # the forward differences serve the energy and, for the iterate that
         # steps next, its kinetic gradient
         usq = ScalarField(grid, vals * vals)
-        phi = convolve(kernel, usq)
+        phi = potential(usq)
         diffs = _forward_diffs(ScalarField(grid, vals))
         kin = _gradient_pnorm_of(diffs, 2.0, vol) ** 2
         pot = pairing(usq, phi)

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .choquard import choquard_descent
+from .choquard import choquard_descent, coulomb_potential
 from .field import Grid, GridSet, ScalarField
 from .functionals import (
     BLLSpec,
@@ -733,8 +733,9 @@ def _choquard(seed: int) -> ExperimentReport:
     rng = rng_for(seed, 61)
     sample = sample_bumps(rng, 3, BOX_HALF[3], 4, 0.45)
     u0 = bump_field(sample, grid, nonneg=True)
-    result = choquard_descent(u0, steps=steps, step_size=0.02, polish_steps=50)
-    restart = choquard_descent(result.final, steps=10, step_size=2e-6)
+    potential = coulomb_potential(grid)
+    result = choquard_descent(u0, potential, steps=steps, step_size=0.02, polish_steps=50)
+    restart = choquard_descent(result.final, potential, steps=10, step_size=2e-6)
     restart_change = max(
         abs(b - a) for a, b in zip(restart.energies, restart.energies[1:])
     )

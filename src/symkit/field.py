@@ -6,15 +6,16 @@ Everything lives on uniform, origin-centered, cell-centered grids in dimension
 (for odd extents a cell center sits exactly at 0).  A field represents a
 function supported in its box; every functional treats it as 0 outside.
 
-All objects are immutable after construction and safe to share between
-threads; operations in this package are pure.
+Every object defined here is immutable after construction and safe to share
+between threads, and operations in this package are pure.  The one
+exception in the package is a convolution plan (``functionals``), which
+owns mutable FFT buffers: each thread needs its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,20 +87,12 @@ class Grid:
 
 def _int_radius2(shape: tuple[int, ...]) -> np.ndarray:
     """Exact integer squared cell-center distances to the origin, in units of (h/2)^2."""
-    axes = [2 * np.arange(n, dtype=np.int64) - (n - 1) for n in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return sum(g.astype(np.int64) ** 2 for g in grids)
-
-
-@lru_cache(maxsize=64)
-def _radius2_cached(shape: tuple[int, ...]) -> np.ndarray:
-    r2 = _int_radius2(shape)
-    r2.setflags(write=False)
-    return r2
+    axes = [(2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2 for n in shape]
+    return sum(np.ix_(*axes))
 
 
 def _radius2(shape: tuple[int, ...], h: float) -> np.ndarray:
-    return _radius2_cached(shape) * (h * h / 4.0)
+    return _int_radius2(shape) * (h * h / 4.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,107 +192,90 @@ def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[tuple(slice(n) for n in shape)]
 
 
-# (lengths, private copy of the kernel values, read-only kernel spectrum) of
-# the most recent convolve call.  One entry, replaced whole on every miss, so
-# a reader always sees a consistent triple (DECISIONS.md D8).
-_kernel_memo: tuple[tuple[int, ...], np.ndarray, np.ndarray] | None = None
+def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[ScalarField], ScalarField]:
+    """Linear convolution with ``kernel`` of fields of one shape, transformed once.
 
-
-def _kernel_spectrum(kv: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
-    """rfftn(kv, lengths) over every axis, reused while the lengths and kernel values repeat."""
-    global _kernel_memo
-    memo = _kernel_memo
-    if memo is not None and memo[0] == lengths and np.array_equal(memo[1], kv):
-        return memo[2]
-    spec = _rfftn(kv, lengths, range(kv.ndim))
-    spec.setflags(write=False)
-    _kernel_memo = (lengths, kv.copy(), spec)
-    return spec
-
-
-# This thread's FFT buffers for the most recent (field shape, lengths) of its
-# convolve calls.  One entry per thread, replaced whole on every miss; each
-# thread owns its buffers, so concurrent calls never share one (DECISIONS.md D8).
-_workspaces = threading.local()
-
-
-def _workspace(shape: tuple[int, ...], lengths: tuple[int, ...]):
-    """(real buffer, c2c stage buffers, pad slab values) for one field shape.
-
-    The real buffer has shape (n_0 .. n_{d-2}, L_{d-1}); its last-axis pad
-    is zeroed once and never written.  Stage ax has shape (L_0 .. L_ax,
-    n_{ax+1} .. n_{d-2}, L_{d-1}//2 + 1).  Its pad slab, rows n_ax ..
-    L_ax - 1 of axis ax, is refilled on every call with what ``rfftn`` holds
-    there for the zero box: the r2c of a zero line (whose imaginary parts
-    include -0.0) carried through stages 0 .. ax-1, broadcast over the axes
-    it does not vary on.
-    """
-    key = (shape, lengths)
-    ws = getattr(_workspaces, "entry", None)
-    if ws is not None and ws[0] == key:
-        return ws[1:]
-    d = len(shape)
-    cols = lengths[-1] // 2 + 1
-    real = np.zeros(shape[:-1] + (lengths[-1],))
-    stages, pads = [], []
-    pad = rfft(np.zeros(lengths[-1])).reshape((1,) * (d - 1) + (cols,))
-    for ax in range(d - 1):
-        stages.append(np.empty(lengths[: ax + 1] + shape[ax + 1 : -1] + (cols,), complex))
-        pads.append(pad)
-        pad = fft(np.broadcast_to(pad, pad.shape[:ax] + (lengths[ax],) + pad.shape[ax + 1 :]), axis=ax)
-    _workspaces.entry = (key, real, stages, pads)
-    return real, stages, pads
-
-
-def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
-    """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d on f's grid.
-
-    The kernel must live on an odd-extent displacement grid with the same
-    spacing as f.
+    Returns ``plan``, with ``plan(f) = (kernel * f)(x) = sum_y kernel(x - y)
+    f(y) h^d`` on f's grid for every field f of that shape and of the
+    kernel's spacing; ``plan.lengths`` holds the FFT lengths.  The kernel
+    must live on an odd-extent displacement grid.  The plan keeps the
+    kernel's spectrum, not its values, and owns mutable FFT buffers, so one
+    plan must not be called from two threads at once (DECISIONS.md D8).
 
     The FFTs are circular, of the shortest fast length per axis at which no
     wrapped-around term reaches the kept window (Hockney's free-space
     method): with kernel radius r the kept values are entries r .. r + n - 1
     of the full linear result, so the length is at least n + r, and never
     below the kernel extent 2r + 1.  Retained values are therefore the exact
-    linear convolution.  The kernel spectrum of the most recent call is
-    memoized and reused when the FFT lengths and the kernel values are equal
-    (DECISIONS.md D8).
+    linear convolution.
 
     The transforms are pruned (Markel): r2c on the last axis over f's own
     lines, then c2c on axes 0 .. d-2, each padded only at its own stage; the
-    inverse cuts each axis to the kept rows right after its c2c stage.  The
-    forward stages run in place in a per-thread workspace whose pad slabs
-    hold rfftn's values for the zero box, signed zeros included.  Each
-    stage is one of numpy's 1-d transforms; the axis order and the one
-    1/prod(L) scaling are those of scipy's irfftn and rfftn, so the window
-    is theirs bit for bit (DECISIONS.md D8).
+    inverse cuts each axis to the kept rows right after its c2c stage.  All
+    of it runs in place in one complex buffer, whose pad slabs are refilled
+    on every call with rfftn's values for the zero box, signed zeros
+    included.  Each stage is one of numpy's 1-d transforms; the axis order
+    and the one 1/prod(L) scaling are those of scipy's irfftn and rfftn, so
+    the window is theirs bit for bit (DECISIONS.md D8).
     """
-    if kernel.dim != f.dim:
+    if kernel.dim != len(shape):
         raise ValueError("kernel and field dimensions differ")
-    if abs(kernel.h - f.h) > 1e-12 * f.h:
-        raise ValueError("kernel and field spacings differ")
     if any(n % 2 == 0 for n in kernel.grid.shape):
         raise ValueError("kernel grid must have odd extents (displacement aligned)")
-    shape = f.grid.shape
+    shape, h, d = tuple(shape), kernel.h, len(shape)
     radii = [nk // 2 for nk in kernel.grid.shape]
     lengths = tuple(_next_fast_len(max(n + r, 2 * r + 1)) for n, r in zip(shape, radii))
-    spec = _kernel_spectrum(kernel.values, lengths)
-    real, stages, pads = _workspace(shape, lengths)
-    real[..., : shape[-1]] = f.values
-    x = rfft(real)
-    # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
-    for ax, (buf, pad) in enumerate(zip(stages, pads)):
-        buf[_along(ax, slice(shape[ax], None))] = pad
-        buf[_along(ax, slice(shape[ax]))] = x
-        x = fft(buf, axis=ax, out=buf)
-    x *= spec
-    for ax, (n, r) in enumerate(zip(shape[:-1], radii)):
-        x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
-    r, n = radii[-1], shape[-1]
-    # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
-    kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * (1.0 / math.prod(lengths))
-    return ScalarField(f.grid, kept * f.grid.cell_volume)
+    spec = _rfftn(kernel.values, lengths, range(d))
+    spec.setflags(write=False)
+    cols = lengths[-1] // 2 + 1
+    # f's lines, zero-padded on the last axis once; the pad is never written
+    real = np.zeros(shape[:-1] + (lengths[-1],))
+    buf = np.empty(lengths[:-1] + (cols,), complex)
+    # stage ax runs on axes 0 .. ax at full length and on f's rows of the
+    # others; its pad slab is rows n_ax .. L_ax - 1 of axis ax, where rfftn
+    # holds the r2c of a zero line carried through stages 0 .. ax-1
+    stages = [
+        buf[(slice(None),) * (ax + 1) + tuple(slice(n) for n in shape[ax + 1 : -1])] for ax in range(d - 1)
+    ]
+    pads = [rfft(np.zeros(lengths[-1])).reshape((1,) * (d - 1) + (cols,))]
+    for ax in range(d - 2):
+        pad = pads[-1]
+        pads.append(fft(np.broadcast_to(pad, pad.shape[:ax] + (lengths[ax],) + pad.shape[ax + 1 :]), axis=ax))
+    r2c = buf[tuple(slice(n) for n in shape[:-1])]
+    scale = 1.0 / math.prod(lengths)
+
+    def plan(f: ScalarField) -> ScalarField:
+        if f.grid.shape != shape:
+            raise ValueError(f"field shape {f.grid.shape} differs from the plan's {shape}")
+        if abs(h - f.h) > 1e-12 * f.h:
+            raise ValueError("kernel and field spacings differ")
+        real[..., : shape[-1]] = f.values
+        rfft(real, out=r2c)
+        # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
+        for ax, (view, pad) in enumerate(zip(stages, pads)):
+            view[_along(ax, slice(shape[ax], None))] = pad
+            fft(view, axis=ax, out=view)
+        x = buf
+        x *= spec
+        for ax, (n, r) in enumerate(zip(shape[:-1], radii)):
+            x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
+        r, n = radii[-1], shape[-1]
+        # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
+        kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * scale
+        kept *= f.grid.cell_volume
+        return ScalarField(f.grid, kept)
+
+    plan.lengths = lengths
+    return plan
+
+
+def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
+    """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d on f's grid.
+
+    A one-shot ``convolution_plan``: the kernel is transformed on every
+    call.  A caller that convolves with one kernel repeatedly keeps a plan.
+    """
+    return convolution_plan(kernel, f.grid.shape)(f)
 
 
 def riesz_triple(f: ScalarField, kern: ScalarField, h: ScalarField) -> float:
@@ -534,9 +517,9 @@ def fractional_seminorm(u: ScalarField, s: float, p: float) -> float:
     FracKernel(s, p).validate(u.dim)
     if p != 2:
         return _seminorm_direct(u, s, p)
-    kfield = sample_kernel(FracKernel(s, p), displacement_grid(u.grid))
-    srow = convolve(kfield, ScalarField(u.grid, np.ones(u.grid.shape)))
-    cross = pairing(u, convolve(kfield, u))
+    plan = convolution_plan(sample_kernel(FracKernel(s, p), displacement_grid(u.grid)), u.grid.shape)
+    srow = plan(ScalarField(u.grid, np.ones(u.grid.shape)))
+    cross = pairing(u, plan(u))
     diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume
     total, scale = 2.0 * (diag - cross), 2.0 * diag
     if abs(total) <= 1e-13 * scale:

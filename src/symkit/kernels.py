@@ -142,13 +142,15 @@ def sample_kernel(spec: KernelSpec, grid: Grid) -> ScalarField:
     r2 = grid.radius2()
     center = tuple(n // 2 for n in grid.shape)
     if isinstance(spec, PowerLaw):
+        vals = r2  # radius2() returns a fresh array, raised to the power in place
         with np.errstate(divide="ignore"):
-            vals = r2 ** (-spec.lam / 2.0)
+            vals **= -spec.lam / 2.0
         vals[center] = _cell_average_power(spec.lam, grid.h, (0.0,) * grid.dim, _SUBSAMPLE)
     elif isinstance(spec, FracKernel):
         expo = -(grid.dim + spec.s * spec.p) / 2.0
+        vals = r2
         with np.errstate(divide="ignore"):
-            vals = r2**expo
+            vals **= expo
         vals[center] = 0.0
     elif isinstance(spec, BallIndicator):
         vals = (r2 <= spec.radius**2).astype(np.float64)

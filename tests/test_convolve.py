@@ -3,24 +3,27 @@
 The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
 (``scipy.fft`` and ``scipy.signal``), which vendor the same pocketfft.
 
-* ``convolve`` (short circular transforms, pruned axis by axis, memoized
-  kernel spectrum) against a plain O(N^2) lattice sum, to 1e-12 relative to
-  max|k| sum|f| h^d, which bounds every output value;
+* ``convolve`` (a one-shot ``convolution_plan``: short circular transforms,
+  pruned axis by axis) against a plain O(N^2) lattice sum, to 1e-12
+  relative to max|k| sum|f| h^d, which bounds every output value;
 * the pruned transforms against the unpruned window
   ``irfftn(rfftn(f, L) * rfftn(k, L), L)[r:r+n] * h^d`` of ``scipy.fft``,
   bit for bit and sign of zero included: they take scipy.fft's axis order
   and its single 1/prod(L) scaling, and the pad slabs hold rfftn's values
   for the zero box, so every report stays byte-identical;
-* the in-place c2c stages: the field's values and the memoized spectrum are
-  untouched by repeated calls;
-* the per-thread workspace: two threads convolving different shapes at once
-  get the bits of a sequential run, and a warm 32^3 call allocates no padded
-  temporaries (its tracemalloc peak stays below 1.5 MB);
+* the plan: applied again and again, to alternating fields, it gives the
+  bits of a one-shot ``convolve`` and of the unpruned window in 1-, 2- and
+  3-d; a changed kernel gets its own spectrum; the plan keeps no reference
+  to the kernel values; two live plans share no buffer; a field of another
+  shape or spacing is refused;
+* the in-place stages: the field's values and the plan's spectrum are
+  untouched by repeated calls, and a warm 32^3 plan call allocates no
+  padded temporaries (its tracemalloc peak stays below 1 MB);
+* one-shot calls from several threads at once get the bits of a
+  sequential run, since each call makes its own plan;
 * the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
   ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
   n = 1 .. 20,000;
-* the kernel-spectrum memo: warm calls equal cold ones bit for bit, and a
-  changed kernel of the same shape gets its own spectrum;
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
   bit for bit;
 * ``import symkit.cli`` loads no scipy module at all, and neither do the
@@ -37,6 +40,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +50,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 import symkit
-import symkit.functionals as functionals
 from symkit.field import Grid, GridSet, ScalarField, save
-from symkit.functionals import _fftconvolve_full, _next_fast_len, convolve
+from symkit.functionals import _fftconvolve_full, _next_fast_len, convolution_plan, convolve
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 
 RTOL = 1e-12
@@ -121,8 +124,10 @@ class TestConvolveOracle:
     @example(_signed_zero_case())
     def test_matches_unpruned_window(self, case):
         kv, fv, h = case
-        out = convolve(ScalarField(Grid(kv.shape, h), kv), ScalarField(Grid(fv.shape, h), fv)).values
-        assert out.tobytes() == _unpruned_window(kv, fv, h, functionals._kernel_memo[0]).tobytes()
+        kern = ScalarField(Grid(kv.shape, h), kv)
+        out = convolve(kern, ScalarField(Grid(fv.shape, h), fv)).values
+        lengths = convolution_plan(kern, fv.shape).lengths
+        assert out.tobytes() == _unpruned_window(kv, fv, h, lengths).tobytes()
 
 
 class TestPrunedTransforms:
@@ -133,28 +138,31 @@ class TestPrunedTransforms:
         g = Grid(shape, 0.125)
         kern = sample_kernel(PowerLaw(0.5), displacement_grid(g))
         fv = np.random.default_rng(6).standard_normal(shape)
+        plan = convolution_plan(kern, shape)
         out = convolve(kern, ScalarField(g, fv)).values
-        assert out.tobytes() == _unpruned_window(kern.values, fv, g.h, functionals._kernel_memo[0]).tobytes()
+        assert out.tobytes() == _unpruned_window(kern.values, fv, g.h, plan.lengths).tobytes()
+        assert plan(ScalarField(g, fv)).values.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("shape", [(40,), (12, 10), (8, 6, 7)])
-    def test_in_place_stages_leave_inputs_and_memo_alone(self, shape, monkeypatch):
+    def test_in_place_stages_leave_inputs_and_memo_alone(self, shape):
+        # the plan's spectrum is the kernel transform it keeps for its life
         g = Grid(shape, 0.5)
         rng = np.random.default_rng(8)
         kern = ScalarField(displacement_grid(g), rng.random(tuple(2 * n - 1 for n in shape)))
         fields = [ScalarField(g, rng.random(shape)) for _ in range(2)]
         before = [f.values.copy() for f in fields]
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        first = [convolve(kern, f).values for f in fields]
+        plan = convolution_plan(kern, shape)
+        first = [plan(f).values for f in fields]
         for _ in range(3):
             for f, want in zip(fields, first):
-                assert np.array_equal(convolve(kern, f).values, want)
+                assert np.array_equal(plan(f).values, want)
         for f, b in zip(fields, before):
             assert f.values.tobytes() == b.tobytes()
-        lengths, _, spec = functionals._kernel_memo
-        assert spec.tobytes() == rfftn(kern.values, lengths).tobytes()
+        assert _plan_state(plan)["spec"].tobytes() == rfftn(kern.values, plan.lengths).tobytes()
 
 
 class TestWorkspace:
+    # a plan's buffers are its workspace: the one-shot convolve makes one per call
     def test_concurrent_threads_match_a_sequential_run(self):
         # more threads than cores, all on the same two field shapes, so
         # threads that shared buffers would overwrite each other's stages
@@ -194,18 +202,18 @@ class TestWorkspace:
 
     def test_warm_call_allocates_no_padded_temporaries(self):
         g = Grid((32, 32, 32), 0.25)
-        kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g.shape)
         f = ScalarField(g, np.random.default_rng(12).random(g.shape))
-        convolve(kern, f)
+        plan(f)
         tracemalloc.start()
         try:
-            convolve(kern, f)
+            plan(f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the r2c output, the c2r output and the scaled window: about 0.85 MB;
-        # padded copies and fresh c2c stage outputs took it to 3.25 MB
-        assert peak < 1.5e6
+        # the c2r output and the scaled window: about 0.85 MB; padded copies
+        # and fresh c2c stage outputs took a call to 3.25 MB
+        assert peak < 1.0e6
 
 
 class TestLengthRule:
@@ -213,60 +221,104 @@ class TestLengthRule:
         got = [_next_fast_len(n) for n in range(1, 20_001)]
         assert got == [next_fast_len(n, real=True) for n in range(1, 20_001)]
 
-    def test_coulomb_32_cubed_uses_64(self, monkeypatch):
+    def test_coulomb_32_cubed_uses_64(self):
         g = Grid((32, 32, 32), 0.25)
         kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        convolve(kern, ScalarField(g, np.ones(g.shape)))
-        assert functionals._kernel_memo[0] == (64, 64, 64)
+        assert convolution_plan(kern, g.shape).lengths == (64, 64, 64)
 
-    def test_kernel_wider_than_short_axis_uses_its_extent(self, monkeypatch):
+    def test_kernel_wider_than_short_axis_uses_its_extent(self):
         # axis 0: n + r = 7 would round to 8 and cut the 9-wide kernel, so 2r + 1 = 9
         g = Grid((3, 12), 0.5)
         rng = np.random.default_rng(5)
         kern = ScalarField(displacement_grid(g, 4), rng.random((9, 9)))
         f = ScalarField(g, rng.random(g.shape))
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        out = convolve(kern, f)
-        assert functionals._kernel_memo[0] == (9, 16)
+        plan = convolution_plan(kern, g.shape)
+        assert plan.lengths == (9, 16)
+        out = plan(f)
         assert _close(out.values, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
 
 
-class TestKernelMemo:
-    def _coulomb(self, shape, h):
-        g = Grid(shape, h)
-        return g, sample_kernel(PowerLaw(1.0), displacement_grid(g))
+def _plan_state(plan) -> dict:
+    """The arrays a plan keeps, by the names its closure gives them."""
+    return {
+        name: cell.cell_contents
+        for name, cell in zip(plan.__code__.co_freevars, plan.__closure__)
+        if isinstance(cell.cell_contents, np.ndarray)
+    }
 
-    def test_warm_call_is_bit_identical_to_cold(self, monkeypatch):
-        g, kern = self._coulomb((8, 8, 8), 0.25)
-        f = ScalarField(g, np.random.default_rng(1).random(g.shape))
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        cold = convolve(kern, f).values
-        spec = functionals._kernel_memo[2]
-        warm = convolve(kern, f).values
-        assert functionals._kernel_memo[2] is spec  # the second call reused the spectrum
-        assert np.array_equal(cold, warm)
 
-    def test_changed_kernel_of_same_shape_gets_its_own_spectrum(self, monkeypatch):
-        g, kern = self._coulomb((5, 6), 0.5)
+class TestPlan:
+    @settings(max_examples=100, deadline=None)
+    @given(_cases())
+    @example(_signed_zero_case())
+    def test_warm_call_is_bit_identical_to_cold(self, case):
+        # two fields alternate on one plan, as the descent's iterates and the
+        # fft seminorm's ones and u do; every call gives the one-shot bits
+        kv, fv, h = case
+        kern = ScalarField(Grid(kv.shape, h), kv)
+        fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
+        plan = convolution_plan(kern, fv.shape)
+        want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
+        assert [convolve(kern, f).values.tobytes() for f in fields] == want
+        for i in (0, 0, 1, 0, 1, 1):
+            assert plan(fields[i]).values.tobytes() == want[i]
+
+    def test_changed_kernel_of_same_shape_gets_its_own_spectrum(self):
+        g = Grid((5, 6), 0.5)
+        kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
         f = ScalarField(g, np.random.default_rng(2).random(g.shape))
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        convolve(kern, f)
+        plan = convolution_plan(kern, g.shape)
+        first = plan(f).values
         kv = np.array(kern.values)
         kv[2, 3] += 1.0
-        other = ScalarField(kern.grid, kv)
-        out = convolve(other, f)
-        assert _close(out.values, _lattice_sum(kv, f.values, g.h), kv, f.values, g.h)
-        assert not _close(out.values, convolve(kern, f).values, kv, f.values, g.h)
+        other = convolution_plan(ScalarField(kern.grid, kv), g.shape)
+        out = other(f).values
+        assert _close(out, _lattice_sum(kv, f.values, g.h), kv, f.values, g.h)
+        assert not _close(out, first, kv, f.values, g.h)
+        assert plan(f).values.tobytes() == first.tobytes()
 
-    def test_memo_holds_a_private_copy(self, monkeypatch):
-        g = Grid((6,), 0.5)
+    def test_plan_keeps_no_kernel_values(self):
+        # the descent's 63^3 Coulomb kernel is 2 MB that only its transform needs
+        g = Grid((6, 7), 0.5)
         rng = np.random.default_rng(3)
-        kern = ScalarField(displacement_grid(g), rng.random(11))
-        f = ScalarField(g, rng.random(6))
-        monkeypatch.setattr(functionals, "_kernel_memo", None)
-        convolve(kern, f)
-        assert not np.shares_memory(functionals._kernel_memo[1], kern.values)
+        kern = ScalarField(displacement_grid(g), rng.random((11, 13)))
+        f = ScalarField(g, rng.random(g.shape))
+        want = convolve(kern, f).values.tobytes()
+        plan = convolution_plan(kern, g.shape)
+        values = weakref.ref(kern.values)
+        del kern
+        assert values() is None
+        assert plan(f).values.tobytes() == want
+
+    def test_live_plans_of_different_shapes_share_no_buffers(self):
+        # radius 4: both 3-d shapes take lengths (15, 15, 12), so buffers kept
+        # per length would collide
+        rng = np.random.default_rng(14)
+        cases = []
+        for shape in [(10, 9, 8), (11, 10, 8), (10, 9)]:
+            g = Grid(shape, 0.5)
+            kern = ScalarField(displacement_grid(g, 4), rng.standard_normal((9,) * len(shape)))
+            f = ScalarField(g, rng.standard_normal(shape))
+            cases.append((convolution_plan(kern, shape), f, convolve(kern, f).values.tobytes()))
+        assert cases[0][0].lengths == cases[1][0].lengths == (15, 15, 12)
+        for _ in range(3):
+            for plan, f, want in cases:
+                assert plan(f).values.tobytes() == want
+        arrays_of = [list(_plan_state(plan).values()) for plan, _, _ in cases]
+        for i, mine in enumerate(arrays_of):
+            for theirs in arrays_of[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_refuses_a_field_of_another_shape_or_spacing(self):
+        g = Grid((6, 5), 0.5)
+        kern = ScalarField(displacement_grid(g), np.ones((11, 9)))
+        plan = convolution_plan(kern, g.shape)
+        with pytest.raises(ValueError, match="shape"):
+            plan(ScalarField(Grid((5, 6), 0.5), np.ones((5, 6))))
+        with pytest.raises(ValueError, match="spacings"):
+            plan(ScalarField(Grid((6, 5), 0.25), np.ones((6, 5))))
+        with pytest.raises(ValueError, match="dimensions"):
+            convolution_plan(kern, (6, 5, 4))
 
 
 _shapes = st.lists(st.integers(1, 9), min_size=1, max_size=3)
@@ -357,10 +409,10 @@ def test_choquard_descent_loads_no_scipy():
     code = (
         "import numpy as np\n"
         "import symkit.cli\n"
-        "from symkit.choquard import choquard_descent\n"
+        "from symkit.choquard import choquard_descent, coulomb_potential\n"
         "from symkit.field import Grid, ScalarField\n"
         "g = Grid((8, 8, 8), 0.5)\n"
-        "res = choquard_descent(ScalarField(g, np.exp(-g.radius2() / 2.0)), steps=3)\n"
+        "res = choquard_descent(ScalarField(g, np.exp(-g.radius2() / 2.0)), coulomb_potential(g), steps=3)\n"
         "assert len(res.energies) > 1"
     )
     loaded = _modules_loaded_by(code)

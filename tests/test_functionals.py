@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import symkit.choquard as choquard
-from symkit.choquard import choquard_descent
+import symkit.experiments as experiments
+import symkit.functionals as functionals
+from symkit.choquard import choquard_descent, coulomb_potential
 from symkit.field import Grid, GridSet, ScalarField
 from symkit.functionals import (
     BLLSpec,
@@ -707,7 +709,8 @@ class TestEnergies:
 
     def test_choquard_dimension_guard(self):
         with pytest.raises(ValueError, match="3-d"):
-            choquard_descent(ScalarField(Grid((8, 8), 0.5), np.ones((8, 8))), steps=1)
+            g = Grid((8, 8), 0.5)
+            choquard_descent(ScalarField(g, np.ones((8, 8))), coulomb_potential(g), steps=1)
 
     def test_choquard_divergence_is_reported(self):
         # the step overflows the squared norm; the descent must stop on the
@@ -715,7 +718,7 @@ class TestEnergies:
         g = Grid((8, 8, 8), 0.5)
         u0 = ScalarField(g, np.exp(-np.random.default_rng(0).uniform(0.0, 1.0, g.shape)))
         with np.errstate(over="ignore", invalid="ignore"):
-            result = choquard_descent(u0, steps=3, step_size=1e200)
+            result = choquard_descent(u0, coulomb_potential(g), steps=3, step_size=1e200)
         assert result.diverged
         assert len(result.energies) == 1 and math.isfinite(result.energies[0])
         assert np.all(np.isfinite(result.final.values))
@@ -724,7 +727,7 @@ class TestEnergies:
     def test_choquard_overflowing_start_raises(self):
         g = Grid((4, 4, 4), 0.5)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            choquard_descent(ScalarField(g, np.full(g.shape, 1e200)), steps=1)
+            choquard_descent(ScalarField(g, np.full(g.shape, 1e200)), coulomb_potential(g), steps=1)
 
     def test_choquard_shares_differences_between_energy_and_step(self, monkeypatch):
         # the descent without shared differences: each iterate is differenced
@@ -762,18 +765,44 @@ class TestEnergies:
         bumpy = 1.0 + 0.3 * np.random.default_rng(9).random(g.shape)
         u0 = ScalarField(g, np.exp(-g.radius2() / 4.0) * bumpy)
         energies, audit, final = reference(u0, 12, 3)
-        calls = {"diffs": 0, "convolve": 0}
-        for name, key in (("_forward_diffs", "diffs"), ("convolve", "convolve")):
-            def counted(*args, _f=getattr(choquard, name), _k=key):
-                calls[_k] += 1
-                return _f(*args)
+        calls = {"diffs": 0, "potential": 0}
+        diffs, plan = choquard._forward_diffs, coulomb_potential(g)
 
-            monkeypatch.setattr(choquard, name, counted)
-        result = choquard_descent(u0, steps=12, step_size=0.02, polish_steps=3)
+        def counted_diffs(*args):
+            calls["diffs"] += 1
+            return diffs(*args)
+
+        def potential(usq):
+            calls["potential"] += 1
+            return plan(usq)
+
+        monkeypatch.setattr(choquard, "_forward_diffs", counted_diffs)
+        result = choquard_descent(u0, potential, steps=12, step_size=0.02, polish_steps=3)
         assert result.energies == energies and result.rearrange_audit == audit
         assert result.final.values.tobytes() == final.tobytes()
-        # one set of differences per energy evaluation, i.e. per convolution
-        assert calls["diffs"] == calls["convolve"] == len(energies) + len(audit)
+        # one set of differences per energy evaluation, i.e. per plan call
+        assert calls["diffs"] == calls["potential"] == len(energies) + len(audit)
+
+    def test_choquard_report_samples_and_transforms_the_kernel_once(self, monkeypatch):
+        # the main run and the restart share one Coulomb plan
+        calls = {"sample_kernel": 0, "transforms": 0}
+        sample, rfftn = choquard.sample_kernel, functionals._rfftn
+
+        def counted_sample(*args):
+            calls["sample_kernel"] += 1
+            return sample(*args)
+
+        def counted_rfftn(*args):
+            calls["transforms"] += 1
+            return rfftn(*args)
+
+        monkeypatch.setattr(choquard, "sample_kernel", counted_sample)
+        monkeypatch.setattr(functionals, "_rfftn", counted_rfftn)
+        monkeypatch.setattr(experiments, "CHOQUARD_N", 8)
+        monkeypatch.setattr(experiments, "CHOQUARD_STEPS", 10)
+        report = experiments._choquard(0)
+        assert report.experiment_id == "choquard-descent"
+        assert calls == {"sample_kernel": 1, "transforms": 1}
 
     def test_choquard_rearrangement_lowers_energy(self):
         rng = np.random.default_rng(17)
