@@ -29,11 +29,17 @@ Cases, each at one fixed size:
   the convolve cases on their own barely show that;
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
 * ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
-  h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it;
+  h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it,
+  and of the Faber-Krahn square, 64x64 cells at h = 1/64, which takes the
+  closed form of a box;
 * ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square, which
   takes the closed form, and of a disk at h = 1/40 (1,605 cells), which
   takes the dense route;
 * ``bll_integral``: 10^6 samples of a three-factor 1-d integral on 128 cells;
+* ``bump_field`` of a seeded six-bump sum: the potential V of the ``spectral``
+  heat-trace ladder on its finest 64x64 rung, drawn as
+  ``experiments._heat_trace_pairs`` draws it, and a signed field of
+  ``verify`` on its 16x16 grid;
 * the fractional seminorm at s = 1/2, p = 2 on a 64x64 field: ``.direct``
   times the displacement loop ``functionals._seminorm_direct``, the oracle
   of the tests, and ``.fft`` times ``fractional_seminorm``, which takes the
@@ -82,6 +88,7 @@ import scipy
 
 import symkit
 from symkit.choquard import choquard_descent, coulomb_potential
+from symkit.cli import DEFAULT_SEED
 from symkit.field import Grid, GridSet, ScalarField, load, save
 from symkit.functionals import (
     BLLSpec,
@@ -95,7 +102,7 @@ from symkit.functionals import (
     gradient_pnorm,
 )
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
-from symkit.random_fields import plateau_field
+from symkit.random_fields import bump_field, plateau_field, rng_for, sample_bumps
 from symkit.rearrange import rearrange
 from symkit.spectral import dirichlet_eigenvalues, dirichlet_spectrum
 from symkit.stability import continuity_probe
@@ -167,8 +174,18 @@ def _faber_krahn_disk(tmp):
     return lambda i: dirichlet_spectrum(disk, None, 1), 1, {"cells": disk.count(), "k": 1}
 
 
+def _unit_square():
+    """The Faber-Krahn square, 64x64 cells at h = 1/64."""
+    return GridSet(Grid((64, 64), 1.0 / 64), np.ones((64, 64), dtype=bool))
+
+
+def _faber_krahn_square(tmp):
+    square = _unit_square()
+    return lambda i: dirichlet_spectrum(square, None, 1), 1, {"cells": square.count(), "k": 1}
+
+
 def _square_spectrum(tmp):
-    square = GridSet(Grid((64, 64), 1.0 / 64), np.ones((64, 64), dtype=bool))
+    square = _unit_square()
     return lambda i: dirichlet_eigenvalues(square, None), 1, {"cells": square.count()}
 
 
@@ -184,6 +201,21 @@ def _bll(tmp):
     spec = BLLSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), fields)
     samples = 10**6
     return lambda i: bll_integral(spec, samples, seed=0), 1, {"samples": samples, "cells": 128}
+
+
+def _bump_case(sample, grid, calls):
+    return lambda i: bump_field(sample, grid), calls, {"field_shape": list(grid.shape), "bumps": 6}
+
+
+def _heat_trace_potential(tmp):
+    rng = rng_for(DEFAULT_SEED, 41, 0)  # the first heat-trace key draws the domain's bumps, then V's
+    sample_bumps(rng, 2, 2.0, 6, 0.45)
+    return _bump_case(sample_bumps(rng, 2, 2.0, 6, 0.6), Grid((64, 64), 1.0 / 16), 20)
+
+
+def _verify_field(tmp):
+    sample = sample_bumps(rng_for(DEFAULT_SEED, 12, 0), 2, 2.0, 6, 0.6, signed=True)
+    return _bump_case(sample, Grid((16, 16), 0.25), 50)
 
 
 def _seminorm(seminorm, calls):
@@ -222,9 +254,12 @@ CASES = {
     "choquard_descent_32x32x32.10_steps": _descent,
     "rearrange_1000x1000": _rearrange,
     "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
+    "dirichlet_spectrum_lambda1_square_4096": _faber_krahn_square,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
     "dirichlet_eigenvalues_dense_disk_1605": _disk_spectrum,
     "bll_integral_1e6_samples": _bll,
+    "bump_field_64x64.heat_trace_v": _heat_trace_potential,
+    "bump_field_16x16.verify": _verify_field,
     "fractional_seminorm_64x64.direct": _seminorm(_seminorm_direct, 1),
     "fractional_seminorm_64x64.fft": _seminorm(fractional_seminorm, 10),
     "continuity_probe_64x64.plateau_wsp": _probe,

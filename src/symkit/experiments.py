@@ -261,7 +261,7 @@ def _heat_trace_pairs(seed, grid, rng_keys, threshold, times):
         sample = sample_bumps(rng, d, half, N_BUMPS, 0.45)
         omega = bump_mask(sample, grid, threshold=threshold)
         vsample = sample_bumps(rng, d, half, N_BUMPS, SUPPORT_FRACTION)
-        V = ScalarField(grid, 3.0 * np.abs(vsample(grid.coords())))
+        V = ScalarField(grid, 3.0 * np.abs(vsample(grid)))
         vstar, ostar = increasing_rearrangement(V, omega)
         ev = dirichlet_eigenvalues(omega, V)
         evs = dirichlet_eigenvalues(ostar, vstar)
@@ -477,8 +477,9 @@ def faber_krahn_pair() -> tuple[float, float]:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
     The disk grid is sized to hold the disk of area 1 with about two cells of
-    margin.  Both lowest eigenvalues come from the sparse shift-invert solver
-    (DECISIONS.md D11), so the cell counts (~1/h^2) meet no cap.
+    margin.  The square's lowest eigenvalue takes the closed form of a box,
+    the disk's the sparse shift-invert solver (DECISIONS.md D11), so neither
+    cell count (~1/h^2) meets a cap.
     """
     n = FABER_KRAHN_N
     h = 1.0 / n
@@ -634,7 +635,7 @@ def _asymmetry_audit(seed) -> ExperimentReport:
     for case in range(n_rho):
         rng = rng_for(seed, 51, case)
         sample = sample_bumps(rng, 2, BOX_HALF[2], N_BUMPS, 0.7)
-        rho = ScalarField(grid, np.clip(np.abs(sample(grid.coords())), 0.0, 1.0))
+        rho = ScalarField(grid, np.clip(np.abs(sample(grid)), 0.0, 1.0))
         if asymmetry(rho) != asymmetry_bruteforce(rho):
             mism += 1
     return ExperimentReport(
@@ -673,7 +674,7 @@ def _layered_identity(seed) -> ExperimentReport:
     rng = rng_for(seed, 52)
     grid = _grid(2, 48, 4.0 / 48)
     sample = sample_bumps(rng, 2, BOX_HALF[2], N_BUMPS, 0.6)
-    rho = ScalarField(grid, np.clip(np.abs(sample(grid.coords())), 0.0, 1.0))
+    rho = ScalarField(grid, np.clip(np.abs(sample(grid)), 0.0, 1.0))
     direct = riesz_energy(rho, 0.5)
     recon = layered_riesz_reconstruction(rho, 0.5)
     rel2 = abs(recon - direct) / direct

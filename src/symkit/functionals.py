@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 
-from .field import GridSet, ScalarField, measure
+from .field import Grid, GridSet, ScalarField, measure
 from .kernels import (
     FracKernel,
     HeatGaussian,
@@ -517,7 +517,16 @@ def fractional_seminorm(u: ScalarField, s: float, p: float) -> float:
     FracKernel(s, p).validate(u.dim)
     if p != 2:
         return _seminorm_direct(u, s, p)
-    plan = convolution_plan(sample_kernel(FracKernel(s, p), displacement_grid(u.grid)), u.grid.shape)
+    return _seminorm_fft(u, _seminorm_plan(u.grid, s))
+
+
+def _seminorm_plan(grid: Grid, s: float) -> Callable[[ScalarField], ScalarField]:
+    """The convolution plan of the p = 2 route on fields of ``grid``."""
+    return convolution_plan(sample_kernel(FracKernel(s, 2.0), displacement_grid(grid)), grid.shape)
+
+
+def _seminorm_fft(u: ScalarField, plan: Callable[[ScalarField], ScalarField]) -> float:
+    """The p = 2 sum of ``fractional_seminorm``, by the ``_seminorm_plan`` of u's grid."""
     srow = plan(ScalarField(u.grid, np.ones(u.grid.shape)))
     cross = pairing(u, plan(u))
     diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume

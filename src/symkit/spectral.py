@@ -3,14 +3,15 @@
 The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  Its nonzero entries are built once, as (row, column, value) triplets.
-The lowest eigenvalues come from shift-invert Lanczos below the spectrum
-(ARPACK through ``eigsh``, on the triplets as a sparse matrix), with no cell
-cap; a solver failure raises.  A full spectrum of a full box with no
-potential is the closed-form Kronecker sum of 1-d stencil spectra.  Any other
-full spectrum is a dense ``eigvalsh`` of the triplets written into a zero
-matrix, capped at ``DENSE_CELL_CAP`` cells; larger domains are rejected,
-never truncated or sent to another method.  ``scipy.sparse`` is imported only
-by the Lanczos route (DECISIONS.md D12).
+A full box with no potential has a closed-form spectrum, the Kronecker sum
+of 1-d stencil spectra, which serves its lowest eigenvalues as well as all
+of them.  The lowest eigenvalues of any other domain come from shift-invert
+Lanczos below the spectrum (ARPACK through ``eigsh``, on the triplets as a
+sparse matrix), with no cell cap; a solver failure raises.  Any other full
+spectrum is a dense ``eigvalsh`` of the triplets written into a zero matrix,
+capped at ``DENSE_CELL_CAP`` cells; larger domains are rejected, never
+truncated or sent to another method.  ``scipy.sparse`` is imported only by
+the Lanczos route (DECISIONS.md D12).
 """
 
 from __future__ import annotations
@@ -77,23 +78,35 @@ def _box_eigenvalues(grid: Grid) -> np.ndarray:
 def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending.
 
-    Shift-invert Lanczos about sigma = min(0, min V on omega) from a fixed,
-    seeded, positive start vector (DECISIONS.md D11).  The stencil part is
-    positive definite, so every eigenvalue lies above sigma and the k nearest
-    to it are the lowest k.  k equal to the cell count asks for the whole
-    spectrum, which ARPACK cannot give, so it is ``dirichlet_eigenvalues``.
-    A Lanczos run that does not converge raises.
+    A full box with no potential takes the closed form, any k equal to the
+    cell count the full spectrum of ``dirichlet_eigenvalues``, and any other
+    domain shift-invert Lanczos (DECISIONS.md D11).
     """
     ncells = omega.count()
     if ncells == 0:
         raise ValueError("domain is empty")
     if k <= 0 or k > ncells:
         raise ValueError(f"k must be in [1, {ncells}], got {k}")
+    if V is None and omega.mask.all():
+        return _box_eigenvalues(omega.grid)[:k]
     if k == ncells:
         return dirichlet_eigenvalues(omega, V)
+    return _lanczos_spectrum(omega, V, k)
+
+
+def _lanczos_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
+    """Lowest k < N eigenvalues by shift-invert Lanczos; the tests' oracle on boxes.
+
+    Shift-invert about sigma = min(0, min V on omega) from a fixed, seeded,
+    positive start vector (DECISIONS.md D11).  The stencil part is positive
+    definite, so every eigenvalue lies above sigma and the k nearest to it
+    are the lowest k.  ARPACK needs k below the cell count N.  A Lanczos run
+    that does not converge raises.
+    """
     from scipy import sparse
     from scipy.sparse.linalg import eigsh
 
+    ncells = omega.count()
     rows, cols, data = _dirichlet_triplets(omega, V)
     A = sparse.csc_matrix((data, (rows, cols)), shape=(ncells, ncells))
     sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))

@@ -5,7 +5,9 @@ assembled cell by cell in this file, independently of ``spectral``:
 
 * shift-invert ``dirichlet_spectrum`` on small random 1-d and 2-d masks,
   V of either sign or none, to ``SPARSE_RTOL`` per eigenvalue, measured from
-  the shift min(0, min V) (where V >= 0 or none, from 0);
+  the shift min(0, min V) (where V >= 0 or none, from 0); on boxes, where
+  ``dirichlet_spectrum`` takes the closed form, the Lanczos solver
+  ``spectral._lanczos_spectrum`` is called directly and checks it;
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
 * the capped dense route of ``dirichlet_eigenvalues`` on random masks;
@@ -131,9 +133,29 @@ class TestDirichletSpectrum:
         # the sparse route has no cell cap: 72^2 = 5,184 cells
         box = GridSet(Grid((72, 72), 0.1), np.ones((72, 72), bool))
         assert box.count() > DENSE_CELL_CAP
-        got = dirichlet_spectrum(box, None, 5)
+        got = spectral._lanczos_spectrum(box, None, 5)
         want = dirichlet_eigenvalues(box, None)[:5]
         np.testing.assert_allclose(got, want, rtol=SPARSE_RTOL)
+
+    @pytest.mark.parametrize(
+        "shape, h, k",
+        [
+            ((1,), 0.5, 1),
+            ((2,), 1.0, 1),
+            ((50,), 0.1, 3),
+            ((64, 64), 1.0 / 64, 1),  # the Faber-Krahn square
+            ((30, 17), 0.25, 4),
+            ((7, 5, 4), 0.5, 3),
+        ],
+    )
+    def test_box_takes_the_closed_form(self, shape, h, k):
+        # lowest eigenvalues of a box are the closed form's, bit for bit;
+        # Lanczos, where ARPACK can run (k < N), stays their oracle
+        box = GridSet(Grid(shape, h), np.ones(shape, bool))
+        got = dirichlet_spectrum(box, None, k)
+        assert got.tobytes() == spectral._box_eigenvalues(box.grid)[:k].tobytes()
+        if k < box.count():
+            np.testing.assert_allclose(got, spectral._lanczos_spectrum(box, None, k), rtol=SPARSE_RTOL)
 
     @settings(max_examples=150, deadline=None)
     @given(_masked_domains(), st.integers(1, 6))

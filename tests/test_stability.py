@@ -50,7 +50,7 @@ class TestAsymmetry:
         g = Grid((20, 20), 0.25)
         rng = rng_for(5, 1)
         sample = sample_bumps(rng, 2, 2.5, 5, 0.5)
-        vals = np.clip(np.abs(sample(g.coords())), 0, 1)
+        vals = np.clip(np.abs(sample(g)), 0, 1)
         rho = ScalarField(g, vals)
         shifted = ScalarField(g, np.roll(vals, 3, axis=1))
         assert asymmetry(rho) == asymmetry(shifted)
@@ -67,7 +67,7 @@ class TestAsymmetry:
         # cell) and d = 1, where lattice balls split identically
         g = Grid((16,), 0.5)
         rng = rng_for(9, 2)
-        vals = (np.abs(sample_bumps(rng, 1, 3.0, 4, 0.6)(g.coords())) > 0.2).astype(float)
+        vals = (np.abs(sample_bumps(rng, 1, 3.0, 4, 0.6)(g)) > 0.2).astype(float)
         rho = ScalarField(g, vals)
         fine = ScalarField(Grid((32,), 0.25), np.repeat(vals, 2))
         assert asymmetry(rho) == pytest.approx(asymmetry(fine), abs=1e-14)
@@ -76,7 +76,7 @@ class TestAsymmetry:
         g = Grid((18, 18), 0.25)
         for case in range(12):
             rng = rng_for(31, case)
-            vals = np.clip(np.abs(sample_bumps(rng, 2, 2.0, 5, 0.7)(g.coords())), 0, 1)
+            vals = np.clip(np.abs(sample_bumps(rng, 2, 2.0, 5, 0.7)(g)), 0, 1)
             rho = ScalarField(g, vals)
             if rho.integral() == 0:
                 continue
@@ -249,13 +249,41 @@ class TestContinuityProbe:
         g = Grid((64, 64), 4.0 / 64)
         fields = {"smooth": radial_bump_field(g, radius=1.2), "plateau": plateau_field(g, 0.7, 1.4)}
         fast = {kind: continuity_probe(u, kind, space="wsp") for kind, u in fields.items()}
-        monkeypatch.setattr(stab, "fractional_seminorm", _seminorm_direct)
+        direct_calls = []
+
+        def direct(u, plan):
+            direct_calls.append(1)
+            return _seminorm_direct(u, 0.5, 2.0)
+
+        monkeypatch.setattr(stab, "_seminorm_fft", direct)
         for kind, u in fields.items():
             slow = continuity_probe(u, kind, space="wsp")
             got = fast[kind].distances + fast[kind].input_distances
             want = slow.distances + slow.input_distances
             assert all(type(x) is float and x > 0.0 for x in got)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert len(direct_calls) == 2 * 16
+
+    def test_wsp_probe_samples_and_transforms_the_kernel_once(self, monkeypatch):
+        # the probe's 16 seminorms share one convolution plan
+        import symkit.functionals as functionals
+
+        calls = {"sample_kernel": 0, "transforms": 0}
+        sample, rfftn = functionals.sample_kernel, functionals._rfftn
+
+        def counted_sample(*args):
+            calls["sample_kernel"] += 1
+            return sample(*args)
+
+        def counted_rfftn(*args):
+            calls["transforms"] += 1
+            return rfftn(*args)
+
+        monkeypatch.setattr(functionals, "sample_kernel", counted_sample)
+        monkeypatch.setattr(functionals, "_rfftn", counted_rfftn)
+        res = continuity_probe(plateau_field(Grid((16, 16), 0.25), 0.7, 1.4), "plateau", space="wsp")
+        assert len(res.distances) == 8
+        assert calls == {"sample_kernel": 1, "transforms": 1}
 
     def test_input_validation(self):
         g = Grid((16, 16), 0.25)
@@ -277,7 +305,7 @@ class TestLayeredDecomposition:
     def test_pair_curve_matches_ball_triple(self):
         g = Grid((20, 20), 0.25)
         rng = rng_for(13, 0)
-        rho = ScalarField(g, np.clip(np.abs(sample_bumps(rng, 2, 2.0, 4, 0.6)(g.coords())), 0, 1))
+        rho = ScalarField(g, np.clip(np.abs(sample_bumps(rng, 2, 2.0, 4, 0.6)(g)), 0, 1))
         dists, cum = pair_correlation_curve(rho)
         for radius in (0.3, 0.8, 1.7):
             kern = sample_kernel(BallIndicator(radius), displacement_grid(g))
@@ -288,7 +316,7 @@ class TestLayeredDecomposition:
     def test_reconstruction_within_one_percent(self):
         g = Grid((32, 32), 4.0 / 32)
         rng = rng_for(13, 1)
-        rho = ScalarField(g, np.clip(np.abs(sample_bumps(rng, 2, 2.0, 4, 0.6)(g.coords())), 0, 1))
+        rho = ScalarField(g, np.clip(np.abs(sample_bumps(rng, 2, 2.0, 4, 0.6)(g)), 0, 1))
         direct = riesz_energy(rho, 0.5)
         recon = layered_riesz_reconstruction(rho, 0.5)
         assert recon == pytest.approx(direct, rel=0.01)
