@@ -28,10 +28,10 @@ Cases, each at one fixed size:
   freed by ``convolve`` went back to the system and were faulted in again;
   the convolve cases on their own barely show that;
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
-* ``dirichlet_spectrum``: the lowest eigenvalue of the Faber-Krahn disk at
-  h = 1/64 (4,104 cells), built as ``experiments.faber_krahn_pair`` builds it,
-  and of the Faber-Krahn square, 64x64 cells at h = 1/64, which takes the
-  closed form of a box;
+* ``dirichlet_lambda1``: the lowest eigenvalue of the Faber-Krahn disk at
+  h = 1/64 (4,104 cells in 526 orbits of its symmetries), built as
+  ``experiments.faber_krahn_pair`` builds it, and of the Faber-Krahn square,
+  64x64 cells at h = 1/64, which takes the closed form of a box;
 * ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square, which
   takes the closed form, and of a disk at h = 1/40 (1,605 cells), which
   takes the dense route;
@@ -104,7 +104,7 @@ from symkit.functionals import (
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
 from symkit.random_fields import bump_field, plateau_field, rng_for, sample_bumps
 from symkit.rearrange import rearrange
-from symkit.spectral import dirichlet_eigenvalues, dirichlet_spectrum
+from symkit.spectral import dirichlet_eigenvalues, dirichlet_lambda1
 from symkit.stability import continuity_probe
 
 MEGA = (1000, 1000)  # 10^6 cells
@@ -171,7 +171,7 @@ def _unit_area_disk(h):
 
 def _faber_krahn_disk(tmp):
     disk = _unit_area_disk(1.0 / 64)
-    return lambda i: dirichlet_spectrum(disk, None, 1), 1, {"cells": disk.count(), "k": 1}
+    return lambda i: dirichlet_lambda1(disk, None), 1, {"cells": disk.count()}
 
 
 def _unit_square():
@@ -181,7 +181,7 @@ def _unit_square():
 
 def _faber_krahn_square(tmp):
     square = _unit_square()
-    return lambda i: dirichlet_spectrum(square, None, 1), 1, {"cells": square.count(), "k": 1}
+    return lambda i: dirichlet_lambda1(square, None), 1, {"cells": square.count()}
 
 
 def _square_spectrum(tmp):
@@ -253,8 +253,8 @@ CASES = {
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "choquard_descent_32x32x32.10_steps": _descent,
     "rearrange_1000x1000": _rearrange,
-    "dirichlet_spectrum_lambda1_disk_4104": _faber_krahn_disk,
-    "dirichlet_spectrum_lambda1_square_4096": _faber_krahn_square,
+    "dirichlet_lambda1_disk_4104": _faber_krahn_disk,
+    "dirichlet_lambda1_square_4096": _faber_krahn_square,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
     "dirichlet_eigenvalues_dense_disk_1605": _disk_spectrum,
     "bll_integral_1e6_samples": _bll,

@@ -65,7 +65,7 @@ from .sharp import (
     young_gaussian_triple,
     young_quotient,
 )
-from .spectral import dirichlet_eigenvalues, dirichlet_spectrum, heat_perimeter_estimate
+from .spectral import dirichlet_eigenvalues, dirichlet_lambda1, heat_perimeter_estimate
 from .stability import (
     asymmetry,
     asymmetry_bruteforce,
@@ -478,18 +478,18 @@ def faber_krahn_pair() -> tuple[float, float]:
 
     The disk grid is sized to hold the disk of area 1 with about two cells of
     margin.  The square's lowest eigenvalue takes the closed form of a box,
-    the disk's the sparse shift-invert solver (DECISIONS.md D11), so neither
-    cell count (~1/h^2) meets a cap.
+    the disk's a dense solve of its operator reduced by the disk's eight
+    grid symmetries (DECISIONS.md D11): 526 orbits of its 4,104 cells.
     """
     n = FABER_KRAHN_N
     h = 1.0 / n
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
-    lam_sq = float(dirichlet_spectrum(square, None, 1)[0])
+    lam_sq = dirichlet_lambda1(square, None)
     radius = 1.0 / math.sqrt(math.pi)
     m = round((2 * radius + 4 * h) / h)
     dgrid = Grid((m, m), h)
     mask = dgrid.radius2() < radius * radius
-    lam_disk = float(dirichlet_spectrum(GridSet(dgrid, mask), None, 1)[0])
+    lam_disk = dirichlet_lambda1(GridSet(dgrid, mask), None)
     return lam_sq, lam_disk
 
 

@@ -4,18 +4,20 @@ The Laplacian is the standard 2d+1-point stencil restricted to the cells of a
 mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  Its nonzero entries are built once, as (row, column, value) triplets.
 A full box with no potential has a closed-form spectrum, the Kronecker sum
-of 1-d stencil spectra, which serves its lowest eigenvalues as well as all
-of them.  The lowest eigenvalues of any other domain come from shift-invert
-Lanczos below the spectrum (ARPACK through ``eigsh``, on the triplets as a
-sparse matrix), with no cell cap; a solver failure raises.  Any other full
-spectrum is a dense ``eigvalsh`` of the triplets written into a zero matrix,
-capped at ``DENSE_CELL_CAP`` cells; larger domains are rejected, never
-truncated or sent to another method.  ``scipy.sparse`` is imported only by
-the Lanczos route (DECISIONS.md D12).
+of 1-d stencil spectra, which serves its lowest eigenvalue as well as all
+of them.  The lowest eigenvalue of any other domain is a dense ``eigvalsh``
+of the operator restricted to the functions fixed by the domain's grid
+symmetries, one coordinate per orbit of cells (DECISIONS.md D11).  Any other
+full spectrum is a dense ``eigvalsh`` of the triplets written into a zero
+matrix.  Both dense matrices are capped at ``DENSE_CELL_CAP`` rows, orbits
+on the first route and cells on the second; larger domains are rejected,
+never truncated or sent to another method.  Nothing here imports scipy
+(DECISIONS.md D12).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -75,43 +77,67 @@ def _box_eigenvalues(grid: Grid) -> np.ndarray:
     return np.sort(total)
 
 
-def dirichlet_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the Dirichlet stencil Laplacian plus diag(V), ascending.
+def _symmetry_group(omega: GridSet, V: ScalarField | None) -> list[tuple[tuple, tuple]]:
+    """(axis permutation, flipped axes) of every grid symmetry that fixes the mask and V on it.
 
-    A full box with no potential takes the closed form, any k equal to the
-    cell count the full spectrum of ``dirichlet_eigenvalues``, and any other
-    domain shift-invert Lanczos (DECISIONS.md D11).
+    The candidates are the axis flips combined with the permutations of axes
+    of equal extent, which map the box onto itself; V outside the mask does
+    not enter the operator and is not compared.
     """
-    ncells = omega.count()
-    if ncells == 0:
-        raise ValueError("domain is empty")
-    if k <= 0 or k > ncells:
-        raise ValueError(f"k must be in [1, {ncells}], got {k}")
+    shape = omega.grid.shape
+    fields = [omega.mask]
+    if V is not None:
+        fields.append(np.where(omega.mask, V.values, 0.0))
+    group = []
+    for perm in itertools.permutations(range(len(shape))):
+        if any(shape[p] != n for p, n in zip(perm, shape)):
+            continue
+        for flips in itertools.product((False, True), repeat=len(shape)):
+            axes = tuple(ax for ax, flip in enumerate(flips) if flip)
+            if all(np.array_equal(np.flip(np.transpose(f, perm), axes), f) for f in fields):
+                group.append((perm, axes))
+    return group
+
+
+def _cell_orbits(omega: GridSet, V: ScalarField | None) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit label of each cell of omega (in mask order) and the size of each orbit.
+
+    A cell's orbit under the symmetry group is named by the least flat index
+    it contains; the labels are those names renumbered 0, 1, ... in order.
+    """
+    idx = np.arange(omega.grid.ncells).reshape(omega.grid.shape)
+    least = idx
+    for perm, axes in _symmetry_group(omega, V):
+        least = np.minimum(least, np.flip(np.transpose(idx, perm), axes))
+    _, orbit, sizes = np.unique(least[omega.mask], return_inverse=True, return_counts=True)
+    return orbit, sizes
+
+
+def dirichlet_lambda1(omega: GridSet, V: ScalarField | None) -> float:
+    """Lowest eigenvalue of the Dirichlet stencil Laplacian plus diag(V).
+
+    A full box with no potential takes the closed form.  Any other domain
+    takes a dense ``eigvalsh`` of the operator restricted to the cell
+    functions that the grid symmetries fixing the mask and V leave
+    unchanged: one coordinate per orbit of cells, the orbit's indicator
+    over the square root of its size.  The operator has no positive
+    off-diagonal entry, so its lowest eigenvalue has a nonnegative
+    eigenvector, whose average over the group is a symmetric eigenvector;
+    the restriction therefore keeps the lowest eigenvalue (DECISIONS.md
+    D11).  More than ``DENSE_CELL_CAP`` orbits are rejected (D3), an empty
+    domain too.
+    """
     if V is None and omega.mask.all():
-        return _box_eigenvalues(omega.grid)[:k]
-    if k == ncells:
-        return dirichlet_eigenvalues(omega, V)
-    return _lanczos_spectrum(omega, V, k)
-
-
-def _lanczos_spectrum(omega: GridSet, V: ScalarField | None, k: int) -> np.ndarray:
-    """Lowest k < N eigenvalues by shift-invert Lanczos; the tests' oracle on boxes.
-
-    Shift-invert about sigma = min(0, min V on omega) from a fixed, seeded,
-    positive start vector (DECISIONS.md D11).  The stencil part is positive
-    definite, so every eigenvalue lies above sigma and the k nearest to it
-    are the lowest k.  ARPACK needs k below the cell count N.  A Lanczos run
-    that does not converge raises.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import eigsh
-
-    ncells = omega.count()
+        return float(_box_eigenvalues(omega.grid)[0])
+    orbit, sizes = _cell_orbits(omega, V)
+    norbits = sizes.size
+    if norbits > DENSE_CELL_CAP:
+        raise ValueError(f"domain has {norbits} cell orbits, dense cap is {DENSE_CELL_CAP}")
     rows, cols, data = _dirichlet_triplets(omega, V)
-    A = sparse.csc_matrix((data, (rows, cols)), shape=(ncells, ncells))
-    sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, ncells)  # D11
-    return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
+    rows, cols = orbit[rows], orbit[cols]
+    weights = data / np.sqrt(sizes[rows] * sizes[cols])
+    reduced = np.bincount(rows * norbits + cols, weights=weights, minlength=norbits * norbits)
+    return float(np.linalg.eigvalsh(reduced.reshape(norbits, norbits))[0])
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:

@@ -27,10 +27,8 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
   bit for bit;
 * ``import symkit.cli`` loads no scipy module at all, and neither do the
-  ``verify``, ``stability`` and ``probe-continuity`` verbs, ``rearrange``
-  and ``info`` on small files, or an 8^3 ``choquard_descent``; the
-  ``spectral`` verb loads ``scipy.sparse`` but none of ``scipy.fft``,
-  ``scipy.optimize``, ``scipy.ndimage`` and ``scipy.integrate``.
+  ``verify``, ``stability``, ``probe-continuity`` and ``spectral`` verbs,
+  ``rearrange`` and ``info`` on small files, or an 8^3 ``choquard_descent``.
 """
 
 import functools
@@ -377,11 +375,11 @@ def test_cli_import_leaves_scipy_module_out(module):
 
 
 def test_cli_import_loads_no_scipy():
-    # FFTs run on numpy.fft and scipy.sparse is imported by the Lanczos route only
+    # FFTs run on numpy.fft; scipy is imported inside the functions that need it
     assert _scipy_modules(_modules_loaded_by("import symkit.cli")) == []
 
 
-@pytest.mark.parametrize("verb", ["verify", "stability", "probe-continuity"])
+@pytest.mark.parametrize("verb", ["verify", "stability", "probe-continuity", "spectral"])
 def test_scipy_free_suite_verb_loads_no_scipy(verb, tmp_path):
     # probe-continuity exits 1 on the criterion-9 plateau clause (DECISIONS.md D1)
     code = f"import symkit.cli\nassert symkit.cli.main(['--out', {str(tmp_path)!r}, {verb!r}]) in (0, 1)"
@@ -421,9 +419,9 @@ def test_choquard_descent_loads_no_scipy():
 
 
 def test_spectral_verb_leaves_lazy_scipy_modules_out(tmp_path):
-    # the `spectra` benchmark workload runs this verb in about 0.2 s
+    # the `spectra` benchmark workload runs this verb; its lowest eigenvalue
+    # is a dense numpy solve, so no scipy module loads at all
     code = f"import symkit.cli\nassert symkit.cli.main(['--out', {str(tmp_path)!r}, 'spectral']) == 0"
     loaded = _modules_loaded_by(code)
     assert "symkit.spectral" in loaded
-    assert not loaded & set(_LAZY_SCIPY)
-    assert "scipy.fft" not in loaded
+    assert _scipy_modules(loaded) == []

@@ -1,13 +1,22 @@
 """Dirichlet spectra and the heat-trace perimeter fit.
 
-The two fast routes are checked against a dense ``eigvalsh`` of an operator
-assembled cell by cell in this file, independently of ``spectral``:
+The fast routes are checked against a dense ``eigvalsh`` of an operator
+assembled cell by cell in this file, independently of ``spectral``, and at
+production size against shift-invert Lanczos (``scipy.sparse.linalg.eigsh``,
+also in this file, on the stencil triplets as a sparse matrix):
 
-* shift-invert ``dirichlet_spectrum`` on small random 1-d and 2-d masks,
-  V of either sign or none, to ``SPARSE_RTOL`` per eigenvalue, measured from
-  the shift min(0, min V) (where V >= 0 or none, from 0); on boxes, where
-  ``dirichlet_spectrum`` takes the closed form, the Lanczos solver
-  ``spectral._lanczos_spectrum`` is called directly and checks it;
+* ``dirichlet_lambda1`` on masks symmetrized under a random subgroup of the
+  grid symmetries in 1-3 d, disconnected ones included, with a symmetric V
+  of either sign or none, to ``SPARSE_RTOL`` measured from the shift
+  min(0, min V) below which the spectrum lies; on the 4,104-cell
+  Faber-Krahn disk against Lanczos; a domain of more than
+  ``DENSE_CELL_CAP`` orbits is rejected before anything large is
+  allocated, one of more cells but fewer orbits is solved;
+* the Lanczos oracle itself against the dense one on random 1-d and 2-d
+  masks, its lowest k <= 6 values, and on translated equal pieces whose
+  repeated eigenvalues it must not miss;
+* the closed form of boxes: ``dirichlet_lambda1`` returns its first value
+  bit for bit, and its lowest values match Lanczos to ``SPARSE_RTOL``;
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
 * the capped dense route of ``dirichlet_eigenvalues`` on random masks;
@@ -16,11 +25,13 @@ assembled cell by cell in this file, independently of ``spectral``:
   byte, on random 1-d and 2-d masks with V or none.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symkit.spectral as spectral
 from symkit.field import Grid, GridSet, ScalarField
@@ -28,7 +39,7 @@ from symkit.rearrange import increasing_rearrangement
 from symkit.spectral import (
     DENSE_CELL_CAP,
     dirichlet_eigenvalues,
-    dirichlet_spectrum,
+    dirichlet_lambda1,
     heat_perimeter_estimate,
 )
 
@@ -57,6 +68,33 @@ def _dense_oracle(omega, V):
     return np.linalg.eigvalsh(A)
 
 
+def _lanczos_oracle(omega, V, k):
+    """Lowest k < N eigenvalues by ARPACK shift-invert Lanczos.
+
+    Shift-invert about sigma = min(0, min V on omega), below the whole
+    spectrum, so the k eigenvalues nearest sigma are the lowest k; the start
+    vector is seeded and positive, so that equal pieces of a domain are not
+    kept bitwise equal and their repeated eigenvalues are not missed.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    n = omega.count()
+    rows, cols, data = spectral._dirichlet_triplets(omega, V)
+    A = sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
+    sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
+
+
+def _unit_area_disk(h):
+    """The Faber-Krahn disk, built as ``experiments.faber_krahn_pair`` builds it."""
+    radius = 1.0 / math.sqrt(math.pi)
+    m = round((2 * radius + 4 * h) / h)
+    g = Grid((m, m), h)
+    return GridSet(g, g.radius2() < radius**2)
+
+
 @st.composite
 def _masked_domains(draw):
     """A small random mask (1-d or 2-d) with at least two cells, and V in [-3, 3] or None."""
@@ -73,17 +111,104 @@ def _masked_domains(draw):
     return GridSet(grid, mask), V
 
 
+def _act(a, perm, axes):
+    return np.flip(np.transpose(a, perm), axes)
+
+
+def _symmetrize(a, elements, combine):
+    """Fold ``combine`` over the images of a under the group the elements generate."""
+    while True:
+        b = a
+        for perm, axes in elements:
+            b = combine(b, _act(b, perm, axes))
+        if np.array_equal(a, b):
+            return a
+        a = b
+
+
+@st.composite
+def _symmetric_domains(draw):
+    """A random mask in 1-3 d and V in [-3, 3] or None, both fixed by a random subgroup.
+
+    The subgroup is generated by a few grid symmetries: axis flips and
+    permutations of axes of equal extent.  The mask is the union of its
+    images, V the pointwise maximum of its images.
+    """
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, (24, 10, 5)[d - 1]), min_size=1, max_size=d))
+    shape = tuple(draw(st.sampled_from(sizes)) for _ in range(d))
+    h = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidates = [
+        (perm, tuple(ax for ax in range(d) if flips[ax]))
+        for perm in itertools.permutations(range(d))
+        if all(shape[p] == n for p, n in zip(perm, shape))
+        for flips in itertools.product((False, True), repeat=d)
+    ]
+    elements = draw(st.lists(st.sampled_from(candidates), max_size=3))
+    mask = rng.random(shape) < draw(st.floats(0.1, 1.0))
+    mask.flat[rng.integers(mask.size)] = True
+    mask = _symmetrize(mask, elements, np.logical_or)
+    grid = Grid(shape, h)
+    V = None
+    if draw(st.booleans()):
+        V = ScalarField(grid, _symmetrize(rng.uniform(-3.0, 3.0, shape), elements, np.maximum))
+    return GridSet(grid, mask), V
+
+
+def _translated_pieces():
+    # pieces of equal length repeat eigenvalues; the route must not merge or miss them
+    mask = np.array(
+        [1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0]
+        + [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1],
+        bool,
+    )
+    return GridSet(Grid((mask.size,), 0.25), mask), None
+
+
+def _symmetric_mask_asymmetric_v():
+    g = Grid((9, 9), 0.25)
+    V = np.zeros(g.shape)
+    V[2, 5] = -40.0  # breaks every symmetry of the disk
+    return GridSet(g, g.radius2() < 1.0), ScalarField(g, V)
+
+
+def _holed_oblong_box():
+    # 7 x 4 cells less two opposite corners: the half turn is a symmetry; a
+    # transposition read back in the 7 x 4 shape also fixes this mask, but
+    # it is no symmetry
+    mask = np.ones((7, 4), bool)
+    mask[0, 0] = mask[6, 3] = False
+    return GridSet(Grid((7, 4), 0.25), mask), None
+
+
+def _asymmetric_mask():
+    mask = np.zeros((5, 5), bool)
+    mask[0, :3] = mask[1, 1:] = mask[3, :2] = True
+    g = Grid((5, 5), 1.0)
+    return GridSet(g, mask), ScalarField(g, np.full((5, 5), -3.0))
+
+
+def _one_cell():
+    g = Grid((3, 3, 3), 0.5)
+    mask = np.zeros((3, 3, 3), bool)
+    mask[1, 1, 1] = True
+    return GridSet(g, mask), ScalarField(g, np.full((3, 3, 3), 1.75))
+
+
 class TestDirichletSpectrum:
     def test_interval_matches_path_graph_formula(self):
-        # exact eigenvalues of the stencil on n cells: (2/h^2)(1 - cos(m pi/(n+1)))
+        # exact lowest eigenvalue of the stencil on n cells: (2/h^2)(1 - cos(pi/(n+1))),
+        # by the closed form (no V) and by the flip-reduced operator (V = 0)
         n, h = 40, 1.0 / 40
-        got = dirichlet_spectrum(_interval(n, h), None, 5)
-        want = (2.0 / h**2) * (1 - np.cos(np.pi * np.arange(1, 6) / (n + 1)))
-        assert np.allclose(got, want, rtol=1e-10)
+        want = (2.0 / h**2) * (1 - np.cos(np.pi / (n + 1)))
+        omega = _interval(n, h)
+        for V in (None, ScalarField(omega.grid, np.zeros(n))):
+            assert dirichlet_lambda1(omega, V) == pytest.approx(want, rel=1e-10)
 
     def test_interval_approaches_continuum(self):
         n, h = 128, 1.0 / 128
-        lam1 = dirichlet_spectrum(_interval(n, h), None, 1)[0]
+        lam1 = dirichlet_lambda1(_interval(n, h), None)
         assert lam1 == pytest.approx(math.pi**2, rel=0.03)
 
     def test_single_cell(self):
@@ -91,20 +216,26 @@ class TestDirichletSpectrum:
         m = np.zeros((5, 5), bool)
         m[2, 2] = True
         V = ScalarField(g, np.full((5, 5), 1.75))
-        got = dirichlet_spectrum(GridSet(g, m), V, 1)[0]
+        got = dirichlet_lambda1(GridSet(g, m), V)
         assert got == pytest.approx(2 * 2 / 0.25 + 1.75, rel=1e-13)
 
     def test_faber_krahn_smoke(self):
         h = 1.0 / 32
         n = 32
         square = GridSet(Grid((n, n), h), np.ones((n, n), bool))
-        lam_sq = dirichlet_spectrum(square, None, 1)[0]
+        lam_sq = dirichlet_lambda1(square, None)
         radius = 1.0 / math.sqrt(math.pi)
         m = 44
         dg = Grid((m, m), h)
         disk = GridSet(dg, dg.radius2() < radius**2)
-        lam_disk = dirichlet_spectrum(disk, None, 1)[0]
+        lam_disk = dirichlet_lambda1(disk, None)
         assert lam_sq > lam_disk
+
+    def test_faber_krahn_disk_matches_lanczos(self):
+        disk = _unit_area_disk(1.0 / 64)
+        assert disk.count() == 4104
+        got = dirichlet_lambda1(disk, None)
+        np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=1e-10)
 
     def test_j0_first_zero(self):
         from scipy.optimize import brentq
@@ -119,9 +250,7 @@ class TestDirichletSpectrum:
     def test_guards(self):
         g = Grid((4,), 0.5)
         with pytest.raises(ValueError, match="empty"):
-            dirichlet_spectrum(GridSet(g, np.zeros(4, bool)), None, 1)
-        with pytest.raises(ValueError, match="k must be"):
-            dirichlet_spectrum(_interval(4, 0.5), None, 9)
+            dirichlet_lambda1(GridSet(g, np.zeros(4, bool)), None)
         big = 72
         holed = np.ones((big, big), bool)
         holed[big // 2, big // 2] = False
@@ -129,13 +258,33 @@ class TestDirichletSpectrum:
         with pytest.raises(ValueError, match="dense cap"):
             dirichlet_eigenvalues(GridSet(Grid((big, big), 0.1), holed), None)
 
+    def test_orbit_cap(self):
+        # 72^2 = 5,184 cells: with V = 0 the square's 8 symmetries leave 666
+        # orbits, and the route solves it; a hole off every symmetry axis
+        # leaves 5,183 orbits, rejected before the dense matrix is allocated
+        big = 72
+        g = Grid((big, big), 0.1)
+        box = GridSet(g, np.ones((big, big), bool))
+        got = dirichlet_lambda1(box, ScalarField(g, np.zeros((big, big))))
+        np.testing.assert_allclose(got, _lanczos_oracle(box, None, 1)[0], rtol=SPARSE_RTOL)
+        holed = box.mask.copy()
+        holed[0, 1] = False
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="5183 cell orbits, dense cap"):
+                dirichlet_lambda1(GridSet(g, holed), None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_box_beyond_dense_cap_matches_closed_form(self):
-        # the sparse route has no cell cap: 72^2 = 5,184 cells
+        # Lanczos has no cell cap: 72^2 = 5,184 cells
         box = GridSet(Grid((72, 72), 0.1), np.ones((72, 72), bool))
         assert box.count() > DENSE_CELL_CAP
-        got = spectral._lanczos_spectrum(box, None, 5)
-        want = dirichlet_eigenvalues(box, None)[:5]
-        np.testing.assert_allclose(got, want, rtol=SPARSE_RTOL)
+        closed = dirichlet_eigenvalues(box, None)
+        np.testing.assert_allclose(closed[:5], _lanczos_oracle(box, None, 5), rtol=SPARSE_RTOL)
+        assert dirichlet_lambda1(box, None) == closed[0]
 
     @pytest.mark.parametrize(
         "shape, h, k",
@@ -149,52 +298,53 @@ class TestDirichletSpectrum:
         ],
     )
     def test_box_takes_the_closed_form(self, shape, h, k):
-        # lowest eigenvalues of a box are the closed form's, bit for bit;
-        # Lanczos, where ARPACK can run (k < N), stays their oracle
+        # the lowest eigenvalue of a box is the closed form's, bit for bit;
+        # Lanczos, where ARPACK can run (k < N), checks its lowest k
         box = GridSet(Grid(shape, h), np.ones(shape, bool))
-        got = dirichlet_spectrum(box, None, k)
-        assert got.tobytes() == spectral._box_eigenvalues(box.grid)[:k].tobytes()
+        closed = spectral._box_eigenvalues(box.grid)
+        assert dirichlet_lambda1(box, None) == float(closed[0])
         if k < box.count():
-            np.testing.assert_allclose(got, spectral._lanczos_spectrum(box, None, k), rtol=SPARSE_RTOL)
+            np.testing.assert_allclose(closed[:k], _lanczos_oracle(box, None, k), rtol=SPARSE_RTOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_symmetric_domains())
+    @example(_translated_pieces())
+    @example(_symmetric_mask_asymmetric_v())
+    @example(_holed_oblong_box())
+    @example(_asymmetric_mask())
+    @example(_one_cell())
+    def test_lambda1_matches_dense_oracle(self, case):
+        omega, V = case
+        got = dirichlet_lambda1(omega, V)
+        # relative to the shift, below which the whole spectrum lies
+        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
+        want = _dense_oracle(omega, V)[0]
+        np.testing.assert_allclose(got - shift, want - shift, rtol=SPARSE_RTOL)
 
     @settings(max_examples=150, deadline=None)
     @given(_masked_domains(), st.integers(1, 6))
     def test_sparse_matches_dense(self, case, k):
+        # the sparse oracle the production-size tests rely on, checked where
+        # the dense one can run, and the reduced route against its lowest value
         omega, V = case
         k = min(k, omega.count() - 1)
-        got = dirichlet_spectrum(omega, V, k)
+        got = _lanczos_oracle(omega, V, k)
         # relative to the shift, below which the whole spectrum lies
         shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
         want = _dense_oracle(omega, V)[:k]
         np.testing.assert_allclose(got - shift, want - shift, rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(dirichlet_lambda1(omega, V) - shift, got[0] - shift, rtol=SPARSE_RTOL)
 
     def test_repeated_eigenvalues_of_translated_components(self):
-        # pieces of equal length repeat eigenvalues; an all-ones Lanczos start
-        # vector keeps equal pieces bitwise equal and misses copies here
-        mask = np.array(
-            [1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0]
-            + [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1],
-            bool,
-        )
-        omega = GridSet(Grid((mask.size,), 0.25), mask)
-        got = dirichlet_spectrum(omega, None, 6)
-        np.testing.assert_allclose(got, _dense_oracle(omega, None)[:6], rtol=SPARSE_RTOL)
-
-    def test_full_count_delegates_to_full_spectrum(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_lanczos(*args, **kwargs):
-            raise AssertionError("eigsh called for k == N")
-
-        # dirichlet_spectrum imports eigsh when it is called, so it reads the patch
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
-        rng = np.random.default_rng(3)
-        g = Grid((5, 4), 0.5)
-        mask = rng.random((5, 4)) < 0.7
-        V = ScalarField(g, rng.random((5, 4)))
-        for omega, pot in ((GridSet(g, mask), V), (GridSet(g, np.ones((5, 4), bool)), None)):
-            n = omega.count()
-            assert np.array_equal(dirichlet_spectrum(omega, pot, n), dirichlet_eigenvalues(omega, pot))
+        # pieces of equal length repeat eigenvalues; lambda1 is that of the
+        # longest piece, 8 cells, and the seeded Lanczos start vector finds
+        # every repeated copy below it
+        omega, _ = _translated_pieces()
+        want = _dense_oracle(omega, None)
+        lam1 = dirichlet_lambda1(omega, None)
+        np.testing.assert_allclose(lam1, want[0], rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(lam1, dirichlet_lambda1(_interval(8, 0.25), None), rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(_lanczos_oracle(omega, None, 6), want[:6], rtol=SPARSE_RTOL)
 
     def test_negative_potential_gives_lowest_eigenvalues(self):
         # two cells at h = 1: V = -2.5 gives [[-0.5, -1], [-1, -0.5]] with
@@ -202,8 +352,8 @@ class TestDirichletSpectrum:
         # V = -1 gives the singular [[1, -1], [-1, 1]] with eigenvalues 0 and 2
         omega = _interval(2, 1.0)
         for v, lowest in ((-2.5, -1.5), (-1.0, 0.0)):
-            got = dirichlet_spectrum(omega, ScalarField(omega.grid, np.full(2, v)), 1)
-            assert got[0] == pytest.approx(lowest, abs=1e-12)
+            got = dirichlet_lambda1(omega, ScalarField(omega.grid, np.full(2, v)))
+            assert got == pytest.approx(lowest, abs=1e-12)
 
 
 class TestFullSpectrum:
