@@ -57,7 +57,7 @@ from .report import (
     digest_inputs,
 )
 from .sharp import (
-    _hls_profile,
+    _incomplete_beta,
     hls_constant,
     hls_norm_tail,
     hls_optimizer,
@@ -374,15 +374,14 @@ def hls_optimizer_quotients():
     2 * integral_{|x| > L} f(x) |x|^(-lam) dx * integral f, relative to the
     box value; the norm tails themselves are corrected analytically.
     """
-    from scipy.integrate import quad
-
     lam, box_half = HLS_LAMBDA, HLS_BOX_HALF
-    prof = lambda r: _hls_profile(r, lam, 1)
-    mass_total = 2.0 * quad(prof, 0.0, np.inf, limit=200)[0]
-    outer = 2.0 * quad(lambda r: prof(r) * r ** (-lam), box_half, np.inf, limit=200)[0]
+    # the profile is (1 + r^2)^(-a); t = 1/(1 + r^2) makes both integrals beta functions
+    a = (2.0 - lam) / 2.0
+    mass_total = math.gamma(0.5) * math.gamma(a - 0.5) / math.gamma(a)
+    outer = _incomplete_beta(1.0 / (1.0 + box_half**2), a + lam / 2.0 - 0.5, 0.5 - lam / 2.0)
     grids = [_grid(1, n, 2 * box_half / n) for n in HLS_RUNGS]
     # every rung's box has half-width box_half exactly, so one tail serves all
-    tail = hls_norm_tail(lam, grids[0])
+    tail = hls_norm_tail(grids[0])
     quotients, bias = [], []
     for grid in grids:
         f = hls_optimizer(lam, grid)

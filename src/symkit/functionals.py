@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -347,43 +348,30 @@ def _support_intervals(fld: ScalarField) -> list[tuple[float, float]] | None:
 def _bounding_ranges(spec: BLLSpec) -> list[list[tuple[float, float]]] | None:
     """Per-variable, per-axis bounds confining the integrand support.
 
-    Solves 2 M d tiny linear programs min/max x_m subject to
-    LO_n <= sum_m b_{n m} x_m <= HI_n.  Returns None when the constraints are
-    infeasible (integrand vanishes identically); raises when unbounded.
+    Per axis the support is LO_n <= sum_m b_{n m} x_m <= HI_n, whose extremes lie
+    at vertices: M rows of b with |det| > 1e-12, each at LO or HI, solved and kept
+    when they meet every constraint to 1e-9 (DECISIONS.md D18).  Returns None when
+    none does (integrand vanishes); raises when no M rows have |det| > 1e-12.
     """
-    from scipy.optimize import linprog
-
     b = spec.coeffs
     n, m = b.shape
-    d = spec.fields[0].dim
-    sup = []
-    for fld in spec.fields:
-        s = _support_intervals(fld)
-        if s is None:
-            return None
-        sup.append(s)
+    sup = [_support_intervals(fld) for fld in spec.fields]
+    if None in sup:
+        return None
+    bases = [list(r) for r in itertools.combinations(range(n), m) if abs(np.linalg.det(b[list(r)])) > 1e-12]
+    if not bases:
+        raise UnboundedRegionError(f"the coefficient rows have rank below {m}: a variable is not confined")
+    sides = np.array(list(itertools.product((0, 1), repeat=m))).T  # (m, 2^m): LO (0) or HI (1) per row
     ranges: list[list[tuple[float, float]]] = [[] for _ in range(m)]
-    a_ub = np.vstack([b, -b])
-    for ax in range(d):
-        hi = np.array([sup[i][ax][1] for i in range(n)])
-        lo = np.array([sup[i][ax][0] for i in range(n)])
-        b_ub = np.concatenate([hi, -lo])
+    for ax in range(spec.fields[0].dim):
+        lohi = np.array([s[ax] for s in sup])
+        verts = np.hstack([np.linalg.solve(b[r], np.take_along_axis(lohi[r], sides, axis=1)) for r in bases])
+        z = b @ verts
+        feasible = np.all((z >= lohi[:, :1] - 1e-9) & (z <= lohi[:, 1:] + 1e-9), axis=0)
+        if not feasible.any():
+            return None
         for j in range(m):
-            bounds_j = []
-            for sign in (1.0, -1.0):
-                c = np.zeros(m)
-                c[j] = sign
-                res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * m, method="highs")
-                if res.status == 2:
-                    return None
-                if res.status == 3:
-                    raise UnboundedRegionError(
-                        f"variable {j} axis {ax} is not confined by the coefficient rows"
-                    )
-                if res.status != 0:
-                    raise RuntimeError(f"interval analysis LP failed: {res.message}")
-                bounds_j.append(sign * res.fun)
-            ranges[j].append((bounds_j[0], bounds_j[1]))
+            ranges[j].append((float(verts[j, feasible].min()), float(verts[j, feasible].max())))
     return ranges
 
 
@@ -595,23 +583,24 @@ def fractional_perimeter(A: GridSet, s: float) -> float:
 def minkowski_content(A: GridSet, eps: float) -> float:
     """eps^(-1) measure of the inner boundary strip {x in A : dist(x, A^c) < eps}.
 
-    Cell-center distances come from the Euclidean distance transform; half a
-    cell is subtracted so that a cell adjacent to the complement sits at
-    distance h/2 from it, matching the continuum strip for slab geometries.
+    A cell is in it when a complement cell center lies at distance r with
+    r - h/2 < eps (a cell adjacent to the complement sits at h/2, matching the
+    continuum strip for slabs): A and the padded complement dilated by the
+    integer offsets o with h|o| - h/2 < eps, |o| summed as scipy's EDT sums it.
     """
-    from scipy.ndimage import distance_transform_edt
-
     g = A.grid
     if eps < g.h:
         raise ValueError(f"eps = {eps} is below the grid resolution h = {g.h}")
     if A.count() == 0:
         return 0.0
-    pad_cells = math.ceil(eps / g.h) + 1
-    padded = np.pad(A.mask, pad_cells)
-    dist = distance_transform_edt(padded, sampling=g.h)
-    core = dist[tuple(slice(pad_cells, pad_cells + n) for n in g.shape)]
-    strip = A.mask & (core - g.h / 2.0 < eps)
-    return float(strip.sum()) * g.cell_volume / eps
+    pad = math.ceil(eps / g.h) + 1
+    outside = np.pad(~A.mask, pad, constant_values=True)
+    offsets = np.indices((2 * pad + 1,) * g.dim).reshape(g.dim, -1) - pad
+    dist = np.sqrt(np.add.reduce((offsets * g.h) ** 2, axis=0))
+    near = np.zeros(g.shape, dtype=bool)
+    for o in offsets[:, dist - g.h / 2.0 < eps].T:
+        near |= outside[tuple(slice(pad + k, pad + k + n) for k, n in zip(o, g.shape))]
+    return float((A.mask & near).sum()) * g.cell_volume / eps
 
 
 # ----------------------------------------------------------------------------

@@ -8,8 +8,8 @@ and fails against the variant with s in place of s' in the denominator.
 
 HLS quotients for the fat-tailed optimizer family support an analytic tail
 correction of the p-norms (the exact radial profile integrated outside the
-box by 1-d quadrature) while the double integral stays box truncated; the
-induced bias bound is returned for reporting.
+box, an incomplete beta function) while the double integral stays box
+truncated; the induced bias bound is returned for reporting.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def hls_optimizer(lam: float, grid: Grid) -> ScalarField:
     d = grid.dim
     if not 0 < lam < d:
         raise ValueError(f"lambda must be in (0, {d})")
-    frac = hls_norm_tail(lam, grid) / _pnorm_beyond(lam, d, 0.0)
+    frac = hls_norm_tail(grid) / _pnorm_beyond(d, 0.0)
     if frac > 0.2:
         raise ValueError(
             f"tail mass fraction {frac:.3e} exceeds 0.2; "
@@ -137,25 +137,37 @@ def hls_optimizer(lam: float, grid: Grid) -> ScalarField:
     return ScalarField(grid, _hls_profile(np.sqrt(r2), lam, d))
 
 
-def _pnorm_beyond(lam: float, d: int, r0: float) -> float:
-    """||f||_p^p of the optimizer profile over |x| > r0, by 1-d radial quadrature."""
-    from scipy.integrate import quad
+def _incomplete_beta(x: float, p: float, q: float) -> float:
+    """B_x(p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt: for x <= 1/2 the positive series
+    x^p (1-x)^q / p * sum_n (p+q)_n / (p+1)_n x^n (DLMF 8.17.8), summed until a term
+    no longer moves the sum; above 1/2, B(p, q) - B_(1-x)(q, p)."""
+    if x > 0.5:
+        return math.gamma(p) * math.gamma(q) / math.gamma(p + q) - _incomplete_beta(1.0 - x, q, p)
+    total, term, n = 0.0, 1.0, 0
+    while total + term != total:
+        total += term
+        term *= (p + q + n) / (p + 1.0 + n) * x
+        n += 1
+    return x**p * (1.0 - x) ** q / p * total
 
-    p = hls_exponent(lam, d)
-    surf = d * unit_ball_volume(d)
-    integrand = lambda r: surf * r ** (d - 1) * _hls_profile(r, lam, d) ** p
-    value, _ = quad(integrand, r0, np.inf, limit=200)
-    return float(value)
+
+def _pnorm_beyond(d: int, r0: float) -> float:
+    """||f||_p^p of the optimizer profile over |x| > r0, the same for every lam.
+
+    f^p = (1 + r^2)^(-d) because p (2d - lam)/2 = d, and t = 1/(1 + r^2) turns
+    the radial integral into surf * B_x(d/2, d/2) / 2 with x = 1/(1 + r0^2).
+    """
+    return d * unit_ball_volume(d) * _incomplete_beta(1.0 / (1.0 + r0 * r0), d / 2.0, d / 2.0) / 2.0
 
 
-def hls_norm_tail(lam: float, grid: Grid) -> float:
-    """Analytic tail of ||f||_p^p outside the box's inscribed ball, by 1-d quadrature.
+def hls_norm_tail(grid: Grid) -> float:
+    """Analytic tail of ||f||_p^p outside the box's inscribed ball, for every lam.
 
     Conservative for the quotient: the corrected norm uses the exact radial
     integral beyond the largest centered ball inside the box, so the reported
     denominator can only grow.
     """
-    return _pnorm_beyond(lam, grid.dim, max(min(grid.half_widths()), grid.h))
+    return _pnorm_beyond(grid.dim, max(min(grid.half_widths()), grid.h))
 
 
 def hls_quotient(

@@ -11,8 +11,7 @@ symmetries, one coordinate per orbit of cells (DECISIONS.md D11).  Any other
 full spectrum is a dense ``eigvalsh`` of the triplets written into a zero
 matrix.  Both dense matrices are capped at ``DENSE_CELL_CAP`` rows, orbits
 on the first route and cells on the second; larger domains are rejected,
-never truncated or sent to another method.  Nothing here imports scipy
-(DECISIONS.md D12).
+never truncated or sent to another method.
 """
 
 from __future__ import annotations

@@ -13,14 +13,8 @@ import pytest
 from symkit.cli import DEFAULT_SEED as SEED
 from symkit.experiments import (
     HLS_LAMBDA,
-    _contract_report,
     _random_bll_coeffs,
     hls_optimizer_quotients,
-    run_choquard,
-    run_probe_continuity,
-    run_spectral,
-    run_stability,
-    run_verify,
     young_equality_quotients,
 )
 from symkit.field import Grid, ScalarField
@@ -36,10 +30,8 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def test_criterion_1_exact_discrete_suite():
-    t0 = time.monotonic()
-    reports = run_verify(SEED)
-    elapsed = time.monotonic() - t0
+def test_criterion_1_exact_discrete_suite(default_seed_run):
+    reports, elapsed = default_seed_run("verify")
     worst = max(r.values.get("max_relative_violation", 0.0) for r in reports)
     ok = all(r.verdict == "pass" for r in reports) and worst <= 1e-12 and elapsed <= 60
     assert _report(
@@ -49,8 +41,7 @@ def test_criterion_1_exact_discrete_suite():
     )
 
 
-def test_criterion_2_refinement_contracts():
-    t0 = time.monotonic()
+def test_criterion_2_refinement_contracts(default_seed_run):
     ids = (
         "riesz",
         "frac-seminorm",
@@ -60,8 +51,9 @@ def test_criterion_2_refinement_contracts():
         "heat-trace",
         "minkowski",
     )
-    reports = [_contract_report(SEED, ineq_id, d) for ineq_id in ids for d in (1, 2)]
-    elapsed = time.monotonic() - t0
+    by_id = {r.experiment_id: r for r in default_seed_run("refine")[0]}
+    reports = [by_id[f"refine-{ineq_id}-{d}d"] for ineq_id in ids for d in (1, 2)]
+    elapsed = sum(r.wall_time_s for r in reports)
     bad = [r.experiment_id for r in reports if r.verdict != "trend-pass"]
     ok = not bad and elapsed <= 600
     assert _report(
@@ -148,10 +140,9 @@ def test_criterion_4_sharp_hls():
     )
 
 
-def test_criterion_5_spectral_isoperimetry():
-    t0 = time.monotonic()
-    reports = {r.experiment_id: r for r in run_spectral(SEED)}
-    elapsed = time.monotonic() - t0
+def test_criterion_5_spectral_isoperimetry(default_seed_run):
+    reports, elapsed = default_seed_run("spectral")
+    reports = {r.experiment_id: r for r in reports}
     fk = reports["spectral-faber-krahn"]
     gap_err = abs(fk.values["gap"] - fk.values["analytic_gap"]) / fk.values["analytic_gap"]
     heat = reports["spectral-heat-trace-random"]
@@ -214,8 +205,8 @@ def test_criterion_6_bll_monte_carlo():
     )
 
 
-def test_criterion_7_stability():
-    reports = {r.experiment_id: r for r in run_stability(SEED)}
+def test_criterion_7_stability(default_seed_run):
+    reports = {r.experiment_id: r for r in default_seed_run("stability")[0]}
     eq = reports["stability-equality-cases"]
     sweep = reports["stability-two-ball-sweep"]
     audit = reports["stability-asymmetry-audit"]
@@ -231,10 +222,8 @@ def test_criterion_7_stability():
     )
 
 
-def test_criterion_8_choquard_descent():
-    t0 = time.monotonic()
-    [rep] = run_choquard(SEED)
-    elapsed = time.monotonic() - t0
+def test_criterion_8_choquard_descent(default_seed_run):
+    [rep], elapsed = default_seed_run("choquard")
     ok = rep.verdict == "pass" and elapsed <= 600
     assert _report(
         "criterion 8 (Choquard descent)",
@@ -246,8 +235,8 @@ def test_criterion_8_choquard_descent():
     )
 
 
-def test_criterion_9_continuity_probes():
-    reports = {r.experiment_id: r for r in run_probe_continuity(SEED)}
+def test_criterion_9_continuity_probes(default_seed_run):
+    reports = {r.experiment_id: r for r in default_seed_run("probe-continuity")[0]}
     decay_ids = ("continuity-smooth-w1p", "continuity-smooth-wsp", "continuity-plateau-wsp")
     decay_ok = all(reports[i].verdict == "pass" for i in decay_ids)
     ratios = {i: reports[i].values["ratio"] for i in decay_ids}

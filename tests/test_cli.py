@@ -9,7 +9,7 @@ import pytest
 
 import symkit.experiments as experiments
 from symkit.cli import DEFAULT_SEED, main
-from symkit.experiments import _contract_report, _refine_bll, _refine_young, run_verify
+from symkit.experiments import run_verify
 from symkit.field import Grid, GridSet, ScalarField, load, save
 from symkit.rearrange import cell_order, rearrange, set_symmetrize
 from symkit.report import ExperimentReport, write_reports
@@ -65,28 +65,35 @@ class TestConfig:
         assert main(["--seed", str(2**64 - 1), "--out", str(tmp_path), "verify"]) == 0
         assert seeds == [2**64 - 1]
 
-    def test_default_seed_reports_match_the_benchmark_reference(self):
-        # These reports carry every suite constant in their digests, tolerances,
-        # standard errors or values (VERIFY_SHAPE only in the rounding of
-        # verify-norm_preservation), so a moved constant shows here.
+    def test_default_seed_reports_match_the_benchmark_reference(self, default_seed_run):
+        # Every default-seed report of every suite verb against perfbench/reference,
+        # under the benchmark's own rule: ids, verdicts and digests exactly, numbers
+        # to 1e-9.  The verify, gradient and BLL reports carry every suite constant
+        # in their digests, tolerances, standard errors or values (VERIFY_SHAPE only
+        # in the rounding of verify-norm_preservation), so they stay pinned byte
+        # for byte.
         spec = importlib.util.spec_from_file_location("workloads", BENCH_DIR / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        reference = workloads.load_reference("audit")[str(DEFAULT_SEED)]
-        reports = run_verify(DEFAULT_SEED)
-        reports += [_contract_report(DEFAULT_SEED, "gradient", d) for d in (1, 2)]
-        reports += [_refine_young(DEFAULT_SEED), _refine_bll(DEFAULT_SEED)]
-        assert len(reports) == 15
-        for rep in reports:
-            payload = json.loads(json.dumps(asdict(rep)))
-            payload.pop("wall_time_s")
-            ref = reference[rep.experiment_id]
-            if rep.experiment_id == "refine-young-quotient-1d":
-                # its quotients sit one ulp from the stored ones; the benchmark's rule accepts that
-                scale = workloads._scale(ref)
-                assert workloads.compare(rep.experiment_id, payload, ref, scale) is None
-            else:
-                assert payload == ref, rep.experiment_id
+        assert sorted(v for verbs in workloads.SUITE_VERBS.values() for v in verbs) == sorted(experiments.VERBS)
+        pinned = {"refine-gradient-1d", "refine-gradient-2d", "refine-bll-1d"}
+        total = 0
+        for workload, verbs in workloads.SUITE_VERBS.items():
+            reference = workloads.load_reference(workload)[str(DEFAULT_SEED)]
+            ids = []
+            for verb in verbs:
+                for rep in default_seed_run(verb)[0]:
+                    payload = json.loads(json.dumps(asdict(rep)))
+                    payload.pop("wall_time_s")
+                    ref = reference[rep.experiment_id]
+                    diff = workloads.compare(rep.experiment_id, payload, ref, workloads._scale(ref))
+                    assert diff is None, f"{rep.experiment_id}: {diff}"
+                    if verb == "verify" or rep.experiment_id in pinned:
+                        assert payload == ref, rep.experiment_id
+                    ids.append(rep.experiment_id)
+            assert sorted(ids) == sorted(reference), workload
+            total += len(ids)
+        assert total == 41
 
 
 class TestFileVerbs:

@@ -26,11 +26,13 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   n = 1 .. 20,000;
 * ``_fftconvolve_full`` against ``scipy.signal.fftconvolve(mode="full")``,
   bit for bit;
-* ``import symkit.cli`` loads no scipy module at all, and neither do the
-  ``verify``, ``stability``, ``probe-continuity`` and ``spectral`` verbs,
-  ``rearrange`` and ``info`` on small files, or an 8^3 ``choquard_descent``.
+* no module of ``symkit`` has a scipy import statement, ``import symkit.cli``
+  loads no scipy module at all, and neither do the ``verify``, ``refine``,
+  ``stability``, ``probe-continuity`` and ``spectral`` verbs, ``rearrange``
+  and ``info`` on small files, or an 8^3 ``choquard_descent``.
 """
 
+import ast
 import functools
 import json
 import os
@@ -350,7 +352,7 @@ class TestFullMode:
         assert np.array_equal(_fftconvolve_full(a, rev), fftconvolve(a, rev, mode="full"))
 
 
-# imported inside the functions that call them, which no verb but refine reaches
+# the scipy submodules symkit called last, now exact numpy code (DECISIONS.md D18)
 _LAZY_SCIPY = ("scipy.optimize", "scipy.ndimage", "scipy.integrate")
 
 
@@ -375,11 +377,23 @@ def test_cli_import_leaves_scipy_module_out(module):
 
 
 def test_cli_import_loads_no_scipy():
-    # FFTs run on numpy.fft; scipy is imported inside the functions that need it
+    # FFTs run on numpy.fft
     assert _scipy_modules(_modules_loaded_by("import symkit.cli")) == []
 
 
-@pytest.mark.parametrize("verb", ["verify", "stability", "probe-continuity", "spectral"])
+def test_no_module_imports_scipy():
+    # also an import inside a function that no verb test runs, such as in choquard
+    found = []
+    for path in sorted(Path(symkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+@pytest.mark.parametrize("verb", ["verify", "refine", "stability", "probe-continuity", "spectral"])
 def test_scipy_free_suite_verb_loads_no_scipy(verb, tmp_path):
     # probe-continuity exits 1 on the criterion-9 plateau clause (DECISIONS.md D1)
     code = f"import symkit.cli\nassert symkit.cli.main(['--out', {str(tmp_path)!r}, {verb!r}]) in (0, 1)"

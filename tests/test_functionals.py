@@ -9,12 +9,15 @@ import symkit.choquard as choquard
 import symkit.experiments as experiments
 import symkit.functionals as functionals
 from symkit.choquard import choquard_descent, coulomb_potential
+from symkit.cli import DEFAULT_SEED
 from symkit.field import Grid, GridSet, ScalarField
 from symkit.functionals import (
     BLLSpec,
     JExpansionF,
+    MCEstimate,
     PowerProfile,
     UnboundedRegionError,
+    _bounding_ranges,
     _forward_diffs,
     _kinetic_gradient_of,
     _seminorm_direct,
@@ -330,6 +333,33 @@ def cell_order_positions(grid, k):
     return cell_order(grid.shape)[:k]
 
 
+def _ranges_by_linprog(spec: BLLSpec):
+    """The linear programs ``_bounding_ranges`` replaced: min and max of each x_m per axis.
+
+    Returns None when infeasible and "unbounded" when an LP is unbounded.
+    """
+    from scipy.optimize import linprog
+
+    b = spec.coeffs
+    m = b.shape[1]
+    sup = [functionals._support_intervals(f) for f in spec.fields]
+    ranges = [[] for _ in range(m)]
+    for ax in range(spec.fields[0].dim):
+        lo, hi = (np.array([s[ax][k] for s in sup]) for k in (0, 1))
+        for j in range(m):
+            ext = []
+            for sign in (1.0, -1.0):
+                c = np.zeros(m)
+                c[j] = sign
+                res = linprog(c, A_ub=np.vstack([b, -b]), b_ub=np.concatenate([hi, -lo]), bounds=[(None, None)] * m)
+                if res.status in (2, 3):
+                    return None if res.status == 2 else "unbounded"
+                assert res.status == 0, res.message
+                ext.append(sign * res.fun)
+            ranges[j].append(tuple(ext))
+    return ranges
+
+
 class TestBLL:
     def _fields(self, n=32):
         g = Grid((n,), 0.25)
@@ -374,6 +404,52 @@ class TestBLL:
         coeffs = np.array([[1.0, 0.0], [1.0, 0.0]])  # second variable unconstrained
         with pytest.raises(UnboundedRegionError):
             bll_integral(BLLSpec(coeffs, (f1, f2)), 1000, seed=0)
+
+    def test_collinear_rows_raise_where_the_lp_is_unbounded(self):
+        g, f1, f2 = self._fields()
+        spec = BLLSpec(np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]]), (f1, f2, f1))
+        with pytest.raises(UnboundedRegionError):
+            _bounding_ranges(spec)
+        assert _ranges_by_linprog(spec) == "unbounded"
+
+    @pytest.mark.parametrize(
+        "coeffs, windows",
+        [
+            # x must lie in [-4, -2] and in [2, 4]
+            ([[1.0], [1.0]], [(-4, -2), (2, 4)]),
+            # x, y in [-4, -2] but x + y in [2, 4]: every row alone is feasible
+            ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [(-4, -2), (-4, -2), (2, 4)]),
+        ],
+    )
+    def test_infeasible_spec_gives_none_and_zero(self, coeffs, windows):
+        g = Grid((64,), 0.125)
+        x = g.axis_coords(0)
+        fields = tuple(ScalarField(g, ((x > lo) & (x < hi)).astype(float)) for lo, hi in windows)
+        spec = BLLSpec(np.array(coeffs), fields)
+        assert _bounding_ranges(spec) is None
+        assert _ranges_by_linprog(spec) is None
+        assert bll_integral(spec, 1000, seed=0).value == 0.0
+
+    def test_vertex_bounds_match_linprog_on_refine_specs(self, monkeypatch):
+        # the specs of refine-bll-1d at seeds 0-63, f and f* each: bounds to
+        # 1e-12, and bll_integral draws from the same lattice windows under both
+        specs = []
+        monkeypatch.setattr(
+            experiments, "bll_integral", lambda spec, samples, seed: specs.append(spec) or MCEstimate(0.0, 1.0, samples, seed)
+        )
+        for seed in range(64):
+            experiments._refine_bll(seed)
+        assert len(specs) == 512
+        oracle = {}
+        for i, spec in enumerate(specs):
+            got, want = _bounding_ranges(spec), _ranges_by_linprog(spec)
+            assert want is not None
+            assert np.allclose(got, want, rtol=0, atol=1e-12), i
+            oracle[id(spec)] = want
+        estimates = [bll_integral(spec, 2048, seed=i) for i, spec in enumerate(specs)]
+        monkeypatch.setattr(functionals, "_bounding_ranges", lambda spec: oracle[id(spec)])
+        assert all(est.value > 0 for est in estimates)
+        assert estimates == [bll_integral(spec, 2048, seed=i) for i, spec in enumerate(specs)]
 
     def test_zero_row_rejected(self):
         g, f1, f2 = self._fields()
@@ -526,7 +602,36 @@ class TestFractionalPerimeter:
             fractional_perimeter(GridSet(g, np.zeros((4, 4), bool)), 0.5)
 
 
+def _minkowski_by_distance_transform(A: GridSet, eps: float) -> float:
+    """The Euclidean distance-transform route that ``minkowski_content`` replaced."""
+    from scipy.ndimage import distance_transform_edt
+
+    g = A.grid
+    pad = math.ceil(eps / g.h) + 1
+    dist = distance_transform_edt(np.pad(A.mask, pad), sampling=g.h)
+    core = dist[tuple(slice(pad, pad + n) for n in g.shape)]
+    return float((A.mask & (core - g.h / 2.0 < eps)).sum()) * g.cell_volume / eps
+
+
 class TestMinkowski:
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, *range(8)])
+    def test_dilation_matches_distance_transform_on_refine_masks(self, seed):
+        # refine-minkowski-{1,2}d's masks and their symmetrizations, every rung, bit for bit
+        for d in (1, 2):
+            for n, h in experiments.RUNGS[d]:
+                for A in experiments._suite_masks(seed, d, n, h, stream=27):
+                    for B in (A, set_symmetrize(A)):
+                        assert minkowski_content(B, 3 * h) == _minkowski_by_distance_transform(B, 3 * h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda d: arrays(bool, st.tuples(*[st.integers(1, 9)] * d))),
+        st.sampled_from([1.0, 1.7, 2.0, 2.6, 3.0, 4.25]),
+    )
+    def test_dilation_matches_distance_transform(self, mask, eps_cells):
+        A = GridSet(Grid(mask.shape, 0.3), mask)
+        assert minkowski_content(A, eps_cells * 0.3) == _minkowski_by_distance_transform(A, eps_cells * 0.3)
+
     def test_slab_ends(self):
         g = Grid((64,), 0.125)
         m = np.abs(g.axis_coords(0)) < 2.0

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from symkit.experiments import HLS_BOX_HALF, HLS_LAMBDA, HLS_RUNGS
 from symkit.field import Grid, ScalarField
-from symkit.functionals import lp_norm, unit_ball_volume
+from symkit.functionals import lp_norm, riesz_energy, unit_ball_volume
 from symkit.rearrange import rearrange
 from symkit.sharp import (
+    _incomplete_beta,
+    _pnorm_beyond,
     hls_constant,
     hls_exponent,
     hls_norm_tail,
@@ -179,7 +182,7 @@ class TestHLSOptimizer:
         p = hls_exponent(0.5, 1)
         grid = Grid((2048,), 128.0 / 2048)
         f = hls_optimizer(0.5, grid)
-        corrected = lp_norm(f, p) ** p + hls_norm_tail(0.5, grid)
+        corrected = lp_norm(f, p) ** p + hls_norm_tail(grid)
         assert corrected == pytest.approx(math.pi, rel=1e-6)
 
     def test_tail_budget_enforced(self):
@@ -220,3 +223,44 @@ class TestHLSOptimizer:
             f = ScalarField(grid, rng.uniform(0.2, 1) * np.maximum(1 - ((x - c1) / w1) ** 2, 0) ** 2)
             h = ScalarField(grid, rng.uniform(0.2, 1) * np.maximum(1 - ((x - c2) / w2) ** 2, 0) ** 2)
             assert hls_quotient(f, h, 0.5) <= bound * (1 + 5e-3)
+
+
+class TestIncompleteBeta:
+    """The series branch (x <= 1/2) and the reflected branch (x > 1/2) against mpmath."""
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 1.0), (1.5, 1.5), (1.0, 0.25), (0.25, 1.0), (2.5, 0.75)])
+    def test_matches_mpmath(self, p, q):
+        mpmath = pytest.importorskip("mpmath")
+        assert _incomplete_beta(0.0, p, q) == 0.0
+        for x in (1e-12, 1.08e-4, 0.1, 0.3, 0.5, 0.5 + 2**-40, 0.6, 0.9, 0.999, 1.0):
+            with mpmath.workdps(40):
+                ref = float(mpmath.betainc(p, q, 0, x))
+            assert _incomplete_beta(x, p, q) == pytest.approx(ref, rel=1e-14, abs=0), x
+
+
+class TestHLSTails:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r0", [0.0, 0.5, 1.0, 96.0, 1e4])
+    def test_pnorm_beyond_matches_mpmath_at_every_lambda(self, d, r0):
+        # the integral of the optimizer profile to the power p, whatever lam
+        mpmath = pytest.importorskip("mpmath")
+        for lam in (0.25 * d, 0.5 * d, 0.9 * d):
+            with mpmath.workdps(40):
+                a, p = mpmath.mpf(2 * d - lam) / 2, mpmath.mpf(2 * d) / (2 * d - lam)
+                ref = d * unit_ball_volume(d) * mpmath.quad(lambda r: r ** (d - 1) * (1 + r**2) ** (-a * p), [r0, mpmath.inf])
+            assert _pnorm_beyond(d, r0) == pytest.approx(float(ref), rel=1e-14, abs=0), lam
+
+    def test_bias_bounds_match_mpmath(self, default_seed_run):
+        # refine-hls-quotient-1d: 2 * outer * mass_total / T_box per rung, where
+        # mass_total integrates the profile over the line and outer the profile
+        # times |x|^(-lam) beyond the box
+        mpmath = pytest.importorskip("mpmath")
+        [rep] = [r for r in default_seed_run("refine")[0] if r.experiment_id == "refine-hls-quotient-1d"]
+        lam, box_half = HLS_LAMBDA, HLS_BOX_HALF
+        with mpmath.workdps(40):
+            prof = lambda r: (1 + r**2) ** (-(2 - mpmath.mpf(lam)) / 2)
+            mass_total = 2 * mpmath.quad(prof, [0, mpmath.inf])
+            outer = 2 * mpmath.quad(lambda r: prof(r) * r ** (-lam), [box_half, mpmath.inf])
+        for n, bias in zip(HLS_RUNGS, rep.series["bias_bounds"], strict=True):
+            t_box = riesz_energy(hls_optimizer(lam, Grid((n,), 2 * box_half / n)), lam)
+            assert bias == pytest.approx(float(2 * outer * mass_total / t_box), rel=2e-15, abs=0), n
