@@ -65,7 +65,8 @@ How many pages a freed array returns to the system depends on what the
 process freed before, so no case shares its process with another, and the
 control op allocates nothing.  ``cli_import``'s faults happen in its child
 processes, which ``RUSAGE_SELF`` does not count.  The file also records
-``nproc`` and the Python, numpy and scipy versions.  Inputs are built before the timed
+``nproc`` and the Python, numpy and scipy versions; scipy's is ``null``
+when it is not installed, since no case needs it.  Inputs are built before the timed
 region.  Run it once per source tree on the same host, e.g. with
 ``PYTHONPATH`` pointing at each tree's ``src``, alternating the trees.
 """
@@ -84,7 +85,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import symkit
 from symkit.choquard import choquard_descent, coulomb_potential
@@ -309,6 +309,15 @@ def _time_case(op, calls, repeats):
     }
 
 
+def _scipy_version():
+    """scipy's version, or None: scipy is only the tests' oracle, and no case imports it."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
+
+
 def _run_case(name, tmp, repeats):
     op, calls, sizes = CASES[name](tmp)
     return {**sizes, **_time_case(op, calls, repeats)}
@@ -340,7 +349,7 @@ def main() -> None:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "statistics": (
             "per-call wall time: median, (q3 - q1) / median, min and max over repeats; "
             "median_ratio_to_control: median over repeats of per-call time / that repeat's "

@@ -505,25 +505,28 @@ def fractional_seminorm(u: ScalarField, s: float, p: float) -> float:
     FracKernel(s, p).validate(u.dim)
     if p != 2:
         return _seminorm_direct(u, s, p)
-    return _seminorm_fft(u, _seminorm_plan(u.grid, s))
+    return _seminorm_plan(u.grid, s)(u)
 
 
-def _seminorm_plan(grid: Grid, s: float) -> Callable[[ScalarField], ScalarField]:
-    """The convolution plan of the p = 2 route on fields of ``grid``."""
-    return convolution_plan(sample_kernel(FracKernel(s, 2.0), displacement_grid(grid)), grid.shape)
+def _seminorm_plan(grid: Grid, s: float) -> Callable[[ScalarField], float]:
+    """The p = 2 sum of ``fractional_seminorm`` on fields of ``grid``, as one evaluator.
 
+    The kernel's plan and row sums srow = kernel * 1 are computed once, here.
+    """
+    plan = convolution_plan(sample_kernel(FracKernel(s, 2.0), displacement_grid(grid)), grid.shape)
+    srow = plan(ScalarField(grid, np.ones(grid.shape))).values
 
-def _seminorm_fft(u: ScalarField, plan: Callable[[ScalarField], ScalarField]) -> float:
-    """The p = 2 sum of ``fractional_seminorm``, by the ``_seminorm_plan`` of u's grid."""
-    srow = plan(ScalarField(u.grid, np.ones(u.grid.shape)))
-    cross = pairing(u, plan(u))
-    diag = float(np.sum(u.values**2 * srow.values)) * u.grid.cell_volume
-    total, scale = 2.0 * (diag - cross), 2.0 * diag
-    if abs(total) <= 1e-13 * scale:
-        return 0.0
-    if total > 0.0:
-        return total
-    raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
+    def seminorm(u: ScalarField) -> float:
+        cross = pairing(u, plan(u))
+        diag = float(np.sum(u.values**2 * srow)) * u.grid.cell_volume
+        total, scale = 2.0 * (diag - cross), 2.0 * diag
+        if abs(total) <= 1e-13 * scale:
+            return 0.0
+        if total > 0.0:
+            return total
+        raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
+
+    return seminorm
 
 
 def _seminorm_direct(u: ScalarField, s: float, p: float) -> float:
@@ -564,12 +567,7 @@ def fractional_perimeter(A: GridSet, s: float) -> float:
     R = max(math.sqrt(span2) + 0.5 * h, h)
     rc = math.ceil(R / h)
     kgrid = displacement_grid(g, radius_cells=rc)
-    r2 = kgrid.radius2()
-    with np.errstate(divide="ignore"):
-        kv = r2 ** (-(d + s) / 2.0)
-    center = tuple(n // 2 for n in kgrid.shape)
-    kv[center] = 0.0
-    kv[r2 > R * R] = 0.0
+    kv = np.where(kgrid.radius2() > R * R, 0.0, sample_kernel(FracKernel(s, 1.0), kgrid).values)
     lattice_row = float(kv.sum()) * g.cell_volume  # sum over the full lattice within R
     # full-length transform: the refinement contract records rounding-level
     # violations of this value, so its summation order stays fixed (D8)
@@ -666,7 +664,7 @@ def heat_pairing(u: ScalarField, t: float) -> float:
     radius = max(6.0 * math.sqrt(t), 3.0 * u.h)
     rc = min(math.ceil(radius / u.h), max(n - 1 for n in u.grid.shape))
     kfield = sample_kernel(HeatGaussian(t), displacement_grid(u.grid, radius_cells=rc))
-    return pairing(u, convolve(kfield, u))
+    return riesz_triple(u, kfield, u)
 
 
 def riesz_energy(rho: ScalarField, lam: float) -> float:
@@ -675,5 +673,5 @@ def riesz_energy(rho: ScalarField, lam: float) -> float:
     if not rho.nonneg:
         raise ValueError("riesz energy requires a nonnegative density")
     kfield = sample_kernel(PowerLaw(lam), displacement_grid(rho.grid))
-    return pairing(rho, convolve(kfield, rho))
+    return riesz_triple(rho, kfield, rho)
 

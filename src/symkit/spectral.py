@@ -5,13 +5,12 @@ mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  Its nonzero entries are built once, as (row, column, value) triplets.
 A full box with no potential has a closed-form spectrum, the Kronecker sum
 of 1-d stencil spectra, which serves its lowest eigenvalue as well as all
-of them.  The lowest eigenvalue of any other domain is a dense ``eigvalsh``
-of the operator restricted to the functions fixed by the domain's grid
-symmetries, one coordinate per orbit of cells (DECISIONS.md D11).  Any other
-full spectrum is a dense ``eigvalsh`` of the triplets written into a zero
-matrix.  Both dense matrices are capped at ``DENSE_CELL_CAP`` rows, orbits
-on the first route and cells on the second; larger domains are rejected,
-never truncated or sent to another method.
+of them.  Any other domain takes a dense ``eigvalsh`` of the one dense
+matrix, ``_dense_operator``: the operator on functions constant on given
+orbits of cells, the orbits of the grid symmetries for the lowest
+eigenvalue (DECISIONS.md D11), one per cell for a full spectrum.  It has at
+most ``DENSE_CELL_CAP`` rows (D3); larger domains are rejected, never
+truncated or sent to another method.
 """
 
 from __future__ import annotations
@@ -57,13 +56,20 @@ def _dirichlet_triplets(omega: GridSet, V: ScalarField | None):
     return rows, cols, data
 
 
-def _dense_operator(omega: GridSet, V: ScalarField | None) -> np.ndarray:
-    """The operator as a dense matrix: each triplet written once into zeros."""
+def _dense_operator(omega: GridSet, V: ScalarField | None, orbit: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The operator on functions constant on orbits, dense: one ``bincount`` of the triplets.
+
+    ``orbit`` labels the cells (in mask order), ``sizes`` counts each orbit's;
+    coordinate k is orbit k's indicator over sqrt(sizes[k]) (DECISIONS.md D11).
+    More than ``DENSE_CELL_CAP`` orbits are rejected before any allocation.
+    """
+    n = sizes.size
+    if n > DENSE_CELL_CAP:
+        raise ValueError(f"domain has {n} cell orbits, dense cap is {DENSE_CELL_CAP}")
     rows, cols, data = _dirichlet_triplets(omega, V)
-    n = omega.count()
-    dense = np.zeros((n, n))
-    dense[rows, cols] = data
-    return dense
+    rows, cols = orbit[rows], orbit[cols]
+    weights = data / np.sqrt(sizes[rows] * sizes[cols])
+    return np.bincount(rows * n + cols, weights=weights, minlength=n * n).reshape(n, n)
 
 
 def _box_eigenvalues(grid: Grid) -> np.ndarray:
@@ -115,45 +121,33 @@ def _cell_orbits(omega: GridSet, V: ScalarField | None) -> tuple[np.ndarray, np.
 def dirichlet_lambda1(omega: GridSet, V: ScalarField | None) -> float:
     """Lowest eigenvalue of the Dirichlet stencil Laplacian plus diag(V).
 
-    A full box with no potential takes the closed form.  Any other domain
-    takes a dense ``eigvalsh`` of the operator restricted to the cell
-    functions that the grid symmetries fixing the mask and V leave
-    unchanged: one coordinate per orbit of cells, the orbit's indicator
-    over the square root of its size.  The operator has no positive
-    off-diagonal entry, so its lowest eigenvalue has a nonnegative
-    eigenvector, whose average over the group is a symmetric eigenvector;
-    the restriction therefore keeps the lowest eigenvalue (DECISIONS.md
-    D11).  More than ``DENSE_CELL_CAP`` orbits are rejected (D3), an empty
-    domain too.
+    A full box with no potential takes the closed form, any other domain
+    the dense operator on the orbits of the grid symmetries that fix the
+    mask and V.  The operator has no positive off-diagonal entry, so its
+    lowest eigenvalue has a nonnegative eigenvector, whose average over the
+    group is a symmetric eigenvector; the restriction therefore keeps it
+    (DECISIONS.md D11).  More than ``DENSE_CELL_CAP`` orbits are rejected
+    (D3), an empty domain too.
     """
     if V is None and omega.mask.all():
         return float(_box_eigenvalues(omega.grid)[0])
-    orbit, sizes = _cell_orbits(omega, V)
-    norbits = sizes.size
-    if norbits > DENSE_CELL_CAP:
-        raise ValueError(f"domain has {norbits} cell orbits, dense cap is {DENSE_CELL_CAP}")
-    rows, cols, data = _dirichlet_triplets(omega, V)
-    rows, cols = orbit[rows], orbit[cols]
-    weights = data / np.sqrt(sizes[rows] * sizes[cols])
-    reduced = np.bincount(rows * norbits + cols, weights=weights, minlength=norbits * norbits)
-    return float(np.linalg.eigvalsh(reduced.reshape(norbits, norbits))[0])
+    return float(np.linalg.eigvalsh(_dense_operator(omega, V, *_cell_orbits(omega, V)))[0])
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
     """Full spectrum, ascending; needed for heat traces.
 
     A full box with no potential takes the closed form; any other domain a
-    dense solve of at most ``DENSE_CELL_CAP`` cells (DECISIONS.md D3).
+    dense solve of the operator, one orbit per cell, at most
+    ``DENSE_CELL_CAP`` cells (DECISIONS.md D3).
     """
     if V is None and omega.mask.all():
         return _box_eigenvalues(omega.grid)
-    ncells = omega.count()
-    if ncells > DENSE_CELL_CAP:
-        raise ValueError(f"domain has {ncells} cells, dense cap is {DENSE_CELL_CAP}")
-    return np.linalg.eigvalsh(_dense_operator(omega, V))
+    n = omega.count()
+    return np.linalg.eigvalsh(_dense_operator(omega, V, np.arange(n), np.ones(n, dtype=np.int64)))
 
 
-def heat_perimeter_estimate(omega: GridSet, t_list, eigenvalues: np.ndarray) -> float:
+def heat_perimeter_estimate(omega: GridSet, t_list) -> float:
     """Perimeter from the short-time trace expansion, by least squares.
 
     The V = 0 trace behaves like (4 pi t)^(-d/2) (|Omega| - sqrt(pi t / 4) per
@@ -161,14 +155,14 @@ def heat_perimeter_estimate(omega: GridSet, t_list, eigenvalues: np.ndarray) -> 
     two-term model per * sqrt(pi t / 4) + c t; the linear term absorbs the
     corner contribution.  Times should sit above ~100 h^2 (the stencil's
     spectral bias dominates below) while staying in the short-time regime.
-    ``eigenvalues`` is the full V = 0 spectrum of omega, as returned by
-    ``dirichlet_eigenvalues(omega, None)``.
+    The trace is that of the V = 0 spectrum, ``dirichlet_eigenvalues(omega, None)``.
     """
     t_arr = np.asarray(list(t_list), dtype=np.float64)
     if t_arr.size < 2 or np.any(t_arr <= 0):
         raise ValueError("need at least two positive times")
     d = omega.grid.dim
     vol = measure(omega)
+    eigenvalues = dirichlet_eigenvalues(omega, None)
     traces = np.array([float(np.exp(-t * eigenvalues).sum()) for t in t_arr])
     y = vol - (4.0 * math.pi * t_arr) ** (d / 2.0) * traces
     design = np.stack([np.sqrt(math.pi * t_arr / 4.0), t_arr], axis=1)

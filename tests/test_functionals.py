@@ -549,6 +549,20 @@ class TestFractionalSeminorm:
         with pytest.raises(FloatingPointError, match="rounding scale"):
             fractional_seminorm(u, 0.5, 2.0)
 
+    @pytest.mark.parametrize("shape", [(9,), (24, 17), (6, 5, 7)])
+    def test_one_evaluator_serves_many_fields_in_either_order(self, shape):
+        # the evaluator keeps its plan and the kernel row sums across calls, so
+        # no call may leave a trace in the next: every value is the one-shot one
+        grid = Grid(shape, 0.3)
+        rng = np.random.default_rng(11)
+        values = (rng.random(shape), rng.standard_normal(shape), np.full(shape, 2.0), np.zeros(shape))
+        fields = [ScalarField(grid, v) for v in values]
+        want = [fractional_seminorm(u, 0.5, 2.0) for u in fields]
+        seminorm = functionals._seminorm_plan(grid, 0.5)
+        order = list(range(len(fields)))
+        for i in order + order[::-1]:
+            assert seminorm(fields[i]).hex() == want[i].hex()
+
     def test_parameter_validation(self):
         f = ScalarField(Grid((4,), 0.5), np.zeros(4))
         with pytest.raises(ValueError):

@@ -20,9 +20,12 @@ also in this file, on the stencil triplets as a sparse matrix):
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
 * the capped dense route of ``dirichlet_eigenvalues`` on random masks;
-* the dense matrix that route builds from the stencil triplets against
+* the one dense matrix, with one orbit per cell, against
   ``scipy.sparse.csc_matrix(...).toarray()`` of the same triplets, byte for
-  byte, on random 1-d and 2-d masks with V or none.
+  byte, on random 1-d and 2-d masks with V or none;
+* on masks with no grid symmetry but the identity, ``dirichlet_lambda1``
+  equal to the first value of ``dirichlet_eigenvalues``, bit for bit: both
+  solve the same matrix.
 """
 
 import itertools
@@ -31,7 +34,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import symkit.spectral as spectral
 from symkit.field import Grid, GridSet, ScalarField
@@ -375,9 +378,17 @@ class TestFullSpectrum:
         rows, cols, data = spectral._dirichlet_triplets(omega, V)
         n = omega.count()
         want = sparse.csc_matrix((data, (rows, cols)), shape=(n, n)).toarray()
-        got = spectral._dense_operator(omega, V)
+        got = spectral._dense_operator(omega, V, np.arange(n), np.ones(n, dtype=np.int64))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_masked_domains())
+    def test_lambda1_without_symmetry_is_the_first_full_eigenvalue(self, case):
+        # the identity alone leaves one orbit per cell, the full spectrum's matrix
+        omega, V = case
+        assume(len(spectral._symmetry_group(omega, V)) == 1)
+        assert dirichlet_lambda1(omega, V) == dirichlet_eigenvalues(omega, V)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(_masked_domains())
@@ -424,12 +435,11 @@ class TestHeatPerimeter:
         m = 54
         g = Grid((m, m), h)
         disk = GridSet(g, g.radius2() < radius**2)
-        ev = dirichlet_eigenvalues(disk, None)
         t_list = np.geomspace(100 * h * h, 900 * h * h, 8)
-        est = heat_perimeter_estimate(disk, t_list, eigenvalues=ev)
+        est = heat_perimeter_estimate(disk, t_list)
         assert est == pytest.approx(2 * math.pi * radius, rel=0.10)
 
     def test_degenerate_fit_rejected(self):
         dom = _interval(8, 0.5)
         with pytest.raises(ValueError):
-            heat_perimeter_estimate(dom, [0.1], dirichlet_eigenvalues(dom, None))
+            heat_perimeter_estimate(dom, [0.1])
