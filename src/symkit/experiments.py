@@ -226,20 +226,17 @@ def _suite_samples(seed, d, stream):
         yield sample_bumps(rng, d, BOX_HALF[d], N_BUMPS, SUPPORT_FRACTION)
 
 
-def _suite_fields(seed, d, n, h, stream):
-    grid = _grid(d, n, h)
-    return [bump_field(s, grid, nonneg=True) for s in _suite_samples(seed, d, stream)]
+def _suite_fields(seed, grid, stream):
+    return [bump_field(s, grid, nonneg=True) for s in _suite_samples(seed, grid.dim, stream)]
 
 
-def _suite_masks(seed, d, n, h, stream):
-    grid = _grid(d, n, h)
-    return [bump_mask(s, grid, 0.3) for s in _suite_samples(seed, d, stream)]
+def _suite_masks(seed, grid, stream):
+    return [bump_mask(s, grid, 0.3) for s in _suite_samples(seed, grid.dim, stream)]
 
 
-def _riesz_inputs(seed, d, n, h):
+def _riesz_inputs(seed, grid):
     """(f, g, k) per case; g is sampled on the displacement grid."""
-    grid = _grid(d, n, h)
-    half = BOX_HALF[d]
+    d, half = grid.dim, BOX_HALF[grid.dim]
     for case in range(3):
         rng = rng_for(seed, 21, d, case)
         f = bump_field(sample_bumps(rng, d, half, N_BUMPS, 0.5), grid, nonneg=True)
@@ -269,37 +266,41 @@ def _heat_trace_pairs(seed, grid, rng_keys, threshold, times):
             yield float(np.exp(-t * ev).sum()), float(np.exp(-t * evs).sum())
 
 
-# Refinement contracts: id -> (seed, d, n, h) -> (bad, good) pairs, where
-# ``bad`` exceeding ``good`` is the wrong direction of the inequality.  The
-# entries are lambdas so that library functions are looked up in this
-# module's globals when a contract runs, never bound at import time.
+# Refinement contracts: id -> (seed, grid) -> (bad, good) pairs on one rung's
+# grid, where ``bad`` exceeding ``good`` is the wrong direction of the
+# inequality.  The entries are lambdas so that library functions are looked
+# up in this module's globals when a contract runs, never bound at import
+# time.  The frac-seminorm and heat-pairing entries build their evaluator once
+# per rung, in the one-element ``for`` clause.
 _CONTRACTS = {
-    "riesz": lambda seed, d, n, h: (
+    "riesz": lambda seed, grid: (
         (riesz_triple(f, g, k), riesz_triple(rearrange(f), rearrange(g), rearrange(k)))
-        for f, g, k in _riesz_inputs(seed, d, n, h)
+        for f, g, k in _riesz_inputs(seed, grid)
     ),
-    "frac-seminorm": lambda seed, d, n, h: (
-        (fractional_seminorm(rearrange(u), 0.5, 2.0), fractional_seminorm(u, 0.5, 2.0))
-        for u in _suite_fields(seed, d, n, h, stream=22)
+    "frac-seminorm": lambda seed, grid: (
+        (seminorm(rearrange(u)), seminorm(u))
+        for seminorm in [fractional_seminorm(grid, 0.5)]
+        for u in _suite_fields(seed, grid, stream=22)
     ),
-    "frac-perimeter": lambda seed, d, n, h: (
+    "frac-perimeter": lambda seed, grid: (
         (fractional_perimeter(set_symmetrize(A), 0.5), fractional_perimeter(A, 0.5))
-        for A in _suite_masks(seed, d, n, h, stream=23)
+        for A in _suite_masks(seed, grid, stream=23)
     ),
-    "gradient": lambda seed, d, n, h: (
+    "gradient": lambda seed, grid: (
         (gradient_pnorm(rearrange(u), 2.0), gradient_pnorm(u, 2.0))
-        for u in _suite_fields(seed, d, n, h, stream=24)
+        for u in _suite_fields(seed, grid, stream=24)
     ),
-    "heat-pairing": lambda seed, d, n, h: (
-        (heat_pairing(u, 0.04), heat_pairing(rearrange(u), 0.04))
-        for u in _suite_fields(seed, d, n, h, stream=25)
+    "heat-pairing": lambda seed, grid: (
+        (pair(u), pair(rearrange(u)))
+        for pair in [heat_pairing(grid, 0.04)]
+        for u in _suite_fields(seed, grid, stream=25)
     ),
-    "heat-trace": lambda seed, d, n, h: _heat_trace_pairs(
-        seed, _grid(d, n, h), [(26, d, case) for case in range(2)], 0.4, (0.01, 0.03)
+    "heat-trace": lambda seed, grid: _heat_trace_pairs(
+        seed, grid, [(26, grid.dim, case) for case in range(2)], 0.4, (0.01, 0.03)
     ),
-    "minkowski": lambda seed, d, n, h: (
-        (minkowski_content(set_symmetrize(A), 3 * h), minkowski_content(A, 3 * h))
-        for A in _suite_masks(seed, d, n, h, stream=27)
+    "minkowski": lambda seed, grid: (
+        (minkowski_content(set_symmetrize(A), 3 * grid.h), minkowski_content(A, 3 * grid.h))
+        for A in _suite_masks(seed, grid, stream=27)
     ),
 }
 
@@ -329,7 +330,7 @@ def _ladder_report(experiment_id, digest, ladder) -> ExperimentReport:
 
 
 def _contract_report(seed, ineq_id, d) -> ExperimentReport:
-    ladder = [_worst(_CONTRACTS[ineq_id](seed, d, n, h)) for n, h in RUNGS[d]]
+    ladder = [_worst(_CONTRACTS[ineq_id](seed, _grid(d, n, h))) for n, h in RUNGS[d]]
     digest = digest_inputs(seed, ineq_id, d, RUNGS[d])
     rep = _ladder_report(f"refine-{ineq_id}-{d}d", digest, ladder)
     viols = rep.series["violations"]
@@ -475,21 +476,25 @@ FABER_KRAHN_N = 64  # cells per side of the unit square, h = 1/64 (D9)
 def faber_krahn_pair() -> tuple[float, float]:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
-    The disk grid is sized to hold the disk of area 1 with about two cells of
-    margin.  The square's lowest eigenvalue takes the closed form of a box,
-    the disk's a dense solve of its operator reduced by the disk's eight
-    grid symmetries (DECISIONS.md D11): 526 orbits of its 4,104 cells.
+    The disk is ``unit_area_disk(1/64)``.  The square's lowest eigenvalue
+    takes the closed form of a box, the disk's a dense solve of its operator
+    reduced by the disk's eight grid symmetries (DECISIONS.md D11): 526
+    orbits of its 4,104 cells.
     """
     n = FABER_KRAHN_N
     h = 1.0 / n
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
     lam_sq = dirichlet_lambda1(square, None)
+    lam_disk = dirichlet_lambda1(unit_area_disk(h), None)
+    return lam_sq, lam_disk
+
+
+def unit_area_disk(h: float) -> GridSet:
+    """The disk of area 1 at spacing h, on a grid with about two cells of margin."""
     radius = 1.0 / math.sqrt(math.pi)
     m = round((2 * radius + 4 * h) / h)
-    dgrid = Grid((m, m), h)
-    mask = dgrid.radius2() < radius * radius
-    lam_disk = dirichlet_lambda1(GridSet(dgrid, mask), None)
-    return lam_sq, lam_disk
+    grid = Grid((m, m), h)
+    return GridSet(grid, grid.radius2() < radius * radius)
 
 
 def _faber_krahn() -> ExperimentReport:

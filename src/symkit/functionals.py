@@ -489,29 +489,18 @@ def _shifted_views(a: np.ndarray, m: tuple[int, ...]):
     return a[tuple(src)], a[tuple(dst)]
 
 
-def fractional_seminorm(u: ScalarField, s: float, p: float) -> float:
-    """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d).
+def fractional_seminorm(grid: Grid, s: float) -> Callable[[ScalarField], float]:
+    """The discrete W^(s,2) seminorm squared on fields of ``grid``, as one evaluator.
 
-    This is the p-th power of the discrete W^(s,p) seminorm, and p alone
-    picks the route (DECISIONS.md D12).  At p = 2 the sum is taken in
-    O(N log N) by FFT through |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j, so
-    its rounding error scales with scale = 2 sum_i u_i^2 srow_i h^d (srow the
-    kernel's row sums), not with the result: a result within 1e-13 scale of
-    0 is rounding and returns 0.0, and a lower one raises
-    ``FloatingPointError``, since the sum is nonnegative.  Any other p runs
-    ``_seminorm_direct``, the loop over displacements, which the tests keep
-    as the oracle of the p = 2 route.
-    """
-    FracKernel(s, p).validate(u.dim)
-    if p != 2:
-        return _seminorm_direct(u, s, p)
-    return _seminorm_plan(u.grid, s)(u)
-
-
-def _seminorm_plan(grid: Grid, s: float) -> Callable[[ScalarField], float]:
-    """The p = 2 sum of ``fractional_seminorm`` on fields of ``grid``, as one evaluator.
-
-    The kernel's plan and row sums srow = kernel * 1 are computed once, here.
+    Returns ``seminorm`` with seminorm(u) = sum_{i != j} |u_i - u_j|^2
+    |x_i - x_j|^(-d - 2s) h^(2d).  The kernel's convolution plan and its row
+    sums srow = kernel * 1 are computed once, here, and the sum is taken in
+    O(N log N) through |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j
+    (DECISIONS.md D12).  Its rounding error therefore scales with scale =
+    2 sum_i u_i^2 srow_i h^d, not with the result: a result within 1e-13
+    scale of 0 is rounding and returns 0.0, and a lower one raises
+    ``FloatingPointError``, since the sum is nonnegative.  The tests keep
+    ``_seminorm_direct``, the loop over displacements, as its oracle.
     """
     plan = convolution_plan(sample_kernel(FracKernel(s, 2.0), displacement_grid(grid)), grid.shape)
     srow = plan(ScalarField(grid, np.ones(grid.shape))).values
@@ -530,7 +519,11 @@ def _seminorm_plan(grid: Grid, s: float) -> Callable[[ScalarField], float]:
 
 
 def _seminorm_direct(u: ScalarField, s: float, p: float) -> float:
-    """The sum of ``fractional_seminorm``, by a loop over displacements."""
+    """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d), by a loop over displacements.
+
+    At p = 2 this is ``fractional_seminorm``'s sum; the tests keep it as that
+    evaluator's oracle.
+    """
     expo = -(u.dim + s * p)
     total = 0.0
     for m in _displacement_iter(u.grid.shape):
@@ -653,18 +646,19 @@ def _kinetic_gradient_of(diffs: list[np.ndarray], h: float) -> np.ndarray:
     return out
 
 
-def heat_pairing(u: ScalarField, t: float) -> float:
-    """(u, heat-semigroup(t) u): pairing of u with its heat-kernel convolution.
+def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
+    """(u, heat-semigroup(t) u) on fields of ``grid``, as one evaluator.
 
-    The kernel is sampled out to radius max(6 sqrt(t), 3h), beyond which the
-    Gaussian tail is negligible at the tolerances used here.
+    Returns the pairing of u with its heat-kernel convolution; the kernel is
+    sampled and transformed once, here, out to radius max(6 sqrt(t), 3h),
+    beyond which the Gaussian tail is negligible at the tolerances used here.
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    radius = max(6.0 * math.sqrt(t), 3.0 * u.h)
-    rc = min(math.ceil(radius / u.h), max(n - 1 for n in u.grid.shape))
-    kfield = sample_kernel(HeatGaussian(t), displacement_grid(u.grid, radius_cells=rc))
-    return riesz_triple(u, kfield, u)
+    radius = max(6.0 * math.sqrt(t), 3.0 * grid.h)
+    rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))
+    plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid.shape)
+    return lambda u: pairing(u, plan(u))
 
 
 def riesz_energy(rho: ScalarField, lam: float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,7 +91,6 @@ def displacement_grid(grid: Grid, radius_cells: int | None = None) -> Grid:
     return Grid(shape, grid.h)
 
 
-@lru_cache(maxsize=32)
 def _cell_average_power(lam: float, h: float, z0: tuple[float, ...], subs: int) -> float:
     """Average of |z|^(-lam) over the cell centered at z0, by subs^d midpoints."""
     pts = ((np.arange(subs) + 0.5) / subs - 0.5) * h  # midpoints of [-h/2, h/2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ScalarField
-from .functionals import _fftconvolve_full, _nonzero_extent, _seminorm_plan, gradient_pnorm, riesz_triple
+from .functionals import _fftconvolve_full, _nonzero_extent, fractional_seminorm, gradient_pnorm, riesz_triple
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
 from .rearrange import bathtub_fill, rearrange
 
@@ -174,8 +174,8 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,2)
     seminorm for ``space="w1p"`` (gradient_pnorm of the difference at p = 2)
     or the W^(1/2,2) seminorm for ``space="wsp"`` (the square root of
-    fractional_seminorm of the difference at s = 1/2, p = 2, by one
-    ``_seminorm_plan`` evaluator for the whole probe).  Raises
+    the difference's seminorm at s = 1/2, by one ``fractional_seminorm``
+    evaluator for the whole probe).  Raises
     unless u is nonnegative with a positive value.
     """
     if not u.nonneg:
@@ -201,7 +201,7 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
         psi = np.cos(2.0 * math.pi * x0 / wavelength) * window * float(u.values.max())
 
     if space == "wsp":
-        seminorm = _seminorm_plan(g, 0.5)  # one kernel transform for all 16 seminorms
+        seminorm = fractional_seminorm(g, 0.5)  # one kernel transform for all 16 seminorms
 
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         diff = ScalarField(g, a - b)

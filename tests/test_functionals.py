@@ -476,7 +476,7 @@ class TestFractionalSeminorm:
         # 64x64 and 65x65 sit on both sides of the old direct-route size
         for shape in [(8,), (5000,), (8, 8), (64, 64), (65, 65), (8, 8, 8)]:
             f = ScalarField(Grid(shape, 0.5), np.full(shape, 3.0))
-            assert fractional_seminorm(f, 0.5, 2.0) == 0.0, shape
+            assert fractional_seminorm(f.grid, 0.5)(f) == 0.0, shape
 
     def test_indicator_vs_double_loop(self):
         g = Grid((10,), 0.5)
@@ -484,7 +484,6 @@ class TestFractionalSeminorm:
         mask[3:6] = 1.0
         u = ScalarField(g, mask)
         val = _seminorm_direct(u, 0.5, 1.0)
-        assert fractional_seminorm(u, 0.5, 1.0) == val  # p != 2 takes the loop
         x = g.axis_coords(0)
         acc = 0.0
         for i in range(10):
@@ -497,7 +496,7 @@ class TestFractionalSeminorm:
         rng = np.random.default_rng(8)
         u = ScalarField(Grid((9, 7), 0.4), rng.random((9, 7)))
         a = _seminorm_direct(u, 0.3, 2.0)
-        b = fractional_seminorm(u, 0.3, 2.0)
+        b = fractional_seminorm(u.grid, 0.3)(u)
         assert a == pytest.approx(b, rel=1e-11)
 
     @given(
@@ -524,7 +523,7 @@ class TestFractionalSeminorm:
         srow = convolve(kfield, ScalarField(grid, np.ones(shape))).values
         scale = 2.0 * float(np.sum(u.values**2 * srow)) * grid.cell_volume
         direct = _seminorm_direct(u, s, 2.0)
-        fft = fractional_seminorm(u, s, 2.0)
+        fft = fractional_seminorm(grid, s)(u)
         assert abs(fft - direct) <= 1e-13 * scale
 
     @given(
@@ -538,7 +537,7 @@ class TestFractionalSeminorm:
         # 2 (diag - cross) cancels to rounding on these fields and fell below 0
         g = np.random.default_rng(seed).standard_normal((n, n))
         u = ScalarField(Grid((n, n), 1.0 / n), 1.0 + eps * g)
-        assert fractional_seminorm(u, s, 2.0) >= 0.0
+        assert fractional_seminorm(u.grid, s)(u) >= 0.0
 
     def test_fft_route_raises_below_its_rounding_scale(self, monkeypatch):
         import symkit.functionals as fn
@@ -547,7 +546,7 @@ class TestFractionalSeminorm:
         real_pairing = fn.pairing
         monkeypatch.setattr(fn, "pairing", lambda a, b: 2.0 * real_pairing(a, b))
         with pytest.raises(FloatingPointError, match="rounding scale"):
-            fractional_seminorm(u, 0.5, 2.0)
+            fractional_seminorm(u.grid, 0.5)(u)
 
     @pytest.mark.parametrize("shape", [(9,), (24, 17), (6, 5, 7)])
     def test_one_evaluator_serves_many_fields_in_either_order(self, shape):
@@ -557,18 +556,15 @@ class TestFractionalSeminorm:
         rng = np.random.default_rng(11)
         values = (rng.random(shape), rng.standard_normal(shape), np.full(shape, 2.0), np.zeros(shape))
         fields = [ScalarField(grid, v) for v in values]
-        want = [fractional_seminorm(u, 0.5, 2.0) for u in fields]
-        seminorm = functionals._seminorm_plan(grid, 0.5)
+        want = [fractional_seminorm(grid, 0.5)(u) for u in fields]
+        seminorm = fractional_seminorm(grid, 0.5)
         order = list(range(len(fields)))
         for i in order + order[::-1]:
             assert seminorm(fields[i]).hex() == want[i].hex()
 
     def test_parameter_validation(self):
-        f = ScalarField(Grid((4,), 0.5), np.zeros(4))
         with pytest.raises(ValueError):
-            fractional_seminorm(f, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            fractional_seminorm(f, 0.5, 0.5)
+            fractional_seminorm(Grid((4,), 0.5), 1.5)
 
 
 class TestFractionalPerimeter:
@@ -633,7 +629,7 @@ class TestMinkowski:
         # refine-minkowski-{1,2}d's masks and their symmetrizations, every rung, bit for bit
         for d in (1, 2):
             for n, h in experiments.RUNGS[d]:
-                for A in experiments._suite_masks(seed, d, n, h, stream=27):
+                for A in experiments._suite_masks(seed, Grid((n,) * d, h), stream=27):
                     for B in (A, set_symmetrize(A)):
                         assert minkowski_content(B, 3 * h) == _minkowski_by_distance_transform(B, 3 * h)
 
@@ -737,7 +733,7 @@ class TestHeatPairing:
         v = np.zeros(17)
         v[8] = 1.0
         t = 0.05
-        got = heat_pairing(ScalarField(g, v), t)
+        got = heat_pairing(g, t)(ScalarField(g, v))
         want = (4 * math.pi * t) ** -0.5 * 0.5**2
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -747,7 +743,7 @@ class TestHeatPairing:
         u = ScalarField(g, np.maximum(1 - (x / 1.5) ** 2, 0.0) ** 3)
         n2 = lp_norm(u, 2.0) ** 2
         t1 = 0.002
-        q = lambda t: (n2 - heat_pairing(u, t)) / t
+        q = lambda t: (n2 - heat_pairing(g, t)(u)) / t
         extrapolated = 2 * q(t1 / 2) - q(t1)
         target = gradient_pnorm(u, 2.0) ** 2
         assert extrapolated == pytest.approx(target, rel=0.02)
@@ -756,7 +752,40 @@ class TestHeatPairing:
         rng = np.random.default_rng(12)
         g = Grid((64,), 0.125)
         u = ScalarField(g, rng.random(64) * (np.abs(g.axis_coords(0)) < 2))
-        assert heat_pairing(u, 0.03) <= heat_pairing(rearrange(u), 0.03) + 1e-10
+        pair = heat_pairing(g, 0.03)
+        assert pair(u) <= pair(rearrange(u)) + 1e-10
+
+    @pytest.mark.parametrize("shape", [(9,), (24, 17), (6, 5, 7)])
+    def test_one_evaluator_equals_the_riesz_triple_in_either_order(self, shape):
+        # the one-shot route the evaluator replaced, kernel radius and all, bit for bit
+        grid, t = Grid(shape, 0.3), 0.05
+        rc = min(math.ceil(max(6.0 * math.sqrt(t), 3.0 * grid.h) / grid.h), max(n - 1 for n in shape))
+        kern = sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc))
+        rng = np.random.default_rng(13)
+        values = (rng.random(shape), rng.standard_normal(shape), np.full(shape, 2.0), np.zeros(shape))
+        fields = [ScalarField(grid, v) for v in values]
+        want = [riesz_triple(u, kern, u) for u in fields]
+        pair = heat_pairing(grid, t)
+        order = list(range(len(fields)))
+        for i in order + order[::-1]:
+            assert pair(fields[i]).hex() == want[i].hex()
+
+
+class TestRefineRungs:
+    @pytest.mark.parametrize("contract", ["frac-seminorm", "heat-pairing"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_convolution_plan_per_rung(self, monkeypatch, contract, d):
+        # each rung's evaluator serves its three fields and their rearrangements
+        shapes = []
+        plan = functionals.convolution_plan
+
+        def counted(kernel, shape):
+            shapes.append(tuple(shape))
+            return plan(kernel, shape)
+
+        monkeypatch.setattr(functionals, "convolution_plan", counted)
+        experiments._contract_report(DEFAULT_SEED, contract, d)
+        assert shapes == [(n,) * d for n, _ in experiments.RUNGS[d]]
 
 
 class TestEnergies:

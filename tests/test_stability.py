@@ -255,7 +255,7 @@ class TestContinuityProbe:
             direct_calls.append(1)
             return _seminorm_direct(u, 0.5, 2.0)
 
-        monkeypatch.setattr(stab, "_seminorm_plan", lambda grid, s: direct)
+        monkeypatch.setattr(stab, "fractional_seminorm", lambda grid, s: direct)
         for kind, u in fields.items():
             slow = continuity_probe(u, kind, space="wsp")
             got = fast[kind].distances + fast[kind].input_distances
