@@ -338,18 +338,13 @@ def _contract_report(seed, ineq_id, d) -> ExperimentReport:
     return rep
 
 
-def young_equality_quotients() -> list[float]:
+def _refine_young(seed) -> ExperimentReport:
     """Quotient of the 1-d Gaussian equality family along the d=1 ladder."""
     p, q, r = 2.0, 4.0 / 3.0, 4.0 / 3.0
-    out = []
+    quotients = []
     for n, h in RUNGS[1]:
         f, g, hh = young_gaussian_triple(_grid(1, n, h), p, q, r)
-        out.append(young_quotient(f, g, hh, p, q, r))
-    return out
-
-
-def _refine_young(seed) -> ExperimentReport:
-    quotients = young_equality_quotients()
+        quotients.append(young_quotient(f, g, hh, p, q, r))
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
     final_gap = abs(quotients[-1] - 1.0)
     verdict = VERDICT_TREND if monotone and final_gap <= 1e-2 else VERDICT_FAIL
@@ -368,7 +363,7 @@ HLS_BOX_HALF = 96.0
 HLS_RUNGS = (256, 512, 1024)
 
 
-def hls_optimizer_quotients():
+def _refine_hls(seed) -> ExperimentReport:
     """Tail-corrected optimizer quotients in d=1 plus the reported bias bound.
 
     The bias bound estimates the double-integral mass outside the box:
@@ -390,11 +385,6 @@ def hls_optimizer_quotients():
         quotients.append(q)
         t_box = max(riesz_energy(f, lam), 1e-300)
         bias.append(2.0 * outer * mass_total / t_box)
-    return quotients, bias
-
-
-def _refine_hls(seed) -> ExperimentReport:
-    quotients, bias = hls_optimizer_quotients()
     target = hls_constant(HLS_LAMBDA, 1)
     monotone = all(q2 >= q1 - 1e-3 for q1, q2 in zip(quotients, quotients[1:]))
     final_gap = abs(quotients[-1] - target) / target
@@ -473,7 +463,15 @@ J0_FIRST_ZERO = 2.404825557695773
 FABER_KRAHN_N = 64  # cells per side of the unit square, h = 1/64 (D9)
 
 
-def faber_krahn_pair() -> tuple[float, float]:
+def unit_area_disk(h: float) -> GridSet:
+    """The disk of area 1 at spacing h, on a grid with about two cells of margin."""
+    radius = 1.0 / math.sqrt(math.pi)
+    m = round((2 * radius + 4 * h) / h)
+    grid = Grid((m, m), h)
+    return GridSet(grid, grid.radius2() < radius * radius)
+
+
+def _faber_krahn() -> ExperimentReport:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
     The disk is ``unit_area_disk(1/64)``.  The square's lowest eigenvalue
@@ -486,19 +484,6 @@ def faber_krahn_pair() -> tuple[float, float]:
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
     lam_sq = dirichlet_lambda1(square, None)
     lam_disk = dirichlet_lambda1(unit_area_disk(h), None)
-    return lam_sq, lam_disk
-
-
-def unit_area_disk(h: float) -> GridSet:
-    """The disk of area 1 at spacing h, on a grid with about two cells of margin."""
-    radius = 1.0 / math.sqrt(math.pi)
-    m = round((2 * radius + 4 * h) / h)
-    grid = Grid((m, m), h)
-    return GridSet(grid, grid.radius2() < radius * radius)
-
-
-def _faber_krahn() -> ExperimentReport:
-    lam_sq, lam_disk = faber_krahn_pair()
     analytic_sq = 2.0 * math.pi**2
     analytic_disk = math.pi * J0_FIRST_ZERO * J0_FIRST_ZERO
     gap = lam_sq - lam_disk

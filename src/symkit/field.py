@@ -222,15 +222,16 @@ def _parse_header(lines: list[str]):
 def _parse_payload(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
     """The payload values; one vectorized parse, or the per-line loop to name the bad line.
 
-    ``np.array`` hands each ``str`` to ``float()``, so it accepts exactly the
-    tokens the loop accepts.  Any payload the fast path does not accept whole
-    (wrong count, a bad token, a non-finite or non-0/1 mask value) goes
-    through ``_parse_payload_loop``, which raises the ``FieldFormatError``.
+    ``np.array`` hands each ``str`` to ``float()``, which strips surrounding
+    whitespace itself and raises on an empty line, so every token it accepts
+    the loop accepts with the same value.  Any payload the fast path does not
+    accept whole (a blank line, wrong count, a bad token, a non-finite or
+    non-0/1 mask value) goes through ``_parse_payload_loop``, which skips
+    blank lines and raises the ``FieldFormatError``.
     """
-    vals = [s for s in map(str.strip, lines) if s]
-    if len(vals) == grid.ncells:
+    if len(lines) == grid.ncells:
         try:
-            arr = np.array(vals, dtype=np.float64)
+            arr = np.array(lines, dtype=np.float64)
         except ValueError:
             pass
         else:

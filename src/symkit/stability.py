@@ -39,21 +39,25 @@ def _check_density(rho: ScalarField) -> float:
     return mass
 
 
-def _l1_at_shift(rho: np.ndarray, chi: np.ndarray, shift: tuple[int, ...]) -> float:
-    """l1 distance between rho and chi translated by whole cells, both 0 outside."""
+def _l1_at_shift(rho: np.ndarray, chi: np.ndarray, shift: tuple[int, ...], totals) -> float:
+    """l1 distance between rho and chi translated by whole cells, both 0 outside.
+
+    ``totals`` is ``(rho.sum(), chi.sum())``, summed once by the caller.
+    """
+    rho_total, chi_total = totals
     rho_sl = []
     chi_sl = []
     for n, s in zip(rho.shape, shift):
         lo = max(0, s)
         hi = min(n, n + s)
         if hi <= lo:
-            return float(rho.sum() + chi.sum())
+            return float(rho_total + chi_total)
         rho_sl.append(slice(lo, hi))
         chi_sl.append(slice(lo - s, hi - s))
     r = rho[tuple(rho_sl)]
     c = chi[tuple(chi_sl)]
     overlap = float(np.abs(r - c).sum())
-    return overlap + float(rho.sum() - r.sum()) + float(chi.sum() - c.sum())
+    return overlap + float(rho_total - r.sum()) + float(chi_total - c.sum())
 
 
 def asymmetry(rho: ScalarField) -> float:
@@ -74,10 +78,11 @@ def asymmetry(rho: ScalarField) -> float:
     corr = _fftconvolve_full(rv, rev)
     frac = float(cv[(cv > 0) & (cv < 1)].sum())  # at most one cell
     thresh = corr.max() - frac - 1e-10 * (1.0 + abs(corr.max()))
+    totals = (rv.sum(), cv.sum())
     best = math.inf
     for k in zip(*np.nonzero(corr >= thresh)):
         s = tuple(int(ki) - (n - 1) for ki, n in zip(k, rv.shape))
-        best = min(best, _l1_at_shift(rv, cv, s))
+        best = min(best, _l1_at_shift(rv, cv, s, totals))
     dist = best * rho.grid.cell_volume
     return dist / (2.0 * mass)
 
@@ -97,7 +102,8 @@ def asymmetry_bruteforce(rho: ScalarField) -> float:
     rv, cv = rho.values, chi.values
     r_box, c_box = _nonzero_extent(rv), _nonzero_extent(cv)
     ranges = [range(r_lo - c_hi, r_hi - c_lo + 1) for (r_lo, r_hi), (c_lo, c_hi) in zip(r_box, c_box)]
-    best = min(_l1_at_shift(rv, cv, s) for s in itertools.product(*ranges))
+    totals = (rv.sum(), cv.sum())
+    best = min(_l1_at_shift(rv, cv, s, totals) for s in itertools.product(*ranges))
     dist = best * rho.grid.cell_volume
     return dist / (2.0 * mass)
 

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from symkit.cli import DEFAULT_SEED as SEED
-from symkit.experiments import (
-    HLS_LAMBDA,
-    _random_bll_coeffs,
-    hls_optimizer_quotients,
-    young_equality_quotients,
-)
+from symkit.experiments import HLS_LAMBDA, _random_bll_coeffs
 from symkit.field import Grid, ScalarField
 from symkit.functionals import BLLSpec, bll_integral, riesz_triple
 from symkit.kernels import displacement_grid
@@ -28,6 +23,10 @@ from symkit.sharp import hls_constant, young_constant, young_quotient
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
     return ok
+
+
+def _refine_report(default_seed_run, experiment_id):
+    return next(r for r in default_seed_run("refine")[0] if r.experiment_id == experiment_id)
 
 
 def test_criterion_1_exact_discrete_suite(default_seed_run):
@@ -63,9 +62,9 @@ def test_criterion_2_refinement_contracts(default_seed_run):
     )
 
 
-def test_criterion_3_sharp_young():
+def test_criterion_3_sharp_young(default_seed_run):
     # equality family along the ladder: monotone and within 1e-2 at n=512
-    quotients = young_equality_quotients()
+    quotients = _refine_report(default_seed_run, "refine-young-quotient-1d").series["quotients"]
     monotone = all(b >= a - 1e-3 for a, b in zip(quotients, quotients[1:]))
     final_ok = abs(quotients[-1] - 1.0) <= 1e-2
 
@@ -100,9 +99,10 @@ def test_criterion_3_sharp_young():
     )
 
 
-def test_criterion_4_sharp_hls():
+def test_criterion_4_sharp_hls(default_seed_run):
     target = hls_constant(HLS_LAMBDA, 1)
-    quotients, bias = hls_optimizer_quotients()
+    series = _refine_report(default_seed_run, "refine-hls-quotient-1d").series
+    quotients, bias = series["quotients"], series["bias_bounds"]
     gap = abs(quotients[-1] - target) / target
     ladder_ok = gap <= 0.02 and all(b >= a - 1e-3 for a, b in zip(quotients, quotients[1:]))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symkit.field import (
@@ -202,6 +202,7 @@ class TestVectorizedFieldIO:
     _LINES = st.tuples(_PADS, _TOKENS, _PADS).map("".join)
 
     @given(st.integers(1, 6), st.lists(_LINES, max_size=9), st.booleans())
+    @example(ncells=2, lines=["1.5", "", " -2.5\t"], as_mask=False)  # blank line, ncells values
     @settings(max_examples=300)
     def test_parse_matches_per_line_loop(self, ncells, lines, as_mask):
         from symkit.field import _parse_payload, _parse_payload_loop
@@ -215,6 +216,15 @@ class TestVectorizedFieldIO:
                 return str(e), e.line
 
         assert outcome(_parse_payload) == outcome(_parse_payload_loop)
+
+    def test_blank_line_payload_loads_as_the_loop_parses(self, tmp_path):
+        from symkit.field import _parse_payload_loop
+
+        lines = ["1.5", "", " -2.5\t"]
+        p = tmp_path / "blank.sk"
+        p.write_text("SYMKIT-FIELD 1\n1\n2\n0.5\n" + "\n".join(lines) + "\n")
+        expected = _parse_payload_loop(lines, Grid((2,), 0.5), as_mask=False)
+        assert load(p).values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     @staticmethod
     def _per_value_bytes(obj) -> bytes:

@@ -37,6 +37,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import symkit.spectral as spectral
+from symkit.experiments import unit_area_disk
 from symkit.field import Grid, GridSet, ScalarField
 from symkit.rearrange import increasing_rearrangement
 from symkit.spectral import (
@@ -88,14 +89,6 @@ def _lanczos_oracle(omega, V, k):
     sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
     return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
-
-
-def _unit_area_disk(h):
-    """The Faber-Krahn disk, built as ``experiments.faber_krahn_pair`` builds it."""
-    radius = 1.0 / math.sqrt(math.pi)
-    m = round((2 * radius + 4 * h) / h)
-    g = Grid((m, m), h)
-    return GridSet(g, g.radius2() < radius**2)
 
 
 @st.composite
@@ -235,7 +228,7 @@ class TestDirichletSpectrum:
         assert lam_sq > lam_disk
 
     def test_faber_krahn_disk_matches_lanczos(self):
-        disk = _unit_area_disk(1.0 / 64)
+        disk = unit_area_disk(1.0 / 64)
         assert disk.count() == 4104
         got = dirichlet_lambda1(disk, None)
         np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=1e-10)
