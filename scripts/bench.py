@@ -30,8 +30,9 @@ Cases, each at one fixed size:
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
 * ``dirichlet_lambda1``: the lowest eigenvalue of the Faber-Krahn disk,
   ``experiments.unit_area_disk`` at h = 1/64 (4,104 cells in 526 orbits of
-  its symmetries), and of the Faber-Krahn square, 64x64 cells at h = 1/64,
-  which takes the closed form of a box;
+  its symmetries) and at h = 1/128 (16,380 cells in 2,073 orbits), both by
+  the certified banded inverse iteration, and of the Faber-Krahn square,
+  64x64 cells at h = 1/64, which takes the closed form of a box;
 * ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square, which
   takes the closed form, and of ``unit_area_disk`` at h = 1/40 (1,605
   cells), which takes the dense route;
@@ -162,9 +163,12 @@ def _rearrange(tmp):
     return lambda i: rearrange(f), 3, {"cells": f.grid.ncells}
 
 
-def _faber_krahn_disk(tmp):
-    disk = unit_area_disk(1.0 / 64)
-    return lambda i: dirichlet_lambda1(disk, None), 1, {"cells": disk.count()}
+def _faber_krahn_disk(h):
+    def setup(tmp):
+        disk = unit_area_disk(h)
+        return lambda i: dirichlet_lambda1(disk, None), 1, {"cells": disk.count()}
+
+    return setup
 
 
 def _unit_square():
@@ -246,7 +250,8 @@ CASES = {
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "choquard_descent_32x32x32.10_steps": _descent,
     "rearrange_1000x1000": _rearrange,
-    "dirichlet_lambda1_disk_4104": _faber_krahn_disk,
+    "dirichlet_lambda1_disk_4104": _faber_krahn_disk(1.0 / 64),
+    "dirichlet_lambda1_disk_h128": _faber_krahn_disk(1.0 / 128),
     "dirichlet_lambda1_square_4096": _faber_krahn_square,
     "dirichlet_eigenvalues_64x64": _square_spectrum,
     "dirichlet_eigenvalues_dense_disk_1605": _disk_spectrum,

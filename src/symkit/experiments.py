@@ -475,9 +475,9 @@ def _faber_krahn() -> ExperimentReport:
     """Lowest Dirichlet eigenvalues of the unit square and the equal-area disk.
 
     The disk is ``unit_area_disk(1/64)``.  The square's lowest eigenvalue
-    takes the closed form of a box, the disk's a dense solve of its operator
-    reduced by the disk's eight grid symmetries (DECISIONS.md D11): 526
-    orbits of its 4,104 cells.
+    takes the closed form of a box, the disk's a certified banded inverse
+    iteration on its operator reduced by the disk's eight grid symmetries
+    (DECISIONS.md D11): 526 orbits of its 4,104 cells.
     """
     n = FABER_KRAHN_N
     h = 1.0 / n

@@ -5,24 +5,29 @@ mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  Its nonzero entries are built once, as (row, column, value) triplets.
 A full box with no potential has a closed-form spectrum, the Kronecker sum
 of 1-d stencil spectra, which serves its lowest eigenvalue as well as all
-of them.  Any other domain takes a dense ``eigvalsh`` of the one dense
-matrix, ``_dense_operator``: the operator on functions constant on given
-orbits of cells, the orbits of the grid symmetries for the lowest
-eigenvalue (DECISIONS.md D11), one per cell for a full spectrum.  It has at
-most ``DENSE_CELL_CAP`` rows (D3); larger domains are rejected, never
-truncated or sent to another method.
+of them.  On any other domain the lowest eigenvalue comes from the
+operator on functions constant on the orbits of the grid symmetries
+(DECISIONS.md D11), held block tridiagonal, by inverse iteration that
+returns only a value a Cholesky factorization certifies; a full spectrum
+comes from a dense ``eigvalsh`` of the operator, ``_dense_operator``.
+Either operator has at most ``DENSE_CELL_CAP`` rows (D3); larger domains
+are rejected, never truncated or sent to another method.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .field import Grid, GridSet, ScalarField, measure
 
 DENSE_CELL_CAP = 5000
+LAMBDA1_RTOL = 1e-10  # certified width of lambda1, relative to lambda1 - shift (D11)
+LAMBDA1_SLOW = 0.5  # a fall of rho by more than this share of the last one moves the shift (D11)
+LAMBDA1_MAX_ITER = 100  # inverse-iteration steps before the solve raises (D11)
 
 
 def _dirichlet_triplets(omega: GridSet, V: ScalarField | None):
@@ -56,20 +61,150 @@ def _dirichlet_triplets(omega: GridSet, V: ScalarField | None):
     return rows, cols, data
 
 
-def _dense_operator(omega: GridSet, V: ScalarField | None, orbit: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The operator on functions constant on orbits, dense: one ``bincount`` of the triplets.
-
-    ``orbit`` labels the cells (in mask order), ``sizes`` counts each orbit's;
-    coordinate k is orbit k's indicator over sqrt(sizes[k]) (DECISIONS.md D11).
-    More than ``DENSE_CELL_CAP`` orbits are rejected before any allocation.
-    """
-    n = sizes.size
+def _check_cap(n: int) -> None:
     if n > DENSE_CELL_CAP:
         raise ValueError(f"domain has {n} cell orbits, dense cap is {DENSE_CELL_CAP}")
+
+
+def _dense_operator(omega: GridSet, V: ScalarField | None) -> np.ndarray:
+    """The operator, dense: one ``bincount`` of the triplets.
+
+    More than ``DENSE_CELL_CAP`` cells are rejected before any allocation.
+    """
+    n = omega.count()
+    _check_cap(n)
+    rows, cols, data = _dirichlet_triplets(omega, V)
+    return np.bincount(rows * n + cols, weights=data, minlength=n * n).reshape(n, n)
+
+
+class _BlockTridiagonal(NamedTuple):
+    """A symmetric n x n matrix in blocks of b rows, the last one cut to n.
+
+    ``diag[k]`` is block (k, k) and ``sub[k]`` block (k + 1, k); the rows and
+    columns past n are zero.  b is at least the bandwidth, so no other block
+    holds a nonzero entry.
+    """
+
+    diag: np.ndarray  # (nb, b, b)
+    sub: np.ndarray  # (nb - 1, b, b)
+    n: int
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        nb, b, _ = self.diag.shape
+        xb = np.zeros(nb * b)
+        xb[: self.n] = x
+        xb = xb.reshape(nb, b)
+        y = np.einsum("kij,kj->ki", self.diag, xb)
+        y[1:] += np.einsum("kij,kj->ki", self.sub, xb[:-1])
+        y[:-1] += np.einsum("kji,kj->ki", self.sub, xb[1:])
+        return y.ravel()[: self.n]
+
+
+def _reduced_operator(omega: GridSet, V: ScalarField | None) -> _BlockTridiagonal:
+    """The operator on functions constant on the orbits of the grid symmetries (D11).
+
+    Coordinate k is orbit k's indicator over the square root of its size,
+    so each triplet is divided by sqrt(|O| |O'|) and those falling on one
+    entry are summed.  The block size is the bandwidth in orbit order.
+    More than ``DENSE_CELL_CAP`` orbits are rejected before the triplets
+    are built.
+    """
+    orbit, sizes = _cell_orbits(omega, V)
+    n = sizes.size
+    _check_cap(n)
     rows, cols, data = _dirichlet_triplets(omega, V)
     rows, cols = orbit[rows], orbit[cols]
     weights = data / np.sqrt(sizes[rows] * sizes[cols])
-    return np.bincount(rows * n + cols, weights=weights, minlength=n * n).reshape(n, n)
+    b = max(1, int(np.abs(rows - cols).max()))
+    nb = -(-n // b)
+    kr, ir = np.divmod(rows, b)
+    kc, ic = np.divmod(cols, b)
+    on, below = kr == kc, kr == kc + 1
+    diag = np.bincount(((kr * b + ir) * b + ic)[on], weights=weights[on], minlength=nb * b * b)
+    sub = np.bincount(((kc * b + ir) * b + ic)[below], weights=weights[below], minlength=(nb - 1) * b * b)
+    return _BlockTridiagonal(diag.reshape(nb, b, b), sub.reshape(nb - 1, b, b), n)
+
+
+def _block_cholesky(op: _BlockTridiagonal, shift: float):
+    """Factor op - shift I = L L^T block by block, or None if that is not positive definite.
+
+    Returns the inverses of L's diagonal blocks and L's sub-diagonal blocks:
+    the Schur complement of block row k is D_k - C_k C_k^T, with
+    C_k = B_k L_(k-1)^-T, and ``numpy.linalg.cholesky`` of it fails exactly
+    when the matrix is not positive definite (to rounding).
+    """
+    nb, b, _ = op.diag.shape
+    inverses, couplings = [], []
+    for k in range(nb):
+        m = min(b, op.n - k * b)
+        s = op.diag[k, :m, :m] - shift * np.eye(m)
+        if k:
+            c = op.sub[k - 1, :m] @ inverses[-1].T
+            s -= c @ c.T
+            couplings.append(c)
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return None
+        inverses.append(np.linalg.inv(chol))
+    return inverses, couplings
+
+
+def _block_solve(factor, r: np.ndarray) -> np.ndarray:
+    """x with L L^T x = r, for a factor of ``_block_cholesky``."""
+    inverses, couplings = factor
+    b = inverses[0].shape[0]
+    y = []
+    for k, w in enumerate(inverses):
+        rk = r[k * b : (k + 1) * b]
+        y.append(w @ (rk - couplings[k - 1] @ y[-1] if k else rk))
+    x = [inverses[-1].T @ y[-1]]
+    for k in range(len(inverses) - 2, -1, -1):
+        x.append(inverses[k].T @ (y[k] - couplings[k].T @ x[-1]))
+    return np.concatenate(x[::-1])
+
+
+def _certified_lowest(op: _BlockTridiagonal, base: float) -> float:
+    """Lowest eigenvalue of op, certified to ``LAMBDA1_RTOL`` (op - base I) (DECISIONS.md D11).
+
+    Inverse iteration from the all-ones vector with a shift below the
+    spectrum, first ``base``.  The Rayleigh quotient rho is an upper bound;
+    once it stalls (it falls by at most eta = ``LAMBDA1_RTOL`` (rho - base),
+    or by more than ``LAMBDA1_SLOW`` of its previous fall), a Cholesky of
+    op - (rho - eta) I is tried, and if it succeeds no eigenvalue lies below
+    rho - eta and rho is returned.  If it fails, the shift moves up, halfway
+    to the lowest point known not to factor, halving that distance until it
+    factors.  ``LAMBDA1_MAX_ITER`` steps without a certificate raise.
+    """
+    factor = _block_cholesky(op, base)
+    if factor is None:
+        raise np.linalg.LinAlgError(f"operator minus {base} I does not factor")
+    lo, hi = base, math.inf
+    x = np.ones(op.n)
+    rho_prev = fall_prev = math.inf
+    for _ in range(LAMBDA1_MAX_ITER):
+        x = _block_solve(factor, x)
+        x /= np.linalg.norm(x)
+        rho = float(x @ op.matvec(x))
+        eta = LAMBDA1_RTOL * (rho - base)
+        fall = rho_prev - rho
+        stalled = fall <= eta or fall > LAMBDA1_SLOW * fall_prev
+        rho_prev, fall_prev = rho, fall
+        if not stalled:
+            continue
+        if _block_cholesky(op, rho - eta) is not None:
+            return rho
+        hi = min(hi, rho - eta)
+        while True:
+            shift = 0.5 * (lo + hi)
+            if not lo < shift < hi:
+                raise np.linalg.LinAlgError(f"no shift factors between {lo} and {hi}")
+            moved = _block_cholesky(op, shift)
+            if moved is not None:
+                break
+            hi = shift
+        lo, factor = shift, moved
+    raise np.linalg.LinAlgError(f"lowest eigenvalue not certified in {LAMBDA1_MAX_ITER} steps")
 
 
 def _box_eigenvalues(grid: Grid) -> np.ndarray:
@@ -122,16 +257,19 @@ def dirichlet_lambda1(omega: GridSet, V: ScalarField | None) -> float:
     """Lowest eigenvalue of the Dirichlet stencil Laplacian plus diag(V).
 
     A full box with no potential takes the closed form, any other domain
-    the dense operator on the orbits of the grid symmetries that fix the
+    the banded operator on the orbits of the grid symmetries that fix the
     mask and V.  The operator has no positive off-diagonal entry, so its
     lowest eigenvalue has a nonnegative eigenvector, whose average over the
     group is a symmetric eigenvector; the restriction therefore keeps it
-    (DECISIONS.md D11).  More than ``DENSE_CELL_CAP`` orbits are rejected
-    (D3), an empty domain too.
+    (DECISIONS.md D11).  The value is certified to ``LAMBDA1_RTOL``
+    relative to its distance from the shift min(0, min V), or the call
+    raises ``LinAlgError``.  More than ``DENSE_CELL_CAP`` orbits are
+    rejected (D3), an empty domain too.
     """
     if V is None and omega.mask.all():
         return float(_box_eigenvalues(omega.grid)[0])
-    return float(np.linalg.eigvalsh(_dense_operator(omega, V, *_cell_orbits(omega, V)))[0])
+    base = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
+    return _certified_lowest(_reduced_operator(omega, V), base)
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
@@ -143,8 +281,7 @@ def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:
     """
     if V is None and omega.mask.all():
         return _box_eigenvalues(omega.grid)
-    n = omega.count()
-    return np.linalg.eigvalsh(_dense_operator(omega, V, np.arange(n), np.ones(n, dtype=np.int64)))
+    return np.linalg.eigvalsh(_dense_operator(omega, V))
 
 
 def heat_perimeter_estimate(omega: GridSet, t_list) -> float:

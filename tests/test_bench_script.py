@@ -18,6 +18,7 @@ CASE_NAMES = [
     "choquard_descent_32x32x32.10_steps",
     "rearrange_1000x1000",
     "dirichlet_lambda1_disk_4104",
+    "dirichlet_lambda1_disk_h128",
     "dirichlet_lambda1_square_4096",
     "dirichlet_eigenvalues_64x64",
     "dirichlet_eigenvalues_dense_disk_1605",

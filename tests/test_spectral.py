@@ -5,13 +5,19 @@ assembled cell by cell in this file, independently of ``spectral``, and at
 production size against shift-invert Lanczos (``scipy.sparse.linalg.eigsh``,
 also in this file, on the stencil triplets as a sparse matrix):
 
-* ``dirichlet_lambda1`` on masks symmetrized under a random subgroup of the
-  grid symmetries in 1-3 d, disconnected ones included, with a symmetric V
-  of either sign or none, to ``SPARSE_RTOL`` measured from the shift
-  min(0, min V) below which the spectrum lies; on the 4,104-cell
-  Faber-Krahn disk against Lanczos; a domain of more than
+* ``dirichlet_lambda1``, the certified banded inverse iteration, on masks
+  symmetrized under a random subgroup of the grid symmetries in 1-3 d,
+  disconnected ones included, with a symmetric V of either sign or none,
+  to ``SPARSE_RTOL`` measured from the shift min(0, min V) below which the
+  spectrum lies; on domains whose two lowest eigenvalues nearly coincide
+  (two intervals of 100 and 101 cells, a dumbbell with a one-cell neck);
+  on the Faber-Krahn disk at h = 1/64 (4,104 cells) and 1/128 (2,073
+  orbits) against Lanczos, the first within a ``tracemalloc`` bound of
+  less than the dense reduced matrix; a domain of more than
   ``DENSE_CELL_CAP`` orbits is rejected before anything large is
-  allocated, one of more cells but fewer orbits is solved;
+  allocated, one of more cells but fewer orbits is solved; with the
+  iteration cap at one step the call raises rather than return an
+  uncertified value;
 * the Lanczos oracle itself against the dense one on random 1-d and 2-d
   masks, its lowest k <= 6 values, and on translated equal pieces whose
   repeated eigenvalues it must not miss;
@@ -23,9 +29,10 @@ also in this file, on the stencil triplets as a sparse matrix):
 * the one dense matrix, with one orbit per cell, against
   ``scipy.sparse.csc_matrix(...).toarray()`` of the same triplets, byte for
   byte, on random 1-d and 2-d masks with V or none;
-* on masks with no grid symmetry but the identity, ``dirichlet_lambda1``
-  equal to the first value of ``dirichlet_eigenvalues``, bit for bit: both
-  solve the same matrix.
+* on masks with no grid symmetry but the identity, the banded route's
+  blocks, written out, byte for byte the dense matrix of
+  ``dirichlet_eigenvalues``, and ``dirichlet_lambda1`` its first value to
+  ``SPARSE_RTOL`` from the shift.
 """
 
 import itertools
@@ -185,6 +192,35 @@ def _asymmetric_mask():
     return GridSet(g, mask), ScalarField(g, np.full((5, 5), -3.0))
 
 
+def _two_intervals():
+    # lambda_2 / lambda_1 = (102 / 101)^2, about 1.02: no grid symmetry maps
+    # one piece onto the other, so the reduction keeps both modes
+    mask = np.array([1] * 100 + [0] + [1] * 101, bool)
+    return GridSet(Grid((mask.size,), 0.01), mask), None
+
+
+def _dumbbell():
+    # two 10 x 10 lobes joined by a one-cell neck, one lobe less a corner
+    # cell, which breaks the mirror between them: lambda_2 / lambda_1 = 1.004
+    mask = np.zeros((12, 25), bool)
+    mask[1:11, :10] = mask[1:11, 15:] = True
+    mask[4, 10:15] = True
+    mask[1, 24] = False
+    return GridSet(Grid(mask.shape, 0.1), mask), None
+
+
+def _expanded(op):
+    """The block-tridiagonal operator written into a dense n x n matrix."""
+    nb, b, _ = op.diag.shape
+    dense = np.zeros((nb * b, nb * b))
+    for k in range(nb):
+        dense[k * b : (k + 1) * b, k * b : (k + 1) * b] = op.diag[k]
+        if k:
+            dense[k * b : (k + 1) * b, (k - 1) * b : k * b] = op.sub[k - 1]
+            dense[(k - 1) * b : k * b, k * b : (k + 1) * b] = op.sub[k - 1].T
+    return dense[: op.n, : op.n]
+
+
 def _one_cell():
     g = Grid((3, 3, 3), 0.5)
     mask = np.zeros((3, 3, 3), bool)
@@ -232,6 +268,39 @@ class TestDirichletSpectrum:
         assert disk.count() == 4104
         got = dirichlet_lambda1(disk, None)
         np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=1e-10)
+
+    def test_faber_krahn_disk_at_h128_matches_lanczos(self):
+        disk = unit_area_disk(1.0 / 128)
+        assert spectral._cell_orbits(disk, None)[1].size == 2073
+        got = dirichlet_lambda1(disk, None)
+        np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=SPARSE_RTOL)
+
+    def test_faber_krahn_disk_memory_below_dense_matrix(self):
+        # the dense reduced route built a 526 x 526 matrix alone of 8 * 526^2 bytes
+        disk = unit_area_disk(1.0 / 64)
+        dirichlet_lambda1(disk, None)
+        tracemalloc.start()
+        try:
+            dirichlet_lambda1(disk, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 526**2
+
+    @pytest.mark.parametrize("case", [_two_intervals, _dumbbell])
+    def test_near_degenerate_pair_matches_dense_oracle(self, case):
+        omega, V = case()
+        assert len(spectral._symmetry_group(omega, V)) == 1
+        want = _dense_oracle(omega, V)
+        assert want[1] / want[0] < 1.03
+        np.testing.assert_allclose(dirichlet_lambda1(omega, V), want[0], rtol=SPARSE_RTOL)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # one step cannot stall, so no certificate is tried and no value returned
+        monkeypatch.setattr(spectral, "LAMBDA1_MAX_ITER", 1)
+        for omega in (unit_area_disk(1.0 / 64), _two_intervals()[0]):
+            with pytest.raises(np.linalg.LinAlgError, match="not certified in 1 steps"):
+                dirichlet_lambda1(omega, None)
 
     def test_j0_first_zero(self):
         from scipy.optimize import brentq
@@ -371,17 +440,25 @@ class TestFullSpectrum:
         rows, cols, data = spectral._dirichlet_triplets(omega, V)
         n = omega.count()
         want = sparse.csc_matrix((data, (rows, cols)), shape=(n, n)).toarray()
-        got = spectral._dense_operator(omega, V, np.arange(n), np.ones(n, dtype=np.int64))
+        got = spectral._dense_operator(omega, V)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(_masked_domains())
     def test_lambda1_without_symmetry_is_the_first_full_eigenvalue(self, case):
-        # the identity alone leaves one orbit per cell, the full spectrum's matrix
+        # the identity alone leaves one orbit per cell: the banded route's
+        # blocks hold the full spectrum's matrix, and its certified value is
+        # that matrix's lowest eigenvalue
         omega, V = case
         assume(len(spectral._symmetry_group(omega, V)) == 1)
-        assert dirichlet_lambda1(omega, V) == dirichlet_eigenvalues(omega, V)[0]
+        dense = spectral._dense_operator(omega, V)
+        blocks = _expanded(spectral._reduced_operator(omega, V))
+        assert blocks.dtype == dense.dtype and blocks.shape == dense.shape
+        assert blocks.tobytes() == dense.tobytes()
+        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
+        want = dirichlet_eigenvalues(omega, V)[0]
+        np.testing.assert_allclose(dirichlet_lambda1(omega, V) - shift, want - shift, rtol=SPARSE_RTOL)
 
     @settings(max_examples=60, deadline=None)
     @given(_masked_domains())
