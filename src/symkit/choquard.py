@@ -5,10 +5,17 @@ L^2 sphere ||u||_2 = 1 by plain gradient steps with renormalization,
 rearranging the iterate every few steps.  Symmetrization can only help the
 continuum energy, and the trajectory audit records the energy right before
 and after every rearrangement so the claim is checkable from the result.
+
+Each energy evaluation runs the iterate's stencils (forward differences,
+||grad u||^2 and the kinetic gradient) on one helper thread while the
+calling thread convolves; numpy releases the GIL in both, so on two cores
+they overlap.  The helper runs private helpers only, and every value is
+the one a single thread computes, bit for bit (DECISIONS.md D20).
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
@@ -51,6 +58,16 @@ def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray | None:
     return values / nrm if math.isfinite(nrm) else None
 
 
+def _stencils(u: ScalarField) -> tuple[float, np.ndarray]:
+    """||grad u||_2^2 and its gradient in u, from one set of forward differences.
+
+    Runs on the descent's helper thread, so it calls private helpers only
+    (DECISIONS.md D20).
+    """
+    diffs = _forward_diffs(u)
+    return _gradient_pnorm_of(diffs, 2.0, u.grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, u.h)
+
+
 def coulomb_potential(grid: Grid) -> Callable[[ScalarField], ScalarField]:
     """Convolution plan of the Coulomb kernel |z|^-1 for fields on ``grid``.
 
@@ -84,50 +101,69 @@ def choquard_descent(
     0.03 * step at 32^3), which is why a short polishing phase with a tiny
     step (``_POLISH_STEP_SIZE``) follows the main phase when ``polish_steps``
     is set.
+
+    The run owns one helper thread, created on entry and joined before it
+    returns or raises.  Each energy evaluation hands the iterate's stencils
+    to it while this thread calls ``potential``, so only the calling thread
+    calls the plan.  The stencils run in a copy of the caller's context,
+    under its ``np.errstate``, and an error in one is raised here.
     """
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
+    # imported here: concurrent.futures loads logging, which no other verb needs
+    from concurrent.futures import ThreadPoolExecutor
+
     grid = u0.grid
     vol = grid.cell_volume
-
-    def energy_and_potential(vals: np.ndarray):
-        # the forward differences serve the energy and, for the iterate that
-        # steps next, its kinetic gradient
-        usq = ScalarField(grid, vals * vals)
-        phi = potential(usq)
-        diffs = _forward_diffs(ScalarField(grid, vals))
-        kin = _gradient_pnorm_of(diffs, 2.0, vol) ** 2
-        pot = pairing(usq, phi)
-        return kin - pot, phi, diffs
 
     result = DescentResult()
     u = _l2_normalize(np.abs(u0.values), vol)
     if u is None:
         raise ValueError("the L^2 norm of u0 overflows")
-    energy, phi, diffs = energy_and_potential(u)
-    result.energies.append(energy)
     total = steps + polish_steps
-    for step in range(1, total + 1):
-        tau = step_size if step <= steps else _POLISH_STEP_SIZE
-        grad = _kinetic_gradient_of(diffs, grid.h) - 4.0 * u * phi.values
-        del diffs  # freed before the next energy evaluation makes its own
-        stepped = _l2_normalize(u - tau * grad, vol)
-        if stepped is None:
-            result.diverged = True
-            break
-        u = stepped
-        do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
-        if do_rearrange:
-            before, _, _ = energy_and_potential(u)
-            u = rearrange(ScalarField(grid, u)).values
-            u = _l2_normalize(u, vol)
-            energy, phi, diffs = energy_and_potential(u)
-            result.rearrange_audit.append((step, before, energy))
-        else:
-            energy, phi, diffs = energy_and_potential(u)
+    # the stencils run in the caller's context, so under its np.errstate
+    context = contextvars.copy_context()
+    # one helper thread for the whole run, joined when it ends (DECISIONS.md D20)
+    with ThreadPoolExecutor(1) as helper:
+
+        def energy_and_potential(vals: np.ndarray):
+            # the helper runs the stencils of vals while this thread
+            # convolves; the kinetic gradient serves the step from vals
+            stencils = helper.submit(context.run, _stencils, ScalarField(grid, vals))
+            usq = ScalarField(grid, vals * vals)
+            phi = potential(usq)
+            pot = pairing(usq, phi)
+            kin, kgrad = stencils.result()
+            return kin - pot, phi, kgrad
+
+        energy, phi, kgrad = energy_and_potential(u)
         result.energies.append(energy)
-        if not math.isfinite(energy):
-            result.diverged = True
-            break
+        for step in range(1, total + 1):
+            tau = step_size if step <= steps else _POLISH_STEP_SIZE
+            # u - tau * (kgrad - 4 u phi), operation for operation, in one buffer
+            g = 4.0 * u
+            g *= phi.values
+            np.subtract(kgrad, g, out=g)
+            g *= tau
+            np.subtract(u, g, out=g)
+            del kgrad  # freed before the next energy evaluation makes its own
+            stepped = _l2_normalize(g, vol)
+            if stepped is None:
+                result.diverged = True
+                break
+            u = stepped
+            do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
+            if do_rearrange:
+                before, _, _ = energy_and_potential(u)
+                u = rearrange(ScalarField(grid, u)).values
+                u = _l2_normalize(u, vol)
+                energy, phi, kgrad = energy_and_potential(u)
+                result.rearrange_audit.append((step, before, energy))
+            else:
+                energy, phi, kgrad = energy_and_potential(u)
+            result.energies.append(energy)
+            if not math.isfinite(energy):
+                result.diverged = True
+                break
     result.final = ScalarField(grid, u)
     return result

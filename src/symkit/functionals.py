@@ -200,7 +200,7 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[S
     f(y) h^d`` on f's grid for every field f of that shape and of the
     kernel's spacing; ``plan.lengths`` holds the FFT lengths.  The kernel
     must live on an odd-extent displacement grid.  The plan keeps the
-    kernel's spectrum, not its values, and owns mutable FFT buffers, so one
+    kernel's spectrum, not its values, and owns a mutable FFT buffer, so one
     plan must not be called from two threads at once (DECISIONS.md D8).
 
     The FFTs are circular, of the shortest fast length per axis at which no
@@ -229,8 +229,6 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[S
     spec = _rfftn(kernel.values, lengths, range(d))
     spec.setflags(write=False)
     cols = lengths[-1] // 2 + 1
-    # f's lines, zero-padded on the last axis once; the pad is never written
-    real = np.zeros(shape[:-1] + (lengths[-1],))
     buf = np.empty(lengths[:-1] + (cols,), complex)
     # stage ax runs on axes 0 .. ax at full length and on f's rows of the
     # others; its pad slab is rows n_ax .. L_ax - 1 of axis ax, where rfftn
@@ -250,8 +248,8 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[S
             raise ValueError(f"field shape {f.grid.shape} differs from the plan's {shape}")
         if abs(h - f.h) > 1e-12 * f.h:
             raise ValueError("kernel and field spacings differ")
-        real[..., : shape[-1]] = f.values
-        rfft(real, out=r2c)
+        # r2c of f's own lines, zero-padded to the length inside pocketfft
+        rfft(f.values, n=lengths[-1], out=r2c)
         # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
         for ax, (view, pad) in enumerate(zip(stages, pads)):
             view[_along(ax, slice(shape[ax], None))] = pad

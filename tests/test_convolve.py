@@ -381,6 +381,13 @@ def test_cli_import_loads_no_scipy():
     assert _scipy_modules(_modules_loaded_by("import symkit.cli")) == []
 
 
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # the Choquard descent imports its helper's executor when it runs (DECISIONS.md D20)
+    loaded = _modules_loaded_by("import symkit.cli")
+    assert "symkit.cli" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] in ("concurrent", "logging")) == []
+
+
 def test_no_module_imports_scipy():
     # also an import inside a function that no verb test runs, such as in choquard
     found = []

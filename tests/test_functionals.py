@@ -1,4 +1,6 @@
 import math
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -930,6 +932,74 @@ class TestEnergies:
         assert result.final.values.tobytes() == final.tobytes()
         # one set of differences per energy evaluation, i.e. per plan call
         assert calls["diffs"] == calls["potential"] == len(energies) + len(audit)
+
+    def test_choquard_public_callables_run_on_the_calling_thread(self, monkeypatch):
+        # the perfbench tracer keeps one span stack per process, so only
+        # private helpers may run on the descent's helper thread (DECISIONS.md D20)
+        threads = {}
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        public = [
+            name
+            for name, obj in vars(choquard).items()
+            if not name.startswith("_") and callable(obj) and not isinstance(obj, types.ModuleType)
+        ]
+        for name in public + ["_forward_diffs"]:
+            monkeypatch.setattr(choquard, name, recorded(name, getattr(choquard, name)))
+        g = Grid((8, 8, 8), 0.75)
+        u0 = ScalarField(g, np.exp(-g.radius2() / 4.0))
+        potential = recorded("potential", coulomb_potential(g))
+        result = choquard.choquard_descent(u0, potential, steps=6, step_size=0.02, polish_steps=1)
+        assert len(result.energies) == 8 and not result.diverged
+        caller = {threading.current_thread()}
+        stencils = threads.pop("_forward_diffs")
+        assert {"choquard_descent", "potential", "pairing", "rearrange", "ScalarField"} <= set(threads)
+        assert all(ts == caller for ts in threads.values())
+        # the stencils do run on the helper
+        assert len(stencils) == 1 and stencils != caller
+
+    def test_choquard_helper_error_propagates_and_no_thread_outlives_the_call(self, monkeypatch):
+        g = Grid((8, 8, 8), 0.75)
+        u0 = ScalarField(g, np.exp(-g.radius2() / 4.0))
+        plan = coulomb_potential(g)
+        before = set(threading.enumerate())
+        choquard_descent(u0, plan, steps=3)
+        assert set(threading.enumerate()) == before
+        kinetic, calls = choquard._kinetic_gradient_of, []
+
+        def failing(diffs, h):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise RuntimeError("stencil failed")
+            return kinetic(diffs, h)
+
+        monkeypatch.setattr(choquard, "_kinetic_gradient_of", failing)
+        with pytest.raises(RuntimeError, match="stencil failed"):
+            choquard_descent(u0, plan, steps=3)
+        assert len(calls) == 3 and threading.current_thread() not in calls
+        assert set(threading.enumerate()) == before
+
+    def test_choquard_stencils_run_under_the_callers_error_state(self, monkeypatch):
+        # np.errstate is per context, and a new thread starts in an empty one
+        states, diffs = [], choquard._forward_diffs
+
+        def recorded(u):
+            states.append(np.geterr())
+            return diffs(u)
+
+        monkeypatch.setattr(choquard, "_forward_diffs", recorded)
+        g = Grid((8, 8, 8), 0.75)
+        u0 = ScalarField(g, np.exp(-g.radius2() / 4.0))
+        with np.errstate(all="raise"):
+            choquard_descent(u0, coulomb_potential(g), steps=2)
+            caller = np.geterr()
+        assert len(states) == 4 and all(state == caller for state in states)
 
     def test_choquard_report_samples_and_transforms_the_kernel_once(self, monkeypatch):
         # the main run and the restart share one Coulomb plan
