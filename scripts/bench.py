@@ -15,7 +15,12 @@ Cases, each at one fixed size:
   before the timed region, to two alternating data fields, as the Choquard
   descent and the fft seminorm route do; ``fresh_kernel`` calls the
   one-shot ``convolve`` with a kernel whose values differ from the previous
-  call's, so every call transforms its kernel;
+  call's, so every call transforms its kernel; at 32x32x32 also
+  ``shared_helper``, the ``reused_kernel`` plan called as the Choquard
+  descent calls it, with a live one-thread executor that shares its stages
+  (``plan(f, helper=ex)``); on a tree whose plans take no helper the case
+  times the serial call with the executor idle, and ``helper_keyword`` in
+  its sizes says which ran;
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
@@ -74,6 +79,7 @@ region.  Run it once per source tree on the same host, e.g. with
 """
 
 import argparse
+import inspect
 import json
 import multiprocessing
 import os
@@ -83,6 +89,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +140,13 @@ def _convolve(shape, h, mode, calls=10):
         if mode == "reused_kernel":
             plan = convolution_plan(kernel, shape)
             return lambda i: plan(fields[i % 2]), calls, sizes
+        if mode == "shared_helper":
+            # the executor lives as long as the case's process; a tree whose
+            # plans take no helper runs them serially
+            plan, helper = convolution_plan(kernel, shape), ThreadPoolExecutor(1)
+            shares = "helper" in inspect.signature(plan).parameters
+            kwargs = {"helper": helper} if shares else {}
+            return lambda i: plan(fields[i % 2], **kwargs), calls, {**sizes, "helper_keyword": shares}
         kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
 
@@ -246,6 +260,7 @@ CASES = {
     "convolve_128x128.fresh_kernel": _convolve((128, 128), 1.0 / 128, "fresh_kernel"),
     "convolve_32x32x32.reused_kernel": _convolve((32, 32, 32), 0.25, "reused_kernel"),
     "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
+    "convolve_32x32x32.shared_helper": _convolve((32, 32, 32), 0.25, "shared_helper"),
     "forward_diffs_kinetic_gradient_of_32x32x32": _stencil("descent_stencils"),
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "choquard_descent_32x32x32.10_steps": _descent,

@@ -8,9 +8,11 @@ and after every rearrangement so the claim is checkable from the result.
 
 Each energy evaluation runs the iterate's stencils (forward differences,
 ||grad u||^2 and the kinetic gradient) on one helper thread while the
-calling thread convolves; numpy releases the GIL in both, so on two cores
-they overlap.  The helper runs private helpers only, and every value is
-the one a single thread computes, bit for bit (DECISIONS.md D20).
+calling thread starts the convolution, and the helper then takes half of
+each of the plan's later stages; numpy releases the GIL in both, so on two
+cores they overlap.  The helper runs private helpers and plan stages only,
+and every value is the one a single thread computes, bit for bit
+(DECISIONS.md D20).
 """
 
 from __future__ import annotations
@@ -58,11 +60,19 @@ def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray | None:
     return values / nrm if math.isfinite(nrm) else None
 
 
-def _stencils(u: ScalarField) -> tuple[float, np.ndarray]:
-    """||grad u||_2^2 and its gradient in u, from one set of forward differences.
+def _kinetic(u: ScalarField) -> tuple[float, None]:
+    """||grad u||_2^2, from one set of forward differences, and no gradient.
 
     Runs on the descent's helper thread, so it calls private helpers only
     (DECISIONS.md D20).
+    """
+    return _gradient_pnorm_of(_forward_diffs(u), 2.0, u.grid.cell_volume) ** 2, None
+
+
+def _stencils(u: ScalarField) -> tuple[float, np.ndarray]:
+    """||grad u||_2^2 and its gradient in u, from one set of forward differences.
+
+    Runs on the descent's helper thread, as ``_kinetic`` does.
     """
     diffs = _forward_diffs(u)
     return _gradient_pnorm_of(diffs, 2.0, u.grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, u.h)
@@ -86,8 +96,9 @@ def choquard_descent(
 ) -> DescentResult:
     """Run the projected descent; the returned iterate ends on a rearrangement.
 
-    ``potential`` is ``coulomb_potential(u0.grid)``; a caller that runs
-    several descents on one grid passes the same plan to each.  The audit
+    ``potential`` is ``coulomb_potential(u0.grid)``, called as
+    ``potential(u², helper=ex)``; a caller that runs several descents on
+    one grid passes the same plan to each.  The audit
     list holds (step, energy before, energy after) for every
     rearrangement, and ``energies`` the post-step energies.  Divergence
     (a non-finite step, norm or energy) aborts with ``diverged`` set; after
@@ -104,9 +115,11 @@ def choquard_descent(
 
     The run owns one helper thread, created on entry and joined before it
     returns or raises.  Each energy evaluation hands the iterate's stencils
-    to it while this thread calls ``potential``, so only the calling thread
-    calls the plan.  The stencils run in a copy of the caller's context,
-    under its ``np.errstate``, and an error in one is raised here.
+    to it (the pre-sort energies only ||grad u||^2) and then calls
+    ``potential`` with it, which shares the plan's later stages with it;
+    only the calling thread calls the plan.  The stencils and the stage
+    halves run in copies of the caller's context, under its
+    ``np.errstate``, and an error in either is raised here.
     """
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
@@ -126,12 +139,13 @@ def choquard_descent(
     # one helper thread for the whole run, joined when it ends (DECISIONS.md D20)
     with ThreadPoolExecutor(1) as helper:
 
-        def energy_and_potential(vals: np.ndarray):
-            # the helper runs the stencils of vals while this thread
-            # convolves; the kinetic gradient serves the step from vals
-            stencils = helper.submit(context.run, _stencils, ScalarField(grid, vals))
+        def energy_and_potential(vals: np.ndarray, stencil=_stencils):
+            # the helper runs the stencils of vals, then shares the plan's
+            # later stages with this thread; the kinetic gradient serves the
+            # step from vals
+            stencils = helper.submit(context.run, stencil, ScalarField(grid, vals))
             usq = ScalarField(grid, vals * vals)
-            phi = potential(usq)
+            phi = potential(usq, helper=helper)
             pot = pairing(usq, phi)
             kin, kgrad = stencils.result()
             return kin - pot, phi, kgrad
@@ -154,7 +168,8 @@ def choquard_descent(
             u = stepped
             do_rearrange = step % _REARRANGE_EVERY == 0 or step == total
             if do_rearrange:
-                before, _, _ = energy_and_potential(u)
+                # the pre-sort energy only: no kinetic gradient for a step
+                before, _, _ = energy_and_potential(u, _kinetic)
                 u = rearrange(ScalarField(grid, u)).values
                 u = _l2_normalize(u, vol)
                 energy, phi, kgrad = energy_and_potential(u)

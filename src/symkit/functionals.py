@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from collections.abc import Callable
@@ -193,7 +194,24 @@ def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[tuple(slice(n) for n in shape)]
 
 
-def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[ScalarField], ScalarField]:
+def _split(helper, context: contextvars.Context, stage: Callable[[slice], None], n: int) -> None:
+    """``stage`` on rows 0 .. n//2 - 1 on ``helper`` and on the rest here, joined.
+
+    The helper's half runs in ``context``.  An exception in either half is
+    raised here, and only once the helper's half has ended, so no half is
+    still writing the buffer when the caller moves on.
+    """
+    m = n // 2
+    half = helper.submit(context.run, stage, slice(0, m))
+    try:
+        stage(slice(m, n))
+    except BaseException:
+        half.exception()
+        raise
+    half.result()
+
+
+def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..., ScalarField]:
     """Linear convolution with ``kernel`` of fields of one shape, transformed once.
 
     Returns ``plan``, with ``plan(f) = (kernel * f)(x) = sum_y kernel(x - y)
@@ -202,6 +220,16 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[S
     must live on an odd-extent displacement grid.  The plan keeps the
     kernel's spectrum, not its values, and owns a mutable FFT buffer, so one
     plan must not be called from two threads at once (DECISIONS.md D8).
+
+    ``plan(f, helper=ex)`` shares a 3-d call's stages with ``ex``, an
+    executor the caller owns (the Choquard descent's one helper thread,
+    D20): after the r2c and stage 0 on the calling thread, stage 1 with the
+    product, the axis-0 inverse and the axis-1 inverse with the c2r each
+    run in two halves of rows, one of them on ``ex`` in a copy of the
+    caller's context, joined before the next.  No half splits the last
+    axis.  Every line goes through the same 1-d transform and every entry
+    through the same product and scaling, so the result has the serial
+    call's bits.  A plan of another dimension refuses a helper.
 
     The FFTs are circular, of the shortest fast length per axis at which no
     wrapped-around term reaches the kept window (Hockney's free-space
@@ -243,13 +271,52 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[[S
     r2c = buf[tuple(slice(n) for n in shape[:-1])]
     scale = 1.0 / math.prod(lengths)
 
-    def plan(f: ScalarField) -> ScalarField:
+    def forward(rows: slice) -> None:
+        # stage 1 and the product on a block of axis-0 rows (3-d only)
+        x = buf[rows]
+        x[:, shape[1] :] = pads[1][rows]
+        fft(x, axis=1, out=x)
+        x *= spec[rows]
+
+    def inverse0(cols: slice) -> None:
+        x = buf[:, cols]
+        ifft(x, axis=0, norm="forward", out=x)
+
+    def shared(vol: float, helper) -> np.ndarray:
+        # the helper is usually still busy with what its owner queued
+        # first, so stage 0 runs on this thread alone
+        view = stages[0]
+        view[shape[0] :] = pads[0]
+        fft(view, axis=0, out=view)
+        (n0, n1, n2), (r0, r1, r2) = shape, radii
+        kept, out = buf[r0 : r0 + n0], np.empty(shape)
+
+        def inverse1(rows: slice) -> None:
+            x = kept[rows]
+            ifft(x, axis=1, norm="forward", out=x)
+            window = out[rows]
+            np.multiply(irfft(x[:, r1 : r1 + n1], lengths[2], norm="forward")[..., r2 : r2 + n2], scale, out=window)
+            window *= vol
+
+        # halves along axis 0, axis 1, then the kept axis-0 rows: never the
+        # last axis, whose rows both threads would write (DECISIONS.md D20)
+        context = contextvars.copy_context()
+        _split(helper, context, forward, lengths[0])
+        _split(helper, context, inverse0, lengths[1])
+        _split(helper, context, inverse1, n0)
+        return out
+
+    def plan(f: ScalarField, helper=None) -> ScalarField:
         if f.grid.shape != shape:
             raise ValueError(f"field shape {f.grid.shape} differs from the plan's {shape}")
         if abs(h - f.h) > 1e-12 * f.h:
             raise ValueError("kernel and field spacings differ")
+        if helper is not None and d != 3:
+            raise ValueError("a helper shares the stages of 3-d plans only")
         # r2c of f's own lines, zero-padded to the length inside pocketfft
         rfft(f.values, n=lengths[-1], out=r2c)
+        if helper is not None:
+            return ScalarField(f.grid, shared(f.grid.cell_volume, helper))
         # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
         for ax, (view, pad) in enumerate(zip(stages, pads)):
             view[_along(ax, slice(shape[ax], None))] = pad

@@ -13,6 +13,7 @@ CASE_NAMES = [
     "convolve_128x128.fresh_kernel",
     "convolve_32x32x32.reused_kernel",
     "convolve_32x32x32.fresh_kernel",
+    "convolve_32x32x32.shared_helper",
     "forward_diffs_kinetic_gradient_of_32x32x32",
     "gradient_pnorm_32x32x32",
     "choquard_descent_32x32x32.10_steps",

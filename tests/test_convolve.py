@@ -21,6 +21,11 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   padded temporaries (its tracemalloc peak stays below 1 MB);
 * one-shot calls from several threads at once get the bits of a
   sequential run, since each call makes its own plan;
+* a 3-d plan call that shares its stages with a helper thread
+  (``plan(f, helper=ex)``) gives the bits of the serial call and of the
+  unpruned window, raises ``FloatingPointError`` under
+  ``np.errstate(all="raise")`` exactly when the serial call does, keeps a
+  warm call's tracemalloc peak below 1 MB, and is refused below 3-d;
 * the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
   ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
   n = 1 .. 20,000;
@@ -39,8 +44,10 @@ import os
 import subprocess
 import sys
 import threading
+import traceback
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +220,124 @@ class TestWorkspace:
             tracemalloc.stop()
         # the c2r output and the scaled window: about 0.85 MB; padded copies
         # and fresh c2c stage outputs took a call to 3.25 MB
+        assert peak < 1.0e6
+
+
+@st.composite
+def _cases_3d(draw):
+    # odd, even and unequal extents, kernel radii below and equal to n - 1
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    radii = tuple(draw(st.integers(0, n - 1)) for n in shape)
+    kv = draw(arrays(np.float64, tuple(2 * r + 1 for r in radii), elements=_values))
+    fv = draw(arrays(np.float64, shape, elements=_values))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return kv, fv, h
+
+
+def _helper_overflow_case():
+    """A 3-d case whose only overflow is the product at axis-0 row 0.
+
+    The kernel's spectrum is 8e307 cos(pi k0 / 8) times a unit phase, and
+    the field is a delta of 2.4: the product overflows in row 0 only, which
+    the helper's half holds; every other product stays below 99% of the
+    largest double.
+    """
+    kv = np.zeros((7, 7, 7))
+    kv[3, 3, 3] = kv[4, 3, 3] = 4e307
+    fv = np.zeros((4, 4, 4))
+    fv[0, 0, 0] = 2.4
+    return kv, fv
+
+
+def _outcome(call):
+    """The bytes of ``call()``'s values under np.errstate(all="raise"), or the error."""
+    try:
+        with np.errstate(all="raise"):
+            return call().values.tobytes()
+    except FloatingPointError as exc:
+        return exc
+
+
+class TestSharedPlan:
+    # plan(f, helper=ex) splits stage 1, the axis-0 inverse and the axis-1
+    # inverse with the c2r in halves of rows with ex (DECISIONS.md D20)
+    @settings(max_examples=100, deadline=None)
+    @given(_cases_3d())
+    @example(_signed_zero_case())
+    def test_shared_call_is_bit_identical_to_serial(self, case):
+        kv, fv, h = case
+        kern = ScalarField(Grid(kv.shape, h), kv)
+        fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
+        plan = convolution_plan(kern, fv.shape)
+        want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
+        with ThreadPoolExecutor(1) as ex:
+            for i in (0, 1, 1, 0, 0, 1):
+                assert plan(fields[i], helper=ex).values.tobytes() == want[i]
+                assert plan(fields[i]).values.tobytes() == want[i]
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 30, 18), (9, 7, 5)])
+    def test_coulomb_kernel_shared_call_matches_serial(self, shape):
+        g = Grid(shape, 0.125)
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), shape)
+        rng = np.random.default_rng(15)
+        fields = [ScalarField(g, rng.random(shape)) for _ in range(2)]
+        with ThreadPoolExecutor(1) as ex:
+            for i in (0, 1, 0):
+                assert plan(fields[i], helper=ex).values.tobytes() == plan(fields[i]).values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(150, 305), st.integers(0, 160), st.integers(0, 2**32 - 1))
+    def test_shared_call_raises_exactly_when_serial_does(self, field_exp, kernel_exp, seed):
+        # the halves on the helper run in a copy of the caller's context, so
+        # under its np.errstate
+        g = Grid((5, 4, 6), 0.5)
+        rng = np.random.default_rng(seed)
+        kern = ScalarField(displacement_grid(g), rng.random((9, 7, 11)) * 10.0**kernel_exp)
+        f = ScalarField(g, rng.random(g.shape) * 10.0**field_exp)
+        plan = convolution_plan(kern, g.shape)
+        with ThreadPoolExecutor(1) as ex:
+            serial, shared = _outcome(lambda: plan(f)), _outcome(lambda: plan(f, helper=ex))
+        assert isinstance(serial, bytes) == isinstance(shared, bytes)
+        if isinstance(serial, bytes):
+            assert shared == serial
+
+    def test_overflow_in_the_helpers_half_raises_in_the_caller(self):
+        kv, fv = _helper_overflow_case()
+        g = Grid(fv.shape, 0.5)
+        plan = convolution_plan(ScalarField(displacement_grid(g), kv), g.shape)
+        f = ScalarField(g, fv)
+        with ThreadPoolExecutor(1) as ex:
+            assert isinstance(_outcome(lambda: plan(f)), FloatingPointError)
+            err = _outcome(lambda: plan(f, helper=ex))
+            assert isinstance(err, FloatingPointError)
+            # raised by the product on the helper, and re-raised by the join
+            frames = [fr.name for fr in traceback.extract_tb(err.__traceback__)]
+            assert frames[-2:] == ["run", "forward"]
+            # the failed call left the plan usable
+            calm = ScalarField(g, fv * 1e-10)
+            assert plan(calm, helper=ex).values.tobytes() == plan(calm).values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(12,), (6, 5)])
+    def test_helper_below_3d_is_refused(self, shape):
+        g = Grid(shape, 0.5)
+        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), shape)
+        f = ScalarField(g, np.ones(shape))
+        with ThreadPoolExecutor(1) as ex, pytest.raises(ValueError, match="3-d"):
+            plan(f, helper=ex)
+
+    def test_warm_shared_call_allocates_no_padded_temporaries(self):
+        g = Grid((32, 32, 32), 0.25)
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g.shape)
+        f = ScalarField(g, np.random.default_rng(12).random(g.shape))
+        with ThreadPoolExecutor(1) as ex:
+            plan(f, helper=ex)
+            tracemalloc.start()
+            try:
+                plan(f, helper=ex)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the window and the halves' c2r outputs, at most 0.8 MB (0.6 MB read)
         assert peak < 1.0e6
 
 

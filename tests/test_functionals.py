@@ -922,9 +922,9 @@ class TestEnergies:
             calls["diffs"] += 1
             return diffs(*args)
 
-        def potential(usq):
+        def potential(usq, **kwargs):
             calls["potential"] += 1
-            return plan(usq)
+            return plan(usq, **kwargs)
 
         monkeypatch.setattr(choquard, "_forward_diffs", counted_diffs)
         result = choquard_descent(u0, potential, steps=12, step_size=0.02, polish_steps=3)
@@ -983,6 +983,22 @@ class TestEnergies:
         with pytest.raises(RuntimeError, match="stencil failed"):
             choquard_descent(u0, plan, steps=3)
         assert len(calls) == 3 and threading.current_thread() not in calls
+        assert set(threading.enumerate()) == before
+        # a half of a plan stage that fails on the helper (DECISIONS.md D20)
+        monkeypatch.setattr(choquard, "_kinetic_gradient_of", kinetic)
+        inverse, halves, caller = functionals.ifft, [], threading.current_thread()
+
+        def failing_half(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                halves.append(threading.current_thread())
+                if len(halves) == 5:
+                    raise RuntimeError("half failed")
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "ifft", failing_half)
+        with pytest.raises(RuntimeError, match="half failed"):
+            choquard_descent(u0, plan, steps=3)
+        assert len(halves) == 5 and threading.current_thread() not in halves
         assert set(threading.enumerate()) == before
 
     def test_choquard_stencils_run_under_the_callers_error_state(self, monkeypatch):
