@@ -18,9 +18,7 @@ Cases, each at one fixed size:
   call's, so every call transforms its kernel; at 32x32x32 also
   ``shared_helper``, the ``reused_kernel`` plan called as the Choquard
   descent calls it, with a live one-thread executor that shares its stages
-  (``plan(f, helper=ex)``); on a tree whose plans take no helper the case
-  times the serial call with the executor idle, and ``helper_keyword`` in
-  its sizes says which ran;
+  (``plan(f, helper=ex)``);
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
@@ -76,10 +74,15 @@ processes, which ``RUSAGE_SELF`` does not count.  The file also records
 when it is not installed, since no case needs it.  Inputs are built before the timed
 region.  Run it once per source tree on the same host, e.g. with
 ``PYTHONPATH`` pointing at each tree's ``src``, alternating the trees.
+
+One such pair of files cannot resolve a per-call change below about 25%
+at 32x32x32: a case's time varies between fresh processes by more than
+the within-run ``spread`` says (``convolve_32x32x32.reused_kernel`` read
+1.96-2.96 ms over twelve fresh-process runs on one 2-core host).  A smaller change needs
+repeated fresh-process runs of the case per tree, alternating the trees.
 """
 
 import argparse
-import inspect
 import json
 import multiprocessing
 import os
@@ -141,12 +144,9 @@ def _convolve(shape, h, mode, calls=10):
             plan = convolution_plan(kernel, shape)
             return lambda i: plan(fields[i % 2]), calls, sizes
         if mode == "shared_helper":
-            # the executor lives as long as the case's process; a tree whose
-            # plans take no helper runs them serially
+            # the executor lives as long as the case's process
             plan, helper = convolution_plan(kernel, shape), ThreadPoolExecutor(1)
-            shares = "helper" in inspect.signature(plan).parameters
-            kwargs = {"helper": helper} if shares else {}
-            return lambda i: plan(fields[i % 2], **kwargs), calls, {**sizes, "helper_keyword": shares}
+            return lambda i: plan(fields[i % 2], helper=helper), calls, sizes
         kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
 

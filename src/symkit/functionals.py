@@ -194,15 +194,19 @@ def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[tuple(slice(n) for n in shape)]
 
 
-def _split(helper, context: contextvars.Context, stage: Callable[[slice], None], n: int) -> None:
+def _split(helper, stage: Callable[[slice], None], n: int) -> None:
     """``stage`` on rows 0 .. n//2 - 1 on ``helper`` and on the rest here, joined.
 
-    The helper's half runs in ``context``.  An exception in either half is
-    raised here, and only once the helper's half has ended, so no half is
-    still writing the buffer when the caller moves on.
+    Without a helper, ``stage`` runs once here, on ``slice(None)``.  The
+    helper's half runs in a copy of the caller's context.  An exception in
+    either half is raised here, and only once the helper's half has ended,
+    so no half is still writing the buffer when the caller moves on.
     """
+    if helper is None:
+        stage(slice(None))
+        return
     m = n // 2
-    half = helper.submit(context.run, stage, slice(0, m))
+    half = helper.submit(contextvars.copy_context().run, stage, slice(0, m))
     try:
         stage(slice(m, n))
     except BaseException:
@@ -221,15 +225,14 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
     kernel's spectrum, not its values, and owns a mutable FFT buffer, so one
     plan must not be called from two threads at once (DECISIONS.md D8).
 
-    ``plan(f, helper=ex)`` shares a 3-d call's stages with ``ex``, an
-    executor the caller owns (the Choquard descent's one helper thread,
-    D20): after the r2c and stage 0 on the calling thread, stage 1 with the
-    product, the axis-0 inverse and the axis-1 inverse with the c2r each
-    run in two halves of rows, one of them on ``ex`` in a copy of the
-    caller's context, joined before the next.  No half splits the last
-    axis.  Every line goes through the same 1-d transform and every entry
-    through the same product and scaling, so the result has the serial
-    call's bits.  A plan of another dimension refuses a helper.
+    Every call runs one schedule: the r2c and c2c stages 0 .. d-3 on the
+    calling thread, then three phases, each whole on that thread unless the
+    call passes ``helper=ex``, an executor the caller owns (the Choquard
+    descent's one helper thread, D20): then each phase of a 3-d call runs
+    in two halves of rows, one of them on ``ex``, joined before the next.
+    No half splits the last axis.  Every line goes through the same 1-d
+    transform and every entry through the same product and scaling, so the
+    halves give the whole phases' bits.  Only a 3-d plan takes a helper.
 
     The FFTs are circular, of the shortest fast length per axis at which no
     wrapped-around term reaches the kept window (Hockney's free-space
@@ -262,49 +265,28 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
     # others; its pad slab is rows n_ax .. L_ax - 1 of axis ax, where rfftn
     # holds the r2c of a zero line carried through stages 0 .. ax-1
     stages = [
-        buf[(slice(None),) * (ax + 1) + tuple(slice(n) for n in shape[ax + 1 : -1])] for ax in range(d - 1)
+        buf[(slice(None),) * (ax + 1) + tuple(slice(n) for n in shape[ax + 1 : -1])] for ax in range(d - 2)
     ]
     pads = [rfft(np.zeros(lengths[-1])).reshape((1,) * (d - 1) + (cols,))]
     for ax in range(d - 2):
         pad = pads[-1]
         pads.append(fft(np.broadcast_to(pad, pad.shape[:ax] + (lengths[ax],) + pad.shape[ax + 1 :]), axis=ax))
     r2c = buf[tuple(slice(n) for n in shape[:-1])]
+    # the rows the axis-0 inverse keeps; in 1-d the c2r cuts the only axis
+    kept = buf[radii[0] : radii[0] + shape[0]] if d > 1 else buf
     scale = 1.0 / math.prod(lengths)
 
     def forward(rows: slice) -> None:
-        # stage 1 and the product on a block of axis-0 rows (3-d only)
+        # the last c2c stage, on axis d-2 with its pad fill, then the product
         x = buf[rows]
-        x[:, shape[1] :] = pads[1][rows]
-        fft(x, axis=1, out=x)
+        if d > 1:
+            x[_along(d - 2, slice(shape[d - 2], None))] = pads[d - 2][rows]
+            fft(x, axis=d - 2, out=x)
         x *= spec[rows]
 
     def inverse0(cols: slice) -> None:
         x = buf[:, cols]
         ifft(x, axis=0, norm="forward", out=x)
-
-    def shared(vol: float, helper) -> np.ndarray:
-        # the helper is usually still busy with what its owner queued
-        # first, so stage 0 runs on this thread alone
-        view = stages[0]
-        view[shape[0] :] = pads[0]
-        fft(view, axis=0, out=view)
-        (n0, n1, n2), (r0, r1, r2) = shape, radii
-        kept, out = buf[r0 : r0 + n0], np.empty(shape)
-
-        def inverse1(rows: slice) -> None:
-            x = kept[rows]
-            ifft(x, axis=1, norm="forward", out=x)
-            window = out[rows]
-            np.multiply(irfft(x[:, r1 : r1 + n1], lengths[2], norm="forward")[..., r2 : r2 + n2], scale, out=window)
-            window *= vol
-
-        # halves along axis 0, axis 1, then the kept axis-0 rows: never the
-        # last axis, whose rows both threads would write (DECISIONS.md D20)
-        context = contextvars.copy_context()
-        _split(helper, context, forward, lengths[0])
-        _split(helper, context, inverse0, lengths[1])
-        _split(helper, context, inverse1, n0)
-        return out
 
     def plan(f: ScalarField, helper=None) -> ScalarField:
         if f.grid.shape != shape:
@@ -315,21 +297,30 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
             raise ValueError("a helper shares the stages of 3-d plans only")
         # r2c of f's own lines, zero-padded to the length inside pocketfft
         rfft(f.values, n=lengths[-1], out=r2c)
-        if helper is not None:
-            return ScalarField(f.grid, shared(f.grid.cell_volume, helper))
         # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
-        for ax, (view, pad) in enumerate(zip(stages, pads)):
-            view[_along(ax, slice(shape[ax], None))] = pad
+        for ax, view in enumerate(stages):
+            view[_along(ax, slice(shape[ax], None))] = pads[ax]
             fft(view, axis=ax, out=view)
-        x = buf
-        x *= spec
-        for ax, (n, r) in enumerate(zip(shape[:-1], radii)):
-            x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
-        r, n = radii[-1], shape[-1]
-        # the inverse stages run unscaled; irfftn scales once, by 1/prod(L), at the end
-        kept = irfft(x, lengths[-1], norm="forward")[..., r : r + n] * scale
-        kept *= f.grid.cell_volume
-        return ScalarField(f.grid, kept)
+        out, vol = np.empty(shape), f.grid.cell_volume
+
+        def inverse(rows: slice) -> None:
+            # axes 1 .. d-2 unscaled, each cut to its kept rows; irfftn scales once, by 1/prod(L)
+            x = kept[rows]
+            for ax in range(1, d - 1):
+                r, n = radii[ax], shape[ax]
+                x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
+            r, n = radii[-1], shape[-1]
+            window = out[rows]
+            np.multiply(irfft(x, lengths[-1], norm="forward")[..., r : r + n], scale, out=window)
+            window *= vol
+
+        # halves along axis 0, axis 1, then the kept axis-0 rows: never the
+        # last axis, whose rows both threads would write (DECISIONS.md D20)
+        _split(helper, forward, lengths[0])
+        if d > 1:
+            _split(helper, inverse0, buf.shape[1])
+        _split(helper, inverse, len(kept))
+        return ScalarField(f.grid, out)
 
     plan.lengths = lengths
     return plan

@@ -21,11 +21,14 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   padded temporaries (its tracemalloc peak stays below 1 MB);
 * one-shot calls from several threads at once get the bits of a
   sequential run, since each call makes its own plan;
-* a 3-d plan call that shares its stages with a helper thread
-  (``plan(f, helper=ex)``) gives the bits of the serial call and of the
-  unpruned window, raises ``FloatingPointError`` under
-  ``np.errstate(all="raise")`` exactly when the serial call does, keeps a
-  warm call's tracemalloc peak below 1 MB, and is refused below 3-d;
+* the plan's one schedule: a 3-d call that splits its phases in halves
+  with a helper thread (``plan(f, helper=ex)``) gives the bits of the call
+  without one, which runs each phase whole, and of the unpruned window,
+  raises ``FloatingPointError`` under ``np.errstate(all="raise")`` exactly
+  when the call without a helper does, keeps a warm call's tracemalloc
+  peak below 1 MB, and is refused below 3-d; a call without a helper, in
+  1-, 2- and 3-d, runs every transform on the calling thread and starts no
+  thread;
 * the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
   ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
   n = 1 .. 20,000;
@@ -46,6 +49,7 @@ import sys
 import threading
 import traceback
 import tracemalloc
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -57,6 +61,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 import symkit
+from symkit import functionals
 from symkit.field import Grid, GridSet, ScalarField, save
 from symkit.functionals import _fftconvolve_full, _next_fast_len, convolution_plan, convolve
 from symkit.kernels import PowerLaw, displacement_grid, sample_kernel
@@ -259,8 +264,8 @@ def _outcome(call):
 
 
 class TestSharedPlan:
-    # plan(f, helper=ex) splits stage 1, the axis-0 inverse and the axis-1
-    # inverse with the c2r in halves of rows with ex (DECISIONS.md D20)
+    # plan(f, helper=ex) splits each of the plan's three phases in halves of
+    # rows with ex; without a helper each runs whole (DECISIONS.md D20)
     @settings(max_examples=100, deadline=None)
     @given(_cases_3d())
     @example(_signed_zero_case())
@@ -325,6 +330,29 @@ class TestSharedPlan:
         with ThreadPoolExecutor(1) as ex, pytest.raises(ValueError, match="3-d"):
             plan(f, helper=ex)
 
+    @pytest.mark.parametrize("shape", [(12,), (6, 5), (7, 6, 5)])
+    def test_call_without_a_helper_runs_every_transform_here(self, shape, monkeypatch):
+        threads = []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        g = Grid(shape, 0.5)
+        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), shape)
+        f = ScalarField(g, np.random.default_rng(16).random(shape))
+        want = plan(f).values.tobytes()
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            monkeypatch.setattr(functionals, name, recorded(getattr(functionals, name)))
+        before = set(threading.enumerate())
+        assert plan(f).values.tobytes() == want
+        assert set(threading.enumerate()) == before
+        # the r2c, d - 1 c2c stages each way and the c2r, each once, on this thread
+        assert threads == [threading.current_thread()] * (2 * len(shape))
+
     def test_warm_shared_call_allocates_no_padded_temporaries(self):
         g = Grid((32, 32, 32), 0.25)
         plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g.shape)
@@ -363,13 +391,20 @@ class TestLengthRule:
         assert _close(out.values, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
 
 
-def _plan_state(plan) -> dict:
-    """The arrays a plan keeps, by the names its closure gives them."""
-    return {
-        name: cell.cell_contents
-        for name, cell in zip(plan.__code__.co_freevars, plan.__closure__)
-        if isinstance(cell.cell_contents, np.ndarray)
-    }
+def _plan_state(fn) -> dict:
+    """The arrays a plan keeps, by the names its closure gives them.
+
+    The closures of the stage functions it keeps are walked too, so an
+    array that only a stage reads (the spectrum, in ``forward``) is found.
+    """
+    state = {}
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            state[name] = value
+        elif isinstance(value, types.FunctionType):
+            state.update(_plan_state(value))
+    return state
 
 
 class TestPlan:
