@@ -81,7 +81,13 @@ def lp_norm(f: ScalarField, p: float) -> float:
         return float(np.abs(f.values).max()) if f.values.size else 0.0
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    return float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
+    a = np.abs(f.values)
+    total = float(np.sum(a ** p) * f.grid.cell_volume)
+    m = float(a.max()) if a.size else 0.0
+    if np.finfo(np.float64).tiny <= total < math.inf or not 0.0 < m < math.inf:
+        return total ** (1.0 / p)
+    # Powers outside the normal range lose digits or overflow: scale by the largest value.
+    return m * float(np.sum((a / m) ** p) * f.grid.cell_volume) ** (1.0 / p)
 
 
 def _check_same_grid(f: ScalarField, g: ScalarField) -> None:

@@ -2,6 +2,7 @@ import math
 import threading
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,8 +73,17 @@ class TestNorms:
     @settings(max_examples=40)
     def test_fsum_oracle(self, f):
         got = lp_norm(f, 3.0)
-        want = math.fsum(abs(float(x)) ** 3 * 0.5 for x in f.values) ** (1 / 3)
+        # Exact sum and root: float cubes of values below 1e-103 are subnormal
+        # and would carry only a few digits into the oracle.
+        with mpmath.workprec(200):
+            exact = mpmath.cbrt(mpmath.fsum(abs(mpmath.mpf(float(x))) ** 3 for x in f.values) / 2)
+            want = float(exact)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("x", [3.84261916e-105, 1e-200, 1e200])
+    def test_powers_outside_normal_range(self, x):
+        f = ScalarField(Grid((20,), 0.5), np.full(20, x))
+        assert lp_norm(f, 3.0) == pytest.approx(10 ** (1 / 3) * x, rel=1e-14)
 
     def test_bad_p(self):
         with pytest.raises(ValueError):
