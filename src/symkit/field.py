@@ -77,7 +77,8 @@ class Grid:
         return list(np.meshgrid(*[self.axis_coords(k) for k in range(self.dim)], indexing="ij"))
 
     def radius2(self) -> np.ndarray:
-        """Squared Euclidean distance of every cell center to the origin."""
+        """Squared distance of every cell center to the origin: the exact integer r^2 that
+        ``cell_order`` sorts by, times (h/2)^2.  Every origin-centred profile reads it (D21)."""
         return _radius2(self.shape, self.h)
 
     def half_widths(self) -> tuple[float, ...]:

@@ -29,17 +29,17 @@ def young_constant(s: float) -> float:
         raise ValueError(f"s must be in [1, inf], got {s}")
     if s == 1 or s == math.inf:
         return 1.0
-    sp = s / (s - 1.0)
+    sp = _conjugate(s)
     return math.sqrt(s ** (1.0 / s) / sp ** (1.0 / sp))
+
+
+def _conjugate(s: float) -> float:
+    return s / (s - 1.0)
 
 
 # ----------------------------------------------------------------------------
 # Young: Gaussian equality family
 # ----------------------------------------------------------------------------
-
-
-def _conjugate(s: float) -> float:
-    return s / (s - 1.0)
 
 
 def young_gaussian_triple(
@@ -50,8 +50,9 @@ def young_gaussian_triple(
     The exponents must lie strictly between 1 and inf and satisfy
     1/p + 1/q + 1/r = 2 to 1e-12.  f and h live on the data grid; the middle
     factor g is the convolution kernel, so it lives on the displacement
-    companion of ``grid``.  Raises when any factor keeps more than 1e-10 of
-    its mass outside its box.
+    companion of ``grid``.  |x|^2 is ``Grid.radius2``, so each factor is a
+    fixed point of ``rearrange``.  Raises when any factor keeps more than
+    1e-10 of its mass outside its box.
     """
     for t in (p, q, r):
         if not 1 < t < math.inf:
@@ -64,13 +65,7 @@ def young_gaussian_triple(
         frac = sum(math.erfc(math.sqrt(expo) * half) for half in g_.half_widths())
         if frac > 1e-10:
             raise ValueError(f"box too small: tail mass fraction {frac:.2e} exceeds 1e-10")
-    out = []
-    for g_, expo in specs:
-        quad_form = np.zeros(g_.shape)
-        for c in g_.coords():
-            quad_form += c * c
-        out.append(ScalarField(g_, np.exp(-expo * quad_form)))
-    return tuple(out)
+    return tuple(ScalarField(g_, np.exp(-expo * g_.radius2())) for g_, expo in specs)
 
 
 def young_quotient(
@@ -119,22 +114,20 @@ def _hls_profile(r, lam: float, d: int):
 def hls_optimizer(lam: float, grid: Grid) -> ScalarField:
     """Sample the centered optimizer; rejects boxes keeping more than 0.2 of the L^p mass.
 
+    r^2 is ``Grid.radius2``, so the sample is a fixed point of ``rearrange``.
     The tails are power laws, so at desk resolutions the norm is evaluated
     with the analytic correction from ``hls_norm_tail``.
     """
     d = grid.dim
     if not 0 < lam < d:
-        raise ValueError(f"lambda must be in (0, {d})")
+        raise ValueError(f"lambda must be in (0, {d}), got {lam}")
     frac = hls_norm_tail(grid) / _pnorm_beyond(d, 0.0)
     if frac > 0.2:
         raise ValueError(
             f"tail mass fraction {frac:.3e} exceeds 0.2; "
             "enlarge the box and use the tail correction"
         )
-    r2 = np.zeros(grid.shape)
-    for c in grid.coords():
-        r2 += c**2
-    return ScalarField(grid, _hls_profile(np.sqrt(r2), lam, d))
+    return ScalarField(grid, _hls_profile(np.sqrt(grid.radius2()), lam, d))
 
 
 def _incomplete_beta(x: float, p: float, q: float) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .field import ScalarField
 from .functionals import _fftconvolve_full, _nonzero_extent, fractional_seminorm, gradient_pnorm, riesz_triple
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
+from .random_fields import BumpSum, radial_bump_field
 from .rearrange import bathtub_fill, rearrange
 
 
@@ -164,25 +165,20 @@ def _plateau_radius(u: ScalarField) -> float:
     return math.sqrt(float(r2[top].max()))
 
 
-def _bump(grid, center, radius) -> np.ndarray:
-    coords = grid.coords()
-    r2 = sum((c - x0) ** 2 for c, x0 in zip(coords, center))
-    return np.maximum(1.0 - r2 / radius**2, 0.0) ** 3
-
-
 def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> ContinuityProbeResult:
     """Distances of rearranged perturbations along a shrinking-amplitude ladder.
 
     Perturbations are u_k = u + a_k psi with a_k = 2^(1-k) for k = 1, ..., 8
-    and a fixed bump psi: a smooth compact bump inside the support for ``kind="smooth"``, an
-    oscillatory bump localized on the top plateau (assumed origin centered)
-    for ``kind="plateau"``.  Emits the input distances ||u_k - u|| and the
-    rearranged distances ||u_k* - u*|| in the chosen norm: the W^(1,2)
-    seminorm for ``space="w1p"`` (gradient_pnorm of the difference at p = 2)
-    or the W^(1/2,2) seminorm for ``space="wsp"`` (the square root of
-    the difference's seminorm at s = 1/2, by one ``fractional_seminorm``
-    evaluator for the whole probe).  Raises
-    unless u is nonnegative with a positive value.
+    and a fixed psi of height max u: for ``kind="smooth"`` a one-bump
+    ``BumpSum`` of width R/2 at 0.25 R on axis 0 (R the support radius), for
+    ``kind="plateau"`` a cosine along axis 0 times ``radial_bump_field`` of
+    radius 0.9 times the top plateau's (origin centered).  Emits the
+    input distances ||u_k - u|| and the rearranged distances ||u_k* - u*||
+    in the chosen norm: the W^(1,2) seminorm for ``space="w1p"``
+    (gradient_pnorm of the difference at p = 2) or the W^(1/2,2) seminorm
+    for ``space="wsp"`` (the square root of the difference's seminorm at
+    s = 1/2, by one ``fractional_seminorm`` evaluator for the whole probe).
+    Raises unless u is nonnegative with a positive value.
     """
     if not u.nonneg:
         raise ValueError("u must be nonnegative")
@@ -195,13 +191,13 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     g = u.grid
     if kind == "smooth":
         support_r = math.sqrt(float(g.radius2()[u.values > 0].max()))
-        center = tuple(0.25 * support_r if ax == 0 else 0.0 for ax in range(g.dim))
-        psi = _bump(g, center, 0.5 * support_r) * float(u.values.max())
+        center = np.eye(1, g.dim) * (0.25 * support_r)  # (0.25 R, 0, ..., 0)
+        psi = BumpSum(center, np.array([0.5 * support_r]), np.array([u.values.max()]))(g)
     else:
         rp = _plateau_radius(u)
         if rp <= 0:
             raise ValueError("plateau kind needs a flat top of positive radius")
-        window = _bump(g, tuple(0.0 for _ in range(g.dim)), 0.9 * rp)
+        window = radial_bump_field(g, 0.9 * rp).values
         x0 = g.coords()[0]
         wavelength = max(0.5 * rp, 4 * g.h)
         psi = np.cos(2.0 * math.pi * x0 / wavelength) * window * float(u.values.max())

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from symkit.experiments import unit_area_disk
 from symkit.field import Grid, GridSet, ScalarField, measure
+from symkit.random_fields import plateau_field, radial_bump_field
 from symkit.rearrange import (
     bathtub_fill,
     cell_order,
@@ -87,6 +89,20 @@ class TestRearrange:
         vals = np.exp(-g.radius2())
         f = ScalarField(g, vals)
         assert np.array_equal(rearrange(f).values, vals)
+
+    # the centred builders read Grid.radius2, the r^2 that cell_order sorts by
+    @pytest.mark.parametrize("h", [0.1, 0.3])
+    @pytest.mark.parametrize("shape", [(41,), (21, 21), (11, 11, 11)], ids=["1d", "2d", "3d"])
+    def test_centred_builders_are_fixed_points(self, shape, h):
+        grid = Grid(shape, h)
+        half = min(grid.half_widths())
+        for u in (radial_bump_field(grid, 0.8 * half), plateau_field(grid, 0.3 * half, 0.8 * half)):
+            assert np.array_equal(rearrange(u).values, u.values)
+
+    @pytest.mark.parametrize("h", [1.0 / 40, 0.03, 0.07])
+    def test_unit_area_disk_is_its_own_symmetrization(self, h):
+        disk = unit_area_disk(h)
+        assert np.array_equal(set_symmetrize(disk).mask, disk.mask)
 
     @given(field_strategy((5, 5)))
     @settings(max_examples=50)

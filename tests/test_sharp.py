@@ -89,11 +89,16 @@ class TestGaussianTriple:
             with pytest.raises(ValueError, match="strictly between 1 and inf"):
                 young_gaussian_triple(grid, p, q, r)
 
-    def test_centered_family_is_own_rearrangement(self):
-        grid = Grid((128,), 16.0 / 128)
-        f, g, h = young_gaussian_triple(grid, P, Q, R)
-        assert np.array_equal(rearrange(f).values, f.values)
-        assert np.array_equal(rearrange(g).values, g.values)
+    # the 2-d and 3-d spacings are not dyadic: there a sum of squared
+    # coordinates rounds apart from Grid.radius2 (DECISIONS.md D21)
+    @pytest.mark.parametrize(
+        "shape, h",
+        [((128,), 16.0 / 128), ((80, 80), 0.1), ((45, 45), 0.2), ((21, 21, 21), 0.45)],
+        ids=["1d", "80x80", "45x45", "21x21x21"],
+    )
+    def test_centered_family_is_own_rearrangement(self, shape, h):
+        for u in young_gaussian_triple(Grid(shape, h), P, Q, R):
+            assert np.array_equal(rearrange(u).values, u.values)
 
     def test_box_too_small_rejected(self):
         grid = Grid((16,), 0.25)  # half-width 2: keeps ~erfc(2.8) of the mass out
@@ -171,9 +176,14 @@ class TestHLSConstant:
 
 
 class TestHLSOptimizer:
-    def test_centered_is_own_rearrangement(self):
-        grid = Grid((128,), 64.0 / 128)
-        f = hls_optimizer(0.5, grid)
+    # 8 times the Gaussian test's spacings, no more dyadic than those (D21)
+    @pytest.mark.parametrize(
+        "lam, shape, h",
+        [(0.5, (128,), 64.0 / 128), (1.0, (80, 80), 0.8), (1.0, (45, 45), 1.6), (1.0, (21, 21, 21), 3.6)],
+        ids=["1d", "80x80", "45x45", "21x21x21"],
+    )
+    def test_centered_is_own_rearrangement(self, lam, shape, h):
+        f = hls_optimizer(lam, Grid(shape, h))
         assert np.array_equal(rearrange(f).values, f.values)
 
     def test_tail_corrected_norm_matches_whole_line(self):
