@@ -12,11 +12,15 @@ save, load, rearrange, set_symmetrize and info byte for byte.
 
 The script imports the ``symkit`` of its own tree (``../src``), ahead of
 ``PYTHONPATH`` and any installed copy, and prints that package's directory on
-its first line.  To check a refactor, run each tree's own copy of the script.
+its first line, next to the ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
+it ran under: report bytes hold at a fixed BLAS thread count of 2 or more
+(DECISIONS.md D22).  To check a refactor, run each tree's own copy of the
+script under the same thread settings.
 """
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -54,7 +58,8 @@ def write_field_files(out) -> int:
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "symkit-out"
-    print(f"symkit from {Path(symkit.__file__).parent}")
+    threads = " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"symkit from {Path(symkit.__file__).parent} ({threads})")
     worst = 0
     for verb in VERBS:
         print(f"== symkit {verb} ==")

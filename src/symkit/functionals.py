@@ -82,8 +82,9 @@ def lp_norm(f: ScalarField, p: float) -> float:
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     a = np.abs(f.values)
-    total = float(np.sum(a ** p) * f.grid.cell_volume)
     m = float(a.max()) if a.size else 0.0
+    # m ** p overflows when p log2(m) reaches 1024: decided before any power is taken
+    total = float(np.sum(a ** p) * f.grid.cell_volume) if m == 0.0 or p * math.log2(m) < 1024 else math.inf
     if np.finfo(np.float64).tiny <= total < math.inf or not 0.0 < m < math.inf:
         return total ** (1.0 / p)
     # Powers outside the normal range lose digits or overflow: scale by the largest value.
