@@ -50,7 +50,7 @@ from .random_fields import (
     rng_for,
     sample_bumps,
 )
-from .rearrange import bathtub_fill, cell_order, increasing_rearrangement, rearrange, set_symmetrize
+from .rearrange import _in_cell_order, bathtub_fill, increasing_rearrangement, rearrange, set_symmetrize
 from .report import MONOTONE_NOISE, VERDICT_FAIL, ExperimentReport, digest_inputs, judge
 from .sharp import (
     _incomplete_beta,
@@ -597,13 +597,11 @@ def _asymmetry_audit(seed) -> ExperimentReport:
 def _fractional_isoperimetric() -> ExperimentReport:
     """Fractional isoperimetric deficits: equality case and an elongated block."""
     grid = _grid(2, 24, 4.0 / 24)
-    prefix = np.zeros(grid.ncells, dtype=bool)
-    prefix[cell_order(grid.shape)[:60]] = True
     elong = np.zeros(grid.shape, dtype=bool)
     elong[10:13, 2:22] = True
     eq_def, el_def = (
         fractional_perimeter(A, 0.5) - fractional_perimeter(set_symmetrize(A), 0.5)
-        for A in (GridSet(grid, prefix.reshape(grid.shape)), GridSet(grid, elong))
+        for A in (GridSet(grid, _in_cell_order(grid, np.ones(60, dtype=bool))), GridSet(grid, elong))
     )
     return _judged(ExperimentReport(
         experiment_id="stability-fractional-isoperimetric",

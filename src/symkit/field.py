@@ -79,7 +79,7 @@ class Grid:
     def radius2(self) -> np.ndarray:
         """Squared distance of every cell center to the origin: the exact integer r^2 that
         ``cell_order`` sorts by, times (h/2)^2.  Every origin-centred profile reads it (D21)."""
-        return _radius2(self.shape, self.h)
+        return _int_radius2(self.shape) * (self.h * self.h / 4.0)
 
     def half_widths(self) -> tuple[float, ...]:
         """Physical half-width of the box per axis (box edge, not last center)."""
@@ -90,10 +90,6 @@ def _int_radius2(shape: tuple[int, ...]) -> np.ndarray:
     """Exact integer squared cell-center distances to the origin, in units of (h/2)^2."""
     axes = [(2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2 for n in shape]
     return sum(np.ix_(*axes))
-
-
-def _radius2(shape: tuple[int, ...], h: float) -> np.ndarray:
-    return _int_radius2(shape) * (h * h / 4.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -78,14 +78,14 @@ class JExpansionF:
 def lp_norm(f: ScalarField, p: float) -> float:
     """(sum |f|^p h^d)^(1/p); p = inf gives the max norm."""
     if p == math.inf:
-        return float(np.abs(f.values).max()) if f.values.size else 0.0
+        return float(np.abs(f.values).max())
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     a = np.abs(f.values)
-    m = float(a.max()) if a.size else 0.0
-    # m ** p overflows when p log2(m) reaches 1024: decided before any power is taken
-    total = float(np.sum(a ** p) * f.grid.cell_volume) if m == 0.0 or p * math.log2(m) < 1024 else math.inf
-    if np.finfo(np.float64).tiny <= total < math.inf or not 0.0 < m < math.inf:
+    with np.errstate(over="ignore"):  # an overflowing sum takes the scaled branch below
+        total = float(np.sum(a ** p) * f.grid.cell_volume)
+    m = float(a.max())
+    if np.finfo(np.float64).tiny <= total < math.inf or m == 0.0:
         return total ** (1.0 / p)
     # Powers outside the normal range lose digits or overflow: scale by the largest value.
     return m * float(np.sum((a / m) ** p) * f.grid.cell_volume) ** (1.0 / p)

@@ -2,10 +2,10 @@
 
 The discrete surrogate for nested centered balls is a fixed total order on
 grid cells (``cell_order``): ascending Euclidean distance of the cell center
-to the origin, ties broken by row-major index.  Every operator here is a sort
-into (or a prefix of) that order, which makes equimeasurability, idempotence
-and the commutation identities exact at the value level, not just up to
-discretization error.
+to the origin, ties broken by row-major index.  Every operator here lays a
+sorted run on a prefix of that order through one placement (``_in_cell_order``),
+which makes equimeasurability, idempotence and the commutation identities
+exact at the value level, not just up to discretization error.
 """
 
 from __future__ import annotations
@@ -33,12 +33,17 @@ def cell_order(shape: tuple[int, ...]) -> np.ndarray:
     return order
 
 
+def _in_cell_order(grid: Grid, run: np.ndarray) -> np.ndarray:
+    """``run`` on the first ``run.size`` cells in cell order, 0 on the rest, shaped as ``grid``."""
+    # a run that covers the grid overwrites every cell, so only a shorter one needs zeros
+    out = (np.empty if run.size == grid.ncells else np.zeros)(grid.ncells, dtype=run.dtype)
+    out[cell_order(grid.shape)[: run.size]] = run
+    return out.reshape(grid.shape)
+
+
 def set_symmetrize(A: GridSet) -> GridSet:
     """Centered-ball surrogate: the first count(A) cells in cell order."""
-    order = cell_order(A.grid.shape)
-    mask = np.zeros(A.grid.ncells, dtype=bool)
-    mask[order[: A.count()]] = True
-    return GridSet(A.grid, mask.reshape(A.grid.shape))
+    return GridSet(A.grid, _in_cell_order(A.grid, np.ones(A.count(), dtype=bool)))
 
 
 def rearrange(f: ScalarField) -> ScalarField:
@@ -48,11 +53,8 @@ def rearrange(f: ScalarField) -> ScalarField:
     and for every threshold the superlevel set of the output is the
     symmetrized superlevel set of |f|.
     """
-    order = cell_order(f.grid.shape)
     desc = np.sort(np.abs(f.values).ravel())[::-1]
-    out = np.empty(f.grid.ncells, dtype=np.float64)
-    out[order] = desc
-    return ScalarField(f.grid, out.reshape(f.grid.shape))
+    return ScalarField(f.grid, _in_cell_order(f.grid, desc))
 
 
 def increasing_rearrangement(V: ScalarField, omega: GridSet) -> tuple[ScalarField, GridSet]:
@@ -64,15 +66,10 @@ def increasing_rearrangement(V: ScalarField, omega: GridSet) -> tuple[ScalarFiel
     """
     if V.grid != omega.grid:
         raise ValueError("V and the domain must share a grid")
-    k = omega.count()
-    if k == 0:
+    if omega.count() == 0:
         raise ValueError("domain is empty")
     asc = np.sort(V.values[omega.mask])
-    omega_sym = set_symmetrize(omega)
-    order = cell_order(V.grid.shape)
-    out = np.zeros(V.grid.ncells, dtype=np.float64)
-    out[order[:k]] = asc
-    return ScalarField(V.grid, out.reshape(V.grid.shape)), omega_sym
+    return ScalarField(V.grid, _in_cell_order(V.grid, asc)), set_symmetrize(omega)
 
 
 def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
@@ -84,8 +81,7 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
     """
     if mass < 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
-    vol = grid.cell_volume
-    q = mass / vol
+    q = mass / grid.cell_volume
     if q > grid.ncells * (1 + 1e-12):
         raise ValueError(f"mass {mass} exceeds box volume {grid.box_volume}")
     q = min(q, float(grid.ncells))
@@ -96,10 +92,7 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
     frac = q - k
     if frac <= snap:
         frac = 0.0
-    order = cell_order(grid.shape)
-    out = np.zeros(grid.ncells, dtype=np.float64)
-    out[order[:k]] = 1.0
-    if frac > 0.0:
-        out[order[k]] = frac
-    return ScalarField(grid, out.reshape(grid.shape))
+    run = np.ones(k + (frac > 0.0))
+    run[k:] = frac  # the leftover cell, when there is one
+    return ScalarField(grid, _in_cell_order(grid, run))
 

@@ -80,10 +80,15 @@ class TestNorms:
             want = float(exact)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    @pytest.mark.parametrize("x", [3.84261916e-105, 1e-200, 1e200])
-    def test_powers_outside_normal_range(self, x):
-        f = ScalarField(Grid((20,), 0.5), np.full(20, x))
-        assert lp_norm(f, 3.0) == pytest.approx(10 ** (1 / 3) * x, rel=1e-14)
+    @pytest.mark.parametrize(
+        "x, h, p",
+        [pytest.param(x, 0.5, 3.0, id=str(x)) for x in (3.84261916e-105, 1e-200, 1e200)]
+        # each square is finite, and only their sum overflows
+        + [pytest.param(1e154, 1.0, 2.0, id="1e+154-sum")],
+    )
+    def test_powers_outside_normal_range(self, x, h, p):
+        f = ScalarField(Grid((20,), h), np.full(20, x))
+        assert lp_norm(f, p) == pytest.approx((20 * h) ** (1 / p) * x, rel=1e-14)
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

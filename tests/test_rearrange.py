@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,28 @@ class TestBathtub:
             bathtub_fill(-1.0, g)
         with pytest.raises(ValueError, match="exceeds"):
             bathtub_fill(10.0, g)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_every_operator_lays_its_run_on_a_prefix_of_the_cell_order(data):
+    shape = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple), label="shape")
+    g = Grid(shape, 0.5)  # h^d is a power of two, so q = mass / h^d below is exact
+    order = cell_order(shape)
+    A = GridSet(g, data.draw(arrays(np.bool_, shape), label="A"))
+    assert np.array_equal(set_symmetrize(A).mask, rearrange(A.indicator()).values == 1)
+    # the bathtub fills the first ceil(q) cells (none at q = 0): ones, then the leftover fraction
+    q = data.draw(st.integers(0, 4 * g.ncells), label="4q") / 4
+    n = math.ceil(q)
+    want = np.zeros(g.ncells)
+    want[:n] = 1.0
+    want[n - 1 : n] = q - (n - 1)
+    assert np.array_equal(bathtub_fill(q * g.cell_volume, g).values.ravel()[order], want)
+    omega = A if A.count() else GridSet(g, ~A.mask)
+    V = ScalarField(g, data.draw(arrays(np.float64, shape, elements=finite_vals), label="V"))
+    low, omega_sym = increasing_rearrangement(V, omega)
+    assert np.array_equal(omega_sym.mask, set_symmetrize(omega).mask)
+    assert np.all(low.values[~omega_sym.mask] == 0)
 
 
 class TestTruncate:
