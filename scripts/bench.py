@@ -51,7 +51,8 @@ Cases, each at one fixed size:
   are kept, so BENCH files compare);
 * ``continuity_probe`` of the default 64x64 plateau field of
   ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
-* ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values).
+* ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values), and
+  ``_set`` of a 100x100x100 set (10^6 values, 30% of them 1).
 
 Every case runs in its own freshly spawned interpreter and is timed by the
 same loop: one warm-up call, then R repeats (at least 5) of the case's
@@ -243,13 +244,18 @@ def _probe(tmp):
     return run, 1, {"cells": 64 * 64, "steps": 8}
 
 
-def _field(op):
+def _field(op, kind="field"):
     def setup(tmp):
-        f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(3).standard_normal(MEGA))
-        path = Path(tmp) / f"field_{op}.sk"
+        if kind == "set":  # the audit workload's cube-set: 30% of a 100^3 cube, ten calls a repeat
+            cube, calls = (100, 100, 100), 10
+            f = GridSet(Grid(cube, 0.08), np.random.default_rng(3).random(cube) < 0.3)
+        else:
+            calls = 1
+            f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(3).standard_normal(MEGA))
+        path = Path(tmp) / f"{kind}_{op}.sk"
         save(f, path)
         run = (lambda i: save(f, path)) if op == "save" else (lambda i: load(path))
-        return run, 1, {"values": f.grid.ncells, "bytes": path.stat().st_size}
+        return run, calls, {"values": f.grid.ncells, "bytes": path.stat().st_size}
 
     return setup
 
@@ -279,6 +285,8 @@ CASES = {
     "continuity_probe_64x64.plateau_wsp": _probe,
     "field_save_1e6": _field("save"),
     "field_load_1e6": _field("load"),
+    "field_save_set_1e6": _field("save", "set"),
+    "field_load_set_1e6": _field("load", "set"),
 }
 
 

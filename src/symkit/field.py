@@ -6,6 +6,9 @@ Everything lives on uniform, origin-centered, cell-centered grids in dimension
 (for odd extents a cell center sits exactly at 0).  A field represents a
 function supported in its box; every functional treats it as 0 outside.
 
+Field files stream in fixed chunks (D24); a file the streamed reader does not
+take whole is read again by the per-line loop, which raises at the bad line.
+
 Every object defined here is immutable after construction and safe to share
 between threads, and operations in this package are pure.  The one
 exception in the package is a convolution plan (``functionals``), which
@@ -15,6 +18,7 @@ owns mutable FFT buffers: each thread needs its own.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 _SUPPORTED_DIMS = (1, 2, 3)
 _FIELD_TAG = "SYMKIT-FIELD 1"
 _SET_TAG = "SYMKIT-SET 1"
+_CHUNK = 65_536  # values per write of save, bytes per read of load (D24)
 
 
 class FieldFormatError(ValueError):
@@ -168,18 +173,20 @@ def measure(A: GridSet) -> float:
 
 def save(obj: ScalarField | GridSet, path) -> None:
     """Write a field or set; the round trip through load() is bit-exact."""
-    if isinstance(obj, ScalarField):
-        tag = _FIELD_TAG
-        body = "\n".join(map(repr, obj.values.ravel().tolist()))
-    elif isinstance(obj, GridSet):
-        tag = _SET_TAG
-        body = "\n".join(np.where(obj.mask.ravel(), "1", "0").tolist())
-    else:
+    if not isinstance(obj, (ScalarField, GridSet)):
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
-    g = obj.grid
+    g, tag = obj.grid, _FIELD_TAG if isinstance(obj, ScalarField) else _SET_TAG
     header = "\n".join([tag, str(g.dim), " ".join(str(n) for n in g.shape), repr(g.h)])
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + body + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        if tag == _SET_TAG:  # one "0\n" or "1\n" pair per cell
+            pairs = np.full((g.ncells, 2), ord("\n"), dtype=np.uint8)
+            pairs[:, 0] = obj.mask.ravel().view(np.uint8) + ord("0")
+            fh.write(pairs)
+            return
+        for i in range(0, g.ncells, _CHUNK):
+            chunk = obj.values.ravel()[i : i + _CHUNK].tolist()
+            fh.write(("\n".join(map(repr, chunk)) + "\n").encode())
 
 
 def _parse_header(lines: list[str]):
@@ -216,27 +223,6 @@ def _parse_header(lines: list[str]):
     return tag, grid
 
 
-def _parse_payload(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
-    """The payload values; one vectorized parse, or the per-line loop to name the bad line.
-
-    ``np.array`` hands each ``str`` to ``float()``, which strips surrounding
-    whitespace itself and raises on an empty line, so every token it accepts
-    the loop accepts with the same value.  Any payload the fast path does not
-    accept whole (a blank line, wrong count, a bad token, a non-finite or
-    non-0/1 mask value) goes through ``_parse_payload_loop``, which skips
-    blank lines and raises the ``FieldFormatError``.
-    """
-    if len(lines) == grid.ncells:
-        try:
-            arr = np.array(lines, dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(arr).all() and not (as_mask and ((arr != 0.0) & (arr != 1.0)).any()):
-                return arr.reshape(grid.shape)
-    return _parse_payload_loop(lines, grid, as_mask)
-
-
 def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
     ncells = grid.ncells
     vals = []
@@ -263,8 +249,7 @@ def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarr
             f"cell-count mismatch: expected {ncells} values, got {len(vals)}",
             line=4 + len(lines),
         )
-    arr = np.array(vals, dtype=np.float64).reshape(grid.shape)
-    return arr
+    return np.array(vals, dtype=np.float64)
 
 
 def _split_lines(text: str) -> list[str]:
@@ -292,10 +277,64 @@ def _read_lines(path) -> list[str]:
     return _split_lines(text)
 
 
+def _parse_block(buf: bytes, as_mask: bool) -> np.ndarray | None:
+    """Values of whole ASCII lines without \\r, or None for the per-line loop (D24): "0\\n"/"1\\n"
+    pairs by a byte view, anything else by ``np.array``, which hands each ``str`` to ``float()``."""
+    if not buf.isascii() or b"\r" in buf:
+        return None
+    if as_mask and len(buf) % 2 == 0:
+        pairs = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 2)
+        digits = pairs[:, 0] - ord("0")
+        if (pairs[:, 1] == ord("\n")).all() and (digits <= 1).all():
+            return digits
+    try:
+        arr = np.array(buf.decode().split("\n")[:-1], dtype=np.float64)
+    except ValueError:
+        return None
+    if np.isfinite(arr).all() and not (as_mask and ((arr != 0.0) & (arr != 1.0)).any()):
+        return arr
+    return None
+
+
+def _load_streamed(path):
+    """(tag, grid, flat values) read in blocks of _CHUNK bytes, or None (D24)."""
+    if not os.path.isfile(path):  # a pipe can be read only once: the loop reads it
+        return None
+    with open(path, "rb") as fh:
+        head = [fh.readline() for _ in range(4)]
+        if not all(ln.endswith(b"\n") and ln.isascii() and b"\r" not in ln for ln in head):
+            return None
+        try:
+            tag, grid = _parse_header([ln[:-1].decode() for ln in head])
+        except FieldFormatError:
+            return None
+        # every value takes at least two bytes, the last one at least one
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * grid.ncells - 1:
+            return None
+        as_mask = tag == _SET_TAG
+        values = np.empty(grid.ncells, dtype=bool if as_mask else np.float64)
+        n, tail = 0, b""
+        while block := fh.read(_CHUNK) or (tail and b"\n"):  # a last line may lack its \n
+            buf = tail + block
+            cut = buf.rfind(b"\n") + 1
+            buf, tail = buf[:cut], buf[cut:]
+            part = _parse_block(buf, as_mask)
+            if part is None or n + part.size > values.size:
+                return None
+            values[n : n + part.size] = part
+            n += part.size
+    return (tag, grid, values) if n == values.size else None
+
+
 def load(path) -> ScalarField | GridSet:
     """Load a field or set file, dispatching on its tag."""
-    lines = _read_lines(path)
-    tag, grid = _parse_header(lines)
+    streamed = _load_streamed(path)
+    if streamed is None:  # the per-line loop rereads the file and raises at the bad line
+        lines = _read_lines(path)
+        tag, grid = _parse_header(lines)
+        values = _parse_payload_loop(lines[4:], grid, as_mask=tag == _SET_TAG)
+    else:
+        tag, grid, values = streamed
     if tag == _FIELD_TAG:
-        return ScalarField(grid, _parse_payload(lines[4:], grid, as_mask=False))
-    return GridSet(grid, _parse_payload(lines[4:], grid, as_mask=True).astype(bool))
+        return ScalarField(grid, values.reshape(grid.shape))
+    return GridSet(grid, values.reshape(grid.shape).astype(bool, copy=False))

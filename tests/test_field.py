@@ -1,13 +1,20 @@
+import os
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import symkit.field as field
 from symkit.field import (
     FieldFormatError,
     Grid,
     GridSet,
     ScalarField,
+    _parse_header,
+    _parse_payload_loop,
     _read_lines,
     load,
     measure,
@@ -188,8 +195,30 @@ class TestFieldFile:
         assert str(err.value) == f"line {line}: {message}"
 
 
+def _loop_load(path):
+    """load as the per-line loop reads the whole file: the streamed reader's oracle."""
+    lines = _read_lines(path)
+    tag, grid = _parse_header(lines)
+    values = _parse_payload_loop(lines[4:], grid, as_mask=tag == "SYMKIT-SET 1").reshape(grid.shape)
+    return ScalarField(grid, values) if tag == "SYMKIT-FIELD 1" else GridSet(grid, values.astype(bool))
+
+
+def _bits(obj):
+    """A loaded object's grid and values as int64 bit patterns, a mask as 0.0 and 1.0."""
+    values = obj.mask.astype(np.float64) if isinstance(obj, GridSet) else obj.values
+    return obj.grid, values.ravel().view(np.int64).tolist()
+
+
+def _outcome(read, path):
+    """``_bits`` of what a read returns, or its error message and line."""
+    try:
+        return _bits(read(path))
+    except FieldFormatError as e:
+        return str(e), e.line
+
+
 class TestVectorizedFieldIO:
-    """The vectorized parse and save against the per-value code they replaced."""
+    """The streamed parse and save against the per-value code they replaced."""
 
     _FINITE = st.floats(allow_nan=False, allow_infinity=False)
     _TOKENS = st.one_of(
@@ -201,25 +230,124 @@ class TestVectorizedFieldIO:
     _PADS = st.sampled_from(["", " ", "\t", "\xa0"])
     _LINES = st.tuples(_PADS, _TOKENS, _PADS).map("".join)
 
-    @given(st.integers(1, 6), st.lists(_LINES, max_size=9), st.booleans())
-    @example(ncells=2, lines=["1.5", "", " -2.5\t"], as_mask=False)  # blank line, ncells values
+    @given(
+        st.integers(1, 6),
+        st.lists(_LINES, max_size=9),
+        st.booleans(),
+        st.sampled_from([1, 3, 8, 64, field._CHUNK]),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    )
+    @example(ncells=2, lines=["1.5", "", " -2.5\t"], as_mask=False, chunk=8, end="\n")  # blank line
+    @example(ncells=3, lines=["1", "-0", " 0"], as_mask=True, chunk=3, end="")
     @settings(max_examples=300)
-    def test_parse_matches_per_line_loop(self, ncells, lines, as_mask):
-        from symkit.field import _parse_payload, _parse_payload_loop
+    def test_parse_matches_per_line_loop(self, tmp_path_factory, ncells, lines, as_mask, chunk, end):
+        # whole files through load, read in blocks of `chunk` bytes; `end` is the
+        # last line's ending, and \r\n and \r also end every other line
+        eol = end or "\n"
+        tag = "SYMKIT-SET 1" if as_mask else "SYMKIT-FIELD 1"
+        text = eol.join([tag, "1", str(ncells), "0.5", *lines])
+        p = tmp_path_factory.mktemp("io") / "f.sk"
+        p.write_bytes((text + end).encode())
+        with mock.patch.object(field, "_CHUNK", chunk):
+            assert _outcome(load, p) == _outcome(_loop_load, p)
 
-        grid = Grid((ncells,), 0.5)
+    @staticmethod
+    def _file(path, tag, tokens, eol="\n"):
+        path.write_bytes((eol.join([tag, "1", str(len(tokens)), "0.5", *tokens]) + eol).encode())
+        return path
 
-        def outcome(parse):
-            try:
-                return parse(lines, grid, as_mask).view(np.int64).tolist()
-            except FieldFormatError as e:
-                return str(e), e.line
+    @pytest.mark.parametrize(
+        "tag, fill, bad, message",
+        [
+            ("SYMKIT-FIELD 1", "1.25", "x.25", "unparseable value 'x.25'"),
+            ("SYMKIT-FIELD 1", "1.25", " nan", "non-finite value 'nan'"),
+            ("SYMKIT-SET 1", "1", "0.5", "mask value must be 0 or 1, got '0.5'"),
+            ("SYMKIT-SET 1", "1", "2", "mask value must be 0 or 1, got '2'"),
+        ],
+    )
+    @pytest.mark.parametrize("block", ["second", "last"])
+    def test_errors_in_later_blocks_match_the_loop(self, tmp_path, tag, fill, bad, message, block):
+        # 20-byte reads: the bad token starts in the second read, or is the last line
+        tokens = [fill] * 64
+        index = 20 // (len(fill) + 1) + 1 if block == "second" else len(tokens) - 1
+        tokens[index] = bad
+        p = self._file(tmp_path / "bad.sk", tag, tokens)
+        with mock.patch.object(field, "_CHUNK", 20):
+            assert _outcome(load, p) == _outcome(_loop_load, p) == (f"line {5 + index}: {message}", 5 + index)
 
-        assert outcome(_parse_payload) == outcome(_parse_payload_loop)
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("kind", [ScalarField, GridSet])
+    def test_plain_files_never_reach_the_loop(self, tmp_path, kind, final_newline, monkeypatch):
+        values = np.random.default_rng(6).random(200)
+        obj = kind(Grid((200,), 0.5), values if kind is ScalarField else values < 0.3)
+        p = tmp_path / "a.sk"
+        save(obj, p)
+        if not final_newline:
+            p.write_bytes(p.read_bytes()[:-1])
+        monkeypatch.setattr(field, "_read_lines", None)  # the loop's reader
+        for chunk in (1, 7, 64, field._CHUNK):
+            with mock.patch.object(field, "_CHUNK", chunk):
+                assert _bits(load(p)) == _bits(obj)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    @pytest.mark.parametrize("tag", ["SYMKIT-FIELD 1", "SYMKIT-SET 1"])
+    def test_cr_line_ends_give_the_values_of_the_lf_copy(self, tmp_path, eol, tag):
+        values = np.random.default_rng(7).random(50)
+        tokens = [repr(v) if "FIELD" in tag else str(int(v < 0.3)) for v in values.tolist()]
+        lf = self._file(tmp_path / "lf.sk", tag, tokens)
+        cr = self._file(tmp_path / "cr.sk", tag, tokens, eol)
+        with mock.patch.object(field, "_CHUNK", 16):
+            assert _outcome(load, cr) == _outcome(load, lf) == _outcome(_loop_load, lf)
+
+    @pytest.mark.parametrize(
+        "tag, payload",
+        [
+            ("SYMKIT-FIELD 1", "\u0661\u0662\n2.0\n"),  # Arabic-Indic digits, which float() reads as 12
+            ("SYMKIT-FIELD 1", "\xa01.0\n2.0\n"),
+            ("SYMKIT-FIELD 1", "1_000\n2.0\n"),
+            ("SYMKIT-FIELD 1", "1.0\x00\n2.0\n"),
+            ("SYMKIT-FIELD 1", "1.0\n\n2.0\n"),
+            ("SYMKIT-FIELD 1", "1.0\n2.0"),  # no final newline
+            ("SYMKIT-FIELD 1", "1.0\n\n2.0"),
+            ("SYMKIT-FIELD 1", "1.0\n2.0\n\n\n"),
+            ("SYMKIT-FIELD 1", "1.0\n2.0\n3.0"),
+            ("SYMKIT-SET 1", "1 1\n"),  # two byte pairs, one line
+            ("SYMKIT-SET 1", "10\n"),
+            ("SYMKIT-SET 1", "1\n2.0\n"),
+            ("SYMKIT-SET 1", " 1\n0.0\n"),
+            ("SYMKIT-SET 1", "0\n1"),
+            ("SYMKIT-SET 1", "1\n\n0\n"),
+        ],
+    )
+    def test_unusual_payloads_load_as_the_loop_reads_them(self, tmp_path, tag, payload):
+        header = f"{tag}\n1\n2\n0.5\n"
+        p = tmp_path / "odd.sk"
+        p.write_bytes((header + payload).encode())
+        q = tmp_path / "utf8.sk"  # an invalid UTF-8 byte in the last line
+        last = payload.rstrip("\n").rfind("\n") + 1
+        q.write_bytes((header + payload[:last]).encode() + b"\xff" + payload[last:].encode())
+        for chunk in (1, 4, field._CHUNK):
+            with mock.patch.object(field, "_CHUNK", chunk):
+                assert _outcome(load, p) == _outcome(_loop_load, p)
+                assert _outcome(load, q) == _outcome(_loop_load, q)
+
+    def test_invalid_utf8_outranks_a_header_error_as_in_the_loop(self, tmp_path):
+        p = tmp_path / "h.sk"
+        p.write_bytes(b"SYMKIT-FIELD 1\n1\n2\nabc\n1.0\n\xff\n")
+        assert _outcome(load, p) == _outcome(_loop_load, p) == ("line 6: invalid UTF-8 byte 0xff", 6)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+    def test_a_pipe_is_read_once(self):
+        # the streamed reader would consume the header and leave the loop the rest
+        r, w = os.pipe()
+        try:
+            os.write(w, b"SYMKIT-FIELD 1\n1\n2\n0.5\n1.0\n2.0\n")
+            os.close(w)
+            assert load(f"/dev/fd/{r}").values.tolist() == [1.0, 2.0]
+        finally:
+            os.close(r)
 
     def test_blank_line_payload_loads_as_the_loop_parses(self, tmp_path):
-        from symkit.field import _parse_payload_loop
-
         lines = ["1.5", "", " -2.5\t"]
         p = tmp_path / "blank.sk"
         p.write_text("SYMKIT-FIELD 1\n1\n2\n0.5\n" + "\n".join(lines) + "\n")
@@ -246,7 +374,35 @@ class TestVectorizedFieldIO:
         save(f, path)
         assert path.read_bytes() == self._per_value_bytes(f)
 
+    @pytest.mark.parametrize("n", [7, 8, 9])  # chunk - 1, chunk and chunk + 1 values
+    def test_save_at_chunk_edges_matches_per_value_writer(self, tmp_path, n):
+        values = np.random.default_rng(n).standard_normal(n)
+        for obj in (ScalarField(Grid((n,), 0.3), values), GridSet(Grid((n,), 0.3), values < 0)):
+            with mock.patch.object(field, "_CHUNK", 8):
+                save(obj, tmp_path / "a.sk")
+            assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(obj)
+
     def test_set_save_bytes_match_per_value_writer(self, tmp_path):
         A = GridSet(Grid((5, 4, 3), 0.25), np.random.default_rng(4).random((5, 4, 3)) < 0.5)
         save(A, tmp_path / "a.sk")
         assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(A)
+
+
+def test_streamed_io_runs_in_bounded_memory(tmp_path):
+    # the bounds of DECISIONS.md D24, fixed before the first run: save within
+    # 12 MiB at any value count, load within 8 bytes per value plus 2 MiB
+    f = ScalarField(Grid((500, 500), 0.01), np.random.default_rng(8).standard_normal((500, 500)))
+    path = tmp_path / "f.sk"
+    peaks = []
+    tracemalloc.start()
+    try:
+        for op in (lambda: save(f, path), lambda: load(path)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = op()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.values, f.values)
+    assert peaks[0] <= 12 * 2**20, peaks
+    assert peaks[1] <= 8 * f.grid.ncells + 2 * 2**20, peaks
