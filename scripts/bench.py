@@ -31,11 +31,12 @@ Cases, each at one fixed size:
   freed by ``convolve`` went back to the system and were faulted in again;
   the convolve cases on their own barely show that;
 * ``rearrange`` of a 1000x1000 field (10^6 cells);
-* ``dirichlet_lambda1``: the lowest eigenvalue of the Faber-Krahn disk,
-  ``experiments.unit_area_disk`` at h = 1/64 (4,104 cells in 526 orbits of
-  its symmetries) and at h = 1/128 (16,380 cells in 2,073 orbits), both by
-  the certified banded inverse iteration, and of the Faber-Krahn square,
-  64x64 cells at h = 1/64, which takes the closed form of a box;
+* ``dirichlet_lambda1``, which takes no potential: the lowest eigenvalue of
+  the Faber-Krahn disk, ``experiments.unit_area_disk`` at h = 1/64 (4,104
+  cells in 526 orbits of its symmetries) and at h = 1/128 (16,380 cells in
+  2,073 orbits), both by the certified banded inverse iteration from the
+  shift 0, and of the Faber-Krahn square, 64x64 cells at h = 1/64, which
+  takes the closed form of a box;
 * ``dirichlet_eigenvalues``: the full spectrum of the 64x64 square, which
   takes the closed form, and of ``unit_area_disk`` at h = 1/40 (1,605
   cells), which takes the dense route;
@@ -181,7 +182,7 @@ def _rearrange(tmp):
 def _faber_krahn_disk(h):
     def setup(tmp):
         disk = unit_area_disk(h)
-        return lambda i: dirichlet_lambda1(disk, None), 1, {"cells": disk.count()}
+        return lambda i: dirichlet_lambda1(disk), 1, {"cells": disk.count()}
 
     return setup
 
@@ -193,7 +194,7 @@ def _unit_square():
 
 def _faber_krahn_square(tmp):
     square = _unit_square()
-    return lambda i: dirichlet_lambda1(square, None), 1, {"cells": square.count()}
+    return lambda i: dirichlet_lambda1(square), 1, {"cells": square.count()}
 
 
 def _square_spectrum(tmp):

@@ -25,8 +25,6 @@ from .choquard import choquard_descent, coulomb_potential
 from .field import Grid, GridSet, ScalarField
 from .functionals import (
     BLLSpec,
-    JExpansionF,
-    PowerProfile,
     bll_integral,
     expansion_gaps,
     fractional_perimeter,
@@ -155,14 +153,21 @@ def run_verify(seed: int) -> list[ExperimentReport]:
     return _run([partial(_verify, seed)])
 
 
+# The supermodular forms F(u, v) of verify; "jexp" is j(u) + j(v) - j(|u - v|)
+# for the convex profile j(t) = t^2.
+_VERIFY_FORMS = {
+    "product": np.multiply,
+    "min": np.minimum,
+    "jexp": lambda u, v: u**2.0 + v**2.0 - np.abs(u - v) ** 2.0,
+}
+
+
 def _verify(seed: int) -> list[ExperimentReport]:
     worst: dict[str, float] = {}
 
     def note(name: str, gap: float):
         worst[name] = max(worst.get(name, 0.0), gap)
 
-    profile = PowerProfile(2.0)
-    forms = {"product": np.multiply, "min": np.minimum, "jexp": JExpansionF(profile)}
     for d in (1, 2):
         n = VERIFY_SHAPE[d]
         half = BOX_HALF[d]
@@ -182,11 +187,11 @@ def _verify(seed: int) -> list[ExperimentReport]:
                 note("norm_preservation", abs(_rel_gap(a, b)))
             # the rearrangements only see |f| and |g|
             note("pairing", _rel_gap(pairing(fp, gp), pairing(fstar, gstar)))
-            for fname, form in forms.items():
+            for fname, form in _VERIFY_FORMS.items():
                 lhs = supermodular_pairing(form, fp, gp)
                 note(f"supermodular_{fname}", _rel_gap(lhs, supermodular_pairing(form, fstar, gstar)))
-            diff0, sum0 = expansion_gaps(profile, fp, gp)
-            diff1, sum1 = expansion_gaps(profile, fstar, gstar)
+            diff0, sum0 = expansion_gaps(fp, gp)
+            diff1, sum1 = expansion_gaps(fstar, gstar)
             note("expand_contraction", _rel_gap(diff1, diff0))
             note("expand_expansion", _rel_gap(sum0, sum1))
             for p in (1.5, 3.0):
@@ -461,8 +466,8 @@ def _faber_krahn() -> ExperimentReport:
     n = FABER_KRAHN_N
     h = 1.0 / n
     square = GridSet(Grid((n, n), h), np.ones((n, n), dtype=bool))
-    lam_sq = dirichlet_lambda1(square, None)
-    lam_disk = dirichlet_lambda1(unit_area_disk(h), None)
+    lam_sq = dirichlet_lambda1(square)
+    lam_disk = dirichlet_lambda1(unit_area_disk(h))
     analytic_gap = 2.0 * math.pi**2 - math.pi * J0_FIRST_ZERO * J0_FIRST_ZERO
     return _judged(ExperimentReport(
         experiment_id="spectral-faber-krahn",

@@ -39,48 +39,14 @@ class UnboundedRegionError(ValueError):
 
 
 # ----------------------------------------------------------------------------
-# supermodular forms and convex profiles
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """j(t) = t^p with p >= 1; nonnegative, convex, j(0) = 0."""
-
-    p: float
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"power profile needs p >= 1, got {self.p}")
-
-    def __call__(self, t):
-        return np.asarray(t, dtype=np.float64) ** self.p
-
-
-@dataclass(frozen=True)
-class JExpansionF:
-    """F(u, v) = j(u) + j(v) - j(|u - v|) for a convex profile j."""
-
-    profile: PowerProfile
-
-    def __call__(self, u, v):
-        j = self.profile
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        return j(u) + j(v) - j(np.abs(u - v))
-
-
-# ----------------------------------------------------------------------------
 # norms and pairings
 # ----------------------------------------------------------------------------
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
-    """(sum |f|^p h^d)^(1/p); p = inf gives the max norm."""
-    if p == math.inf:
-        return float(np.abs(f.values).max())
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    """(sum |f|^p h^d)^(1/p) for 0 < p < inf."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be in (0, inf), got {p}")
     a = np.abs(f.values)
     with np.errstate(over="ignore"):  # an overflowing sum takes the scaled branch below
         total = float(np.sum(a ** p) * f.grid.cell_volume)
@@ -110,21 +76,21 @@ def supermodular_pairing(F, f: ScalarField, g: ScalarField) -> float:
     return float(np.sum(F(f.values, g.values))) * f.grid.cell_volume
 
 
-def expansion_gaps(j: PowerProfile, f: ScalarField, g: ScalarField) -> tuple[float, float]:
-    """(sum j(|f-g|) h^d, sum j(f+g) h^d) for nonnegative fields."""
+def expansion_gaps(f: ScalarField, g: ScalarField) -> tuple[float, float]:
+    """(sum |f-g|^2 h^d, sum (f+g)^2 h^d) for nonnegative fields: j(t) = t^2."""
     _check_same_grid(f, g)
     if not (f.nonneg and g.nonneg):
         raise ValueError("expansion gaps require nonnegative fields")
     vol = f.grid.cell_volume
-    diff = float(np.sum(j(np.abs(f.values - g.values)))) * vol
-    summ = float(np.sum(j(f.values + g.values))) * vol
+    diff = float(np.sum(np.abs(f.values - g.values) ** 2.0)) * vol
+    summ = float(np.sum((f.values + g.values) ** 2.0)) * vol
     return diff, summ
 
 
 def hanner_sum(f: ScalarField, g: ScalarField, p: float) -> float:
     """||f - g||_p^p + ||f + g||_p^p; signed fields allowed."""
     _check_same_grid(f, g)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     vol = f.grid.cell_volume
     return float(
@@ -388,12 +354,10 @@ class BLLSpec:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo value with its standard error; reproducible given the seed."""
+    """Monte Carlo value with its standard error."""
 
     value: float
     standard_error: float
-    samples: int
-    seed: int
 
 
 def _support_intervals(fld: ScalarField) -> list[tuple[float, float]] | None:
@@ -472,7 +436,7 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
         raise ValueError("need a positive sample count")
     ranges = _bounding_ranges(spec)
     if ranges is None:
-        return MCEstimate(0.0, 0.0, samples, seed)
+        return MCEstimate(0.0, 0.0)
     ref = spec.fields[0].grid
     h = ref.h
     m = spec.n_variables
@@ -488,7 +452,7 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
             k_lo = math.ceil((lo - h / 2.0 - c0) / h - 1e-12)
             k_hi = math.floor((hi + h / 2.0 - c0) / h + 1e-12)
             if k_hi < k_lo:
-                return MCEstimate(0.0, 0.0, samples, seed)
+                return MCEstimate(0.0, 0.0)
             w.append((k_lo, k_hi, c0))
             vol *= (k_hi - k_lo + 1) * h
         windows.append(w)
@@ -517,7 +481,7 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
     if samples > 1:
         var *= samples / (samples - 1)
     se = math.sqrt(var / samples) * vol
-    return MCEstimate(mean * vol, se, samples, seed)
+    return MCEstimate(mean * vol, se)
 
 
 # ----------------------------------------------------------------------------
@@ -678,17 +642,15 @@ def _forward_diffs(u: ScalarField) -> list[np.ndarray]:
 
 
 def gradient_pnorm(u: ScalarField, p: float) -> float:
-    """L^p norm of |grad u| (forward differences, zero extension); p = inf allowed."""
-    if p != math.inf and p < 1:
-        raise ValueError(f"p must be in [1, inf], got {p}")
+    """L^p norm of |grad u| (forward differences, zero extension), 1 <= p < inf."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be in [1, inf), got {p}")
     return _gradient_pnorm_of(_forward_diffs(u), p, u.grid.cell_volume)
 
 
 def _gradient_pnorm_of(diffs: list[np.ndarray], p: float, vol: float) -> float:
     """``gradient_pnorm`` from the forward differences of u and its cell volume."""
     mag = np.sqrt(sum(dk * dk for dk in diffs))
-    if p == math.inf:
-        return float(mag.max()) if mag.size else 0.0
     return float(np.sum(mag**p) * vol) ** (1.0 / p)
 
 

@@ -47,7 +47,7 @@ class FracKernel:
     def validate(self, dim: int) -> None:
         if not 0 < self.s < 1:
             raise ValueError(f"s must be in (0, 1), got {self.s}")
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
 
 
@@ -100,31 +100,25 @@ def _cell_average_power(lam: float, h: float, z0: tuple[float, ...], subs: int) 
 
 
 def sample_kernel_averaged(lam: float, grid: Grid) -> ScalarField:
-    """Power-law kernel |z|^(-lam) with per-cell averages near the singularity.
+    """Power-law kernel |z|^(-lam) on a 1-d grid, with per-cell averages near the singularity.
 
-    Cells with max-norm index within ``_AVG_RADIUS`` of the origin carry the
-    midpoint-subsampled cell average of |z|^(-lam) instead of the center
-    sample; beyond that the center sample is within O((h/|z|)^2) of the
-    average and is kept.  This quadrature is used where the slow convergence
-    of center sampling against a |z|^(-lam) singularity would dominate the
-    error budget (the sharp-constant quotients)."""
+    Cells within ``_AVG_RADIUS`` of the origin carry the midpoint-subsampled
+    cell average of |z|^(-lam) instead of the center sample; beyond that the
+    center sample is within O((h/|z|)^2) of the average and is kept.  This
+    quadrature is used where the slow convergence of center sampling against
+    a |z|^(-lam) singularity would dominate the error budget (the sharp-constant
+    quotients, which are 1-d)."""
+    if grid.dim != 1:
+        raise ValueError(f"cell-averaged kernels are 1-d, got a {grid.dim}-d grid")
     field = sample_kernel(PowerLaw(lam), grid)
     vals = field.values.copy()
-    d = grid.dim
-    center = tuple(n // 2 for n in grid.shape)
-    span = [
-        range(max(0, c - _AVG_RADIUS), min(n, c + _AVG_RADIUS + 1))
-        for c, n in zip(center, grid.shape)
-    ]
-    subs_regular = {1: 64, 2: 24, 3: 8}[d]
-    # the singular cell needs a much finer rule: midpoint against the
-    # |z|^(-lam) singularity converges only like subs^(-1)
-    subs_singular = {1: 8192, 2: 384, 3: 96}[d]
-    for idx in np.ndindex(*[len(s) for s in span]):
-        cell = tuple(s[i] for s, i in zip(span, idx))
-        subs = subs_singular if cell == center else subs_regular
-        z0 = tuple((cell[k] - center[k]) * grid.h for k in range(d))
-        vals[cell] = _cell_average_power(lam, grid.h, z0, subs)
+    (n,) = grid.shape
+    center = n // 2
+    for cell in range(max(0, center - _AVG_RADIUS), min(n, center + _AVG_RADIUS + 1)):
+        # the singular cell needs a much finer rule: midpoint against the
+        # |z|^(-lam) singularity converges only like subs^(-1)
+        subs = 8192 if cell == center else 64
+        vals[cell] = _cell_average_power(lam, grid.h, ((cell - center) * grid.h,), subs)
     return ScalarField(grid, vals)
 
 

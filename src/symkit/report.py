@@ -42,13 +42,10 @@ class ExperimentReport:
 
 
 def digest_inputs(*parts) -> str:
-    """Stable hash of input scalars, strings, and arrays."""
+    """Stable hash of input scalars and strings, by their reprs."""
     hasher = hashlib.sha256()
     for p in parts:
-        if hasattr(p, "tobytes"):
-            hasher.update(p.tobytes())
-        else:
-            hasher.update(repr(p).encode())
+        hasher.update(repr(p).encode())
     return hasher.hexdigest()[:16]
 
 

@@ -174,9 +174,10 @@ def hls_quotient(
     ``norm_tails`` are additive analytic corrections to ||f||_p^p and
     ||h||_p^p for box-truncated samples of fat-tailed profiles; the double
     integral itself stays box truncated.  The power kernel is quadratured
-    with near-singularity cell averages (``sample_kernel_averaged``); center
-    sampling converges like h^(1/2 + lam/2) against this singularity, too
-    slowly for the sharp-constant tolerances at desk resolutions.
+    with near-singularity cell averages (``sample_kernel_averaged``, 1-d
+    fields only); center sampling converges like h^(1/2 + lam/2) against
+    this singularity, too slowly for the sharp-constant tolerances at desk
+    resolutions.
     """
     d = f.dim
     p = hls_exponent(lam, d)

@@ -5,11 +5,12 @@ mask, with Dirichlet conditions realized by dropping neighbors outside the
 mask.  Its nonzero entries are built once, as (row, column, value) triplets.
 A full box with no potential has a closed-form spectrum, the Kronecker sum
 of 1-d stencil spectra, which serves its lowest eigenvalue as well as all
-of them.  On any other domain the lowest eigenvalue comes from the
-operator on functions constant on the orbits of the grid symmetries
-(DECISIONS.md D11), held block tridiagonal, by inverse iteration that
-returns only a value a Cholesky factorization certifies; a full spectrum
-comes from a dense ``eigvalsh`` of the operator, ``_dense_operator``.
+of them.  The lowest eigenvalue, taken without a potential, comes on any
+other domain from the operator on functions constant on the orbits of the
+grid symmetries (DECISIONS.md D11), held block tridiagonal, by inverse
+iteration that returns only a value a Cholesky factorization certifies; a
+full spectrum, with a potential or none, comes from a dense ``eigvalsh``
+of the operator, ``_dense_operator``.
 Either operator has at most ``DENSE_CELL_CAP`` rows (D3); larger domains
 are rejected, never truncated or sent to another method.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .field import Grid, GridSet, ScalarField, measure
 
 DENSE_CELL_CAP = 5000
-LAMBDA1_RTOL = 1e-10  # certified width of lambda1, relative to lambda1 - shift (D11)
+LAMBDA1_RTOL = 1e-10  # certified width of lambda1, relative to lambda1 (D11)
 LAMBDA1_SLOW = 0.5  # a fall of rho by more than this share of the last one moves the shift (D11)
 LAMBDA1_MAX_ITER = 100  # inverse-iteration steps before the solve raises (D11)
 
@@ -100,8 +101,8 @@ class _BlockTridiagonal(NamedTuple):
         return y.ravel()[: self.n]
 
 
-def _reduced_operator(omega: GridSet, V: ScalarField | None) -> _BlockTridiagonal:
-    """The operator on functions constant on the orbits of the grid symmetries (D11).
+def _reduced_operator(omega: GridSet) -> _BlockTridiagonal:
+    """The V = 0 operator on functions constant on the orbits of the grid symmetries (D11).
 
     Coordinate k is orbit k's indicator over the square root of its size,
     so each triplet is divided by sqrt(|O| |O'|) and those falling on one
@@ -109,10 +110,10 @@ def _reduced_operator(omega: GridSet, V: ScalarField | None) -> _BlockTridiagona
     More than ``DENSE_CELL_CAP`` orbits are rejected before the triplets
     are built.
     """
-    orbit, sizes = _cell_orbits(omega, V)
+    orbit, sizes = _cell_orbits(omega)
     n = sizes.size
     _check_cap(n)
-    rows, cols, data = _dirichlet_triplets(omega, V)
+    rows, cols, data = _dirichlet_triplets(omega, None)
     rows, cols = orbit[rows], orbit[cols]
     weights = data / np.sqrt(sizes[rows] * sizes[cols])
     b = max(1, int(np.abs(rows - cols).max()))
@@ -164,29 +165,29 @@ def _block_solve(factor, r: np.ndarray) -> np.ndarray:
     return np.concatenate(x[::-1])
 
 
-def _certified_lowest(op: _BlockTridiagonal, base: float) -> float:
-    """Lowest eigenvalue of op, certified to ``LAMBDA1_RTOL`` (op - base I) (DECISIONS.md D11).
+def _certified_lowest(op: _BlockTridiagonal) -> float:
+    """Lowest eigenvalue of op, certified to ``LAMBDA1_RTOL`` of itself (DECISIONS.md D11).
 
     Inverse iteration from the all-ones vector with a shift below the
-    spectrum, first ``base``.  The Rayleigh quotient rho is an upper bound;
-    once it stalls (it falls by at most eta = ``LAMBDA1_RTOL`` (rho - base),
-    or by more than ``LAMBDA1_SLOW`` of its previous fall), a Cholesky of
-    op - (rho - eta) I is tried, and if it succeeds no eigenvalue lies below
-    rho - eta and rho is returned.  If it fails, the shift moves up, halfway
-    to the lowest point known not to factor, halving that distance until it
-    factors.  ``LAMBDA1_MAX_ITER`` steps without a certificate raise.
+    spectrum, first 0.  The Rayleigh quotient rho is an upper bound; once it
+    stalls (it falls by at most eta = ``LAMBDA1_RTOL`` rho, or by more than
+    ``LAMBDA1_SLOW`` of its previous fall), a Cholesky of op - (rho - eta) I
+    is tried, and if it succeeds no eigenvalue lies below rho - eta and rho
+    is returned.  If it fails, the shift moves up, halfway to the lowest
+    point known not to factor, halving that distance until it factors.
+    ``LAMBDA1_MAX_ITER`` steps without a certificate raise.
     """
-    factor = _block_cholesky(op, base)
+    factor = _block_cholesky(op, 0.0)
     if factor is None:
-        raise np.linalg.LinAlgError(f"operator minus {base} I does not factor")
-    lo, hi = base, math.inf
+        raise np.linalg.LinAlgError("operator does not factor")
+    lo, hi = 0.0, math.inf
     x = np.ones(op.n)
     rho_prev = fall_prev = math.inf
     for _ in range(LAMBDA1_MAX_ITER):
         x = _block_solve(factor, x)
         x /= np.linalg.norm(x)
         rho = float(x @ op.matvec(x))
-        eta = LAMBDA1_RTOL * (rho - base)
+        eta = LAMBDA1_RTOL * rho
         fall = rho_prev - rho
         stalled = fall <= eta or fall > LAMBDA1_SLOW * fall_prev
         rho_prev, fall_prev = rho, fall
@@ -217,29 +218,26 @@ def _box_eigenvalues(grid: Grid) -> np.ndarray:
     return np.sort(total)
 
 
-def _symmetry_group(omega: GridSet, V: ScalarField | None) -> list[tuple[tuple, tuple]]:
-    """(axis permutation, flipped axes) of every grid symmetry that fixes the mask and V on it.
+def _symmetry_group(omega: GridSet) -> list[tuple[tuple, tuple]]:
+    """(axis permutation, flipped axes) of every grid symmetry that fixes the mask.
 
     The candidates are the axis flips combined with the permutations of axes
-    of equal extent, which map the box onto itself; V outside the mask does
-    not enter the operator and is not compared.
+    of equal extent, which map the box onto itself.
     """
-    shape = omega.grid.shape
-    fields = [omega.mask]
-    if V is not None:
-        fields.append(np.where(omega.mask, V.values, 0.0))
+    mask = omega.mask
+    shape = mask.shape
     group = []
     for perm in itertools.permutations(range(len(shape))):
         if any(shape[p] != n for p, n in zip(perm, shape)):
             continue
         for flips in itertools.product((False, True), repeat=len(shape)):
             axes = tuple(ax for ax, flip in enumerate(flips) if flip)
-            if all(np.array_equal(np.flip(np.transpose(f, perm), axes), f) for f in fields):
+            if np.array_equal(np.flip(np.transpose(mask, perm), axes), mask):
                 group.append((perm, axes))
     return group
 
 
-def _cell_orbits(omega: GridSet, V: ScalarField | None) -> tuple[np.ndarray, np.ndarray]:
+def _cell_orbits(omega: GridSet) -> tuple[np.ndarray, np.ndarray]:
     """Orbit label of each cell of omega (in mask order) and the size of each orbit.
 
     A cell's orbit under the symmetry group is named by the least flat index
@@ -247,29 +245,27 @@ def _cell_orbits(omega: GridSet, V: ScalarField | None) -> tuple[np.ndarray, np.
     """
     idx = np.arange(omega.grid.ncells).reshape(omega.grid.shape)
     least = idx
-    for perm, axes in _symmetry_group(omega, V):
+    for perm, axes in _symmetry_group(omega):
         least = np.minimum(least, np.flip(np.transpose(idx, perm), axes))
     _, orbit, sizes = np.unique(least[omega.mask], return_inverse=True, return_counts=True)
     return orbit, sizes
 
 
-def dirichlet_lambda1(omega: GridSet, V: ScalarField | None) -> float:
-    """Lowest eigenvalue of the Dirichlet stencil Laplacian plus diag(V).
+def dirichlet_lambda1(omega: GridSet) -> float:
+    """Lowest eigenvalue of the Dirichlet stencil Laplacian on the cells of omega.
 
-    A full box with no potential takes the closed form, any other domain
-    the banded operator on the orbits of the grid symmetries that fix the
-    mask and V.  The operator has no positive off-diagonal entry, so its
-    lowest eigenvalue has a nonnegative eigenvector, whose average over the
-    group is a symmetric eigenvector; the restriction therefore keeps it
-    (DECISIONS.md D11).  The value is certified to ``LAMBDA1_RTOL``
-    relative to its distance from the shift min(0, min V), or the call
+    A full box takes the closed form, any other domain the banded operator
+    on the orbits of the grid symmetries that fix the mask.  The operator
+    has no positive off-diagonal entry, so its lowest eigenvalue has a
+    nonnegative eigenvector, whose average over the group is a symmetric
+    eigenvector; the restriction therefore keeps it (DECISIONS.md D11).
+    The value is certified to ``LAMBDA1_RTOL`` of itself, or the call
     raises ``LinAlgError``.  More than ``DENSE_CELL_CAP`` orbits are
     rejected (D3), an empty domain too.
     """
-    if V is None and omega.mask.all():
+    if omega.mask.all():
         return float(_box_eigenvalues(omega.grid)[0])
-    base = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
-    return _certified_lowest(_reduced_operator(omega, V), base)
+    return _certified_lowest(_reduced_operator(omega))
 
 
 def dirichlet_eigenvalues(omega: GridSet, V: ScalarField | None) -> np.ndarray:

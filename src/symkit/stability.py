@@ -123,7 +123,6 @@ class DeficitReport:
     stability normalizer, nan when the asymmetry vanishes.
     """
 
-    value: float
     symmetrized_value: float
     deficit: float
     asym: float
@@ -144,7 +143,7 @@ def ball_kernel_deficit(rho: ScalarField, radius: float) -> DeficitReport:
     deficit = right - left
     denom = mass * mass * asym * asym
     ratio = deficit / denom if denom > 0 else math.nan
-    return DeficitReport(left, right, deficit, asym, ratio)
+    return DeficitReport(right, deficit, asym, ratio)
 
 
 # ----------------------------------------------------------------------------

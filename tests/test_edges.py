@@ -1,12 +1,10 @@
 """Edge paths not covered by the main suites."""
 
-import math
-
 import numpy as np
 import pytest
 
 from symkit.field import Grid, GridSet, ScalarField
-from symkit.functionals import BLLSpec, bll_integral, lp_norm
+from symkit.functionals import BLLSpec, bll_integral
 from symkit.rearrange import bathtub_fill
 
 
@@ -18,12 +16,6 @@ def test_bll_infeasible_region_gives_zero():
     spec = BLLSpec(np.array([[1.0], [1.0]]), (left, right))
     est = bll_integral(spec, 1000, seed=3)
     assert est.value == 0.0 and est.standard_error == 0.0
-
-
-def test_lp_norm_infinity():
-    g = Grid((5,), 0.5)
-    f = ScalarField(g, np.array([1.0, -4.0, 2.0, 0.0, 3.0]))
-    assert lp_norm(f, math.inf) == 4.0
 
 
 def test_bathtub_exactly_full_box():

@@ -208,6 +208,12 @@ class TestHLSOptimizer:
         q = hls_quotient(f, f, 0.5)
         assert 0 < q < hls_constant(0.5, 1)
 
+    def test_quotient_is_1d_only(self):
+        # the cell-averaged kernel has 1-d quadrature rules only
+        f = ScalarField(Grid((9, 9), 0.5), np.ones((9, 9)))
+        with pytest.raises(ValueError, match="cell-averaged kernels are 1-d, got a 2-d grid"):
+            hls_quotient(f, f, 0.5)
+
     def test_quotient_invariances(self):
         grid = Grid((128,), 32.0 / 128)
         x = grid.axis_coords(0)

@@ -5,17 +5,16 @@ assembled cell by cell in this file, independently of ``spectral``, and at
 production size against shift-invert Lanczos (``scipy.sparse.linalg.eigsh``,
 also in this file, on the stencil triplets as a sparse matrix):
 
-* ``dirichlet_lambda1``, the certified banded inverse iteration, on masks
-  symmetrized under a random subgroup of the grid symmetries in 1-3 d,
-  disconnected ones included, with a symmetric V of either sign or none,
-  to ``SPARSE_RTOL`` measured from the shift min(0, min V) below which the
-  spectrum lies; on domains whose two lowest eigenvalues nearly coincide
-  (two intervals of 100 and 101 cells, a dumbbell with a one-cell neck);
-  on the Faber-Krahn disk at h = 1/64 (4,104 cells) and 1/128 (2,073
-  orbits) against Lanczos, the first within a ``tracemalloc`` bound of
-  less than the dense reduced matrix; a domain of more than
-  ``DENSE_CELL_CAP`` orbits is rejected before anything large is
-  allocated, one of more cells but fewer orbits is solved; with the
+* ``dirichlet_lambda1``, the certified banded inverse iteration, which
+  takes no potential, on masks symmetrized under a random subgroup of the
+  grid symmetries in 1-3 d, disconnected ones included, and on masks with
+  no symmetry but the identity, to ``SPARSE_RTOL``; on domains whose two
+  lowest eigenvalues nearly coincide (two intervals of 100 and 101 cells,
+  a dumbbell with a one-cell neck); on the Faber-Krahn disk at h = 1/64
+  (4,104 cells) and 1/128 (2,073 orbits) against Lanczos, the first within
+  a ``tracemalloc`` bound of less than the dense reduced matrix; a domain
+  of more than ``DENSE_CELL_CAP`` orbits is rejected before anything large
+  is allocated, one of more cells but fewer orbits is solved; with the
   iteration cap at one step the call raises rather than return an
   uncertified value;
 * the Lanczos oracle itself against the dense one on random 1-d and 2-d
@@ -25,14 +24,15 @@ also in this file, on the stencil triplets as a sparse matrix):
   bit for bit, and its lowest values match Lanczos to ``SPARSE_RTOL``;
 * the closed-form full spectrum of 1-, 2- and 3-d boxes, to ``BOX_RTOL`` per
   eigenvalue (1.4e-12 was the largest seen on the 64 x 64 square);
-* the capped dense route of ``dirichlet_eigenvalues`` on random masks;
+* the capped dense route of ``dirichlet_eigenvalues`` on random masks, with
+  a potential V of either sign or none;
 * the one dense matrix, with one orbit per cell, against
   ``scipy.sparse.csc_matrix(...).toarray()`` of the same triplets, byte for
   byte, on random 1-d and 2-d masks with V or none;
 * on masks with no grid symmetry but the identity, the banded route's
-  blocks, written out, byte for byte the dense matrix of
+  blocks, written out, byte for byte the dense V = 0 matrix of
   ``dirichlet_eigenvalues``, and ``dirichlet_lambda1`` its first value to
-  ``SPARSE_RTOL`` from the shift.
+  ``SPARSE_RTOL``.
 """
 
 import itertools
@@ -79,39 +79,44 @@ def _dense_oracle(omega, V):
     return np.linalg.eigvalsh(A)
 
 
-def _lanczos_oracle(omega, V, k):
-    """Lowest k < N eigenvalues by ARPACK shift-invert Lanczos.
+def _lanczos_oracle(omega, k):
+    """Lowest k < N eigenvalues of the V = 0 operator by ARPACK shift-invert Lanczos.
 
-    Shift-invert about sigma = min(0, min V on omega), below the whole
-    spectrum, so the k eigenvalues nearest sigma are the lowest k; the start
-    vector is seeded and positive, so that equal pieces of a domain are not
-    kept bitwise equal and their repeated eigenvalues are not missed.
+    Shift-invert about sigma = 0, below the whole spectrum, so the k
+    eigenvalues nearest sigma are the lowest k; the start vector is seeded
+    and positive, so that equal pieces of a domain are not kept bitwise
+    equal and their repeated eigenvalues are not missed.
     """
     from scipy import sparse
     from scipy.sparse.linalg import eigsh
 
     n = omega.count()
-    rows, cols, data = spectral._dirichlet_triplets(omega, V)
+    rows, cols, data = spectral._dirichlet_triplets(omega, None)
     A = sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
-    sigma = 0.0 if V is None else min(0.0, float(V.values[omega.mask].min()))
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-    return np.sort(eigsh(A, k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False))
+    return np.sort(eigsh(A, k, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False))
+
+
+@st.composite
+def _masks(draw):
+    """A small random mask (1-d or 2-d) with at least two cells."""
+    d = draw(st.integers(1, 2))
+    shape = (draw(st.integers(2, (30, 8)[d - 1])),) + (draw(st.integers(1, 8)),) * (d - 1)
+    h = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.floats(0.2, 1.0))
+    if mask.sum() < 2:
+        mask.flat[:2] = True
+    return GridSet(Grid(shape, h), mask)
 
 
 @st.composite
 def _masked_domains(draw):
-    """A small random mask (1-d or 2-d) with at least two cells, and V in [-3, 3] or None."""
-    d = draw(st.integers(1, 2))
-    shape = (draw(st.integers(2, (30, 8)[d - 1])),) + (draw(st.integers(1, 8)),) * (d - 1)
-    h = draw(st.sampled_from([0.05, 0.25, 1.0]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    mask = rng.random(shape) < draw(st.floats(0.2, 1.0))
-    if mask.sum() < 2:
-        mask.flat[:2] = True
-    grid = Grid(shape, h)
-    V = draw(st.sampled_from([None, ScalarField(grid, rng.uniform(-3.0, 3.0, shape))]))
-    return GridSet(grid, mask), V
+    """A mask of ``_masks`` and V in [-3, 3] on its grid, or None."""
+    omega = draw(_masks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = draw(st.sampled_from([None, ScalarField(omega.grid, rng.uniform(-3.0, 3.0, omega.grid.shape))]))
+    return omega, V
 
 
 def _act(a, perm, axes):
@@ -130,12 +135,12 @@ def _symmetrize(a, elements, combine):
 
 
 @st.composite
-def _symmetric_domains(draw):
-    """A random mask in 1-3 d and V in [-3, 3] or None, both fixed by a random subgroup.
+def _symmetric_masks(draw):
+    """A random mask in 1-3 d fixed by a random subgroup.
 
     The subgroup is generated by a few grid symmetries: axis flips and
     permutations of axes of equal extent.  The mask is the union of its
-    images, V the pointwise maximum of its images.
+    images.
     """
     d = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, (24, 10, 5)[d - 1]), min_size=1, max_size=d))
@@ -151,12 +156,7 @@ def _symmetric_domains(draw):
     elements = draw(st.lists(st.sampled_from(candidates), max_size=3))
     mask = rng.random(shape) < draw(st.floats(0.1, 1.0))
     mask.flat[rng.integers(mask.size)] = True
-    mask = _symmetrize(mask, elements, np.logical_or)
-    grid = Grid(shape, h)
-    V = None
-    if draw(st.booleans()):
-        V = ScalarField(grid, _symmetrize(rng.uniform(-3.0, 3.0, shape), elements, np.maximum))
-    return GridSet(grid, mask), V
+    return GridSet(Grid(shape, h), _symmetrize(mask, elements, np.logical_or))
 
 
 def _translated_pieces():
@@ -166,14 +166,14 @@ def _translated_pieces():
         + [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1],
         bool,
     )
-    return GridSet(Grid((mask.size,), 0.25), mask), None
+    return GridSet(Grid((mask.size,), 0.25), mask)
 
 
-def _symmetric_mask_asymmetric_v():
+def _disk_less_one_cell():
     g = Grid((9, 9), 0.25)
-    V = np.zeros(g.shape)
-    V[2, 5] = -40.0  # breaks every symmetry of the disk
-    return GridSet(g, g.radius2() < 1.0), ScalarField(g, V)
+    mask = g.radius2() < 1.0
+    mask[2, 5] = False  # breaks every symmetry of the disk
+    return GridSet(g, mask)
 
 
 def _holed_oblong_box():
@@ -182,21 +182,20 @@ def _holed_oblong_box():
     # it is no symmetry
     mask = np.ones((7, 4), bool)
     mask[0, 0] = mask[6, 3] = False
-    return GridSet(Grid((7, 4), 0.25), mask), None
+    return GridSet(Grid((7, 4), 0.25), mask)
 
 
 def _asymmetric_mask():
     mask = np.zeros((5, 5), bool)
     mask[0, :3] = mask[1, 1:] = mask[3, :2] = True
-    g = Grid((5, 5), 1.0)
-    return GridSet(g, mask), ScalarField(g, np.full((5, 5), -3.0))
+    return GridSet(Grid((5, 5), 1.0), mask)
 
 
 def _two_intervals():
     # lambda_2 / lambda_1 = (102 / 101)^2, about 1.02: no grid symmetry maps
     # one piece onto the other, so the reduction keeps both modes
     mask = np.array([1] * 100 + [0] + [1] * 101, bool)
-    return GridSet(Grid((mask.size,), 0.01), mask), None
+    return GridSet(Grid((mask.size,), 0.01), mask)
 
 
 def _dumbbell():
@@ -206,7 +205,7 @@ def _dumbbell():
     mask[1:11, :10] = mask[1:11, 15:] = True
     mask[4, 10:15] = True
     mask[1, 24] = False
-    return GridSet(Grid(mask.shape, 0.1), mask), None
+    return GridSet(Grid(mask.shape, 0.1), mask)
 
 
 def _expanded(op):
@@ -222,66 +221,65 @@ def _expanded(op):
 
 
 def _one_cell():
-    g = Grid((3, 3, 3), 0.5)
     mask = np.zeros((3, 3, 3), bool)
     mask[1, 1, 1] = True
-    return GridSet(g, mask), ScalarField(g, np.full((3, 3, 3), 1.75))
+    return GridSet(Grid((3, 3, 3), 0.5), mask)
 
 
 class TestDirichletSpectrum:
     def test_interval_matches_path_graph_formula(self):
         # exact lowest eigenvalue of the stencil on n cells: (2/h^2)(1 - cos(pi/(n+1))),
-        # by the closed form (no V) and by the flip-reduced operator (V = 0)
+        # by the closed form (the full box) and by the flip-reduced operator
+        # (the same cells inside a box one cell wider on each side)
         n, h = 40, 1.0 / 40
         want = (2.0 / h**2) * (1 - np.cos(np.pi / (n + 1)))
-        omega = _interval(n, h)
-        for V in (None, ScalarField(omega.grid, np.zeros(n))):
-            assert dirichlet_lambda1(omega, V) == pytest.approx(want, rel=1e-10)
+        inner = np.zeros(n + 2, bool)
+        inner[1:-1] = True
+        for omega in (_interval(n, h), GridSet(Grid((n + 2,), h), inner)):
+            assert dirichlet_lambda1(omega) == pytest.approx(want, rel=1e-10)
 
     def test_interval_approaches_continuum(self):
         n, h = 128, 1.0 / 128
-        lam1 = dirichlet_lambda1(_interval(n, h), None)
+        lam1 = dirichlet_lambda1(_interval(n, h))
         assert lam1 == pytest.approx(math.pi**2, rel=0.03)
 
     def test_single_cell(self):
         g = Grid((5, 5), 0.5)
         m = np.zeros((5, 5), bool)
         m[2, 2] = True
-        V = ScalarField(g, np.full((5, 5), 1.75))
-        got = dirichlet_lambda1(GridSet(g, m), V)
-        assert got == pytest.approx(2 * 2 / 0.25 + 1.75, rel=1e-13)
+        assert dirichlet_lambda1(GridSet(g, m)) == pytest.approx(2 * 2 / 0.25, rel=1e-13)
 
     def test_faber_krahn_smoke(self):
         h = 1.0 / 32
         n = 32
         square = GridSet(Grid((n, n), h), np.ones((n, n), bool))
-        lam_sq = dirichlet_lambda1(square, None)
+        lam_sq = dirichlet_lambda1(square)
         radius = 1.0 / math.sqrt(math.pi)
         m = 44
         dg = Grid((m, m), h)
         disk = GridSet(dg, dg.radius2() < radius**2)
-        lam_disk = dirichlet_lambda1(disk, None)
+        lam_disk = dirichlet_lambda1(disk)
         assert lam_sq > lam_disk
 
     def test_faber_krahn_disk_matches_lanczos(self):
         disk = unit_area_disk(1.0 / 64)
         assert disk.count() == 4104
-        got = dirichlet_lambda1(disk, None)
-        np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=1e-10)
+        got = dirichlet_lambda1(disk)
+        np.testing.assert_allclose(got, _lanczos_oracle(disk, 1)[0], rtol=1e-10)
 
     def test_faber_krahn_disk_at_h128_matches_lanczos(self):
         disk = unit_area_disk(1.0 / 128)
-        assert spectral._cell_orbits(disk, None)[1].size == 2073
-        got = dirichlet_lambda1(disk, None)
-        np.testing.assert_allclose(got, _lanczos_oracle(disk, None, 1)[0], rtol=SPARSE_RTOL)
+        assert spectral._cell_orbits(disk)[1].size == 2073
+        got = dirichlet_lambda1(disk)
+        np.testing.assert_allclose(got, _lanczos_oracle(disk, 1)[0], rtol=SPARSE_RTOL)
 
     def test_faber_krahn_disk_memory_below_dense_matrix(self):
         # the dense reduced route built a 526 x 526 matrix alone of 8 * 526^2 bytes
         disk = unit_area_disk(1.0 / 64)
-        dirichlet_lambda1(disk, None)
+        dirichlet_lambda1(disk)
         tracemalloc.start()
         try:
-            dirichlet_lambda1(disk, None)
+            dirichlet_lambda1(disk)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -289,18 +287,18 @@ class TestDirichletSpectrum:
 
     @pytest.mark.parametrize("case", [_two_intervals, _dumbbell])
     def test_near_degenerate_pair_matches_dense_oracle(self, case):
-        omega, V = case()
-        assert len(spectral._symmetry_group(omega, V)) == 1
-        want = _dense_oracle(omega, V)
+        omega = case()
+        assert len(spectral._symmetry_group(omega)) == 1
+        want = _dense_oracle(omega, None)
         assert want[1] / want[0] < 1.03
-        np.testing.assert_allclose(dirichlet_lambda1(omega, V), want[0], rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(dirichlet_lambda1(omega), want[0], rtol=SPARSE_RTOL)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # one step cannot stall, so no certificate is tried and no value returned
         monkeypatch.setattr(spectral, "LAMBDA1_MAX_ITER", 1)
-        for omega in (unit_area_disk(1.0 / 64), _two_intervals()[0]):
+        for omega in (unit_area_disk(1.0 / 64), _two_intervals()):
             with pytest.raises(np.linalg.LinAlgError, match="not certified in 1 steps"):
-                dirichlet_lambda1(omega, None)
+                dirichlet_lambda1(omega)
 
     def test_j0_first_zero(self):
         from scipy.optimize import brentq
@@ -315,7 +313,7 @@ class TestDirichletSpectrum:
     def test_guards(self):
         g = Grid((4,), 0.5)
         with pytest.raises(ValueError, match="empty"):
-            dirichlet_lambda1(GridSet(g, np.zeros(4, bool)), None)
+            dirichlet_lambda1(GridSet(g, np.zeros(4, bool)))
         big = 72
         holed = np.ones((big, big), bool)
         holed[big // 2, big // 2] = False
@@ -324,20 +322,24 @@ class TestDirichletSpectrum:
             dirichlet_eigenvalues(GridSet(Grid((big, big), 0.1), holed), None)
 
     def test_orbit_cap(self):
-        # 72^2 = 5,184 cells: with V = 0 the square's 8 symmetries leave 666
-        # orbits, and the route solves it; a hole off every symmetry axis
-        # leaves 5,183 orbits, rejected before the dense matrix is allocated
+        # a 72 x 72 square of 5,184 cells inside a 74 x 74 box, so that it is
+        # no full box: the square's 8 symmetries leave 666 orbits, and the
+        # route solves it; a hole off every symmetry axis leaves 5,183
+        # orbits, rejected before the dense matrix is allocated
         big = 72
-        g = Grid((big, big), 0.1)
-        box = GridSet(g, np.ones((big, big), bool))
-        got = dirichlet_lambda1(box, ScalarField(g, np.zeros((big, big))))
-        np.testing.assert_allclose(got, _lanczos_oracle(box, None, 1)[0], rtol=SPARSE_RTOL)
-        holed = box.mask.copy()
-        holed[0, 1] = False
+        g = Grid((big + 2, big + 2), 0.1)
+        inner = np.zeros(g.shape, bool)
+        inner[1:-1, 1:-1] = True
+        square = GridSet(g, inner)
+        assert square.count() == big * big and len(spectral._symmetry_group(square)) == 8
+        got = dirichlet_lambda1(square)
+        np.testing.assert_allclose(got, _lanczos_oracle(square, 1)[0], rtol=SPARSE_RTOL)
+        holed = inner.copy()
+        holed[1, 2] = False
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="5183 cell orbits, dense cap"):
-                dirichlet_lambda1(GridSet(g, holed), None)
+                dirichlet_lambda1(GridSet(g, holed))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,8 +350,8 @@ class TestDirichletSpectrum:
         box = GridSet(Grid((72, 72), 0.1), np.ones((72, 72), bool))
         assert box.count() > DENSE_CELL_CAP
         closed = dirichlet_eigenvalues(box, None)
-        np.testing.assert_allclose(closed[:5], _lanczos_oracle(box, None, 5), rtol=SPARSE_RTOL)
-        assert dirichlet_lambda1(box, None) == closed[0]
+        np.testing.assert_allclose(closed[:5], _lanczos_oracle(box, 5), rtol=SPARSE_RTOL)
+        assert dirichlet_lambda1(box) == closed[0]
 
     @pytest.mark.parametrize(
         "shape, h, k",
@@ -367,58 +369,40 @@ class TestDirichletSpectrum:
         # Lanczos, where ARPACK can run (k < N), checks its lowest k
         box = GridSet(Grid(shape, h), np.ones(shape, bool))
         closed = spectral._box_eigenvalues(box.grid)
-        assert dirichlet_lambda1(box, None) == float(closed[0])
+        assert dirichlet_lambda1(box) == float(closed[0])
         if k < box.count():
-            np.testing.assert_allclose(closed[:k], _lanczos_oracle(box, None, k), rtol=SPARSE_RTOL)
+            np.testing.assert_allclose(closed[:k], _lanczos_oracle(box, k), rtol=SPARSE_RTOL)
 
     @settings(max_examples=300, deadline=None)
-    @given(_symmetric_domains())
+    @given(_symmetric_masks())
     @example(_translated_pieces())
-    @example(_symmetric_mask_asymmetric_v())
+    @example(_disk_less_one_cell())
     @example(_holed_oblong_box())
     @example(_asymmetric_mask())
     @example(_one_cell())
-    def test_lambda1_matches_dense_oracle(self, case):
-        omega, V = case
-        got = dirichlet_lambda1(omega, V)
-        # relative to the shift, below which the whole spectrum lies
-        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
-        want = _dense_oracle(omega, V)[0]
-        np.testing.assert_allclose(got - shift, want - shift, rtol=SPARSE_RTOL)
+    def test_lambda1_matches_dense_oracle(self, omega):
+        np.testing.assert_allclose(dirichlet_lambda1(omega), _dense_oracle(omega, None)[0], rtol=SPARSE_RTOL)
 
     @settings(max_examples=150, deadline=None)
-    @given(_masked_domains(), st.integers(1, 6))
-    def test_sparse_matches_dense(self, case, k):
+    @given(_masks(), st.integers(1, 6))
+    def test_sparse_matches_dense(self, omega, k):
         # the sparse oracle the production-size tests rely on, checked where
         # the dense one can run, and the reduced route against its lowest value
-        omega, V = case
         k = min(k, omega.count() - 1)
-        got = _lanczos_oracle(omega, V, k)
-        # relative to the shift, below which the whole spectrum lies
-        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
-        want = _dense_oracle(omega, V)[:k]
-        np.testing.assert_allclose(got - shift, want - shift, rtol=SPARSE_RTOL)
-        np.testing.assert_allclose(dirichlet_lambda1(omega, V) - shift, got[0] - shift, rtol=SPARSE_RTOL)
+        got = _lanczos_oracle(omega, k)
+        np.testing.assert_allclose(got, _dense_oracle(omega, None)[:k], rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(dirichlet_lambda1(omega), got[0], rtol=SPARSE_RTOL)
 
     def test_repeated_eigenvalues_of_translated_components(self):
         # pieces of equal length repeat eigenvalues; lambda1 is that of the
         # longest piece, 8 cells, and the seeded Lanczos start vector finds
         # every repeated copy below it
-        omega, _ = _translated_pieces()
+        omega = _translated_pieces()
         want = _dense_oracle(omega, None)
-        lam1 = dirichlet_lambda1(omega, None)
+        lam1 = dirichlet_lambda1(omega)
         np.testing.assert_allclose(lam1, want[0], rtol=SPARSE_RTOL)
-        np.testing.assert_allclose(lam1, dirichlet_lambda1(_interval(8, 0.25), None), rtol=SPARSE_RTOL)
-        np.testing.assert_allclose(_lanczos_oracle(omega, None, 6), want[:6], rtol=SPARSE_RTOL)
-
-    def test_negative_potential_gives_lowest_eigenvalues(self):
-        # two cells at h = 1: V = -2.5 gives [[-0.5, -1], [-1, -0.5]] with
-        # eigenvalues -1.5 and 0.5, so the one nearest 0 is not the lowest;
-        # V = -1 gives the singular [[1, -1], [-1, 1]] with eigenvalues 0 and 2
-        omega = _interval(2, 1.0)
-        for v, lowest in ((-2.5, -1.5), (-1.0, 0.0)):
-            got = dirichlet_lambda1(omega, ScalarField(omega.grid, np.full(2, v)))
-            assert got == pytest.approx(lowest, abs=1e-12)
+        np.testing.assert_allclose(lam1, dirichlet_lambda1(_interval(8, 0.25)), rtol=SPARSE_RTOL)
+        np.testing.assert_allclose(_lanczos_oracle(omega, 6), want[:6], rtol=SPARSE_RTOL)
 
 
 class TestFullSpectrum:
@@ -445,20 +429,18 @@ class TestFullSpectrum:
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(_masked_domains())
-    def test_lambda1_without_symmetry_is_the_first_full_eigenvalue(self, case):
+    @given(_masks())
+    def test_lambda1_without_symmetry_is_the_first_full_eigenvalue(self, omega):
         # the identity alone leaves one orbit per cell: the banded route's
-        # blocks hold the full spectrum's matrix, and its certified value is
-        # that matrix's lowest eigenvalue
-        omega, V = case
-        assume(len(spectral._symmetry_group(omega, V)) == 1)
-        dense = spectral._dense_operator(omega, V)
-        blocks = _expanded(spectral._reduced_operator(omega, V))
+        # blocks hold the full spectrum's V = 0 matrix, and its certified
+        # value is that matrix's lowest eigenvalue
+        assume(len(spectral._symmetry_group(omega)) == 1)
+        dense = spectral._dense_operator(omega, None)
+        blocks = _expanded(spectral._reduced_operator(omega))
         assert blocks.dtype == dense.dtype and blocks.shape == dense.shape
         assert blocks.tobytes() == dense.tobytes()
-        shift = 0.0 if V is None else min(0.0, V.values[omega.mask].min())
-        want = dirichlet_eigenvalues(omega, V)[0]
-        np.testing.assert_allclose(dirichlet_lambda1(omega, V) - shift, want - shift, rtol=SPARSE_RTOL)
+        want = dirichlet_eigenvalues(omega, None)[0]
+        np.testing.assert_allclose(dirichlet_lambda1(omega), want, rtol=SPARSE_RTOL)
 
     @settings(max_examples=60, deadline=None)
     @given(_masked_domains())

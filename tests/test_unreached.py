@@ -1,0 +1,40 @@
+"""scripts/unreached.py: its line collector and its table of executable lines, on a small module."""
+
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+unreached = _load("unreached", Path(__file__).resolve().parents[1] / "scripts" / "unreached.py")
+
+SOURCE = """\
+def sign(x):
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+"""
+
+
+def test_collector_sees_lines_run_here_and_in_a_thread_started_while_collecting(tmp_path):
+    path = tmp_path / "small.py"
+    path.write_text(SOURCE)
+    before = sys.gettrace(), threading.gettrace()
+    with unreached.LineCollector(tmp_path) as collector:
+        small = _load("small", path)  # runs line 1, the def
+        small.sign(2)  # lines 2 and 3
+        worker = threading.Thread(target=small.sign, args=(0,))  # lines 2, 4 and 6
+        worker.start()
+        worker.join()
+    assert (sys.gettrace(), threading.gettrace()) == before
+    assert unreached.executable_lines(path) == {1, 2, 3, 4, 5, 6}
+    assert collector.lines == {str(path): {1, 2, 3, 4, 6}}
