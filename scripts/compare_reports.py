@@ -7,9 +7,10 @@ Walks both directories recursively (the layout written by
 ``scripts/run_full_suite.py`` has one subdirectory per verb).  Every file
 must exist on both sides and match byte for byte once the ``"wall_time_s"``
 lines of the report JSONs are dropped; the ``.sk`` field files carry no
-wall time and are compared whole.  Exits 0 when the directories agree, 1
-when they differ (listing each missing or differing file) and 2 on a usage
-error.
+wall time and are compared whole, as is ``threads.txt``, the BLAS thread
+setting of the run, so two runs under different settings differ in that
+file.  Exits 0 when the directories agree, 1 when they differ (listing each
+missing or differing file) and 2 on a usage error.
 """
 
 import sys

@@ -13,9 +13,11 @@ save, load, rearrange, set_symmetrize and info byte for byte.
 The script imports the ``symkit`` of its own tree (``../src``), ahead of
 ``PYTHONPATH`` and any installed copy, and prints that package's directory on
 its first line, next to the ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
-it ran under: report bytes hold at a fixed BLAS thread count of 2 or more
-(DECISIONS.md D22).  To check a refactor, run each tree's own copy of the
-script under the same thread settings.
+it ran under, which it also writes to ``DIR/threads.txt``: report bytes hold at
+a fixed BLAS thread count of 2 or more (DECISIONS.md D22), so
+``scripts/compare_reports.py`` names two runs under different settings as a
+differing ``threads.txt``.  To check a refactor, run each tree's own copy of
+the script under the same thread settings.
 """
 
 import contextlib
@@ -34,6 +36,14 @@ from symkit.experiments import VERBS  # noqa: E402
 from symkit.field import Grid, GridSet, ScalarField, save  # noqa: E402
 
 FILES_SEED = 20260808
+
+
+def write_threads(out) -> str:
+    """Write the BLAS thread variables of this run to ``out/threads.txt``; returns that line."""
+    threads = " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    Path(out).mkdir(parents=True, exist_ok=True)
+    (Path(out) / "threads.txt").write_text(threads + "\n")
+    return threads
 
 
 def write_field_files(out) -> int:
@@ -58,8 +68,7 @@ def write_field_files(out) -> int:
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "symkit-out"
-    threads = " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    print(f"symkit from {Path(symkit.__file__).parent} ({threads})")
+    print(f"symkit from {Path(symkit.__file__).parent} ({write_threads(out)})")
     worst = 0
     for verb in VERBS:
         print(f"== symkit {verb} ==")

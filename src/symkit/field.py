@@ -6,8 +6,9 @@ Everything lives on uniform, origin-centered, cell-centered grids in dimension
 (for odd extents a cell center sits exactly at 0).  A field represents a
 function supported in its box; every functional treats it as 0 outside.
 
-Field files stream in fixed chunks (D24); a file the streamed reader does not
-take whole is read again by the per-line loop, which raises at the bad line.
+Field files stream in fixed chunks (D24).  ``load`` reads every input once, in
+text mode, and a block of lines that the vectorized parse rejects goes to the
+per-line loop, which raises at the bad line.
 
 Every object defined here is immutable after construction and safe to share
 between threads, and operations in this package are pure.  The one
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 _SUPPORTED_DIMS = (1, 2, 3)
 _FIELD_TAG = "SYMKIT-FIELD 1"
 _SET_TAG = "SYMKIT-SET 1"
-_CHUNK = 65_536  # values per write of save, bytes per read of load (D24)
+_CHUNK = 65_536  # values per write of save, characters per read of load (D24)
 
 
 class FieldFormatError(ValueError):
@@ -223,14 +225,15 @@ def _parse_header(lines: list[str]):
     return tag, grid
 
 
-def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
-    ncells = grid.ncells
+def _parse_lines(lines: list[str], line: int, as_mask: bool, count: int, ncells: int) -> np.ndarray:
+    """The values of ``lines``, the first of which is line ``line``, after ``count`` of ``ncells``
+    values: blank lines are skipped and each FieldFormatError is raised at its line."""
     vals = []
     for off, raw in enumerate(lines):
         s = raw.strip()
         if not s:
             continue
-        lineno = 5 + off
+        lineno = line + off
         try:
             v = float(s)
         except ValueError:
@@ -240,101 +243,95 @@ def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarr
         if as_mask and v not in (0.0, 1.0):
             raise FieldFormatError(f"mask value must be 0 or 1, got {s!r}", line=lineno)
         vals.append(v)
-        if len(vals) > ncells:
+        if count + len(vals) > ncells:
             raise FieldFormatError(
                 f"cell-count mismatch: expected {ncells} values, found more", line=lineno
             )
-    if len(vals) != ncells:
-        raise FieldFormatError(
-            f"cell-count mismatch: expected {ncells} values, got {len(vals)}",
-            line=4 + len(lines),
-        )
     return np.array(vals, dtype=np.float64)
 
 
-def _split_lines(text: str) -> list[str]:
-    r"""Lines as text mode reads them: only \n, \r\n and \r end a line.
-
-    ``str.splitlines`` would also split at \x0b, \x0c, \x1c-\x1e, \x85,
-    U+2028 and U+2029, which text mode keeps inside the line.
-    """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _read_lines(path) -> list[str]:
-    """The file's lines, split as in text mode; invalid UTF-8 is a format error."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = len(_split_lines(data[: e.start].decode("utf-8") + "x"))
-        raise FieldFormatError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line=line) from None
-    del data  # the bytes go before the lines are built, as in text mode
-    return _split_lines(text)
-
-
-def _parse_block(buf: bytes, as_mask: bool) -> np.ndarray | None:
-    """Values of whole ASCII lines without \\r, or None for the per-line loop (D24): "0\\n"/"1\\n"
-    pairs by a byte view, anything else by ``np.array``, which hands each ``str`` to ``float()``."""
-    if not buf.isascii() or b"\r" in buf:
-        return None
-    if as_mask and len(buf) % 2 == 0:
-        pairs = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 2)
+def _parse_block(buf: str, line: int, as_mask: bool, count: int, ncells: int) -> tuple[np.ndarray, int]:
+    """The values and the line count of a block of whole lines (D24): "0\\n"/"1\\n" pairs by a
+    byte view, other lines by one ``np.array`` call, which hands each ``str`` to ``float()``; a
+    block that either rejects goes to ``_parse_lines``, which raises at the bad line."""
+    room = ncells - count
+    if as_mask and buf.isascii() and len(buf) % 2 == 0 and len(buf) // 2 <= room:
+        pairs = np.frombuffer(buf.encode(), dtype=np.uint8).reshape(-1, 2)
         digits = pairs[:, 0] - ord("0")
         if (pairs[:, 1] == ord("\n")).all() and (digits <= 1).all():
-            return digits
+            return digits, digits.size
+    lines = buf.split("\n")[:-1]
     try:
-        arr = np.array(buf.decode().split("\n")[:-1], dtype=np.float64)
+        arr = np.array(lines, dtype=np.float64)
     except ValueError:
-        return None
-    if np.isfinite(arr).all() and not (as_mask and ((arr != 0.0) & (arr != 1.0)).any()):
-        return arr
-    return None
+        pass
+    else:
+        mask_ok = not (as_mask and ((arr != 0.0) & (arr != 1.0)).any())
+        if arr.size <= room and np.isfinite(arr).all() and mask_ok:
+            return arr, arr.size
+    return _parse_lines(lines, line, as_mask, count, ncells), len(lines)
 
 
-def _load_streamed(path):
-    """(tag, grid, flat values) read in blocks of _CHUNK bytes, or None (D24)."""
-    if not os.path.isfile(path):  # a pipe can be read only once: the loop reads it
-        return None
-    with open(path, "rb") as fh:
-        head = [fh.readline() for _ in range(4)]
-        if not all(ln.endswith(b"\n") and ln.isascii() and b"\r" not in ln for ln in head):
+def _invalid_utf8(text: str, line: int, fh) -> FieldFormatError | None:
+    """The error of the first byte that is not UTF-8 in ``text``, which starts at line ``line``,
+    or in the rest of ``fh``; None when there is none."""
+    while True:
+        try:  # surrogateescape reads each such byte as a lone surrogate, which cannot encode
+            text.encode()
+        except UnicodeEncodeError as e:
+            line += text.count("\n", 0, e.start)
+            return FieldFormatError(f"invalid UTF-8 byte 0x{ord(text[e.start]) - 0xDC00:02x}", line=line)
+        line += text.count("\n")
+        if not (text := fh.read(_CHUNK)):
             return None
+
+
+def _read_payload(fh, grid: Grid, as_mask: bool) -> np.ndarray:
+    """The flat values after the header, parsed in blocks of _CHUNK characters (D24).
+
+    A regular file large enough to hold them gets the result array up front; a pipe, or a
+    file too small, collects its blocks.  A partial last line is carried to the next block,
+    and a last line without its newline is still a line.
+    """
+    ncells = grid.ncells
+    st = os.fstat(fh.fileno())
+    # every value takes at least two bytes, the last one at least one
+    sized = stat.S_ISREG(st.st_mode) and st.st_size >= 2 * ncells - 1
+    values = np.empty(ncells if sized else 0, dtype=bool if as_mask else np.float64)
+    parts, count, line, tail = [values], 0, 5, ""
+    while block := fh.read(_CHUNK) or (tail and "\n"):
+        buf = tail + block
+        cut = buf.rfind("\n") + 1
+        buf, tail = buf[:cut], buf[cut:]
         try:
-            tag, grid = _parse_header([ln[:-1].decode() for ln in head])
-        except FieldFormatError:
-            return None
-        # every value takes at least two bytes, the last one at least one
-        if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * grid.ncells - 1:
-            return None
-        as_mask = tag == _SET_TAG
-        values = np.empty(grid.ncells, dtype=bool if as_mask else np.float64)
-        n, tail = 0, b""
-        while block := fh.read(_CHUNK) or (tail and b"\n"):  # a last line may lack its \n
-            buf = tail + block
-            cut = buf.rfind(b"\n") + 1
-            buf, tail = buf[:cut], buf[cut:]
-            part = _parse_block(buf, as_mask)
-            if part is None or n + part.size > values.size:
-                return None
-            values[n : n + part.size] = part
-            n += part.size
-    return (tag, grid, values) if n == values.size else None
+            part, nlines = _parse_block(buf, line, as_mask, count, ncells)
+        except FieldFormatError as e:
+            raise _invalid_utf8(buf + tail, line, fh) or e from None
+        if sized:
+            values[count : count + part.size] = part
+        else:
+            parts.append(part)
+        count += part.size
+        line += nlines
+    if count != ncells:
+        raise FieldFormatError(
+            f"cell-count mismatch: expected {ncells} values, got {count}", line=line - 1
+        )
+    return values if sized else np.concatenate(parts)
 
 
 def load(path) -> ScalarField | GridSet:
-    """Load a field or set file, dispatching on its tag."""
-    streamed = _load_streamed(path)
-    if streamed is None:  # the per-line loop rereads the file and raises at the bad line
-        lines = _read_lines(path)
-        tag, grid = _parse_header(lines)
-        values = _parse_payload_loop(lines[4:], grid, as_mask=tag == _SET_TAG)
-    else:
-        tag, grid, values = streamed
+    """Load a field or set file in one pass, dispatching on its tag.
+
+    Text mode decides the line ends; a byte that is not UTF-8 outranks every other error.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        head = [ln for ln in (fh.readline() for _ in range(4)) if ln]
+        try:
+            tag, grid = _parse_header([ln.removesuffix("\n") for ln in head])
+        except FieldFormatError as e:
+            raise _invalid_utf8("".join(head), 1, fh) or e from None
+        values = _read_payload(fh, grid, as_mask=tag == _SET_TAG)
     if tag == _FIELD_TAG:
         return ScalarField(grid, values.reshape(grid.shape))
     return GridSet(grid, values.reshape(grid.shape).astype(bool, copy=False))

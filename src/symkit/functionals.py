@@ -607,7 +607,7 @@ def minkowski_content(A: GridSet, eps: float) -> float:
     integer offsets o with h|o| - h/2 < eps, |o| summed as scipy's EDT sums it.
     """
     g = A.grid
-    if eps < g.h:
+    if not eps >= g.h:
         raise ValueError(f"eps = {eps} is below the grid resolution h = {g.h}")
     if A.count() == 0:
         return 0.0
@@ -678,7 +678,7 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
     sampled and transformed once, here, out to radius max(6 sqrt(t), 3h),
     beyond which the Gaussian tail is negligible at the tolerances used here.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
     radius = max(6.0 * math.sqrt(t), 3.0 * grid.h)
     rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))

@@ -58,7 +58,7 @@ class BallIndicator:
     radius: float
 
     def validate(self, dim: int) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
@@ -69,7 +69,7 @@ class HeatGaussian:
     t: float
 
     def validate(self, dim: int) -> None:
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError(f"time must be positive, got {self.t}")
 
 

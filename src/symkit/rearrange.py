@@ -79,7 +79,7 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
     fraction on the next cell, 0 elsewhere, so the integral equals ``mass``
     up to rounding, however small the mass.
     """
-    if mass < 0:
+    if not mass >= 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
     q = mass / grid.cell_volume
     if q > grid.ncells * (1 + 1e-12):

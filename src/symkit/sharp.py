@@ -25,7 +25,7 @@ from .kernels import displacement_grid, sample_kernel_averaged
 
 def young_constant(s: float) -> float:
     """Sharp one-dimensional Young factor C_s; the theorem constant is (C_p C_q C_r)^d."""
-    if s < 1:
+    if not s >= 1:
         raise ValueError(f"s must be in [1, inf], got {s}")
     if s == 1 or s == math.inf:
         return 1.0

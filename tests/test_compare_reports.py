@@ -87,6 +87,22 @@ def test_field_files_are_reproducible(tmp_path):
     assert compare_reports.compare(a, b) == []
 
 
+def test_runs_under_different_thread_settings_differ(tmp_path, monkeypatch, capsys):
+    run_full_suite = _load_script("run_full_suite")
+    a, b, old = tmp_path / "a", tmp_path / "b", tmp_path / "old"
+    old.mkdir()  # a run by a script that wrote no threads.txt
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert run_full_suite.write_threads(a) == "OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=unset"
+    run_full_suite.write_threads(b)
+    assert compare_reports.compare(a, b) == []
+    assert compare_reports.compare(old, a) == [f"only in {a}: threads.txt"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    run_full_suite.write_threads(b)
+    assert compare_reports.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["differs: threads.txt", "1 files compared, 1 differences"]
+
+
 def test_full_suite_imports_its_own_tree(tmp_path):
     # A decoy package ahead on PYTHONPATH stands for another tree's or an installed symkit.
     decoy = tmp_path / "decoy" / "symkit"

@@ -1,11 +1,15 @@
 """Edge paths not covered by the main suites."""
 
+import math
+
 import numpy as np
 import pytest
 
 from symkit.field import Grid, GridSet, ScalarField
-from symkit.functionals import BLLSpec, bll_integral
+from symkit.functionals import BLLSpec, bll_integral, heat_pairing, minkowski_content
+from symkit.kernels import BallIndicator, HeatGaussian, sample_kernel
 from symkit.rearrange import bathtub_fill
+from symkit.sharp import young_constant
 
 
 def test_bll_infeasible_region_gives_zero():
@@ -30,3 +34,23 @@ def test_gridset_indicator_round_trip():
     ind = A.indicator()
     assert ind.nonneg
     assert ind.integral() == pytest.approx(1.5)
+
+
+_G = Grid((8,), 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: young_constant(x), "s must be in"),
+        (lambda x: sample_kernel(BallIndicator(x), Grid((7,), 0.5)), "radius must be positive"),
+        (lambda x: HeatGaussian(x).validate(1), "time must be positive"),
+        (lambda x: heat_pairing(_G, x), "time must be positive"),
+        (lambda x: bathtub_fill(x, _G), "mass must be nonnegative"),
+        (lambda x: minkowski_content(GridSet(_G, np.arange(8) % 2 == 0), x), "below the grid resolution"),
+    ],
+)
+def test_nan_fails_the_range_check(call, message):
+    # each check is written in positive form, so NaN fails it with its own message
+    with pytest.raises(ValueError, match=message):
+        call(math.nan)

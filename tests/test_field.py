@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from unittest import mock
@@ -14,8 +15,6 @@ from symkit.field import (
     GridSet,
     ScalarField,
     _parse_header,
-    _parse_payload_loop,
-    _read_lines,
     load,
     measure,
     save,
@@ -195,8 +194,66 @@ class TestFieldFile:
         assert str(err.value) == f"line {line}: {message}"
 
 
+# The whole-file reader that load() replaced, kept verbatim as its oracle: it
+# decodes the whole file, splits it into lines and parses them one by one.
+
+
+def _parse_payload_loop(lines: list[str], grid: Grid, as_mask: bool) -> np.ndarray:
+    ncells = grid.ncells
+    vals = []
+    for off, raw in enumerate(lines):
+        s = raw.strip()
+        if not s:
+            continue
+        lineno = 5 + off
+        try:
+            v = float(s)
+        except ValueError:
+            raise FieldFormatError(f"unparseable value {s!r}", line=lineno) from None
+        if not math.isfinite(v):
+            raise FieldFormatError(f"non-finite value {s!r}", line=lineno)
+        if as_mask and v not in (0.0, 1.0):
+            raise FieldFormatError(f"mask value must be 0 or 1, got {s!r}", line=lineno)
+        vals.append(v)
+        if len(vals) > ncells:
+            raise FieldFormatError(
+                f"cell-count mismatch: expected {ncells} values, found more", line=lineno
+            )
+    if len(vals) != ncells:
+        raise FieldFormatError(
+            f"cell-count mismatch: expected {ncells} values, got {len(vals)}",
+            line=4 + len(lines),
+        )
+    return np.array(vals, dtype=np.float64)
+
+
+def _split_lines(text: str) -> list[str]:
+    r"""Lines as text mode reads them: only \n, \r\n and \r end a line.
+
+    ``str.splitlines`` would also split at \x0b, \x0c, \x1c-\x1e, \x85,
+    U+2028 and U+2029, which text mode keeps inside the line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _read_lines(path) -> list[str]:
+    """The file's lines, split as in text mode; invalid UTF-8 is a format error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len(_split_lines(data[: e.start].decode("utf-8") + "x"))
+        raise FieldFormatError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line=line) from None
+    del data  # the bytes go before the lines are built, as in text mode
+    return _split_lines(text)
+
+
 def _loop_load(path):
-    """load as the per-line loop reads the whole file: the streamed reader's oracle."""
+    """load as the per-line loop reads the whole file: the one-pass reader's oracle."""
     lines = _read_lines(path)
     tag, grid = _parse_header(lines)
     values = _parse_payload_loop(lines[4:], grid, as_mask=tag == "SYMKIT-SET 1").reshape(grid.shape)
@@ -225,10 +282,15 @@ class TestVectorizedFieldIO:
         _FINITE.map(repr),
         st.sampled_from(
             ["0", "1", "-0", "0.5", "1.0", "nan", "inf", "-inf", "1e400", "bad", "1_000", "0x10", ""]
+            + ["\u0661\u0662", "\u0661", "1\u00e9", "\u2028"]  # non-ASCII: float() reads \u0661 as 1
         ),
     )
     _PADS = st.sampled_from(["", " ", "\t", "\xa0"])
     _LINES = st.tuples(_PADS, _TOKENS, _PADS).map("".join)
+    # a byte that is not UTF-8: alone, a lead byte without its continuation, a stray continuation
+    _BAD_BYTES = st.none() | st.tuples(
+        st.integers(0, 400), st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82"])
+    )
 
     @given(
         st.integers(1, 6),
@@ -236,18 +298,25 @@ class TestVectorizedFieldIO:
         st.booleans(),
         st.sampled_from([1, 3, 8, 64, field._CHUNK]),
         st.sampled_from(["\n", "\r\n", "\r", ""]),
+        _BAD_BYTES,
     )
-    @example(ncells=2, lines=["1.5", "", " -2.5\t"], as_mask=False, chunk=8, end="\n")  # blank line
-    @example(ncells=3, lines=["1", "-0", " 0"], as_mask=True, chunk=3, end="")
+    @example(ncells=2, lines=["1.5", "", " -2.5\t"], as_mask=False, chunk=8, end="\n", bad=None)  # blank line
+    @example(ncells=3, lines=["1", "-0", " 0"], as_mask=True, chunk=3, end="", bad=None)
+    @example(ncells=2, lines=["\u0661\u0662", "x"], as_mask=False, chunk=64, end="\n", bad=(3, b"\xff"))
+    @example(ncells=1, lines=["1", "0", "1"], as_mask=True, chunk=64, end="\n", bad=None)  # one block overflows
     @settings(max_examples=300)
-    def test_parse_matches_per_line_loop(self, tmp_path_factory, ncells, lines, as_mask, chunk, end):
-        # whole files through load, read in blocks of `chunk` bytes; `end` is the
-        # last line's ending, and \r\n and \r also end every other line
+    def test_parse_matches_per_line_loop(self, tmp_path_factory, ncells, lines, as_mask, chunk, end, bad):
+        # whole files through load, read in blocks of `chunk` characters; `end` is the
+        # last line's ending, and \r\n and \r also end every other line; `bad` puts a
+        # byte that is not UTF-8 at a drawn offset, in the header too
         eol = end or "\n"
         tag = "SYMKIT-SET 1" if as_mask else "SYMKIT-FIELD 1"
-        text = eol.join([tag, "1", str(ncells), "0.5", *lines])
+        data = (eol.join([tag, "1", str(ncells), "0.5", *lines]) + end).encode()
+        if bad is not None:
+            at = bad[0] % (len(data) + 1)
+            data = data[:at] + bad[1] + data[at:]
         p = tmp_path_factory.mktemp("io") / "f.sk"
-        p.write_bytes((text + end).encode())
+        p.write_bytes(data)
         with mock.patch.object(field, "_CHUNK", chunk):
             assert _outcome(load, p) == _outcome(_loop_load, p)
 
@@ -284,7 +353,7 @@ class TestVectorizedFieldIO:
         save(obj, p)
         if not final_newline:
             p.write_bytes(p.read_bytes()[:-1])
-        monkeypatch.setattr(field, "_read_lines", None)  # the loop's reader
+        monkeypatch.setattr(field, "_parse_lines", None)  # the per-line loop
         for chunk in (1, 7, 64, field._CHUNK):
             with mock.patch.object(field, "_CHUNK", chunk):
                 assert _bits(load(p)) == _bits(obj)
@@ -317,6 +386,7 @@ class TestVectorizedFieldIO:
             ("SYMKIT-SET 1", " 1\n0.0\n"),
             ("SYMKIT-SET 1", "0\n1"),
             ("SYMKIT-SET 1", "1\n\n0\n"),
+            ("SYMKIT-SET 1", "1\n0\n1\n"),  # one pair too many
         ],
     )
     def test_unusual_payloads_load_as_the_loop_reads_them(self, tmp_path, tag, payload):
@@ -388,21 +458,53 @@ class TestVectorizedFieldIO:
         assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(A)
 
 
+def _traced(op):
+    """What op() returns or the FieldFormatError it raises, and its tracemalloc peak."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = op()
+    except FieldFormatError as e:
+        out = e
+    return out, tracemalloc.get_traced_memory()[1] - base
+
+
 def test_streamed_io_runs_in_bounded_memory(tmp_path):
     # the bounds of DECISIONS.md D24, fixed before the first run: save within
-    # 12 MiB at any value count, load within 8 bytes per value plus 2 MiB
+    # 12 MiB at any value count, load within 8 bytes per value plus 2 MiB, also
+    # for a copy with \r\n line ends and for one whose last value is bad
     f = ScalarField(Grid((500, 500), 0.01), np.random.default_rng(8).standard_normal((500, 500)))
-    path = tmp_path / "f.sk"
-    peaks = []
+    path, crlf, bad = tmp_path / "f.sk", tmp_path / "crlf.sk", tmp_path / "bad.sk"
     tracemalloc.start()
     try:
-        for op in (lambda: save(f, path), lambda: load(path)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = op()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        _, save_peak = _traced(lambda: save(f, path))
+        data = path.read_bytes()
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        bad.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 1] + b"x\n")
+        del data
+        with mock.patch.object(field, "open", side_effect=open, create=True) as opened:
+            loads = [_traced(lambda p=p: load(p)) for p in (path, crlf, bad)]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out.values, f.values)
-    assert peaks[0] <= 12 * 2**20, peaks
-    assert peaks[1] <= 8 * f.grid.ncells + 2 * 2**20, peaks
+    assert np.array_equal(loads[0][0].values, f.values)
+    assert np.array_equal(loads[1][0].values, f.values)
+    last = 4 + f.grid.ncells
+    assert (str(loads[2][0]), loads[2][0].line) == (f"line {last}: unparseable value 'x'", last)
+    peaks = [save_peak] + [peak for _, peak in loads]
+    assert save_peak <= 12 * 2**20, peaks
+    assert all(peak <= 8 * f.grid.ncells + 2 * 2**20 for _, peak in loads), peaks
+    assert [c.args[0] for c in opened.call_args_list] == [path, crlf, bad]  # one open per load
+
+
+def test_set_loads_into_one_array(tmp_path):
+    # a regular file whose size can hold the header's cell count is read into one
+    # array sized up front: 1 byte per cell of a set, plus 1 MiB for one block
+    A = GridSet(Grid((160, 160, 160), 0.08), np.random.default_rng(9).random((160, 160, 160)) < 0.3)
+    save(A, tmp_path / "a.sk")
+    tracemalloc.start()
+    try:
+        back, peak = _traced(lambda: load(tmp_path / "a.sk"))
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.mask, A.mask)
+    assert peak <= A.grid.ncells + 2**20, peak
