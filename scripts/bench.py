@@ -45,11 +45,9 @@ Cases, each at one fixed size:
   heat-trace ladder on its finest 64x64 rung, drawn as
   ``experiments._heat_trace_pairs`` draws it, and a signed field of
   ``verify`` on its 16x16 grid;
-* the fractional seminorm at s = 1/2, p = 2 on a 64x64 field: ``.direct``
-  times the displacement loop ``functionals._seminorm_direct``, the oracle
-  of the tests, and ``.fft`` times ``fractional_seminorm``'s FFT route,
-  building the evaluator and evaluating it once per call (the case names
-  are kept, so BENCH files compare);
+* the fractional seminorm at s = 1/2, p = 2 on a 64x64 field: ``.fft``
+  times ``fractional_seminorm``, building the evaluator and evaluating it
+  once per call (the case name is kept, so BENCH files compare);
 * ``continuity_probe`` of the default 64x64 plateau field of
   ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
 * ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values), and
@@ -108,7 +106,6 @@ from symkit.functionals import (
     BLLSpec,
     _forward_diffs,
     _kinetic_gradient_of,
-    _seminorm_direct,
     bll_integral,
     convolution_plan,
     convolve,
@@ -231,12 +228,10 @@ def _verify_field(tmp):
     return _bump_case(sample, Grid((16, 16), 0.25), 50)
 
 
-def _seminorm(seminorm, calls):
-    def setup(tmp):
-        u = ScalarField(Grid((64, 64), 4.0 / 64), np.random.default_rng(2).random((64, 64)))
-        return lambda i: seminorm(u), calls, {"cells": 64 * 64}
-
-    return setup
+def _seminorm(tmp):
+    # each call builds the evaluator and evaluates once, as the earlier BENCH files measured
+    u = ScalarField(Grid((64, 64), 4.0 / 64), np.random.default_rng(2).random((64, 64)))
+    return lambda i: fractional_seminorm(u.grid, 0.5)(u), 10, {"cells": 64 * 64}
 
 
 def _probe(tmp):
@@ -280,9 +275,7 @@ CASES = {
     "bll_integral_1e6_samples": _bll,
     "bump_field_64x64.heat_trace_v": _heat_trace_potential,
     "bump_field_16x16.verify": _verify_field,
-    "fractional_seminorm_64x64.direct": _seminorm(lambda u: _seminorm_direct(u, 0.5, 2.0), 1),
-    # each call builds the evaluator and evaluates once, as the earlier BENCH files measured
-    "fractional_seminorm_64x64.fft": _seminorm(lambda u: fractional_seminorm(u.grid, 0.5)(u), 10),
+    "fractional_seminorm_64x64.fft": _seminorm,
     "continuity_probe_64x64.plateau_wsp": _probe,
     "field_save_1e6": _field("save"),
     "field_load_1e6": _field("load"),

@@ -11,19 +11,26 @@ temporary directory by default).  It traces them with ``sys.settrace`` and
 Choquard descent's helper, are traced too.  ``symkit`` is imported only once
 the tracer runs, so module-level lines count.  Then, for each module of
 ``src/symkit``, it prints the executable lines that no verb ran.  A line is
-executable when the compiled module maps an instruction to it.
+executable when the compiled module maps an instruction to it.  Last comes
+the argument census: for each function of ``src/symkit`` that the verbs
+called, its call count and each parameter that got one value over all the
+calls.  Two values count as one when they are the same object, or equal
+hashable values of one type; so a field (unhashable) counts as one only
+when every call passed the same object.  Each resumption of a generator
+counts as a call.
 
 This is the evidence of a D10 round (DECISIONS.md): a line listed here is
-reached by tests at most.  Only frames of ``src/symkit`` are traced, so the
-run takes a few seconds (2.2 s on a 2-core host).  The trace shows which
-lines ran, not with which arguments: a parameter that every call sets to
-one value still needs a look at the calls.
+reached by tests at most, and a parameter listed here is set by tests at
+most to another value.  Only frames of ``src/symkit`` are traced, so the
+run takes a few seconds: 7.6 s on a busy 2-core host, where the line trace
+alone took 6.6 s.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib.util
+import inspect
 import io
 import sys
 import tempfile
@@ -46,24 +53,64 @@ def executable_lines(path) -> set[int]:
     return lines
 
 
+_VARIED = object()  # a parameter that got two values
+
+
+def _same(a, b) -> bool:
+    """Whether two argument values count as one: the same object, or equal hashable values of one type."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    try:
+        hash(a), hash(b)
+    except TypeError:
+        return False
+    return bool(a == b)
+
+
 class LineCollector:
-    """The lines run from files under ``root``, by this thread and by threads started while it collects.
+    """The lines and calls run from files under ``root``, by this thread and by threads started while it collects.
 
     Used as a context manager: ``lines`` maps each file's path, as its code
-    objects name it, to the set of its line numbers that ran.
+    objects name it, to the set of its line numbers that ran; ``calls``
+    counts the calls of each code object, and ``arguments`` maps each one to
+    its parameters, each to the value of its first call, or to ``_VARIED``
+    once a call passed another.
     """
 
     def __init__(self, root):
         self.root = str(root)
         self.lines: dict[str, set[int]] = {}
+        self.calls: dict[types.CodeType, int] = {}
+        self.arguments: dict[types.CodeType, dict[str, object]] = {}
         self._local: dict[types.CodeType, object] = {}
+        self._lock = threading.Lock()
+
+    def _note_call(self, frame):
+        code = frame.f_code
+        nparams = code.co_argcount + code.co_kwonlyargcount
+        nparams += bool(code.co_flags & inspect.CO_VARARGS) + bool(code.co_flags & inspect.CO_VARKEYWORDS)
+        values = frame.f_locals
+        with self._lock:
+            self.calls[code] = self.calls.get(code, 0) + 1
+            first = self.arguments.setdefault(code, {})
+            for name in code.co_varnames[:nparams]:
+                value = values.get(name, _VARIED)
+                if name not in first:
+                    first[name] = value
+                elif first[name] is not _VARIED and not _same(first[name], value):
+                    first[name] = _VARIED
 
     def _trace(self, frame, event, arg):
         code = frame.f_code
         if code in self._local:
+            if self._local[code] is not None:
+                self._note_call(frame)
             return self._local[code]
         local = None
         if code.co_filename.startswith(self.root):
+            self._note_call(frame)
             lines = self.lines.setdefault(code.co_filename, set())
 
             def local(frame, event, arg):
@@ -83,6 +130,26 @@ class LineCollector:
     def __exit__(self, *exc):
         sys.settrace(self._saved[0])
         threading.settrace(self._saved[1])
+
+
+_NOT_FUNCTIONS = {"<module>", "<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def single_valued(path, collector: LineCollector) -> list[str]:
+    """One line per function of the file that ran: its first line, name, calls and one-valued parameters."""
+    out = []
+    codes = [c for c in collector.calls if c.co_filename == str(path) and c.co_name not in _NOT_FUNCTIONS]
+    for code in sorted(codes, key=lambda c: c.co_firstlineno):
+        one = [f"{name}={_short(value)}" for name, value in collector.arguments[code].items() if value is not _VARIED]
+        if one:
+            calls = collector.calls[code]
+            out.append(f"  {code.co_firstlineno}: {code.co_qualname}, {calls} call{'s' * (calls != 1)}: {', '.join(one)}")
+    return out
+
+
+def _short(value, width: int = 40) -> str:
+    text = repr(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 def _run_verbs(out: Path) -> int:
@@ -107,6 +174,12 @@ def main(argv: list[str]) -> int:
         source = path.read_text().splitlines()
         for line in missed:
             print(f"  {line}: {source[line - 1].strip()}")
+    print("parameters that got one value over all calls:")
+    for path in sorted(_PACKAGE.glob("*.py")):
+        lines = single_valued(path, collector)
+        print(f"{path.name}: {len(lines)} functions")
+        for line in lines:
+            print(line)
     return 0
 
 

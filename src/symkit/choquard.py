@@ -47,7 +47,7 @@ _REARRANGE_EVERY = 5
 @dataclass
 class DescentResult:
     energies: list[float] = dc_field(default_factory=list)
-    rearrange_audit: list[tuple[int, float, float]] = dc_field(default_factory=list)
+    rearrange_audit: list[tuple[float, float]] = dc_field(default_factory=list)
     final: ScalarField | None = None
     diverged: bool = False
 
@@ -99,7 +99,7 @@ def choquard_descent(
     ``potential`` is ``coulomb_potential(u0.grid)``, called as
     ``potential(u², helper=ex)``; a caller that runs several descents on
     one grid passes the same plan to each.  The audit
-    list holds (step, energy before, energy after) for every
+    list holds (energy before, energy after) for every
     rearrangement, and ``energies`` the post-step energies.  Divergence
     (a non-finite step, norm or energy) aborts with ``diverged`` set; after
     a non-finite step or norm ``final`` is the last finite iterate.
@@ -123,6 +123,9 @@ def choquard_descent(
     """
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
+    # polishing follows the main phase, and the run ends on a rearrangement
+    if not (steps >= 1 and polish_steps >= 0):
+        raise ValueError(f"need steps >= 1 and polish_steps >= 0, got {steps} and {polish_steps}")
     # imported here: concurrent.futures loads logging, which no other verb needs
     from concurrent.futures import ThreadPoolExecutor
 
@@ -173,7 +176,7 @@ def choquard_descent(
                 u = rearrange(ScalarField(grid, u)).values
                 u = _l2_normalize(u, vol)
                 energy, phi, kgrad = energy_and_potential(u)
-                result.rearrange_audit.append((step, before, energy))
+                result.rearrange_audit.append((before, energy))
             else:
                 energy, phi, kgrad = energy_and_potential(u)
             result.energies.append(energy)

@@ -26,7 +26,6 @@ from .field import Grid, GridSet, ScalarField
 from .functionals import (
     BLLSpec,
     bll_integral,
-    expansion_gaps,
     fractional_perimeter,
     fractional_seminorm,
     gradient_pnorm,
@@ -153,12 +152,15 @@ def run_verify(seed: int) -> list[ExperimentReport]:
     return _run([partial(_verify, seed)])
 
 
-# The supermodular forms F(u, v) of verify; "jexp" is j(u) + j(v) - j(|u - v|)
-# for the convex profile j(t) = t^2.
+# The pairings sum F(f, g) h^d of verify, by report name, each with whether F
+# is supermodular: rearranging raises such a pairing, and lowers that of
+# j(|u - v|) for the convex profile j(t) = t^2.  "jexp" is j(u) + j(v) - j(|u - v|).
 _VERIFY_FORMS = {
-    "product": np.multiply,
-    "min": np.minimum,
-    "jexp": lambda u, v: u**2.0 + v**2.0 - np.abs(u - v) ** 2.0,
+    "supermodular_product": (np.multiply, True),
+    "supermodular_min": (np.minimum, True),
+    "supermodular_jexp": (lambda u, v: u**2.0 + v**2.0 - np.abs(u - v) ** 2.0, True),
+    "expand_expansion": (lambda u, v: (u + v) ** 2.0, True),
+    "expand_contraction": (lambda u, v: np.abs(u - v) ** 2.0, False),
 }
 
 
@@ -187,19 +189,16 @@ def _verify(seed: int) -> list[ExperimentReport]:
                 note("norm_preservation", abs(_rel_gap(a, b)))
             # the rearrangements only see |f| and |g|
             note("pairing", _rel_gap(pairing(fp, gp), pairing(fstar, gstar)))
-            for fname, form in _VERIFY_FORMS.items():
-                lhs = supermodular_pairing(form, fp, gp)
-                note(f"supermodular_{fname}", _rel_gap(lhs, supermodular_pairing(form, fstar, gstar)))
-            diff0, sum0 = expansion_gaps(fp, gp)
-            diff1, sum1 = expansion_gaps(fstar, gstar)
-            note("expand_contraction", _rel_gap(diff1, diff0))
-            note("expand_expansion", _rel_gap(sum0, sum1))
+            for name, (form, supermodular) in _VERIFY_FORMS.items():
+                before = supermodular_pairing(form, fp, gp)
+                after = supermodular_pairing(form, fstar, gstar)
+                note(name, _rel_gap(before, after) if supermodular else _rel_gap(after, before))
             for p in (1.5, 3.0):
-                dm0 = lp_norm(f.with_values(f.values - g.values), p)
-                dm1 = lp_norm(f.with_values(fstar.values - gstar.values), p)
+                dm0 = lp_norm(ScalarField(grid, f.values - g.values), p)
+                dm1 = lp_norm(ScalarField(grid, fstar.values - gstar.values), p)
                 note("nonexpansive_minus", _rel_gap(dm1, dm0))
-                sp0 = lp_norm(f.with_values(f.values + g.values), p)
-                sp1 = lp_norm(f.with_values(fstar.values + gstar.values), p)
+                sp0 = lp_norm(ScalarField(grid, f.values + g.values), p)
+                sp1 = lp_norm(ScalarField(grid, fstar.values + gstar.values), p)
                 note("nonexpansive_plus", _rel_gap(sp0, sp1))
             h_lo0, h_lo1 = hanner_sum(f, g, 1.5), hanner_sum(fstar, gstar, 1.5)
             note("hanner_low", _rel_gap(h_lo1, h_lo0))
@@ -684,7 +683,7 @@ def _choquard(seed: int) -> ExperimentReport:
     energies, early = result.energies, result.energies[:51]
     scale = max(1.0, max(abs(e) for e in energies))
     slack = 1e-8 * scale
-    post = [after for _, _, after in result.rearrange_audit]
+    post = [after for _, after in result.rearrange_audit]
     rep = _judged(ExperimentReport(
         experiment_id="choquard-descent",
         inputs_digest=digest_inputs(seed, "choquard", n, steps),
@@ -692,7 +691,7 @@ def _choquard(seed: int) -> ExperimentReport:
             "final_energy": energies[-1],
             "strictly_decreasing_first50": float(all(b < a for a, b in zip(early, early[1:]))),
             "symmetric_sequence_nonincreasing": float(all(b <= a + slack for a, b in zip(post, post[1:]))),
-            "worst_sort_cost": max((after - before for _, before, after in result.rearrange_audit), default=0.0),
+            "worst_sort_cost": max((after - before for before, after in result.rearrange_audit), default=0.0),
             "fixed_point": float(np.array_equal(rearrange(result.final).values, result.final.values)),
             "restart_max_step_change": max(abs(b - a) for a, b in zip(restart, restart[1:])),
         },

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    @property
-    def box_volume(self) -> float:
-        return self.ncells * self.cell_volume
-
     def axis_coords(self, k: int) -> np.ndarray:
         """Cell-center coordinates along axis k."""
         n = self.shape[k]
@@ -111,7 +107,6 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    nonneg: bool = dc_field(init=False)  # computed from the values
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -120,7 +115,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "nonneg", bool(v.min() >= 0.0) if v.size else True)
 
     @property
     def h(self) -> float:
@@ -129,9 +123,6 @@ class ScalarField:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
     def integral(self) -> float:
         return float(self.values.sum()) * self.grid.cell_volume

@@ -71,20 +71,9 @@ def pairing(f: ScalarField, g: ScalarField) -> float:
 def supermodular_pairing(F, f: ScalarField, g: ScalarField) -> float:
     """sum F(f_i, g_i) h^d for nonnegative fields; F maps two value arrays to one."""
     _check_same_grid(f, g)
-    if not (f.nonneg and g.nonneg):
+    if f.values.min() < 0.0 or g.values.min() < 0.0:
         raise ValueError("supermodular pairing requires nonnegative fields")
     return float(np.sum(F(f.values, g.values))) * f.grid.cell_volume
-
-
-def expansion_gaps(f: ScalarField, g: ScalarField) -> tuple[float, float]:
-    """(sum |f-g|^2 h^d, sum (f+g)^2 h^d) for nonnegative fields: j(t) = t^2."""
-    _check_same_grid(f, g)
-    if not (f.nonneg and g.nonneg):
-        raise ValueError("expansion gaps require nonnegative fields")
-    vol = f.grid.cell_volume
-    diff = float(np.sum(np.abs(f.values - g.values) ** 2.0)) * vol
-    summ = float(np.sum((f.values + g.values) ** 2.0)) * vol
-    return diff, summ
 
 
 def hanner_sum(f: ScalarField, g: ScalarField, p: float) -> float:
@@ -347,10 +336,6 @@ class BLLSpec:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "fields", tuple(self.fields))
 
-    @property
-    def n_variables(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -439,7 +424,7 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
         return MCEstimate(0.0, 0.0)
     ref = spec.fields[0].grid
     h = ref.h
-    m = spec.n_variables
+    m = spec.coeffs.shape[1]
     d = ref.dim
     # lattice index windows per (variable, axis); centers c(k) = c0 + k h
     windows = []
@@ -489,33 +474,6 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
 # ----------------------------------------------------------------------------
 
 
-def _displacement_iter(shape: tuple[int, ...]):
-    """Half of the nonzero displacement vectors (first nonzero component > 0)."""
-    ranges = [range(-(n - 1), n) for n in shape]
-    ranges[0] = range(0, shape[0])
-    for mvec in np.ndindex(*[len(r) for r in ranges]):
-        m = tuple(r[i] for r, i in zip(ranges, mvec))
-        if all(c == 0 for c in m):
-            continue
-        if m[0] == 0 and next((c for c in m if c != 0), 0) < 0:
-            continue
-        yield m
-
-
-def _shifted_views(a: np.ndarray, m: tuple[int, ...]):
-    """Views (a restricted, a shifted by m restricted) over the overlap."""
-    src = []
-    dst = []
-    for n, c in zip(a.shape, m):
-        if c >= 0:
-            src.append(slice(0, n - c))
-            dst.append(slice(c, n))
-        else:
-            src.append(slice(-c, n))
-            dst.append(slice(0, n + c))
-    return a[tuple(src)], a[tuple(dst)]
-
-
 def fractional_seminorm(grid: Grid, s: float) -> Callable[[ScalarField], float]:
     """The discrete W^(s,2) seminorm squared on fields of ``grid``, as one evaluator.
 
@@ -526,8 +484,8 @@ def fractional_seminorm(grid: Grid, s: float) -> Callable[[ScalarField], float]:
     (DECISIONS.md D12).  Its rounding error therefore scales with scale =
     2 sum_i u_i^2 srow_i h^d, not with the result: a result within 1e-13
     scale of 0 is rounding and returns 0.0, and a lower one raises
-    ``FloatingPointError``, since the sum is nonnegative.  The tests keep
-    ``_seminorm_direct``, the loop over displacements, as its oracle.
+    ``FloatingPointError``, since the sum is nonnegative.  The tests'
+    ``conftest.py`` keeps its oracle, the loop over displacements.
     """
     plan = convolution_plan(sample_kernel(FracKernel(s, 2.0), displacement_grid(grid)), grid.shape)
     srow = plan(ScalarField(grid, np.ones(grid.shape))).values
@@ -543,21 +501,6 @@ def fractional_seminorm(grid: Grid, s: float) -> Callable[[ScalarField], float]:
         raise FloatingPointError(f"fft seminorm {total!r} lies below its rounding scale {scale!r}")
 
     return seminorm
-
-
-def _seminorm_direct(u: ScalarField, s: float, p: float) -> float:
-    """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d), by a loop over displacements.
-
-    At p = 2 this is ``fractional_seminorm``'s sum; the tests keep it as that
-    evaluator's oracle.
-    """
-    expo = -(u.dim + s * p)
-    total = 0.0
-    for m in _displacement_iter(u.grid.shape):
-        a, b = _shifted_views(u.values, m)
-        w = (math.sqrt(sum(c * c for c in m)) * u.h) ** expo
-        total += 2.0 * w * float(np.sum(np.abs(a - b) ** p))
-    return total * u.grid.cell_volume ** 2
 
 
 def unit_ball_volume(d: int) -> float:
@@ -689,7 +632,7 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
 def riesz_energy(rho: ScalarField, lam: float) -> float:
     """Interaction energy of rho against |x - y|^(-lam)."""
     PowerLaw(lam).validate(rho.dim)
-    if not rho.nonneg:
+    if rho.values.min() < 0.0:
         raise ValueError("riesz energy requires a nonnegative density")
     kfield = sample_kernel(PowerLaw(lam), displacement_grid(rho.grid))
     return riesz_triple(rho, kfield, rho)

@@ -102,6 +102,8 @@ def bump_field(sample: BumpSum, grid: Grid, nonneg: bool = False) -> ScalarField
 
 
 def bump_mask(sample: BumpSum, grid: Grid, threshold: float = 0.15) -> GridSet:
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     vals = np.abs(sample(grid))
     mask = vals > threshold
     if not mask.any():

@@ -83,7 +83,7 @@ def bathtub_fill(mass: float, grid: Grid) -> ScalarField:
         raise ValueError(f"mass must be nonnegative, got {mass}")
     q = mass / grid.cell_volume
     if q > grid.ncells * (1 + 1e-12):
-        raise ValueError(f"mass {mass} exceeds box volume {grid.box_volume}")
+        raise ValueError(f"mass {mass} exceeds box volume {grid.ncells * grid.cell_volume}")
     q = min(q, float(grid.ncells))
     # q = mass / h^d carries the rounding of that division: within a few ulps
     # of a whole number it is whole, and no mass is too small to be kept

@@ -291,7 +291,7 @@ def heat_perimeter_estimate(omega: GridSet, t_list) -> float:
     The trace is that of the V = 0 spectrum, ``dirichlet_eigenvalues(omega, None)``.
     """
     t_arr = np.asarray(list(t_list), dtype=np.float64)
-    if t_arr.size < 2 or np.any(t_arr <= 0):
+    if not (t_arr.size >= 2 and np.all(t_arr > 0)):
         raise ValueError("need at least two positive times")
     d = omega.grid.dim
     vol = measure(omega)

@@ -179,7 +179,7 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     s = 1/2, by one ``fractional_seminorm`` evaluator for the whole probe).
     Raises unless u is nonnegative with a positive value.
     """
-    if not u.nonneg:
+    if u.values.min() < 0.0:
         raise ValueError("u must be nonnegative")
     if not u.values.max() > 0:
         raise ValueError("u must have a positive value")

@@ -26,7 +26,6 @@ CASE_NAMES = [
     "bll_integral_1e6_samples",
     "bump_field_64x64.heat_trace_v",
     "bump_field_16x16.verify",
-    "fractional_seminorm_64x64.direct",
     "fractional_seminorm_64x64.fft",
     "continuity_probe_64x64.plateau_wsp",
     "field_save_1e6",

@@ -21,10 +21,8 @@ from symkit.functionals import (
     _bounding_ranges,
     _forward_diffs,
     _kinetic_gradient_of,
-    _seminorm_direct,
     bll_integral,
     convolve,
-    expansion_gaps,
     fractional_perimeter,
     fractional_seminorm,
     gradient_pnorm,
@@ -167,9 +165,11 @@ class TestSupermodular:
     @settings(max_examples=100)
     def test_rectangle_inequality(self, u1, du, v1, dv):
         u2, v2 = u1 + du, v1 + dv
-        for F in experiments._VERIFY_FORMS.values():
+        for F, supermodular in experiments._VERIFY_FORMS.values():
             lhs = F(u2, v2) + F(u1, v1)
             rhs = F(u2, v1) + F(u1, v2)
+            if not supermodular:
+                lhs, rhs = rhs, lhs
             assert lhs >= rhs - 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_requires_nonnegative(self):
@@ -177,6 +177,12 @@ class TestSupermodular:
         f = ScalarField(g, np.array([-1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             supermodular_pairing(np.minimum, f, f)
+
+
+def expansion_gaps(f, g):
+    """verify's expansion pair: (sum |f-g|^2 h^d, sum (f+g)^2 h^d)."""
+    forms = experiments._VERIFY_FORMS
+    return tuple(supermodular_pairing(forms[name][0], f, g) for name in ("expand_contraction", "expand_expansion"))
 
 
 class TestExpansionGaps:
@@ -487,12 +493,12 @@ class TestFractionalSeminorm:
             f = ScalarField(Grid(shape, 0.5), np.full(shape, 3.0))
             assert fractional_seminorm(f.grid, 0.5)(f) == 0.0, shape
 
-    def test_indicator_vs_double_loop(self):
+    def test_indicator_vs_double_loop(self, seminorm_direct):
         g = Grid((10,), 0.5)
         mask = np.zeros(10)
         mask[3:6] = 1.0
         u = ScalarField(g, mask)
-        val = _seminorm_direct(u, 0.5, 1.0)
+        val = seminorm_direct(u, 0.5, 1.0)
         x = g.axis_coords(0)
         acc = 0.0
         for i in range(10):
@@ -501,10 +507,10 @@ class TestFractionalSeminorm:
                     acc += abs(x[i] - x[j]) ** (-1 - 0.5) * 0.25
         assert val == pytest.approx(2 * acc, rel=1e-12)
 
-    def test_fft_equals_direct(self):
+    def test_fft_equals_direct(self, seminorm_direct):
         rng = np.random.default_rng(8)
         u = ScalarField(Grid((9, 7), 0.4), rng.random((9, 7)))
-        a = _seminorm_direct(u, 0.3, 2.0)
+        a = seminorm_direct(u, 0.3, 2.0)
         b = fractional_seminorm(u.grid, 0.3)(u)
         assert a == pytest.approx(b, rel=1e-11)
 
@@ -519,7 +525,7 @@ class TestFractionalSeminorm:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fft_matches_direct_at_cancellation_scale(self, shape, h, s, kind, eps, seed):
+    def test_fft_matches_direct_at_cancellation_scale(self, seminorm_direct, shape, h, s, kind, eps, seed):
         # the fft route returns 2 (sum_i u_i^2 srow_i h^d - cross): its rounding
         # error scales with the first term, which a nearly constant field or a
         # difference of close fields cancels almost entirely
@@ -531,7 +537,7 @@ class TestFractionalSeminorm:
         kfield = sample_kernel(FracKernel(s, 2.0), displacement_grid(grid))
         srow = convolve(kfield, ScalarField(grid, np.ones(shape))).values
         scale = 2.0 * float(np.sum(u.values**2 * srow)) * grid.cell_volume
-        direct = _seminorm_direct(u, s, 2.0)
+        direct = seminorm_direct(u, s, 2.0)
         fft = fractional_seminorm(grid, s)(u)
         assert abs(fft - direct) <= 1e-13 * scale
 
@@ -890,6 +896,14 @@ class TestEnergies:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
             choquard_descent(ScalarField(g, np.full(g.shape, 1e200)), coulomb_potential(g), steps=1)
 
+    @pytest.mark.parametrize("steps, polish_steps", [(0, 0), (0, 5), (1, -1)])
+    def test_choquard_needs_a_main_step(self, steps, polish_steps):
+        # polishing follows the main phase, and the run ends on a rearrangement
+        g = Grid((4, 4, 4), 0.5)
+        u0 = ScalarField(g, np.random.default_rng(4).random(g.shape))
+        with pytest.raises(ValueError, match="steps >= 1"):
+            choquard_descent(u0, coulomb_potential(g), steps=steps, polish_steps=polish_steps)
+
     def test_choquard_shares_differences_between_energy_and_step(self, monkeypatch):
         # the descent without shared differences: each iterate is differenced
         # twice, once for its energy and once for its step
@@ -916,7 +930,7 @@ class TestEnergies:
                     before, _ = energy(u)
                     u = normalize(rearrange(ScalarField(grid, u)).values)
                     e, phi = energy(u)
-                    audit.append((step, before, e))
+                    audit.append((before, e))
                 else:
                     e, phi = energy(u)
                 energies.append(e)

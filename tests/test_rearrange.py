@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import symkit.rearrange as rearrange_module
 from symkit.experiments import unit_area_disk
 from symkit.field import Grid, GridSet, ScalarField, measure
 from symkit.random_fields import plateau_field, radial_bump_field
@@ -230,7 +232,7 @@ class TestBathtub:
     @settings(max_examples=200)
     def test_integral_is_mass_down_to_tiny_masses(self, shape, h, t, e):
         g = Grid(shape, h)
-        mass = t * 10.0**e * g.box_volume
+        mass = t * 10.0**e * g.ncells * g.cell_volume
         out = bathtub_fill(mass, g)
         # one rounding each in mass / h^d, the sum and the product with h^d,
         # and the snap of q within 4 eps q of a whole cell count
@@ -272,6 +274,110 @@ class TestTruncate:
     def test_commutes_with_rearrange_exactly(self, f, eps, cap):
         # min((|v| - eps)_+, cap) is a nondecreasing function of |v|
         cut = np.minimum(np.maximum(np.abs(f.values) - eps, 0.0), cap)
-        a = rearrange(f.with_values(cut)).values
+        a = rearrange(ScalarField(f.grid, cut)).values
         b = np.minimum(np.maximum(np.abs(rearrange(f).values) - eps, 0.0), cap)
         assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------------
+# Polarization (ROADMAP item 20): a symmetric decreasing field, and a ball
+# surrogate, are fixed by every polarization that maps the lattice to itself
+# (Baernstein and Taylor, Duke Math. J. 43 (1976); Brock and Solynin, Trans.
+# Amer. Math. Soc. 352 (2000)).
+# ----------------------------------------------------------------------------
+
+
+def admissible_reflections(shape):
+    """Each reflection i -> A i + b of the cell indices that a polarization may use, as (A, b).
+
+    On every axis i_k -> m - i_k, and on every two axes of equal extent the
+    diagonals (i_j, i_k) -> (i_k + m, i_j - m) and (m - i_k, m - i_j); m runs
+    over every offset that pairs two cells of the box.
+    """
+    d = len(shape)
+    eye = np.eye(d, dtype=np.int64)
+    out = []
+    for k, n in enumerate(shape):
+        flip = eye.copy()
+        flip[k, k] = -1
+        out += [(flip, m * eye[k]) for m in range(2 * n - 1)]
+    for j, k in itertools.combinations(range(d), 2):
+        if shape[j] == shape[k]:
+            n = shape[j]
+            swap = eye.copy()
+            swap[[j, k]] = swap[[k, j]]
+            anti = swap.copy()
+            anti[[j, k]] *= -1
+            out += [(swap, m * (eye[j] - eye[k])) for m in range(1 - n, n)]
+            out += [(anti, m * (eye[j] + eye[k])) for m in range(2 * n - 1)]
+    return out
+
+
+def polarize(u, reflection):
+    """``u`` polarized by a reflection of ``admissible_reflections``.
+
+    Of each two cells of the box that the reflection swaps, the one of smaller
+    integer r^2 = sum_k (2 i_k - (n_k - 1))^2 takes the larger value and the
+    other the smaller; a pair at equal r^2 stays as it is.  A cell whose image
+    leaves the box keeps its value: that image lies farther out, where the
+    field is 0, and the values polarized here are nonnegative.
+    """
+    a, b = reflection
+    cells = np.indices(u.shape).reshape(u.ndim, -1)
+    image = a @ cells + b[:, None]
+    inside = np.all((image >= 0) & (image < np.array(u.shape)[:, None]), axis=0)
+    mine, theirs = tuple(cells[:, inside]), tuple(image[:, inside])
+    r2 = sum(np.ix_(*[(2 * np.arange(n) - (n - 1)) ** 2 for n in u.shape]))
+    closer, farther = r2[theirs] < r2[mine], r2[theirs] > r2[mine]
+    out = u.copy()
+    out[mine] = np.where(closer, np.minimum(u[mine], u[theirs]), np.where(farther, np.maximum(u[mine], u[theirs]), u[mine]))
+    return out
+
+
+def moved_by_a_polarization(values, mask):
+    """Which of ``rearrange`` of ``values`` and ``set_symmetrize`` of ``mask`` some admissible polarization moves."""
+    grid = Grid(values.shape, 1.0)
+    outputs = {
+        "rearrange": rearrange_module.rearrange(ScalarField(grid, values)).values,
+        "set_symmetrize": rearrange_module.set_symmetrize(GridSet(grid, mask)).mask,
+    }
+    reflections = admissible_reflections(values.shape)
+    return [name for name, out in outputs.items() if any(not np.array_equal(polarize(out, r), out) for r in reflections)]
+
+
+@st.composite
+def _polarization_cases(draw):
+    """(values, mask) on a 2-d or 3-d box; half the boxes have equal extents, and values tie often."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 9 if d == 2 else 5), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        shape = (shape[0],) * d
+    values = draw(arrays(np.float64, shape, elements=finite_vals | st.sampled_from([0.0, 1.0, -1.0])))
+    return values, draw(arrays(np.bool_, shape))
+
+
+@given(_polarization_cases())
+@settings(max_examples=80, deadline=None)
+def test_every_admissible_polarization_fixes_rearrange_and_set_symmetrize(case):
+    assert moved_by_a_polarization(*case) == []
+
+
+def _reversed_cell_order(real):
+    def mutant(shape):
+        order = real(shape)[::-1].copy()
+        order.setflags(write=False)
+        return order
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", ["identity rearrange", "reversed cell_order"])
+def test_a_polarization_moves_a_mutant(mutant, monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [(rng.random(shape), rng.random(shape) < 0.4) for shape in [(6, 6), (5, 8), (4, 4, 4), (3, 4, 5)]]
+    assert all(moved_by_a_polarization(*case) == [] for case in cases)
+    if mutant == "identity rearrange":
+        monkeypatch.setattr(rearrange_module, "rearrange", lambda f: f)
+    else:
+        monkeypatch.setattr(rearrange_module, "cell_order", _reversed_cell_order(rearrange_module.cell_order))
+    assert all(moved_by_a_polarization(*case) for case in cases)

@@ -242,11 +242,10 @@ class TestContinuityProbe:
         res = continuity_probe(u, "plateau", space="w1p")
         assert res.distances[-1] <= 0.2 * res.distances[0]
 
-    def test_wsp_distances_match_direct_route(self, monkeypatch):
+    def test_wsp_distances_match_direct_route(self, monkeypatch, seminorm_direct):
         # the default probe fields of `probe-continuity`; the probes take the
         # fft route at p = 2 and the direct loop is the oracle
         import symkit.stability as stab
-        from symkit.functionals import _seminorm_direct
 
         g = Grid((64, 64), 4.0 / 64)
         fields = {"smooth": radial_bump_field(g, radius=1.2), "plateau": plateau_field(g, 0.7, 1.4)}
@@ -255,7 +254,7 @@ class TestContinuityProbe:
 
         def direct(u):
             direct_calls.append(1)
-            return _seminorm_direct(u, 0.5, 2.0)
+            return seminorm_direct(u, 0.5, 2.0)
 
         monkeypatch.setattr(stab, "fractional_seminorm", lambda grid, s: direct)
         for kind, u in fields.items():

@@ -38,3 +38,18 @@ def test_collector_sees_lines_run_here_and_in_a_thread_started_while_collecting(
     assert (sys.gettrace(), threading.gettrace()) == before
     assert unreached.executable_lines(path) == {1, 2, 3, 4, 5, 6}
     assert collector.lines == {str(path): {1, 2, 3, 4, 6}}
+
+
+def test_census_lists_each_parameter_that_got_one_value(tmp_path):
+    path = tmp_path / "small.py"
+    path.write_text(SOURCE)
+    with unreached.LineCollector(tmp_path) as collector:
+        small = _load("small", path)  # the module's own code is no function
+        small.sign(2)
+        small.sign(2)
+    assert unreached.single_valued(path, collector) == ["  1: sign, 2 calls: x=2"]
+    with unreached.LineCollector(tmp_path) as collector:
+        small = _load("small", path)
+        small.sign(2)
+        small.sign(2.0)  # equal, but of another type
+    assert unreached.single_valued(path, collector) == []
