@@ -22,7 +22,7 @@ Cases, each at one fixed size:
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
-  descent calls them), and ``gradient_pnorm`` at p = 2;
+  descent calls them), and ``gradient_pnorm``;
 * ``choquard_descent`` of a 32x32x32 Gaussian for 10 steps, with the
   ``coulomb_potential`` plan built inside the timed call: the kernel's
   sampling and transform, then 13 convolutions between the stencils and two
@@ -45,7 +45,7 @@ Cases, each at one fixed size:
   heat-trace ladder on its finest 64x64 rung, drawn as
   ``experiments._heat_trace_pairs`` draws it, and a signed field of
   ``verify`` on its 16x16 grid;
-* the fractional seminorm at s = 1/2, p = 2 on a 64x64 field: ``.fft``
+* the fractional seminorm (W^(1/2,2)) on a 64x64 field: ``.fft``
   times ``fractional_seminorm``, building the evaluator and evaluating it
   once per call (the case name is kept, so BENCH files compare);
 * ``continuity_probe`` of the default 64x64 plateau field of
@@ -55,20 +55,14 @@ Cases, each at one fixed size:
 
 Every case runs in its own freshly spawned interpreter and is timed by the
 same loop: one warm-up call, then R repeats (at least 5) of the case's
-fixed number of calls, each repeat followed by one timed control op, an
-in-place sort of a copy of 10^6 seeded normal values.  The file records,
-per case, the sizes, the per-call median over repeats, the spread
-(interquartile range over median), the extremes, the median control time
-and ``median_ratio_to_control``: the median over repeats of the per-call
-time over that repeat's control time.  Host load slows the control as it
-slows the case, so the ratio compares runs taken under different load
-better than the raw time does.  ``minor_faults_per_call`` is the number of
-minor page faults of the case's process (``getrusage(RUSAGE_SELF).ru_minflt``)
-during its repeats, control ops excluded, over the number of calls: pages
-touched for the first time, whose kernel time no Python profiler sees.
-How many pages a freed array returns to the system depends on what the
-process freed before, so no case shares its process with another, and the
-control op allocates nothing.  ``cli_import``'s faults happen in its child
+fixed number of calls.  The file records, per case, the sizes, the per-call
+median over repeats, the spread (interquartile range over median) and the
+extremes.  ``minor_faults_per_call`` is the number of minor page faults of
+the case's process (``getrusage(RUSAGE_SELF).ru_minflt``) during its
+repeats, over the number of calls: pages touched for the first time, whose
+kernel time no Python profiler sees.  How many pages a freed array returns
+to the system depends on what the process freed before, so no case shares
+its process with another.  ``cli_import``'s faults happen in its child
 processes, which ``RUSAGE_SELF`` does not count.  The file also records
 ``nproc`` and the Python, numpy and scipy versions; scipy's is ``null``
 when it is not installed, since no case needs it.  Inputs are built before the timed
@@ -80,6 +74,10 @@ at 32x32x32: a case's time varies between fresh processes by more than
 the within-run ``spread`` says (``convolve_32x32x32.reused_kernel`` read
 1.96-2.96 ms over twelve fresh-process runs on one 2-core host).  A smaller change needs
 repeated fresh-process runs of the case per tree, alternating the trees.
+No time is divided by a control op timed in the same process: host drift,
+the spread between fresh processes and what the case leaves behind (its
+freed pages, its cache footprint) move the control too, so such a ratio
+hides none of them.
 """
 
 import argparse
@@ -157,8 +155,9 @@ def _stencil(name, calls=20):
         shape = (32, 32, 32)
         u = ScalarField(Grid(shape, 0.25), np.random.default_rng(4).random(shape))
         if name == "descent_stencils":
-            return (lambda i: _kinetic_gradient_of(_forward_diffs(u), u.h)), calls, {"field_shape": list(shape)}
-        return (lambda i: gradient_pnorm(u, 2.0)), calls, {"field_shape": list(shape)}
+            run = lambda i: _kinetic_gradient_of(_forward_diffs(u.values, u.h), u.h)
+            return run, calls, {"field_shape": list(shape)}
+        return (lambda i: gradient_pnorm(u)), calls, {"field_shape": list(shape)}
 
     return setup
 
@@ -231,7 +230,7 @@ def _verify_field(tmp):
 def _seminorm(tmp):
     # each call builds the evaluator and evaluates once, as the earlier BENCH files measured
     u = ScalarField(Grid((64, 64), 4.0 / 64), np.random.default_rng(2).random((64, 64)))
-    return lambda i: fractional_seminorm(u.grid, 0.5)(u), 10, {"cells": 64 * 64}
+    return lambda i: fractional_seminorm(u.grid)(u), 10, {"cells": 64 * 64}
 
 
 def _probe(tmp):
@@ -284,25 +283,11 @@ CASES = {
 }
 
 
-CONTROL_VALUES = np.random.default_rng(5).standard_normal(10**6)
-# sorted in place: np.sort would allocate and free 8 MB after every repeat,
-# and a freed block that large raises malloc's trim threshold, after which
-# the case's own freed pages stay mapped and its page faults no longer show
-CONTROL_BUF = np.empty_like(CONTROL_VALUES)
-
-
-def _control_s():
-    t0 = time.perf_counter()
-    np.copyto(CONTROL_BUF, CONTROL_VALUES)
-    CONTROL_BUF.sort()
-    return time.perf_counter() - t0
-
-
 def _time_case(op, calls, repeats):
     # warm up with the last call, so each repeat's first call follows the
     # same call as in steady state
     op(calls - 1)
-    per_call, control, faults = [], [], 0
+    per_call, faults = [], 0
     for _ in range(repeats):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
@@ -310,17 +295,14 @@ def _time_case(op, calls, repeats):
             op(i)
         per_call.append((time.perf_counter() - t0) / calls)
         faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-        control.append(_control_s())
     q1, med, q3 = np.percentile(per_call, [25, 50, 75])
     return {
         "calls_per_repeat": calls,
         "repeats": repeats,
         "median_ms": 1e3 * float(med),
-        "median_ratio_to_control": float(np.median(np.divide(per_call, control))),
         "spread": float((q3 - q1) / med),
         "min_ms": 1e3 * min(per_call),
         "max_ms": 1e3 * max(per_call),
-        "control_median_ms": 1e3 * float(np.median(control)),
         "minor_faults_per_call": faults / (repeats * calls),
     }
 
@@ -355,7 +337,6 @@ def main() -> None:
             results[name] = r = pool.apply(_run_case, (name, tmp, args.repeats))
             print(
                 f"{name}: {r['median_ms']:.2f} ms/call (spread {r['spread']:.3f}, "
-                f"{r['median_ratio_to_control']:.3f} x control, "
                 f"{r['minor_faults_per_call']:.0f} minor faults)",
                 flush=True,
             )
@@ -368,11 +349,8 @@ def main() -> None:
         "scipy": _scipy_version(),
         "statistics": (
             "per-call wall time: median, (q3 - q1) / median, min and max over repeats; "
-            "median_ratio_to_control: median over repeats of per-call time / that repeat's "
-            "control time (an in-place sort of a copy of 10^6 seeded normal values, timed once "
-            "after every repeat); control_median_ms: median control time over the case's repeats; "
-            "minor_faults_per_call: ru_minflt delta over the case's repeats (control ops excluded) "
-            "/ (repeats * calls); every case runs in its own freshly spawned interpreter"
+            "minor_faults_per_call: ru_minflt delta over the case's repeats / (repeats * calls); "
+            "every case runs in its own freshly spawned interpreter"
         ),
         "results": results,
     }

@@ -60,22 +60,22 @@ def _l2_normalize(values: np.ndarray, vol: float) -> np.ndarray | None:
     return values / nrm if math.isfinite(nrm) else None
 
 
-def _kinetic(u: ScalarField) -> tuple[float, None]:
-    """||grad u||_2^2, from one set of forward differences, and no gradient.
+def _kinetic(values: np.ndarray, grid: Grid) -> tuple[float, None]:
+    """||grad u||_2^2 of u's values, from one set of forward differences, and no gradient.
 
     Runs on the descent's helper thread, so it calls private helpers only
     (DECISIONS.md D20).
     """
-    return _gradient_pnorm_of(_forward_diffs(u), 2.0, u.grid.cell_volume) ** 2, None
+    return _gradient_pnorm_of(_forward_diffs(values, grid.h), grid.cell_volume) ** 2, None
 
 
-def _stencils(u: ScalarField) -> tuple[float, np.ndarray]:
-    """||grad u||_2^2 and its gradient in u, from one set of forward differences.
+def _stencils(values: np.ndarray, grid: Grid) -> tuple[float, np.ndarray]:
+    """||grad u||_2^2 and its gradient in u, from one set of forward differences of u's values.
 
     Runs on the descent's helper thread, as ``_kinetic`` does.
     """
-    diffs = _forward_diffs(u)
-    return _gradient_pnorm_of(diffs, 2.0, u.grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, u.h)
+    diffs = _forward_diffs(values, grid.h)
+    return _gradient_pnorm_of(diffs, grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, grid.h)
 
 
 def coulomb_potential(grid: Grid) -> Callable[[ScalarField], ScalarField]:
@@ -146,7 +146,7 @@ def choquard_descent(
             # the helper runs the stencils of vals, then shares the plan's
             # later stages with this thread; the kinetic gradient serves the
             # step from vals
-            stencils = helper.submit(context.run, stencil, ScalarField(grid, vals))
+            stencils = helper.submit(context.run, stencil, vals, grid)
             usq = ScalarField(grid, vals * vals)
             phi = potential(usq, helper=helper)
             pot = pairing(usq, phi)

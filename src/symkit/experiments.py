@@ -281,7 +281,7 @@ _CONTRACTS = {
     ),
     "frac-seminorm": lambda seed, grid: (
         (seminorm(rearrange(u)), seminorm(u))
-        for seminorm in [fractional_seminorm(grid, 0.5)]
+        for seminorm in [fractional_seminorm(grid)]
         for u in _suite_fields(seed, grid, stream=22)
     ),
     "frac-perimeter": lambda seed, grid: (
@@ -289,7 +289,7 @@ _CONTRACTS = {
         for A in _suite_masks(seed, grid, stream=23)
     ),
     "gradient": lambda seed, grid: (
-        (gradient_pnorm(rearrange(u), 2.0), gradient_pnorm(u, 2.0))
+        (gradient_pnorm(rearrange(u)), gradient_pnorm(u))
         for u in _suite_fields(seed, grid, stream=24)
     ),
     "heat-pairing": lambda seed, grid: (

@@ -179,11 +179,13 @@ def hls_quotient(
     this singularity, too slowly for the sharp-constant tolerances at desk
     resolutions.
     """
+    if not all(math.isfinite(t) and t >= 0 for t in norm_tails):
+        raise ValueError(f"norm tails must be finite and nonnegative, got {norm_tails}")
     d = f.dim
     p = hls_exponent(lam, d)
     npf = lp_norm(f, p) ** p + norm_tails[0]
     nph = lp_norm(h, p) ** p + norm_tails[1]
-    if npf <= 0 or nph <= 0:
+    if not (npf > 0 and nph > 0):
         raise ValueError("zero norm")
     kernel = sample_kernel_averaged(lam, displacement_grid(f.grid))
     value = riesz_triple(f, kernel, h)

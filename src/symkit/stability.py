@@ -174,9 +174,9 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     radius 0.9 times the top plateau's (origin centered).  Emits the
     input distances ||u_k - u|| and the rearranged distances ||u_k* - u*||
     in the chosen norm: the W^(1,2) seminorm for ``space="w1p"``
-    (gradient_pnorm of the difference at p = 2) or the W^(1/2,2) seminorm
-    for ``space="wsp"`` (the square root of the difference's seminorm at
-    s = 1/2, by one ``fractional_seminorm`` evaluator for the whole probe).
+    (``gradient_pnorm`` of the difference) or the W^(1/2,2) seminorm for
+    ``space="wsp"`` (the square root of the difference's seminorm, by one
+    ``fractional_seminorm`` evaluator for the whole probe).
     Raises unless u is nonnegative with a positive value.
     """
     if u.values.min() < 0.0:
@@ -202,12 +202,12 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
         psi = np.cos(2.0 * math.pi * x0 / wavelength) * window * float(u.values.max())
 
     if space == "wsp":
-        seminorm = fractional_seminorm(g, 0.5)  # one kernel transform for all 16 seminorms
+        seminorm = fractional_seminorm(g)  # one kernel transform for all 16 seminorms
 
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         diff = ScalarField(g, a - b)
         if space == "w1p":
-            return gradient_pnorm(diff, 2.0)
+            return gradient_pnorm(diff)
         return seminorm(diff) ** 0.5
 
     ustar = rearrange(u)

@@ -65,7 +65,7 @@ def _shifted_views(a: np.ndarray, m: tuple[int, ...]):
 def _seminorm_direct(u: ScalarField, s: float, p: float) -> float:
     """sum_{i != j} |u_i - u_j|^p |x_i - x_j|^(-d - s p) h^(2d), by a loop over displacements.
 
-    At p = 2 this is ``fractional_seminorm``'s sum; the tests keep it as that
+    At s = 1/2, p = 2 this is ``fractional_seminorm``'s sum; the tests keep it as that
     evaluator's oracle.
     """
     expo = -(u.dim + s * p)

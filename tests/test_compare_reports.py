@@ -2,6 +2,7 @@
 scripts/run_full_suite.py that it checks."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -56,7 +57,34 @@ def test_changed_value_is_named(dirs, capsys):
     (a / "verify" / "x.json").write_text(_report(0.25, 1.5))
     (b / "verify" / "x.json").write_text(_report(0.25, 1.5000000000000002))
     assert compare_reports.main([str(a), str(b)]) == 1
-    assert "differs: verify/x.json" in capsys.readouterr().out
+    assert "differs: verify/x.json at values.v: 1.5 vs 1.5000000000000002\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "left, right, where",
+    [
+        # the first differing path in the left file's key order, then keys only on the right
+        ({"a": [1.0, {"b": 0.0}], "c": 1}, {"a": [1.0, {"b": -0.0}], "c": 2}, "a[1].b: 0.0 vs -0.0"),
+        ({"a": [1.0]}, {"a": [1.0, 2.0]}, "a[1]: <missing> vs 2.0"),
+        ({"a": 1, "wall_time_s": 0.5}, {"a": 1, "wall_time_s": 0.7, "z": None}, "z: <missing> vs null"),
+        ({"a": float("nan"), "b": 1}, {"a": float("nan"), "b": 1.0}, "b: 1 vs 1.0"),
+    ],
+)
+def test_first_differing_key_path(dirs, capsys, left, right, where):
+    a, b = dirs
+    (a / "verify" / "x.json").write_text(json.dumps(left))
+    (b / "verify" / "x.json").write_text(json.dumps(right))
+    assert compare_reports.compare(a, b) == [f"differs: verify/x.json at {where}"]
+
+
+def test_differing_bytes_without_a_differing_key(dirs):
+    # key order, or a file that does not parse: the file alone is named
+    a, b = dirs
+    (a / "verify" / "x.json").write_text('{"a": 1, "b": 2}')
+    (b / "verify" / "x.json").write_text('{"b": 2, "a": 1}')
+    (a / "verify" / "y.json").write_text('{"a": 1')
+    (b / "verify" / "y.json").write_text('{"a": 2')
+    assert compare_reports.compare(a, b) == ["differs: verify/x.json", "differs: verify/y.json"]
 
 
 def test_file_on_one_side_only(dirs, capsys):

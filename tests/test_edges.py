@@ -10,7 +10,7 @@ from symkit.functionals import BLLSpec, bll_integral, heat_pairing, minkowski_co
 from symkit.kernels import BallIndicator, HeatGaussian, sample_kernel
 from symkit.random_fields import bump_mask, sample_bumps
 from symkit.rearrange import bathtub_fill
-from symkit.sharp import young_constant
+from symkit.sharp import hls_quotient, young_constant
 from symkit.spectral import heat_perimeter_estimate
 
 
@@ -39,6 +39,7 @@ def test_gridset_indicator_round_trip():
 
 
 _G = Grid((8,), 0.5)
+_F = ScalarField(_G, np.arange(8.0) % 3)
 
 
 @pytest.mark.parametrize(
@@ -52,6 +53,10 @@ _G = Grid((8,), 0.5)
         (lambda x: minkowski_content(GridSet(_G, np.arange(8) % 2 == 0), x), "below the grid resolution"),
         (lambda x: heat_perimeter_estimate(GridSet(_G, np.arange(8) > 1), [x, 0.1]), "two positive times"),
         (lambda x: bump_mask(sample_bumps(np.random.default_rng(0), 1, 2.0), _G, x), "threshold must be finite"),
+        (lambda x: hls_quotient(_F, _F, 0.5, norm_tails=(x, 0.0)), "finite and nonnegative"),
+        # inf, not NaN: a tail of inf made the quotient 0.0
+        (lambda x: hls_quotient(_F, _F, 0.5, norm_tails=(math.inf, 0.0)), "finite and nonnegative"),
+        (lambda x: bll_integral(BLLSpec(np.array([[1.0], [1.0]]), (_F, _F)), x, seed=1), "positive sample count"),
     ],
 )
 def test_nan_fails_the_range_check(call, message):

@@ -280,10 +280,11 @@ class TestTruncate:
 
 
 # ----------------------------------------------------------------------------
-# Polarization (ROADMAP item 20): a symmetric decreasing field, and a ball
-# surrogate, are fixed by every polarization that maps the lattice to itself
-# (Baernstein and Taylor, Duke Math. J. 43 (1976); Brock and Solynin, Trans.
-# Amer. Math. Soc. 352 (2000)).
+# Polarization and Steiner symmetrization (ROADMAP item 20): a symmetric
+# decreasing field, and a ball surrogate, are fixed by every polarization that
+# maps the lattice to itself and by every lattice Steiner step (Baernstein and
+# Taylor, Duke Math. J. 43 (1976); Brock and Solynin, Trans. Amer. Math. Soc.
+# 352 (2000)).
 # ----------------------------------------------------------------------------
 
 
@@ -334,19 +335,41 @@ def polarize(u, reflection):
     return out
 
 
-def moved_by_a_polarization(values, mask):
-    """Which of ``rearrange`` of ``values`` and ``set_symmetrize`` of ``mask`` some admissible polarization moves."""
+def steiner(u, axis):
+    """``u`` with each line along ``axis`` sorted, largest first, into the 1-d cell order.
+
+    That order, ``cell_order((n,))``, is written out here (ascending
+    |2 i - (n - 1)|, ties by index), so that a mutant of ``cell_order`` does
+    not move the step with it.
+    """
+    n = u.shape[axis]
+    lines = np.moveaxis(u, axis, -1)
+    out = np.empty_like(lines)
+    out[..., np.argsort(np.abs(2 * np.arange(n) - (n - 1)), kind="stable")] = np.sort(lines, axis=-1)[..., ::-1]
+    return np.moveaxis(out, -1, axis)
+
+
+def polarizations(shape):
+    return [lambda u, r=r: polarize(u, r) for r in admissible_reflections(shape)]
+
+
+def steiner_steps(shape):
+    return [lambda u, k=k: steiner(u, k) for k in range(len(shape))]
+
+
+def moved_by(values, mask, steps_of):
+    """Which of ``rearrange`` of ``values`` and ``set_symmetrize`` of ``mask`` a step of ``steps_of(shape)`` moves."""
     grid = Grid(values.shape, 1.0)
     outputs = {
         "rearrange": rearrange_module.rearrange(ScalarField(grid, values)).values,
         "set_symmetrize": rearrange_module.set_symmetrize(GridSet(grid, mask)).mask,
     }
-    reflections = admissible_reflections(values.shape)
-    return [name for name, out in outputs.items() if any(not np.array_equal(polarize(out, r), out) for r in reflections)]
+    steps = steps_of(values.shape)
+    return [name for name, out in outputs.items() if any(not np.array_equal(step(out), out) for step in steps)]
 
 
 @st.composite
-def _polarization_cases(draw):
+def _box_cases(draw):
     """(values, mask) on a 2-d or 3-d box; half the boxes have equal extents, and values tie often."""
     d = draw(st.sampled_from([2, 3]))
     shape = tuple(draw(st.lists(st.integers(1, 9 if d == 2 else 5), min_size=d, max_size=d)))
@@ -356,28 +379,68 @@ def _polarization_cases(draw):
     return values, draw(arrays(np.bool_, shape))
 
 
-@given(_polarization_cases())
+@given(_box_cases())
 @settings(max_examples=80, deadline=None)
 def test_every_admissible_polarization_fixes_rearrange_and_set_symmetrize(case):
-    assert moved_by_a_polarization(*case) == []
+    assert moved_by(*case, polarizations) == []
 
 
-def _reversed_cell_order(real):
-    def mutant(shape):
-        order = real(shape)[::-1].copy()
-        order.setflags(write=False)
-        return order
-
-    return mutant
+@given(_box_cases())
+@settings(max_examples=80, deadline=None)
+def test_every_steiner_step_fixes_rearrange_and_set_symmetrize(case):
+    assert moved_by(*case, steiner_steps) == []
 
 
-@pytest.mark.parametrize("mutant", ["identity rearrange", "reversed cell_order"])
-def test_a_polarization_moves_a_mutant(mutant, monkeypatch):
+def _frozen(order):
+    order.setflags(write=False)
+    return order
+
+
+def _norm_order(reduce):
+    """The cell order of another norm: ascending ``reduce`` of the |2 i_k - (n_k - 1)|, ties by index."""
+
+    def order(shape):
+        cells = np.indices(shape).reshape(len(shape), -1)
+        half_widths = np.abs(2 * cells - (np.array(shape)[:, None] - 1))
+        return _frozen(np.argsort(reduce(half_widths, axis=0), kind="stable"))
+
+    return lambda real: order
+
+
+# Each mutant: the name it replaces in the module, the replacement built from
+# the real one, and, for the polarizations and for the Steiner steps, which of
+# the gate's four boxes show it.  The L1 order agrees with the Euclidean one
+# along every axis line and under every axis reflection, and on 4^3 it is the
+# Euclidean order, so only the diagonals of the 6^2 box see it; on boxes of
+# unequal extents no local step sees it, and
+# TestCellOrder::test_distances_nondecreasing kills it (DECISIONS.md D23).
+_SEEN_EVERYWHERE = ([True] * 4, [True] * 4)
+MUTANTS = {
+    "identity rearrange": ("rearrange", lambda real: lambda f: f, _SEEN_EVERYWHERE),
+    "ascending rearrange": (
+        "rearrange",
+        lambda real: lambda f: ScalarField(
+            f.grid, rearrange_module._in_cell_order(f.grid, np.sort(np.abs(f.values).ravel()))
+        ),
+        _SEEN_EVERYWHERE,
+    ),
+    "reversed cell_order": ("cell_order", lambda real: lambda shape: _frozen(real(shape)[::-1].copy()), _SEEN_EVERYWHERE),
+    "rotated cell_order": (
+        "cell_order",
+        lambda real: lambda shape: _frozen(np.roll(real(shape), real(shape).size // 2)),
+        _SEEN_EVERYWHERE,
+    ),
+    "L-infinity cell_order": ("cell_order", _norm_order(np.max), _SEEN_EVERYWHERE),
+    "L1 cell_order": ("cell_order", _norm_order(np.sum), ([True, False, False, False], [False] * 4)),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_a_local_step_moves_a_mutant(mutant, monkeypatch):
     rng = np.random.default_rng(11)
     cases = [(rng.random(shape), rng.random(shape) < 0.4) for shape in [(6, 6), (5, 8), (4, 4, 4), (3, 4, 5)]]
-    assert all(moved_by_a_polarization(*case) == [] for case in cases)
-    if mutant == "identity rearrange":
-        monkeypatch.setattr(rearrange_module, "rearrange", lambda f: f)
-    else:
-        monkeypatch.setattr(rearrange_module, "cell_order", _reversed_cell_order(rearrange_module.cell_order))
-    assert all(moved_by_a_polarization(*case) for case in cases)
+    assert all(moved_by(*case, steps) == [] for case in cases for steps in (polarizations, steiner_steps))
+    name, build, (by_polarization, by_steiner) = MUTANTS[mutant]
+    monkeypatch.setattr(rearrange_module, name, build(getattr(rearrange_module, name)))
+    assert [bool(moved_by(*case, polarizations)) for case in cases] == by_polarization
+    assert [bool(moved_by(*case, steiner_steps)) for case in cases] == by_steiner

@@ -256,7 +256,7 @@ class TestContinuityProbe:
             direct_calls.append(1)
             return seminorm_direct(u, 0.5, 2.0)
 
-        monkeypatch.setattr(stab, "fractional_seminorm", lambda grid, s: direct)
+        monkeypatch.setattr(stab, "fractional_seminorm", lambda grid: direct)
         for kind, u in fields.items():
             slow = continuity_probe(u, kind, space="wsp")
             got = fast[kind].distances + fast[kind].input_distances
