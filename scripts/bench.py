@@ -12,13 +12,13 @@ Cases, each at one fixed size:
 * convolution with a Coulomb kernel |z|^-1 on the full displacement grid,
   on a 128x128 field and a 32x32x32 field (the Choquard descent's size), in
   two modes: ``reused_kernel`` applies one ``convolution_plan``, built
-  before the timed region, to two alternating data fields, as the Choquard
-  descent and the fft seminorm route do; ``fresh_kernel`` calls the
-  one-shot ``convolve`` with a kernel whose values differ from the previous
-  call's, so every call transforms its kernel; at 32x32x32 also
+  before the timed region, to the arrays of two alternating data fields,
+  as the Choquard descent and the fft seminorm route do; ``fresh_kernel``
+  calls the one-shot ``convolve`` with a kernel whose values differ from
+  the previous call's, so every call transforms its kernel; at 32x32x32 also
   ``shared_helper``, the ``reused_kernel`` plan called as the Choquard
   descent calls it, with a live one-thread executor that shares its stages
-  (``plan(f, helper=ex)``);
+  (``plan(f.values, helper=ex)``);
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
@@ -138,12 +138,12 @@ def _convolve(shape, h, mode, calls=10):
         kernel = sample_kernel(PowerLaw(1.0), displacement_grid(grid))
         sizes = {"field_shape": list(shape), "kernel_shape": list(kernel.grid.shape)}
         if mode == "reused_kernel":
-            plan = convolution_plan(kernel, shape)
-            return lambda i: plan(fields[i % 2]), calls, sizes
+            plan = convolution_plan(kernel, grid)
+            return lambda i: plan(fields[i % 2].values), calls, sizes
         if mode == "shared_helper":
             # the executor lives as long as the case's process
-            plan, helper = convolution_plan(kernel, shape), ThreadPoolExecutor(1)
-            return lambda i: plan(fields[i % 2], helper=helper), calls, sizes
+            plan, helper = convolution_plan(kernel, grid), ThreadPoolExecutor(1)
+            return lambda i: plan(fields[i % 2].values, helper=helper), calls, sizes
         kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
 

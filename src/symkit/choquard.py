@@ -25,13 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import Grid, ScalarField
-from .functionals import (
-    _forward_diffs,
-    _gradient_pnorm_of,
-    _kinetic_gradient_of,
-    convolution_plan,
-    pairing,
-)
+from .functionals import _forward_diffs, _gradient_pnorm_of, _kinetic_gradient_of, convolution_plan
 from .kernels import PowerLaw, displacement_grid, sample_kernel
 from .rearrange import rearrange
 
@@ -78,18 +72,18 @@ def _stencils(values: np.ndarray, grid: Grid) -> tuple[float, np.ndarray]:
     return _gradient_pnorm_of(diffs, grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, grid.h)
 
 
-def coulomb_potential(grid: Grid) -> Callable[[ScalarField], ScalarField]:
-    """Convolution plan of the Coulomb kernel |z|^-1 for fields on ``grid``.
+def coulomb_potential(grid: Grid) -> Callable[..., np.ndarray]:
+    """Convolution plan of the Coulomb kernel |z|^-1 for the value arrays of ``grid``.
 
     The kernel is sampled on the full displacement grid and dropped once it
     is transformed; the plan keeps only its spectrum.
     """
-    return convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(grid)), grid.shape)
+    return convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(grid)), grid)
 
 
 def choquard_descent(
     u0: ScalarField,
-    potential: Callable[[ScalarField], ScalarField],
+    potential: Callable[..., np.ndarray],
     steps: int = 200,
     step_size: float = 0.02,
     polish_steps: int = 0,
@@ -97,10 +91,10 @@ def choquard_descent(
     """Run the projected descent; the returned iterate ends on a rearrangement.
 
     ``potential`` is ``coulomb_potential(u0.grid)``, called as
-    ``potential(u², helper=ex)``; a caller that runs several descents on
-    one grid passes the same plan to each.  The audit
-    list holds (energy before, energy after) for every
-    rearrangement, and ``energies`` the post-step energies.  Divergence
+    ``potential(u², helper=ex)``: u² and Φ are arrays, paired as sum(u² Φ)
+    h^d.  A caller that runs several descents on one grid passes the same
+    plan to each.  The audit list holds (energy before, energy after) for
+    every rearrangement, and ``energies`` the post-step energies.  Divergence
     (a non-finite step, norm or energy) aborts with ``diverged`` set; after
     a non-finite step or norm ``final`` is the last finite iterate.
 
@@ -147,9 +141,9 @@ def choquard_descent(
             # later stages with this thread; the kinetic gradient serves the
             # step from vals
             stencils = helper.submit(context.run, stencil, vals, grid)
-            usq = ScalarField(grid, vals * vals)
+            usq = vals * vals
             phi = potential(usq, helper=helper)
-            pot = pairing(usq, phi)
+            pot = float(np.sum(usq * phi)) * vol
             kin, kgrad = stencils.result()
             return kin - pot, phi, kgrad
 
@@ -159,7 +153,7 @@ def choquard_descent(
             tau = step_size if step <= steps else _POLISH_STEP_SIZE
             # u - tau * (kgrad - 4 u phi), operation for operation, in one buffer
             g = 4.0 * u
-            g *= phi.values
+            g *= phi
             np.subtract(kgrad, g, out=g)
             g *= tau
             np.subtract(u, g, out=g)

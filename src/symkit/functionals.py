@@ -177,15 +177,16 @@ def _split(helper, stage: Callable[[slice], None], n: int) -> None:
     half.result()
 
 
-def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..., ScalarField]:
-    """Linear convolution with ``kernel`` of fields of one shape, transformed once.
+def convolution_plan(kernel: ScalarField, grid: Grid) -> Callable[..., np.ndarray]:
+    """Linear convolution with ``kernel`` of the value arrays of ``grid``, transformed once.
 
-    Returns ``plan``, with ``plan(f) = (kernel * f)(x) = sum_y kernel(x - y)
-    f(y) h^d`` on f's grid for every field f of that shape and of the
-    kernel's spacing; ``plan.lengths`` holds the FFT lengths.  The kernel
-    must live on an odd-extent displacement grid.  The plan keeps the
-    kernel's spectrum, not its values, and owns a mutable FFT buffer, so one
-    plan must not be called from two threads at once (DECISIONS.md D8).
+    Returns ``plan``: ``plan(values)[x] = sum_y kernel(x - y) values[y] h^d``
+    for every array of ``grid.shape``, as an array; ``plan.lengths`` holds
+    the FFT lengths.  The kernel's rank, odd extents and spacing are checked
+    against the grid once, here, and a call checks only the array's shape.
+    The plan keeps the kernel's spectrum, not its values, and owns a mutable
+    FFT buffer, so one plan must not be called from two threads at once
+    (DECISIONS.md D8).
 
     Every call runs one schedule: the r2c and c2c stages 0 .. d-3 on the
     calling thread, then three phases, each whole on that thread unless the
@@ -203,20 +204,22 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
     below the kernel extent 2r + 1.  Retained values are therefore the exact
     linear convolution.
 
-    The transforms are pruned (Markel): r2c on the last axis over f's own
-    lines, then c2c on axes 0 .. d-2, each padded only at its own stage; the
-    inverse cuts each axis to the kept rows right after its c2c stage.  All
-    of it runs in place in one complex buffer, whose pad slabs are refilled
-    on every call with rfftn's values for the zero box, signed zeros
-    included.  Each stage is one of numpy's 1-d transforms; the axis order
-    and the one 1/prod(L) scaling are those of scipy's irfftn and rfftn, so
-    the window is theirs bit for bit (DECISIONS.md D8).
+    The transforms are pruned (Markel): r2c on the last axis over the
+    array's own lines, then c2c on axes 0 .. d-2, each padded only at its
+    own stage; the inverse cuts each axis to the kept rows right after its
+    c2c stage.  All of it runs in place in one complex buffer, whose pad
+    slabs are refilled on every call with rfftn's values for the zero box,
+    signed zeros included.  Each stage is one of numpy's 1-d transforms; the
+    axis order and the one 1/prod(L) scaling are those of scipy's irfftn and
+    rfftn, so the window is theirs bit for bit (DECISIONS.md D8).
     """
-    if kernel.dim != len(shape):
+    if kernel.dim != grid.dim:
         raise ValueError("kernel and field dimensions differ")
     if any(n % 2 == 0 for n in kernel.grid.shape):
         raise ValueError("kernel grid must have odd extents (displacement aligned)")
-    shape, h, d = tuple(shape), kernel.h, len(shape)
+    if abs(kernel.h - grid.h) > 1e-12 * grid.h:
+        raise ValueError("kernel and field spacings differ")
+    shape, d, vol = grid.shape, grid.dim, grid.cell_volume
     radii = [nk // 2 for nk in kernel.grid.shape]
     lengths = tuple(_next_fast_len(max(n + r, 2 * r + 1)) for n, r in zip(shape, radii))
     spec = _rfftn(kernel.values, lengths, range(d))
@@ -250,20 +253,18 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
         x = buf[:, cols]
         ifft(x, axis=0, norm="forward", out=x)
 
-    def plan(f: ScalarField, helper=None) -> ScalarField:
-        if f.grid.shape != shape:
-            raise ValueError(f"field shape {f.grid.shape} differs from the plan's {shape}")
-        if abs(h - f.h) > 1e-12 * f.h:
-            raise ValueError("kernel and field spacings differ")
+    def plan(values: np.ndarray, helper=None) -> np.ndarray:
+        if values.shape != shape:
+            raise ValueError(f"array shape {values.shape} differs from the plan's {shape}")
         if helper is not None and d != 3:
             raise ValueError("a helper shares the stages of 3-d plans only")
-        # r2c of f's own lines, zero-padded to the length inside pocketfft
-        rfft(f.values, n=lengths[-1], out=r2c)
+        # r2c of the array's own lines, zero-padded to the length inside pocketfft
+        rfft(values, n=lengths[-1], out=r2c)
         # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
         for ax, view in enumerate(stages):
             view[_along(ax, slice(shape[ax], None))] = pads[ax]
             fft(view, axis=ax, out=view)
-        out, vol = np.empty(shape), f.grid.cell_volume
+        out = np.empty(shape)
 
         def inverse(rows: slice) -> None:
             # axes 1 .. d-2 unscaled, each cut to its kept rows; irfftn scales once, by 1/prod(L)
@@ -282,7 +283,7 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
         if d > 1:
             _split(helper, inverse0, buf.shape[1])
         _split(helper, inverse, len(kept))
-        return ScalarField(f.grid, out)
+        return out
 
     plan.lengths = lengths
     return plan
@@ -291,10 +292,10 @@ def convolution_plan(kernel: ScalarField, shape: tuple[int, ...]) -> Callable[..
 def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
     """Linear convolution (kernel * f)(x) = sum_y kernel(x - y) f(y) h^d on f's grid.
 
-    A one-shot ``convolution_plan``: the kernel is transformed on every
-    call.  A caller that convolves with one kernel repeatedly keeps a plan.
+    A one-shot ``convolution_plan`` of f's grid, transformed on every call; a
+    caller that convolves with one kernel repeatedly keeps a plan.
     """
-    return convolution_plan(kernel, f.grid.shape)(f)
+    return ScalarField(f.grid, convolution_plan(kernel, f.grid)(f.values))
 
 
 def riesz_triple(f: ScalarField, kern: ScalarField, h: ScalarField) -> float:
@@ -487,11 +488,12 @@ def fractional_seminorm(grid: Grid) -> Callable[[ScalarField], float]:
     ``FloatingPointError``, since the sum is nonnegative.  The tests'
     ``conftest.py`` keeps its oracle, the loop over displacements.
     """
-    plan = convolution_plan(sample_kernel(FracKernel(0.5, 2.0), displacement_grid(grid)), grid.shape)
-    srow = plan(ScalarField(grid, np.ones(grid.shape))).values
+    plan = convolution_plan(sample_kernel(FracKernel(0.5, 2.0), displacement_grid(grid)), grid)
+    srow = plan(np.ones(grid.shape))
 
     def seminorm(u: ScalarField) -> float:
-        cross = pairing(u, plan(u))
+        # pairing refuses a u of another grid
+        cross = pairing(u, ScalarField(grid, plan(u.values)))
         diag = float(np.sum(u.values**2 * srow)) * u.grid.cell_volume
         total, scale = 2.0 * (diag - cross), 2.0 * diag
         if abs(total) <= 1e-13 * scale:
@@ -622,8 +624,8 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
         raise ValueError("time must be positive")
     radius = max(6.0 * math.sqrt(t), 3.0 * grid.h)
     rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))
-    plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid.shape)
-    return lambda u: pairing(u, plan(u))
+    plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid)
+    return lambda u: pairing(u, ScalarField(grid, plan(u.values)))
 
 
 def riesz_energy(rho: ScalarField, lam: float) -> float:

@@ -11,18 +11,20 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   bit for bit and sign of zero included: they take scipy.fft's axis order
   and its single 1/prod(L) scaling, and the pad slabs hold rfftn's values
   for the zero box, so every report stays byte-identical;
-* the plan: applied again and again, to alternating fields, it gives the
-  bits of a one-shot ``convolve`` and of the unpruned window in 1-, 2- and
-  3-d; a changed kernel gets its own spectrum; the plan keeps no reference
-  to the kernel values; two live plans share no buffer; a field of another
-  shape or spacing is refused;
+* the plan, built for a grid: applied again and again, to the arrays of
+  alternating fields, it gives the bits of a one-shot ``convolve`` and of
+  the unpruned window in 1-, 2- and 3-d; a changed kernel gets its own
+  spectrum; the plan keeps no reference to the kernel values; two live
+  plans share no buffer; a grid of another spacing or rank is refused when
+  the plan is built, and an array of another shape on every call; a call
+  returns an array and constructs no ``ScalarField``;
 * the in-place stages: the field's values and the plan's spectrum are
   untouched by repeated calls, and a warm 32^3 plan call allocates no
   padded temporaries (its tracemalloc peak stays below 1 MB);
 * one-shot calls from several threads at once get the bits of a
   sequential run, since each call makes its own plan;
 * the plan's one schedule: a 3-d call that splits its phases in halves
-  with a helper thread (``plan(f, helper=ex)``) gives the bits of the call
+  with a helper thread (``plan(values, helper=ex)``) gives the bits of the call
   without one, which runs each phase whole, and of the unpruned window,
   raises ``FloatingPointError`` under ``np.errstate(all="raise")`` exactly
   when the call without a helper does, keeps a warm call's tracemalloc
@@ -138,7 +140,7 @@ class TestConvolveOracle:
         kv, fv, h = case
         kern = ScalarField(Grid(kv.shape, h), kv)
         out = convolve(kern, ScalarField(Grid(fv.shape, h), fv)).values
-        lengths = convolution_plan(kern, fv.shape).lengths
+        lengths = convolution_plan(kern, Grid(fv.shape, h)).lengths
         assert out.tobytes() == _unpruned_window(kv, fv, h, lengths).tobytes()
 
 
@@ -150,10 +152,10 @@ class TestPrunedTransforms:
         g = Grid(shape, 0.125)
         kern = sample_kernel(PowerLaw(0.5), displacement_grid(g))
         fv = np.random.default_rng(6).standard_normal(shape)
-        plan = convolution_plan(kern, shape)
+        plan = convolution_plan(kern, g)
         out = convolve(kern, ScalarField(g, fv)).values
         assert out.tobytes() == _unpruned_window(kern.values, fv, g.h, plan.lengths).tobytes()
-        assert plan(ScalarField(g, fv)).values.tobytes() == out.tobytes()
+        assert plan(fv).tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("shape", [(40,), (12, 10), (8, 6, 7)])
     def test_in_place_stages_leave_inputs_and_memo_alone(self, shape):
@@ -163,11 +165,11 @@ class TestPrunedTransforms:
         kern = ScalarField(displacement_grid(g), rng.random(tuple(2 * n - 1 for n in shape)))
         fields = [ScalarField(g, rng.random(shape)) for _ in range(2)]
         before = [f.values.copy() for f in fields]
-        plan = convolution_plan(kern, shape)
-        first = [plan(f).values for f in fields]
+        plan = convolution_plan(kern, g)
+        first = [plan(f.values) for f in fields]
         for _ in range(3):
             for f, want in zip(fields, first):
-                assert np.array_equal(plan(f).values, want)
+                assert np.array_equal(plan(f.values), want)
         for f, b in zip(fields, before):
             assert f.values.tobytes() == b.tobytes()
         assert _plan_state(plan)["spec"].tobytes() == rfftn(kern.values, plan.lengths).tobytes()
@@ -214,12 +216,12 @@ class TestWorkspace:
 
     def test_warm_call_allocates_no_padded_temporaries(self):
         g = Grid((32, 32, 32), 0.25)
-        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g.shape)
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g)
         f = ScalarField(g, np.random.default_rng(12).random(g.shape))
-        plan(f)
+        plan(f.values)
         tracemalloc.start()
         try:
-            plan(f)
+            plan(f.values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -255,16 +257,16 @@ def _helper_overflow_case():
 
 
 def _outcome(call):
-    """The bytes of ``call()``'s values under np.errstate(all="raise"), or the error."""
+    """The bytes of ``call()``'s array under np.errstate(all="raise"), or the error."""
     try:
         with np.errstate(all="raise"):
-            return call().values.tobytes()
+            return call().tobytes()
     except FloatingPointError as exc:
         return exc
 
 
 class TestSharedPlan:
-    # plan(f, helper=ex) splits each of the plan's three phases in halves of
+    # plan(values, helper=ex) splits each of the plan's three phases in halves of
     # rows with ex; without a helper each runs whole (DECISIONS.md D20)
     @settings(max_examples=100, deadline=None)
     @given(_cases_3d())
@@ -273,22 +275,22 @@ class TestSharedPlan:
         kv, fv, h = case
         kern = ScalarField(Grid(kv.shape, h), kv)
         fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
-        plan = convolution_plan(kern, fv.shape)
+        plan = convolution_plan(kern, fields[0].grid)
         want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
         with ThreadPoolExecutor(1) as ex:
             for i in (0, 1, 1, 0, 0, 1):
-                assert plan(fields[i], helper=ex).values.tobytes() == want[i]
-                assert plan(fields[i]).values.tobytes() == want[i]
+                assert plan(fields[i].values, helper=ex).tobytes() == want[i]
+                assert plan(fields[i].values).tobytes() == want[i]
 
     @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 30, 18), (9, 7, 5)])
     def test_coulomb_kernel_shared_call_matches_serial(self, shape):
         g = Grid(shape, 0.125)
-        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), shape)
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g)
         rng = np.random.default_rng(15)
-        fields = [ScalarField(g, rng.random(shape)) for _ in range(2)]
+        fields = [rng.random(shape) for _ in range(2)]
         with ThreadPoolExecutor(1) as ex:
             for i in (0, 1, 0):
-                assert plan(fields[i], helper=ex).values.tobytes() == plan(fields[i]).values.tobytes()
+                assert plan(fields[i], helper=ex).tobytes() == plan(fields[i]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(150, 305), st.integers(0, 160), st.integers(0, 2**32 - 1))
@@ -298,8 +300,8 @@ class TestSharedPlan:
         g = Grid((5, 4, 6), 0.5)
         rng = np.random.default_rng(seed)
         kern = ScalarField(displacement_grid(g), rng.random((9, 7, 11)) * 10.0**kernel_exp)
-        f = ScalarField(g, rng.random(g.shape) * 10.0**field_exp)
-        plan = convolution_plan(kern, g.shape)
+        f = rng.random(g.shape) * 10.0**field_exp
+        plan = convolution_plan(kern, g)
         with ThreadPoolExecutor(1) as ex:
             serial, shared = _outcome(lambda: plan(f)), _outcome(lambda: plan(f, helper=ex))
         assert isinstance(serial, bytes) == isinstance(shared, bytes)
@@ -309,8 +311,8 @@ class TestSharedPlan:
     def test_overflow_in_the_helpers_half_raises_in_the_caller(self):
         kv, fv = _helper_overflow_case()
         g = Grid(fv.shape, 0.5)
-        plan = convolution_plan(ScalarField(displacement_grid(g), kv), g.shape)
-        f = ScalarField(g, fv)
+        plan = convolution_plan(ScalarField(displacement_grid(g), kv), g)
+        f = fv
         with ThreadPoolExecutor(1) as ex:
             assert isinstance(_outcome(lambda: plan(f)), FloatingPointError)
             err = _outcome(lambda: plan(f, helper=ex))
@@ -319,14 +321,14 @@ class TestSharedPlan:
             frames = [fr.name for fr in traceback.extract_tb(err.__traceback__)]
             assert frames[-2:] == ["run", "forward"]
             # the failed call left the plan usable
-            calm = ScalarField(g, fv * 1e-10)
-            assert plan(calm, helper=ex).values.tobytes() == plan(calm).values.tobytes()
+            calm = fv * 1e-10
+            assert plan(calm, helper=ex).tobytes() == plan(calm).tobytes()
 
     @pytest.mark.parametrize("shape", [(12,), (6, 5)])
     def test_helper_below_3d_is_refused(self, shape):
         g = Grid(shape, 0.5)
-        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), shape)
-        f = ScalarField(g, np.ones(shape))
+        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), g)
+        f = np.ones(shape)
         with ThreadPoolExecutor(1) as ex, pytest.raises(ValueError, match="3-d"):
             plan(f, helper=ex)
 
@@ -342,21 +344,21 @@ class TestSharedPlan:
             return wrapper
 
         g = Grid(shape, 0.5)
-        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), shape)
-        f = ScalarField(g, np.random.default_rng(16).random(shape))
-        want = plan(f).values.tobytes()
+        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), g)
+        f = np.random.default_rng(16).random(shape)
+        want = plan(f).tobytes()
         for name in ("rfft", "fft", "ifft", "irfft"):
             monkeypatch.setattr(functionals, name, recorded(getattr(functionals, name)))
         before = set(threading.enumerate())
-        assert plan(f).values.tobytes() == want
+        assert plan(f).tobytes() == want
         assert set(threading.enumerate()) == before
         # the r2c, d - 1 c2c stages each way and the c2r, each once, on this thread
         assert threads == [threading.current_thread()] * (2 * len(shape))
 
     def test_warm_shared_call_allocates_no_padded_temporaries(self):
         g = Grid((32, 32, 32), 0.25)
-        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g.shape)
-        f = ScalarField(g, np.random.default_rng(12).random(g.shape))
+        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g)
+        f = np.random.default_rng(12).random(g.shape)
         with ThreadPoolExecutor(1) as ex:
             plan(f, helper=ex)
             tracemalloc.start()
@@ -377,7 +379,7 @@ class TestLengthRule:
     def test_coulomb_32_cubed_uses_64(self):
         g = Grid((32, 32, 32), 0.25)
         kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
-        assert convolution_plan(kern, g.shape).lengths == (64, 64, 64)
+        assert convolution_plan(kern, g).lengths == (64, 64, 64)
 
     def test_kernel_wider_than_short_axis_uses_its_extent(self):
         # axis 0: n + r = 7 would round to 8 and cut the 9-wide kernel, so 2r + 1 = 9
@@ -385,10 +387,10 @@ class TestLengthRule:
         rng = np.random.default_rng(5)
         kern = ScalarField(displacement_grid(g, 4), rng.random((9, 9)))
         f = ScalarField(g, rng.random(g.shape))
-        plan = convolution_plan(kern, g.shape)
+        plan = convolution_plan(kern, g)
         assert plan.lengths == (9, 16)
-        out = plan(f)
-        assert _close(out.values, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
+        out = plan(f.values)
+        assert _close(out, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
 
 
 def _plan_state(fn) -> dict:
@@ -417,25 +419,25 @@ class TestPlan:
         kv, fv, h = case
         kern = ScalarField(Grid(kv.shape, h), kv)
         fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
-        plan = convolution_plan(kern, fv.shape)
+        plan = convolution_plan(kern, fields[0].grid)
         want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
         assert [convolve(kern, f).values.tobytes() for f in fields] == want
         for i in (0, 0, 1, 0, 1, 1):
-            assert plan(fields[i]).values.tobytes() == want[i]
+            assert plan(fields[i].values).tobytes() == want[i]
 
     def test_changed_kernel_of_same_shape_gets_its_own_spectrum(self):
         g = Grid((5, 6), 0.5)
         kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
         f = ScalarField(g, np.random.default_rng(2).random(g.shape))
-        plan = convolution_plan(kern, g.shape)
-        first = plan(f).values
+        plan = convolution_plan(kern, g)
+        first = plan(f.values)
         kv = np.array(kern.values)
         kv[2, 3] += 1.0
-        other = convolution_plan(ScalarField(kern.grid, kv), g.shape)
-        out = other(f).values
+        other = convolution_plan(ScalarField(kern.grid, kv), g)
+        out = other(f.values)
         assert _close(out, _lattice_sum(kv, f.values, g.h), kv, f.values, g.h)
         assert not _close(out, first, kv, f.values, g.h)
-        assert plan(f).values.tobytes() == first.tobytes()
+        assert plan(f.values).tobytes() == first.tobytes()
 
     def test_plan_keeps_no_kernel_values(self):
         # the descent's 63^3 Coulomb kernel is 2 MB that only its transform needs
@@ -444,11 +446,11 @@ class TestPlan:
         kern = ScalarField(displacement_grid(g), rng.random((11, 13)))
         f = ScalarField(g, rng.random(g.shape))
         want = convolve(kern, f).values.tobytes()
-        plan = convolution_plan(kern, g.shape)
+        plan = convolution_plan(kern, g)
         values = weakref.ref(kern.values)
         del kern
         assert values() is None
-        assert plan(f).values.tobytes() == want
+        assert plan(f.values).tobytes() == want
 
     def test_live_plans_of_different_shapes_share_no_buffers(self):
         # radius 4: both 3-d shapes take lengths (15, 15, 12), so buffers kept
@@ -459,26 +461,38 @@ class TestPlan:
             g = Grid(shape, 0.5)
             kern = ScalarField(displacement_grid(g, 4), rng.standard_normal((9,) * len(shape)))
             f = ScalarField(g, rng.standard_normal(shape))
-            cases.append((convolution_plan(kern, shape), f, convolve(kern, f).values.tobytes()))
+            cases.append((convolution_plan(kern, g), f, convolve(kern, f).values.tobytes()))
         assert cases[0][0].lengths == cases[1][0].lengths == (15, 15, 12)
         for _ in range(3):
             for plan, f, want in cases:
-                assert plan(f).values.tobytes() == want
+                assert plan(f.values).tobytes() == want
         arrays_of = [list(_plan_state(plan).values()) for plan, _, _ in cases]
         for i, mine in enumerate(arrays_of):
             for theirs in arrays_of[i + 1 :]:
                 assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
     def test_refuses_a_field_of_another_shape_or_spacing(self):
+        # the spacing and the rank are checked when the plan is built, the shape on every call
         g = Grid((6, 5), 0.5)
         kern = ScalarField(displacement_grid(g), np.ones((11, 9)))
-        plan = convolution_plan(kern, g.shape)
+        plan = convolution_plan(kern, g)
         with pytest.raises(ValueError, match="shape"):
-            plan(ScalarField(Grid((5, 6), 0.5), np.ones((5, 6))))
+            plan(np.ones((5, 6)))
         with pytest.raises(ValueError, match="spacings"):
-            plan(ScalarField(Grid((6, 5), 0.25), np.ones((6, 5))))
+            convolution_plan(kern, Grid((6, 5), 0.25))
         with pytest.raises(ValueError, match="dimensions"):
-            convolution_plan(kern, (6, 5, 4))
+            convolution_plan(kern, Grid((6, 5, 4), 0.5))
+
+    @pytest.mark.parametrize("shape", [(12,), (6, 5), (7, 6, 5)])
+    def test_maps_an_array_to_an_array_without_a_field(self, shape, monkeypatch):
+        g = Grid(shape, 0.5)
+        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), g)
+        f = np.random.default_rng(17).random(shape)
+        built = []
+        monkeypatch.setattr(ScalarField, "__post_init__", lambda self: built.append(self))
+        out = plan(f)
+        assert built == []
+        assert type(out) is np.ndarray and out.shape == shape
 
 
 _shapes = st.lists(st.integers(1, 9), min_size=1, max_size=3)

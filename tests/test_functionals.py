@@ -789,9 +789,9 @@ class TestRefineRungs:
         shapes = []
         plan = functionals.convolution_plan
 
-        def counted(kernel, shape):
-            shapes.append(tuple(shape))
-            return plan(kernel, shape)
+        def counted(kernel, grid):
+            shapes.append(grid.shape)
+            return plan(kernel, grid)
 
         monkeypatch.setattr(functionals, "convolution_plan", counted)
         experiments._contract_report(DEFAULT_SEED, contract, d)
@@ -949,6 +949,16 @@ class TestEnergies:
         # one set of differences per energy evaluation, i.e. per plan call
         assert calls["diffs"] == calls["potential"] == len(energies) + len(audit)
 
+    def test_choquard_builds_fields_only_to_sort_and_to_return(self, monkeypatch):
+        # u² and Φ stay arrays: a field goes into and comes out of each sort, and one is the result
+        g = Grid((8, 8, 8), 0.75)
+        u0, plan = ScalarField(g, np.exp(-g.radius2() / 4.0)), coulomb_potential(g)
+        built, init = [], ScalarField.__post_init__
+        monkeypatch.setattr(ScalarField, "__post_init__", lambda self: built.append(init(self)))
+        result = choquard_descent(u0, plan, steps=6, step_size=0.02, polish_steps=1)
+        assert len(result.rearrange_audit) == 2
+        assert len(built) == 2 * len(result.rearrange_audit) + 1
+
     def test_choquard_public_callables_run_on_the_calling_thread(self, monkeypatch):
         # the perfbench tracer keeps one span stack per process, so only
         # private helpers may run on the descent's helper thread (DECISIONS.md D20)
@@ -975,7 +985,7 @@ class TestEnergies:
         assert len(result.energies) == 8 and not result.diverged
         caller = {threading.current_thread()}
         stencils = threads.pop("_forward_diffs")
-        assert {"choquard_descent", "potential", "pairing", "rearrange", "ScalarField"} <= set(threads)
+        assert {"choquard_descent", "potential", "rearrange", "ScalarField"} <= set(threads)
         assert all(ts == caller for ts in threads.values())
         # the stencils do run on the helper
         assert len(stencils) == 1 and stencils != caller
