@@ -79,8 +79,8 @@ def supermodular_pairing(F, f: ScalarField, g: ScalarField) -> float:
 def hanner_sum(f: ScalarField, g: ScalarField, p: float) -> float:
     """||f - g||_p^p + ||f + g||_p^p; signed fields allowed."""
     _check_same_grid(f, g)
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     vol = f.grid.cell_volume
     return float(
         np.sum(np.abs(f.values - g.values) ** p) + np.sum(np.abs(f.values + g.values) ** p)
@@ -418,8 +418,9 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
     of the integrand.  The generator is counter based (Philox) and the stream
     depends only on the seed.
     """
-    if not samples > 0:
-        raise ValueError("need a positive sample count")
+    if not (0 < samples < math.inf and samples == int(samples)):
+        raise ValueError(f"need a whole, finite, positive sample count, got {samples}")
+    samples = int(samples)
     ranges = _bounding_ranges(spec)
     if ranges is None:
         return MCEstimate(0.0, 0.0)
@@ -552,8 +553,8 @@ def minkowski_content(A: GridSet, eps: float) -> float:
     integer offsets o with h|o| - h/2 < eps, |o| summed as scipy's EDT sums it.
     """
     g = A.grid
-    if not eps >= g.h:
-        raise ValueError(f"eps = {eps} is below the grid resolution h = {g.h}")
+    if not g.h <= eps < math.inf:
+        raise ValueError(f"eps = {eps} is not finite or is below the grid resolution h = {g.h}")
     if A.count() == 0:
         return 0.0
     pad = math.ceil(eps / g.h) + 1
@@ -620,8 +621,8 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
     sampled and transformed once, here, out to radius max(6 sqrt(t), 3h),
     beyond which the Gaussian tail is negligible at the tolerances used here.
     """
-    if not t > 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     radius = max(6.0 * math.sqrt(t), 3.0 * grid.h)
     rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))
     plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid)

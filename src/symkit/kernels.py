@@ -47,8 +47,8 @@ class FracKernel:
     def validate(self, dim: int) -> None:
         if not 0 < self.s < 1:
             raise ValueError(f"s must be in (0, 1), got {self.s}")
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class HeatGaussian:
     t: float
 
     def validate(self, dim: int) -> None:
-        if not self.t > 0:
-            raise ValueError(f"time must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"time must be positive and finite, got {self.t}")
 
 
 KernelSpec = PowerLaw | FracKernel | BallIndicator | HeatGaussian

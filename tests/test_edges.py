@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from symkit.field import Grid, GridSet, ScalarField
-from symkit.functionals import BLLSpec, bll_integral, heat_pairing, minkowski_content
-from symkit.kernels import BallIndicator, HeatGaussian, sample_kernel
+from symkit.functionals import BLLSpec, bll_integral, hanner_sum, heat_pairing, minkowski_content
+from symkit.kernels import BallIndicator, FracKernel, HeatGaussian, sample_kernel
 from symkit.random_fields import bump_mask, sample_bumps
 from symkit.rearrange import bathtub_fill
 from symkit.sharp import hls_quotient, young_constant
@@ -63,3 +63,27 @@ def test_nan_fails_the_range_check(call, message):
     # each check is written in positive form, so NaN fails it with its own message
     with pytest.raises(ValueError, match=message):
         call(math.nan)
+
+
+# two cells apart on _G: the integrand vanishes, so a sampler that passed the
+# sample-count check would return 0.0 at once
+_APART = BLLSpec(np.array([[1.0], [1.0]]), (ScalarField(_G, np.arange(8) < 3), ScalarField(_G, np.arange(8) > 4)))
+
+
+@pytest.mark.parametrize(
+    "call, x, message",
+    [
+        (lambda x: bll_integral(_APART, x, seed=1), math.inf, "whole, finite, positive sample count"),
+        (lambda x: bll_integral(BLLSpec(np.array([[1.0], [1.0]]), (_F, _F)), x, seed=1), 1000.5, "whole"),
+        (lambda x: minkowski_content(GridSet(_G, np.arange(8) % 2 == 0), x), math.inf, "eps = inf is not finite"),
+        (lambda x: heat_pairing(_G, x), math.inf, "time must be positive and finite"),
+        (lambda x: sample_kernel(HeatGaussian(x), Grid((7,), 0.5)), math.inf, "time must be positive and finite"),
+        (lambda x: hanner_sum(_F, _F, x), math.inf, "p must be >= 1 and finite"),
+        (lambda x: sample_kernel(FracKernel(0.5, x), Grid((7,), 0.5)), math.inf, "p must be >= 1 and finite"),
+    ],
+)
+def test_inf_fails_the_range_check(call, x, message):
+    # "finite" is part of each range, so inf (or a fractional count) fails it
+    # with its own message, not later as an overflow, a type error or a hang
+    with pytest.raises(ValueError, match=message):
+        call(x)
