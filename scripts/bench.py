@@ -230,7 +230,7 @@ def _verify_field(tmp):
 def _seminorm(tmp):
     # each call builds the evaluator and evaluates once, as the earlier BENCH files measured
     u = ScalarField(Grid((64, 64), 4.0 / 64), np.random.default_rng(2).random((64, 64)))
-    return lambda i: fractional_seminorm(u.grid)(u), 10, {"cells": 64 * 64}
+    return lambda i: fractional_seminorm(u.grid)(u.values), 10, {"cells": 64 * 64}
 
 
 def _probe(tmp):

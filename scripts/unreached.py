@@ -11,13 +11,15 @@ temporary directory by default).  It traces them with ``sys.settrace`` and
 Choquard descent's helper, are traced too.  ``symkit`` is imported only once
 the tracer runs, so module-level lines count.  Then, for each module of
 ``src/symkit``, it prints the executable lines that no verb ran.  A line is
-executable when the compiled module maps an instruction to it.  Last comes
+executable when the compiled module maps an instruction to it.  Next comes
 the argument census: for each function of ``src/symkit`` that the verbs
 called, its call count and each parameter that got one value over all the
 calls.  Two values count as one when they are the same object, or equal
 hashable values of one type; so a field (unhashable) counts as one only
 when every call passed the same object.  Each resumption of a generator
-counts as a call.
+counts as a call.  Last, it prints how many ``ScalarField``s each function
+of ``src/symkit`` built, most first, and their total: a field counts for the
+nearest calling frame of ``src/symkit`` of its ``__post_init__``.
 
 This is the evidence of a D10 round (DECISIONS.md): a line listed here is
 reached by tests at most, and a parameter listed here is set by tests at
@@ -76,7 +78,10 @@ class LineCollector:
     objects name it, to the set of its line numbers that ran; ``calls``
     counts the calls of each code object, and ``arguments`` maps each one to
     its parameters, each to the value of its first call, or to ``_VARIED``
-    once a call passed another.
+    once a call passed another.  ``callers`` counts the calls of each code
+    object by its caller: the code of the nearest calling frame under
+    ``root``, so code generated outside it (a dataclass's ``__init__``) is
+    passed over, or None when no frame under ``root`` made the call.
     """
 
     def __init__(self, root):
@@ -84,6 +89,7 @@ class LineCollector:
         self.lines: dict[str, set[int]] = {}
         self.calls: dict[types.CodeType, int] = {}
         self.arguments: dict[types.CodeType, dict[str, object]] = {}
+        self.callers: dict[types.CodeType, dict[types.CodeType | None, int]] = {}
         self._local: dict[types.CodeType, object] = {}
         self._lock = threading.Lock()
 
@@ -92,8 +98,14 @@ class LineCollector:
         nparams = code.co_argcount + code.co_kwonlyargcount
         nparams += bool(code.co_flags & inspect.CO_VARARGS) + bool(code.co_flags & inspect.CO_VARKEYWORDS)
         values = frame.f_locals
+        caller = frame.f_back
+        while caller is not None and not caller.f_code.co_filename.startswith(self.root):
+            caller = caller.f_back
+        caller = None if caller is None else caller.f_code
         with self._lock:
             self.calls[code] = self.calls.get(code, 0) + 1
+            by_caller = self.callers.setdefault(code, {})
+            by_caller[caller] = by_caller.get(caller, 0) + 1
             first = self.arguments.setdefault(code, {})
             for name in code.co_varnames[:nparams]:
                 value = values.get(name, _VARIED)
@@ -147,6 +159,21 @@ def single_valued(path, collector: LineCollector) -> list[str]:
     return out
 
 
+def built_by(init: types.CodeType | None, collector: LineCollector) -> list[str]:
+    """One line per function that ran ``init`` (a class's ``__post_init__``): file, first line, name and count.
+
+    Most constructions first, then a total; None (a class never built) gives the total 0 alone.
+    """
+    counts = collector.callers.get(init, {})
+    rows = []
+    for caller, n in counts.items():
+        where = "outside the traced files"
+        if caller is not None:
+            where = f"{Path(caller.co_filename).name}:{caller.co_firstlineno}: {caller.co_qualname}"
+        rows.append((-n, where))
+    return [f"  {where}, {-n} built" for n, where in sorted(rows)] + [f"  total {sum(counts.values())}"]
+
+
 def _short(value, width: int = 40) -> str:
     text = repr(value)
     return text if len(text) <= width else text[: width - 3] + "..."
@@ -180,6 +207,11 @@ def main(argv: list[str]) -> int:
         print(f"{path.name}: {len(lines)} functions")
         for line in lines:
             print(line)
+    print("ScalarFields built, by calling function:")
+    field_py = str(_PACKAGE / "field.py")
+    inits = [c for c in collector.calls if c.co_filename == field_py and c.co_qualname == "ScalarField.__post_init__"]
+    for line in built_by(inits[0] if inits else None, collector):
+        print(line)
     return 0
 
 

@@ -118,8 +118,11 @@ def choquard_descent(
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
     # polishing follows the main phase, and the run ends on a rearrangement
-    if not (steps >= 1 and polish_steps >= 0):
-        raise ValueError(f"need steps >= 1 and polish_steps >= 0, got {steps} and {polish_steps}")
+    if not (1 <= steps < math.inf and steps == int(steps)):
+        raise ValueError(f"need whole, finite steps >= 1, got {steps}")
+    if not (0 <= polish_steps < math.inf and polish_steps == int(polish_steps)):
+        raise ValueError(f"need whole, finite polish_steps >= 0, got {polish_steps}")
+    steps, polish_steps = int(steps), int(polish_steps)
     # imported here: concurrent.futures loads logging, which no other verb needs
     from concurrent.futures import ThreadPoolExecutor
 

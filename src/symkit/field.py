@@ -51,7 +51,7 @@ class Grid:
     def __post_init__(self):
         if len(self.shape) not in _SUPPORTED_DIMS:
             raise ValueError(f"unsupported dimension {len(self.shape)}")
-        if any(int(n) <= 0 or int(n) != n for n in self.shape):
+        if not all(0 < n < math.inf and n == int(n) for n in self.shape):
             raise ValueError(f"extents must be positive integers, got {self.shape}")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"spacing must be positive and finite, got {self.h}")

@@ -57,34 +57,11 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return m * float(np.sum((a / m) ** p) * f.grid.cell_volume) ** (1.0 / p)
 
 
-def _check_same_grid(f: ScalarField, g: ScalarField) -> None:
-    if f.grid != g.grid:
-        raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
-
-
 def pairing(f: ScalarField, g: ScalarField) -> float:
     """sum f_i g_i h^d."""
-    _check_same_grid(f, g)
+    if f.grid != g.grid:
+        raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
     return float(np.sum(f.values * g.values)) * f.grid.cell_volume
-
-
-def supermodular_pairing(F, f: ScalarField, g: ScalarField) -> float:
-    """sum F(f_i, g_i) h^d for nonnegative fields; F maps two value arrays to one."""
-    _check_same_grid(f, g)
-    if f.values.min() < 0.0 or g.values.min() < 0.0:
-        raise ValueError("supermodular pairing requires nonnegative fields")
-    return float(np.sum(F(f.values, g.values))) * f.grid.cell_volume
-
-
-def hanner_sum(f: ScalarField, g: ScalarField, p: float) -> float:
-    """||f - g||_p^p + ||f + g||_p^p; signed fields allowed."""
-    _check_same_grid(f, g)
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be >= 1 and finite, got {p}")
-    vol = f.grid.cell_volume
-    return float(
-        np.sum(np.abs(f.values - g.values) ** p) + np.sum(np.abs(f.values + g.values) ** p)
-    ) * vol
 
 
 # ----------------------------------------------------------------------------
@@ -300,7 +277,6 @@ def convolve(kernel: ScalarField, f: ScalarField) -> ScalarField:
 
 def riesz_triple(f: ScalarField, kern: ScalarField, h: ScalarField) -> float:
     """Double integral f(x) g(x-y) h(y) dx dy; the kernel g is sampled on a displacement grid."""
-    _check_same_grid(f, h)
     return pairing(f, convolve(kern, h))
 
 
@@ -476,13 +452,15 @@ def bll_integral(spec: BLLSpec, samples: int, seed: int) -> MCEstimate:
 # ----------------------------------------------------------------------------
 
 
-def fractional_seminorm(grid: Grid) -> Callable[[ScalarField], float]:
-    """The discrete W^(1/2,2) seminorm squared on fields of ``grid``, as one evaluator.
+def fractional_seminorm(grid: Grid) -> Callable[[np.ndarray], float]:
+    """The discrete W^(1/2,2) seminorm squared on value arrays of ``grid``, as one evaluator.
 
     Returns ``seminorm`` with seminorm(u) = sum_{i != j} |u_i - u_j|^2
-    |x_i - x_j|^(-d - 1) h^(2d), at the s = 1/2 of every report.  The
-    kernel's plan and row sums srow = kernel * 1 are made once, here, and
-    the sum is taken in O(N log N) through |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j
+    |x_i - x_j|^(-d - 1) h^(2d) for every array u of ``grid.shape``, at the
+    s = 1/2 of every report.  Like a convolution plan it maps arrays, and an
+    array of another shape raises (DECISIONS.md D8).  The kernel's plan and
+    row sums srow = kernel * 1 are made once, here, and the sum is taken in
+    O(N log N) through |u_i - u_j|^2 = u_i^2 + u_j^2 - 2 u_i u_j
     (DECISIONS.md D12).  Its rounding error therefore scales with scale =
     2 sum_i u_i^2 srow_i h^d, not with the result: a result within 1e-13
     scale of 0 is rounding and returns 0.0, and a lower one raises
@@ -491,11 +469,12 @@ def fractional_seminorm(grid: Grid) -> Callable[[ScalarField], float]:
     """
     plan = convolution_plan(sample_kernel(FracKernel(0.5, 2.0), displacement_grid(grid)), grid)
     srow = plan(np.ones(grid.shape))
+    vol = grid.cell_volume
 
-    def seminorm(u: ScalarField) -> float:
-        # pairing refuses a u of another grid
-        cross = pairing(u, ScalarField(grid, plan(u.values)))
-        diag = float(np.sum(u.values**2 * srow)) * u.grid.cell_volume
+    def seminorm(u: np.ndarray) -> float:
+        # the plan refuses an array of another shape; the cross term is pairing's sum
+        cross = float(np.sum(u * plan(u))) * vol
+        diag = float(np.sum(u**2 * srow)) * vol
         total, scale = 2.0 * (diag - cross), 2.0 * diag
         if abs(total) <= 1e-13 * scale:
             return 0.0
@@ -614,19 +593,23 @@ def _kinetic_gradient_of(diffs: list[np.ndarray], h: float) -> np.ndarray:
     return out
 
 
-def heat_pairing(grid: Grid, t: float) -> Callable[[ScalarField], float]:
-    """(u, heat-semigroup(t) u) on fields of ``grid``, as one evaluator.
+def heat_pairing(grid: Grid, t: float) -> Callable[[np.ndarray], float]:
+    """(u, heat-semigroup(t) u) on value arrays of ``grid``, as one evaluator.
 
-    Returns the pairing of u with its heat-kernel convolution; the kernel is
-    sampled and transformed once, here, out to radius max(6 sqrt(t), 3h),
-    beyond which the Gaussian tail is negligible at the tolerances used here.
+    Returns the pairing sum u_i (G_t * u)_i h^d of every array u of
+    ``grid.shape`` with its heat-kernel convolution, as a float; like a
+    convolution plan it maps arrays, and an array of another shape raises
+    (DECISIONS.md D8).  The kernel is sampled and transformed once, here,
+    out to radius max(6 sqrt(t), 3h), beyond which the Gaussian tail is
+    negligible at the tolerances used here.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
     radius = max(6.0 * math.sqrt(t), 3.0 * grid.h)
     rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))
     plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid)
-    return lambda u: pairing(u, ScalarField(grid, plan(u.values)))
+    vol = grid.cell_volume
+    return lambda u: float(np.sum(u * plan(u))) * vol
 
 
 def riesz_energy(rho: ScalarField, lam: float) -> float:

@@ -85,9 +85,9 @@ def displacement_grid(grid: Grid, radius_cells: int | None = None) -> Grid:
     if radius_cells is None:
         shape = tuple(2 * (n - 1) + 1 for n in grid.shape)
     else:
-        if radius_cells < 0:
-            raise ValueError("radius_cells must be nonnegative")
-        shape = tuple(2 * radius_cells + 1 for _ in grid.shape)
+        if not (0 <= radius_cells < math.inf and radius_cells == int(radius_cells)):
+            raise ValueError(f"radius_cells must be a whole, finite, nonnegative count, got {radius_cells}")
+        shape = tuple(2 * int(radius_cells) + 1 for _ in grid.shape)
     return Grid(shape, grid.h)
 
 

@@ -20,6 +20,7 @@ sum as the oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -114,8 +115,8 @@ def bump_mask(sample: BumpSum, grid: Grid, threshold: float = 0.15) -> GridSet:
 
 def plateau_field(grid: Grid, top_radius: float, outer_radius: float) -> ScalarField:
     """Radial profile: 1 on |x| <= top_radius, linear down to 0 at outer_radius."""
-    if not 0 < top_radius < outer_radius:
-        raise ValueError("need 0 < top_radius < outer_radius")
+    if not 0 < top_radius < outer_radius < math.inf:
+        raise ValueError(f"need 0 < top_radius < outer_radius < inf, got {top_radius} and {outer_radius}")
     r = np.sqrt(grid.radius2())
     vals = np.clip((outer_radius - r) / (outer_radius - top_radius), 0.0, 1.0)
     return ScalarField(grid, vals)
@@ -123,5 +124,7 @@ def plateau_field(grid: Grid, top_radius: float, outer_radius: float) -> ScalarF
 
 def radial_bump_field(grid: Grid, radius: float) -> ScalarField:
     """Smooth strictly decreasing radial bump (1 - r^2/R^2)_+^3."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     r2 = grid.radius2()
     return ScalarField(grid, np.maximum(1.0 - r2 / radius**2, 0.0) ** 3)

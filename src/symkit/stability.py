@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ScalarField
-from .functionals import _fftconvolve_full, _nonzero_extent, fractional_seminorm, gradient_pnorm, riesz_triple
+from .functionals import (
+    _fftconvolve_full,
+    _forward_diffs,
+    _gradient_pnorm_of,
+    _nonzero_extent,
+    fractional_seminorm,
+    riesz_triple,
+)
 from .kernels import BallIndicator, PowerLaw, displacement_grid, sample_kernel
 from .random_fields import BumpSum, radial_bump_field
 from .rearrange import bathtub_fill, rearrange
@@ -174,9 +181,10 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
     radius 0.9 times the top plateau's (origin centered).  Emits the
     input distances ||u_k - u|| and the rearranged distances ||u_k* - u*||
     in the chosen norm: the W^(1,2) seminorm for ``space="w1p"``
-    (``gradient_pnorm`` of the difference) or the W^(1/2,2) seminorm for
-    ``space="wsp"`` (the square root of the difference's seminorm, by one
-    ``fractional_seminorm`` evaluator for the whole probe).
+    (``gradient_pnorm``'s operations on the difference array) or the
+    W^(1/2,2) seminorm for ``space="wsp"`` (the square root of the
+    difference's seminorm, by one ``fractional_seminorm`` evaluator for the
+    whole probe).  The differences stay arrays.
     Raises unless u is nonnegative with a positive value.
     """
     if u.values.min() < 0.0:
@@ -205,10 +213,9 @@ def continuity_probe(u: ScalarField, kind: str, space: str = "w1p") -> Continuit
         seminorm = fractional_seminorm(g)  # one kernel transform for all 16 seminorms
 
     def dist(a: np.ndarray, b: np.ndarray) -> float:
-        diff = ScalarField(g, a - b)
         if space == "w1p":
-            return gradient_pnorm(diff)
-        return seminorm(diff) ** 0.5
+            return _gradient_pnorm_of(_forward_diffs(a - b, g.h), g.cell_volume)
+        return seminorm(a - b) ** 0.5
 
     ustar = rearrange(u)
     amps, din, dout = [], [], []

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from symkit.choquard import choquard_descent, coulomb_potential
 from symkit.field import Grid, GridSet, ScalarField
-from symkit.functionals import BLLSpec, bll_integral, hanner_sum, heat_pairing, minkowski_content
-from symkit.kernels import BallIndicator, FracKernel, HeatGaussian, sample_kernel
-from symkit.random_fields import bump_mask, sample_bumps
+from symkit.functionals import BLLSpec, bll_integral, heat_pairing, minkowski_content
+from symkit.kernels import BallIndicator, FracKernel, HeatGaussian, displacement_grid, sample_kernel
+from symkit.random_fields import bump_mask, plateau_field, radial_bump_field, sample_bumps
 from symkit.rearrange import bathtub_fill
 from symkit.sharp import hls_quotient, young_constant
 from symkit.spectral import heat_perimeter_estimate
@@ -40,6 +41,11 @@ def test_gridset_indicator_round_trip():
 
 _G = Grid((8,), 0.5)
 _F = ScalarField(_G, np.arange(8.0) % 3)
+_U3 = ScalarField(Grid((4, 4, 4), 0.5), np.ones((4, 4, 4)))
+
+
+def _descent(steps=1, polish_steps=0):
+    return choquard_descent(_U3, coulomb_potential(_U3.grid), steps=steps, polish_steps=polish_steps)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +63,12 @@ _F = ScalarField(_G, np.arange(8.0) % 3)
         # inf, not NaN: a tail of inf made the quotient 0.0
         (lambda x: hls_quotient(_F, _F, 0.5, norm_tails=(math.inf, 0.0)), "finite and nonnegative"),
         (lambda x: bll_integral(BLLSpec(np.array([[1.0], [1.0]]), (_F, _F)), x, seed=1), "positive sample count"),
+        (lambda x: _descent(steps=x), "whole, finite steps >= 1"),
+        (lambda x: _descent(polish_steps=x), "whole, finite polish_steps >= 0"),
+        (lambda x: displacement_grid(_G, x), "whole, finite, nonnegative count"),
+        (lambda x: Grid((x,), 1.0), "extents must be positive integers"),
+        (lambda x: radial_bump_field(_G, x), "radius must be positive and finite"),
+        (lambda x: plateau_field(_G, 0.5, x), "outer_radius < inf"),
     ],
 )
 def test_nan_fails_the_range_check(call, message):
@@ -78,8 +90,18 @@ _APART = BLLSpec(np.array([[1.0], [1.0]]), (ScalarField(_G, np.arange(8) < 3), S
         (lambda x: minkowski_content(GridSet(_G, np.arange(8) % 2 == 0), x), math.inf, "eps = inf is not finite"),
         (lambda x: heat_pairing(_G, x), math.inf, "time must be positive and finite"),
         (lambda x: sample_kernel(HeatGaussian(x), Grid((7,), 0.5)), math.inf, "time must be positive and finite"),
-        (lambda x: hanner_sum(_F, _F, x), math.inf, "p must be >= 1 and finite"),
         (lambda x: sample_kernel(FracKernel(0.5, x), Grid((7,), 0.5)), math.inf, "p must be >= 1 and finite"),
+        (lambda x: _descent(steps=x), math.inf, "whole, finite steps >= 1"),
+        (lambda x: _descent(polish_steps=x), math.inf, "whole, finite polish_steps >= 0"),
+        (lambda x: displacement_grid(_G, x), math.inf, "whole, finite, nonnegative count"),
+        (lambda x: Grid((x,), 1.0), math.inf, "extents must be positive integers"),
+        (lambda x: radial_bump_field(_G, x), math.inf, "radius must be positive and finite"),
+        (lambda x: plateau_field(_G, 0.5, x), math.inf, "outer_radius < inf"),
+        # not inf, but as wrong: a fractional count, or a radius at or below 0
+        (lambda x: _descent(polish_steps=x), 1.5, "whole, finite polish_steps >= 0"),
+        (lambda x: displacement_grid(_G, x), 2.5, "whole, finite, nonnegative count"),
+        (lambda x: radial_bump_field(_G, x), 0.0, "radius must be positive and finite"),
+        (lambda x: radial_bump_field(_G, x), -1.0, "radius must be positive and finite"),
     ],
 )
 def test_inf_fails_the_range_check(call, x, message):
@@ -87,3 +109,10 @@ def test_inf_fails_the_range_check(call, x, message):
     # with its own message, not later as an overflow, a type error or a hang
     with pytest.raises(ValueError, match=message):
         call(x)
+
+
+def test_a_whole_float_count_runs_as_its_integer():
+    # 3.0 steps are three steps, as a whole float sample count is that many samples
+    want, got = _descent(steps=3, polish_steps=1), _descent(steps=3.0, polish_steps=1.0)
+    assert got.energies == want.energies
+    assert got.final.values.tobytes() == want.final.values.tobytes()

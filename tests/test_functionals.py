@@ -26,14 +26,12 @@ from symkit.functionals import (
     fractional_perimeter,
     fractional_seminorm,
     gradient_pnorm,
-    hanner_sum,
     heat_pairing,
     lp_norm,
     minkowski_content,
     pairing,
     riesz_energy,
     riesz_triple,
-    supermodular_pairing,
     unit_ball_volume,
 )
 from symkit.kernels import FracKernel, HeatGaussian, PowerLaw, displacement_grid, sample_kernel
@@ -132,28 +130,33 @@ def _min_pairing_levels_oracle(fv, gv, vol):
     return total * vol
 
 
+def _form_sum(F, f, g):
+    """verify's sum F(f_i, g_i) h^d of two fields, taken on their arrays."""
+    return float(np.sum(F(f.values, g.values))) * f.grid.cell_volume
+
+
 class TestSupermodular:
     def test_product_is_pairing(self):
         rng = np.random.default_rng(0)
         g = Grid((10,), 0.5)
         f1 = ScalarField(g, rng.random(10))
         f2 = ScalarField(g, rng.random(10))
-        assert supermodular_pairing(np.multiply, f1, f2) == pytest.approx(
-            pairing(f1, f2), rel=1e-14
-        )
+        for name in ("pairing", "supermodular_product"):
+            F = experiments._VERIFY_FORMS[name][0]
+            assert _form_sum(F, f1, f2) == pytest.approx(pairing(f1, f2), rel=1e-14)
 
     def test_min_diagonal(self):
         g = Grid((7,), 0.5)
         f = ScalarField(g, np.arange(7.0))
-        assert supermodular_pairing(np.minimum, f, f) == pytest.approx(f.integral(), rel=1e-14)
+        assert _form_sum(np.minimum, f, f) == pytest.approx(f.integral(), rel=1e-14)
 
     @given(nn_field((8, 8), h=0.25), nn_field((8, 8), h=0.25))
     @settings(max_examples=30)
     def test_min_rearrangement_vs_level_oracle(self, f, g):
-        val = supermodular_pairing(np.minimum, f, g)
+        val = _form_sum(np.minimum, f, g)
         oracle = _min_pairing_levels_oracle(f.values.ravel(), g.values.ravel(), 0.0625)
         assert val == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        sym = supermodular_pairing(np.minimum, rearrange(f), rearrange(g))
+        sym = _form_sum(np.minimum, rearrange(f), rearrange(g))
         assert val <= sym + 1e-12 * max(val, sym, 1e-300)
 
     @given(
@@ -172,17 +175,11 @@ class TestSupermodular:
                 lhs, rhs = rhs, lhs
             assert lhs >= rhs - 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
-    def test_requires_nonnegative(self):
-        g = Grid((3,), 1.0)
-        f = ScalarField(g, np.array([-1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            supermodular_pairing(np.minimum, f, f)
-
 
 def expansion_gaps(f, g):
     """verify's expansion pair: (sum |f-g|^2 h^d, sum (f+g)^2 h^d)."""
     forms = experiments._VERIFY_FORMS
-    return tuple(supermodular_pairing(forms[name][0], f, g) for name in ("expand_contraction", "expand_expansion"))
+    return tuple(_form_sum(forms[name][0], f, g) for name in ("expand_contraction", "expand_expansion"))
 
 
 class TestExpansionGaps:
@@ -216,6 +213,12 @@ class TestExpansionGaps:
         assert s0 <= s1 + tol
 
 
+def hanner_sum(f, g, p):
+    """verify's Hanner sum ||f - g||_p^p + ||f + g||_p^p of two fields, taken on their arrays."""
+    u, v = f.values, g.values
+    return float(np.sum(np.abs(u - v) ** p) + np.sum(np.abs(u + v) ** p)) * f.grid.cell_volume
+
+
 class TestHanner:
     def test_zero_partner(self):
         g = Grid((5,), 0.5)
@@ -238,13 +241,6 @@ class TestHanner:
         assert lo1 <= lo0 + 1e-12 * max(lo0, lo1, 1e-300)
         hi0, hi1 = hanner_sum(f, g, 3.0), hanner_sum(fs, gs, 3.0)
         assert hi0 <= hi1 + 1e-12 * max(hi0, hi1, 1e-300)
-
-    @pytest.mark.parametrize("p", [0.5, math.nan])
-    def test_bad_p(self, p):
-        g = Grid((3,), 1.0)
-        f = ScalarField(g, np.zeros(3))
-        with pytest.raises(ValueError, match="p must be >= 1"):
-            hanner_sum(f, f, p)
 
 
 class TestConvolve:
@@ -491,7 +487,7 @@ class TestFractionalSeminorm:
         # 64x64 and 65x65 sit on both sides of the old direct-route size
         for shape in [(8,), (5000,), (8, 8), (64, 64), (65, 65), (8, 8, 8)]:
             f = ScalarField(Grid(shape, 0.5), np.full(shape, 3.0))
-            assert fractional_seminorm(f.grid)(f) == 0.0, shape
+            assert fractional_seminorm(f.grid)(f.values) == 0.0, shape
 
     def test_indicator_vs_double_loop(self, seminorm_direct):
         g = Grid((10,), 0.5)
@@ -511,7 +507,7 @@ class TestFractionalSeminorm:
         rng = np.random.default_rng(8)
         u = ScalarField(Grid((9, 7), 0.4), rng.random((9, 7)))
         a = seminorm_direct(u, 0.5, 2.0)
-        b = fractional_seminorm(u.grid)(u)
+        b = fractional_seminorm(u.grid)(u.values)
         assert a == pytest.approx(b, rel=1e-11)
 
     @given(
@@ -537,7 +533,7 @@ class TestFractionalSeminorm:
         srow = convolve(kfield, ScalarField(grid, np.ones(shape))).values
         scale = 2.0 * float(np.sum(u.values**2 * srow)) * grid.cell_volume
         direct = seminorm_direct(u, 0.5, 2.0)
-        fft = fractional_seminorm(grid)(u)
+        fft = fractional_seminorm(grid)(u.values)
         assert abs(fft - direct) <= 1e-13 * scale
 
     @given(
@@ -550,16 +546,27 @@ class TestFractionalSeminorm:
         # 2 (diag - cross) cancels to rounding on these fields and fell below 0
         g = np.random.default_rng(seed).standard_normal((n, n))
         u = ScalarField(Grid((n, n), 1.0 / n), 1.0 + eps * g)
-        assert fractional_seminorm(u.grid)(u) >= 0.0
+        assert fractional_seminorm(u.grid)(u.values) >= 0.0
 
     def test_fft_route_raises_below_its_rounding_scale(self, monkeypatch):
         import symkit.functionals as fn
 
-        u = ScalarField(Grid((6, 6), 0.5), np.random.default_rng(3).random((6, 6)))
-        real_pairing = fn.pairing
-        monkeypatch.setattr(fn, "pairing", lambda a, b: 2.0 * real_pairing(a, b))
+        u = np.random.default_rng(3).random((6, 6))
+        real_plan = fn.convolution_plan
+
+        def doubling_plan(kernel, grid):
+            # the first call makes the row sums; every later one doubles the cross term
+            plan, calls = real_plan(kernel, grid), []
+
+            def doubled(v):
+                calls.append(v)
+                return plan(v) if len(calls) == 1 else 2.0 * plan(v)
+
+            return doubled
+
+        monkeypatch.setattr(fn, "convolution_plan", doubling_plan)
         with pytest.raises(FloatingPointError, match="rounding scale"):
-            fractional_seminorm(u.grid)(u)
+            fractional_seminorm(Grid((6, 6), 0.5))(u)
 
     @pytest.mark.parametrize("shape", [(9,), (24, 17), (6, 5, 7)])
     def test_one_evaluator_serves_many_fields_in_either_order(self, shape):
@@ -569,11 +576,11 @@ class TestFractionalSeminorm:
         rng = np.random.default_rng(11)
         values = (rng.random(shape), rng.standard_normal(shape), np.full(shape, 2.0), np.zeros(shape))
         fields = [ScalarField(grid, v) for v in values]
-        want = [fractional_seminorm(grid)(u) for u in fields]
+        want = [fractional_seminorm(grid)(u.values) for u in fields]
         seminorm = fractional_seminorm(grid)
         order = list(range(len(fields)))
         for i in order + order[::-1]:
-            assert seminorm(fields[i]).hex() == want[i].hex()
+            assert seminorm(fields[i].values).hex() == want[i].hex()
 
     def test_parameter_validation(self):
         for s, p in ((math.nan, 2.0), (0.5, 0.5), (0.5, math.nan)):
@@ -743,7 +750,7 @@ class TestHeatPairing:
         v = np.zeros(17)
         v[8] = 1.0
         t = 0.05
-        got = heat_pairing(g, t)(ScalarField(g, v))
+        got = heat_pairing(g, t)(v)
         want = (4 * math.pi * t) ** -0.5 * 0.5**2
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -753,7 +760,7 @@ class TestHeatPairing:
         u = ScalarField(g, np.maximum(1 - (x / 1.5) ** 2, 0.0) ** 3)
         n2 = lp_norm(u, 2.0) ** 2
         t1 = 0.002
-        q = lambda t: (n2 - heat_pairing(g, t)(u)) / t
+        q = lambda t: (n2 - heat_pairing(g, t)(u.values)) / t
         extrapolated = 2 * q(t1 / 2) - q(t1)
         target = gradient_pnorm(u) ** 2
         assert extrapolated == pytest.approx(target, rel=0.02)
@@ -763,7 +770,7 @@ class TestHeatPairing:
         g = Grid((64,), 0.125)
         u = ScalarField(g, rng.random(64) * (np.abs(g.axis_coords(0)) < 2))
         pair = heat_pairing(g, 0.03)
-        assert pair(u) <= pair(rearrange(u)) + 1e-10
+        assert pair(u.values) <= pair(rearrange(u).values) + 1e-10
 
     @pytest.mark.parametrize("shape", [(9,), (24, 17), (6, 5, 7)])
     def test_one_evaluator_equals_the_riesz_triple_in_either_order(self, shape):
@@ -778,7 +785,42 @@ class TestHeatPairing:
         pair = heat_pairing(grid, t)
         order = list(range(len(fields)))
         for i in order + order[::-1]:
-            assert pair(fields[i]).hex() == want[i].hex()
+            assert pair(fields[i].values).hex() == want[i].hex()
+
+
+def _counted_fields(monkeypatch):
+    """A list that gains an entry for every ``ScalarField`` built from here on."""
+    built, init = [], ScalarField.__post_init__
+    monkeypatch.setattr(ScalarField, "__post_init__", lambda self: built.append(init(self)))
+    return built
+
+
+@pytest.mark.parametrize(
+    "build", [fractional_seminorm, lambda grid: heat_pairing(grid, 0.05)], ids=["seminorm", "heat"]
+)
+def test_an_evaluator_maps_an_array_to_a_float_without_a_field(monkeypatch, build):
+    # like the convolution plan it holds, an evaluator built for a grid maps arrays (DECISIONS.md D8)
+    grid = Grid((6, 5), 0.5)
+    evaluate = build(grid)
+    built = _counted_fields(monkeypatch)
+    assert type(evaluate(np.random.default_rng(5).random((6, 5)))) is float
+    assert built == []
+    with pytest.raises(ValueError, match="shape"):
+        evaluate(np.ones((5, 6)))
+
+
+class TestFieldCounts:
+    def test_verify_builds_fields_only_for_its_pairs_and_their_rearrangements(self, monkeypatch):
+        # per case two bump fields and their two rearrangements; every sum is taken on arrays
+        built = _counted_fields(monkeypatch)
+        experiments.run_verify(DEFAULT_SEED)
+        assert len(built) == 2 * 2 * 2 * experiments.VERIFY_CASES == 1600
+
+    def test_probe_continuity_takes_its_distances_on_arrays(self, monkeypatch):
+        # the inputs, the perturbations, the rearrangements and one plateau window per probe
+        built = _counted_fields(monkeypatch)
+        experiments.run_probe_continuity(DEFAULT_SEED)
+        assert len(built) <= 74
 
 
 class TestRefineRungs:
@@ -889,10 +931,11 @@ class TestEnergies:
 
     @pytest.mark.parametrize("steps, polish_steps", [(0, 0), (0, 5), (1, -1)])
     def test_choquard_needs_a_main_step(self, steps, polish_steps):
-        # polishing follows the main phase, and the run ends on a rearrangement
+        # polishing follows the main phase, and the run ends on a rearrangement;
+        # each count has its own check, the main one first
         g = Grid((4, 4, 4), 0.5)
         u0 = ScalarField(g, np.random.default_rng(4).random(g.shape))
-        with pytest.raises(ValueError, match="steps >= 1"):
+        with pytest.raises(ValueError, match="steps >= 1" if steps < 1 else "polish_steps >= 0"):
             choquard_descent(u0, coulomb_potential(g), steps=steps, polish_steps=polish_steps)
 
     def test_choquard_shares_differences_between_energy_and_step(self, monkeypatch):
@@ -953,8 +996,7 @@ class TestEnergies:
         # u² and Φ stay arrays: a field goes into and comes out of each sort, and one is the result
         g = Grid((8, 8, 8), 0.75)
         u0, plan = ScalarField(g, np.exp(-g.radius2() / 4.0)), coulomb_potential(g)
-        built, init = [], ScalarField.__post_init__
-        monkeypatch.setattr(ScalarField, "__post_init__", lambda self: built.append(init(self)))
+        built = _counted_fields(monkeypatch)
         result = choquard_descent(u0, plan, steps=6, step_size=0.02, polish_steps=1)
         assert len(result.rearrange_audit) == 2
         assert len(built) == 2 * len(result.rearrange_audit) + 1

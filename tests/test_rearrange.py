@@ -391,6 +391,37 @@ def test_every_steiner_step_fixes_rearrange_and_set_symmetrize(case):
     assert moved_by(*case, steiner_steps) == []
 
 
+def _axis_energy(u):
+    """The two-sided axis sum sum_k sum_i |u_(i+e_k) - u_i|^2 of ``u`` extended by 0 outside the box."""
+    padded = np.pad(u, 1)
+    return float(sum(np.sum(np.diff(padded, axis=k) ** 2) for k in range(u.ndim)))
+
+
+def _riesz_matrix(shape):
+    """K(x_i - x_j) = 1 / (1 + |x_i - x_j|^2) over the cells of the box: even and nonincreasing in |x|."""
+    cells = np.indices(shape).reshape(len(shape), -1)
+    return 1.0 / (1.0 + np.sum((cells[:, :, None] - cells[:, None, :]) ** 2, axis=0))
+
+
+@given(_box_cases())
+@settings(max_examples=80, deadline=None)
+def test_no_admissible_polarization_raises_the_axis_energy_or_lowers_the_riesz_sum(case):
+    # Baernstein-Taylor on the lattice: each reflection maps axis edges to axis
+    # edges and keeps pair distances, so polarizing a nonnegative u lowers
+    # sum |u_x - u_y|^2 over the edges of Z^d and raises sum u_x K(x - y) u_y,
+    # exactly; rounding is held to the suite's 1e-12 (DECISIONS.md D5).  The
+    # sum is two-sided: gradient_pnorm's forward differences, cut at the far
+    # edge, rose under a few polarizations.
+    u = np.abs(case[0])
+    kernel = _riesz_matrix(u.shape)
+    energy, riesz = _axis_energy(u), float(u.ravel() @ kernel @ u.ravel())
+    for step in polarizations(u.shape):
+        v = step(u)
+        e, r = _axis_energy(v), float(v.ravel() @ kernel @ v.ravel())
+        assert e <= energy + 1e-12 * max(e, energy, 1e-300)
+        assert r >= riesz - 1e-12 * max(r, riesz, 1e-300)
+
+
 def _frozen(order):
     order.setflags(write=False)
     return order

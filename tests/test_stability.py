@@ -253,8 +253,9 @@ class TestContinuityProbe:
         direct_calls = []
 
         def direct(u):
+            # the evaluator's stand-in takes the difference array, as the evaluator does
             direct_calls.append(1)
-            return seminorm_direct(u, 0.5, 2.0)
+            return seminorm_direct(ScalarField(g, u), 0.5, 2.0)
 
         monkeypatch.setattr(stab, "fractional_seminorm", lambda grid: direct)
         for kind, u in fields.items():

@@ -53,3 +53,39 @@ def test_census_lists_each_parameter_that_got_one_value(tmp_path):
         small.sign(2)
         small.sign(2.0)  # equal, but of another type
     assert unreached.single_valued(path, collector) == []
+
+
+BOXES = """\
+from dataclasses import dataclass
+
+
+@dataclass
+class Box:
+    x: int
+
+    def __post_init__(self):
+        pass
+
+
+def pair(x):
+    return Box(x), Box(-x)
+"""
+
+
+def test_each_construction_counts_for_the_function_that_built_it(tmp_path):
+    # the dataclass's generated __init__ lies outside the traced files, so a
+    # Box counts for the function that called Box(...), as a ScalarField does
+    path = tmp_path / "boxes.py"
+    path.write_text(BOXES)
+    with unreached.LineCollector(tmp_path) as collector:
+        boxes = _load("boxes", path)
+        boxes.pair(1)
+        boxes.pair(2)
+        boxes.Box(3)  # built here, by no function of the traced files
+    init = next(c for c in collector.calls if c.co_qualname == "Box.__post_init__")
+    assert unreached.built_by(init, collector) == [
+        "  boxes.py:12: pair, 4 built",
+        "  outside the traced files, 1 built",
+        "  total 5",
+    ]
+    assert unreached.built_by(None, collector) == ["  total 0"]
