@@ -50,8 +50,10 @@ Cases, each at one fixed size:
   once per call (the case name is kept, so BENCH files compare);
 * ``continuity_probe`` of the default 64x64 plateau field of
   ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
-* ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values), and
-  ``_set`` of a 100x100x100 set (10^6 values, 30% of them 1).
+* ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values) of
+  standard normal values, and ``.plane`` of the ``audit`` workload's plane
+  (uniform on [0.05, 1)), and ``_set`` of a 100x100x100 set (10^6 values,
+  30% of them 1).
 
 Every case runs in its own freshly spawned interpreter and is timed by the
 same loop: one warm-up call, then R repeats (at least 5) of the case's
@@ -245,8 +247,10 @@ def _field(op, kind="field"):
             cube, calls = (100, 100, 100), 10
             f = GridSet(Grid(cube, 0.08), np.random.default_rng(3).random(cube) < 0.3)
         else:
-            calls = 1
-            f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), np.random.default_rng(3).standard_normal(MEGA))
+            calls, rng = 1, np.random.default_rng(3)
+            # the audit workload's plane, uniform on [0.05, 1), or standard normal values
+            values = rng.uniform(0.05, 1.0, MEGA) if kind == "plane" else rng.standard_normal(MEGA)
+            f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), values)
         path = Path(tmp) / f"{kind}_{op}.sk"
         save(f, path)
         run = (lambda i: save(f, path)) if op == "save" else (lambda i: load(path))
@@ -278,6 +282,8 @@ CASES = {
     "continuity_probe_64x64.plateau_wsp": _probe,
     "field_save_1e6": _field("save"),
     "field_load_1e6": _field("load"),
+    "field_save_1e6.plane": _field("save", "plane"),
+    "field_load_1e6.plane": _field("load", "plane"),
     "field_save_set_1e6": _field("save", "set"),
     "field_load_set_1e6": _field("load", "set"),
 }

@@ -464,8 +464,9 @@ def fractional_seminorm(grid: Grid) -> Callable[[np.ndarray], float]:
     (DECISIONS.md D12).  Its rounding error therefore scales with scale =
     2 sum_i u_i^2 srow_i h^d, not with the result: a result within 1e-13
     scale of 0 is rounding and returns 0.0, and a lower one raises
-    ``FloatingPointError``, since the sum is nonnegative.  The tests'
-    ``conftest.py`` keeps its oracle, the loop over displacements.
+    ``FloatingPointError``, since the sum is nonnegative.  A result that is
+    not finite, from an array with non-finite values, raises ``ValueError``.
+    The tests' ``conftest.py`` keeps its oracle, the loop over displacements.
     """
     plan = convolution_plan(sample_kernel(FracKernel(0.5, 2.0), displacement_grid(grid)), grid)
     srow = plan(np.ones(grid.shape))
@@ -476,6 +477,8 @@ def fractional_seminorm(grid: Grid) -> Callable[[np.ndarray], float]:
         cross = float(np.sum(u * plan(u))) * vol
         diag = float(np.sum(u**2 * srow)) * vol
         total, scale = 2.0 * (diag - cross), 2.0 * diag
+        if not math.isfinite(total):
+            raise ValueError(f"fft seminorm {total!r} of an array with non-finite values")
         if abs(total) <= 1e-13 * scale:
             return 0.0
         if total > 0.0:
@@ -599,9 +602,9 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[np.ndarray], float]:
     Returns the pairing sum u_i (G_t * u)_i h^d of every array u of
     ``grid.shape`` with its heat-kernel convolution, as a float; like a
     convolution plan it maps arrays, and an array of another shape raises
-    (DECISIONS.md D8).  The kernel is sampled and transformed once, here,
-    out to radius max(6 sqrt(t), 3h), beyond which the Gaussian tail is
-    negligible at the tolerances used here.
+    (DECISIONS.md D8), and so does one with non-finite values.  The kernel is
+    sampled and transformed once, here, out to radius max(6 sqrt(t), 3h),
+    beyond which the Gaussian tail is negligible at the tolerances used here.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -609,7 +612,14 @@ def heat_pairing(grid: Grid, t: float) -> Callable[[np.ndarray], float]:
     rc = min(math.ceil(radius / grid.h), max(n - 1 for n in grid.shape))
     plan = convolution_plan(sample_kernel(HeatGaussian(t), displacement_grid(grid, radius_cells=rc)), grid)
     vol = grid.cell_volume
-    return lambda u: float(np.sum(u * plan(u))) * vol
+
+    def pairing(u: np.ndarray) -> float:
+        value = float(np.sum(u * plan(u))) * vol
+        if not math.isfinite(value):
+            raise ValueError(f"heat pairing {value!r} of an array with non-finite values")
+        return value
+
+    return pairing
 
 
 def riesz_energy(rho: ScalarField, lam: float) -> float:

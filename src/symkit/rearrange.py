@@ -25,10 +25,13 @@ def cell_order(shape: tuple[int, ...]) -> np.ndarray:
     ``sum_k (2 i_k - (n_k - 1))^2`` (squared center distance in units of
     (h/2)^2), so the order is deterministic across platforms.  Row-major flat
     index order coincides with lexicographic multi-index order, hence a stable
-    argsort implements the tie-break.
+    argsort implements the tie-break.  The key is the narrowest unsigned
+    integer that holds max r^2, whose stable sort numpy runs as a radix sort
+    for 8 and 16 bits; every key width gives the same permutation.
     """
     # the order itself is cached, so the r^2 grid is built uncached here
-    order = np.argsort(_int_radius2(shape).ravel(), kind="stable")
+    key = np.min_scalar_type(sum((n - 1) ** 2 for n in shape))
+    order = np.argsort(_int_radius2(shape, key).ravel(), kind="stable")
     order.setflags(write=False)
     return order
 

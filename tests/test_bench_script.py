@@ -30,6 +30,8 @@ CASE_NAMES = [
     "continuity_probe_64x64.plateau_wsp",
     "field_save_1e6",
     "field_load_1e6",
+    "field_save_1e6.plane",
+    "field_load_1e6.plane",
     "field_save_set_1e6",
     "field_load_set_1e6",
 ]

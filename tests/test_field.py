@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import tracemalloc
 from unittest import mock
 
@@ -456,6 +457,190 @@ class TestVectorizedFieldIO:
         A = GridSet(Grid((5, 4, 3), 0.25), np.random.default_rng(4).random((5, 4, 3)) < 0.5)
         save(A, tmp_path / "a.sk")
         assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(A)
+
+
+def _per_value_decimals(values) -> bytes:
+    # the writer's oracle: repr of each value on its own line
+    return ("\n".join(map(repr, np.asarray(values, dtype=np.float64).tolist())) + "\n").encode()
+
+
+def _finite_doubles(bits: np.ndarray) -> np.ndarray:
+    values = np.asarray(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+# raw 64-bit patterns: a sign, 52 mantissa bits and a biased exponent, three times in four
+# around repr's fixed notation (2^-17 ... 2^56, from below 1e-4 to above 1e16), else anywhere
+_EXPONENTS = st.one_of(*[st.integers(1006, 1079)] * 3, st.integers(0, 2046))
+_RAW_BITS = st.tuples(st.integers(0, 1), _EXPONENTS, st.integers(0, 2**52 - 1)).map(
+    lambda t: t[0] << 63 | t[1] << 52 | t[2]
+)
+
+
+def _ties() -> list[float]:
+    """Doubles whose 15-, 16- or 17-digit rounding is an exact tie, with the digit count."""
+    found = []
+    for v in (562949953421312.5, 562949953421312.25, 1e15 + 0.25, 0.5 + 2.0**-30, 1.5, 4503599627370497.5):
+        k = 16 - math.floor(math.log10(v))
+        s = Fraction(v) * 10**k
+        for digits, unit in ((15, 100), (16, 10), (17, 1)):
+            if (s / unit) % 1 == Fraction(1, 2):
+                found.append((v, digits))
+    return found
+
+
+class TestDecimalRoutes:
+    """save's and load's array routes against repr and float(), at tolerance 0 (D24)."""
+
+    @given(st.lists(_RAW_BITS, min_size=1, max_size=300).map(_finite_doubles).filter(len))
+    @settings(max_examples=200)
+    def test_raw_bit_patterns_round_trip_through_repr_bytes(self, tmp_path_factory, values):
+        assert field._format_decimals(values) == _per_value_decimals(values)
+        f = ScalarField(Grid((values.size,), 0.5), values)
+        path = tmp_path_factory.mktemp("io") / "f.sk"
+        save(f, path)
+        assert _bits(load(path)) == _bits(f) == _outcome(_loop_load, path)
+
+    def test_named_edge_values(self, tmp_path):
+        tiny = np.finfo(np.float64).smallest_normal
+        named = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 1.0), 1e-4, 1e-5, 9.999999999999999e-05]
+        named += [1e16, 9999999999999998.0, 1e15, 999999999999999.9, 1.7976931348623157e308, 0.1, 0.3, 2.0 / 3]
+        named += [math.ldexp(1.0, e) * s for e in range(-20, 60) for s in (1, -1)]  # powers of two
+        ties = _ties()
+        assert {d for _, d in ties} == {15, 16, 17}  # each kind of tie is here
+        named += [v * s for v, _ in ties for s in (1, -1)]
+        values = np.array(named * 3)  # pieces that the array route converts, not only its fallback
+        values = np.concatenate([values, np.random.default_rng(3).uniform(0.05, 1.0, 4 * values.size)])
+        assert field._format_decimals(values) == _per_value_decimals(values)
+        f = ScalarField(Grid((values.size,), 0.5), values)
+        save(f, tmp_path / "f.sk")
+        assert _bits(load(tmp_path / "f.sk")) == _bits(f)
+
+    @pytest.mark.parametrize("piece", [8, 64])
+    def test_chunk_and_piece_edges(self, tmp_path, piece):
+        rng = np.random.default_rng(piece)
+        for n in (piece - 1, piece, piece + 1, 3 * piece + 5):
+            values = rng.uniform(0.05, 1.0, n)
+            values[::5] = -values[::5]
+            values[n // 2] = 0.5  # a power of two, converted per value
+            values[-1] = 1e-7  # an exponent form, at the edge
+            f = ScalarField(Grid((n,), 0.5), values)
+            for chunk in (piece - 1, piece, 2 * piece):
+                with mock.patch.object(field, "_PIECE", piece), mock.patch.object(field, "_CHUNK", chunk):
+                    save(f, tmp_path / "f.sk")
+                    assert _outcome(load, tmp_path / "f.sk") == _bits(f)
+                assert (tmp_path / "f.sk").read_bytes().endswith(_per_value_decimals(values))
+
+    def test_forced_per_value_route(self, tmp_path, monkeypatch):
+        # a platform without the x87 long double converts every value with repr and float()
+        values = np.random.default_rng(5).standard_normal(500)
+        f = ScalarField(Grid((500,), 0.5), values)
+        monkeypatch.setattr(field, "_EXACT", False)
+        monkeypatch.setattr(field, "_shortest_digits", None)
+        monkeypatch.setattr(field, "_line_layout", None)
+        save(f, tmp_path / "f.sk")
+        assert (tmp_path / "f.sk").read_bytes().endswith(_per_value_decimals(values))
+        assert field._parse_decimals("0.5\n") is None
+        assert _outcome(load, tmp_path / "f.sk") == _bits(f) == _outcome(_loop_load, tmp_path / "f.sk")
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "0010.500", "-0", "0", "7", "-7", "1.", ".5", "-.5", "+1", "1_0", "1e5", "1E5", "--1", "1-", "1.2.3",
+            " 1.5", "1.5 ", "\t2.25", "\xa01.5", "-", ".", "12345678901234567890", "1234567890123456789",
+            "18446744073709551615", "18446744073709551616", "9999999999999999999.5",
+            "0.1234567890123456789012345678", "0.123456789012345678901234567", "0.000000000000000000000000001",
+            "1.000000000000000000000000001", "-0.00027329697946493073", "123456789012.1234567",
+            "0.20000000000000000000", "0.99999999999999999999", "0.30000000000000004", "9007199254740993", "9007199254740993.0", "0.500000000000000166533453693773481063544750213623046875",
+        ],
+    )
+    def test_reader_tokens_give_float_bits_or_the_loop_error(self, tmp_path, token):
+        # the token alone, and in a block of plain decimals, first, in the middle and last
+        plain = ["0.25", "-1.5", "3"]
+        for lines in ([token], [token, *plain], [*plain, token, *plain], [*plain, token]):
+            p = tmp_path / "t.sk"
+            p.write_text("SYMKIT-FIELD 1\n1\n%d\n0.5\n" % len(lines) + "\n".join(lines) + "\n")
+            for chunk in (5, field._CHUNK):
+                with mock.patch.object(field, "_CHUNK", chunk):
+                    assert _outcome(load, p) == _outcome(_loop_load, p)
+
+    _DIGITS = "0123456789"
+    _DECIMALS = st.tuples(
+        st.sampled_from(["", "-"]),
+        st.one_of(st.text(_DIGITS, min_size=1, max_size=3), st.text(_DIGITS, min_size=1, max_size=21)),
+        st.none() | st.text(_DIGITS, min_size=1, max_size=19) | st.text(_DIGITS, min_size=1, max_size=29),
+    ).map(lambda t: t[0] + t[1] + ("" if t[2] is None else "." + t[2]))
+
+    @given(st.lists(_DECIMALS, min_size=1, max_size=40))
+    @example(tokens=["0.20000000000000000000"])  # a fraction of 20 digits above 2^64
+    @settings(max_examples=300)
+    def test_plain_decimals_read_as_float_reads_them(self, tokens):
+        got = field._parse_decimals("\n".join(tokens) + "\n")
+        if got is not None:
+            assert got.view(np.int64).tolist() == np.array([float(t) for t in tokens]).view(np.int64).tolist()
+            return
+        # a block refused although every line has at most 19 significant digits must have
+        # a line of more than 19 integer digits or 27 fraction digits
+        digits = [t.lstrip("-").partition(".") for t in tokens]
+        if all(len((i + f).lstrip("0")) <= 19 for i, _, f in digits):
+            assert any(len(i) > 19 or len(f) > 27 for i, _, f in digits)
+
+    @staticmethod
+    def _near_midpoints(count: int) -> list[str]:
+        """18-fraction-digit decimals within 2^-64 of a midpoint of two doubles in [1, 2), but
+        not on it: the long double rounds each onto the midpoint, float() to the side it lies."""
+        found = []
+        for j in range(1_000_000):
+            mid = 1 + Fraction(2 * j + 1, 2**53)
+            near = Fraction(round(mid * 10**18), 10**18)
+            if near != mid and abs(near - mid) < Fraction(1, 2**64):
+                found.append(f"1.{near.numerator * 10**18 // near.denominator - 10**18:018d}")
+                if len(found) == count:
+                    return found
+        raise AssertionError("too few decimals near a midpoint")
+
+    def test_quotients_on_a_midpoint_go_to_float(self):
+        tokens = self._near_midpoints(6) + ["9007199254740993", "9007199254740995", "4503599627370496.5"]
+        want = np.array([float(t) for t in tokens])
+        # one rounding in the long double, then a second to the double, misses float()
+        significands = np.array([int(t.replace(".", "")) for t in tokens], dtype=np.uint64)
+        places = np.array([len(t.partition(".")[2]) for t in tokens])
+        twice = significands.astype(np.longdouble) / np.longdouble(10) ** places
+        assert (twice.astype(np.float64) != want).any()
+        got = field._parse_decimals("\n".join(tokens) + "\n")
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_the_plane_distribution_goes_per_value_rarely(self, tmp_path, monkeypatch):
+        # the audit's plane: uniform on [0.05, 1); fewer than 5% of the values go to repr,
+        # and every block of its file takes the reader's array route
+        values = np.random.default_rng(11).uniform(0.05, 1.0, 100_000)
+        f = ScalarField(Grid((values.size,), 0.004), values)
+        calls = {"repr": 0, "float": 0, "blocks": 0, "refused": 0}
+
+        def counted(name, fn):
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+
+            return call
+
+        parse = field._parse_decimals
+
+        def spy(buf):
+            out = parse(buf)
+            calls["blocks"] += 1
+            calls["refused"] += out is None
+            return out
+
+        monkeypatch.setattr(field, "repr", counted("repr", repr), raising=False)
+        monkeypatch.setattr(field, "float", counted("float", float), raising=False)
+        monkeypatch.setattr(field, "_parse_decimals", spy)
+        save(f, tmp_path / "plane.sk")
+        back = load(tmp_path / "plane.sk")
+        assert back.values.tobytes() == f.values.tobytes()
+        assert calls["repr"] < 0.05 * values.size, calls
+        assert calls["float"] < 0.01 * values.size, calls
+        assert calls["blocks"] > 0 and calls["refused"] == 0, calls
 
 
 def _traced(op):

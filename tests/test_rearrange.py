@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import symkit.rearrange as rearrange_module
 from symkit.experiments import unit_area_disk
-from symkit.field import Grid, GridSet, ScalarField, measure
+from symkit.field import Grid, GridSet, ScalarField, _int_radius2, measure
 from symkit.random_fields import plateau_field, radial_bump_field
 from symkit.rearrange import (
     bathtub_fill,
@@ -47,6 +47,41 @@ class TestCellOrder:
     def test_tie_break_lexicographic(self):
         # n=4 centers: -1.5 -0.5 0.5 1.5 (x h); ties resolved to the lower index
         assert list(cell_order((4,))) == [1, 2, 0, 3]
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ((1,), np.uint8),
+            ((16,), np.uint8),  # max r^2 = 225
+            ((17,), np.uint16),  # 256
+            ((7, 8), np.uint8),
+            ((12, 13), np.uint16),
+            ((256,), np.uint16),  # 65,025, just below 2^16
+            ((257,), np.uint32),  # 65,536
+            ((182, 182), np.uint16),  # 65,522
+            ((183, 182), np.uint32),  # 65,885
+            ((5, 6, 7), np.uint8),
+            ((256, 2, 2), np.uint16),  # 65,027
+            ((257, 2, 2), np.uint32),  # 65,538
+            ((30, 31, 32), np.uint16),
+        ],
+    )
+    def test_sorts_the_narrowest_key_to_the_int64_permutation(self, shape, key, monkeypatch):
+        # numpy sorts 8- and 16-bit keys stably by radix; every width gives one permutation
+        keys = []
+
+        def radius2(shape, dtype=np.int64):
+            keys.append(np.dtype(dtype))
+            return _int_radius2(shape, dtype)
+
+        monkeypatch.setattr(rearrange_module, "_int_radius2", radius2)
+        rearrange_module.cell_order.cache_clear()
+        try:
+            order = cell_order(shape)
+        finally:
+            rearrange_module.cell_order.cache_clear()
+        assert keys == [np.dtype(key)]
+        assert np.array_equal(order, np.argsort(_int_radius2(shape).ravel(), kind="stable"))
 
 
 class TestSetSymmetrize:
