@@ -469,8 +469,7 @@ def _format_decimals(v: np.ndarray) -> bytes:
     """``_repr_lines(v)``, byte for byte, from fixed-width digit fields on arrays (D24)."""
     if not _EXACT:
         return _repr_lines(v)
-    out = [_format_piece(v[i : i + _PIECE]) for i in range(0, v.size, _PIECE)]
-    return out[0] if len(out) == 1 else b"".join(out)
+    return b"".join(_format_piece(v[i : i + _PIECE]) for i in range(0, v.size, _PIECE))
 
 
 def _format_piece(v: np.ndarray) -> bytes:

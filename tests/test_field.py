@@ -503,8 +503,9 @@ class TestDecimalRoutes:
 
     def test_named_edge_values(self, tmp_path):
         tiny = np.finfo(np.float64).smallest_normal
-        named = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 1.0), 1e-4, 1e-5, 9.999999999999999e-05]
-        named += [1e16, 9999999999999998.0, 1e15, 999999999999999.9, 1.7976931348623157e308, 0.1, 0.3, 2.0 / 3]
+        named = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 1.0)]
+        named += [1e-4, 1e-5, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1e15, 999999999999999.9]
+        named += [1.7976931348623157e308, 0.1, 0.3, 2.0 / 3]
         named += [math.ldexp(1.0, e) * s for e in range(-20, 60) for s in (1, -1)]  # powers of two
         ties = _ties()
         assert {d for _, d in ties} == {15, 16, 17}  # each kind of tie is here
@@ -546,12 +547,18 @@ class TestDecimalRoutes:
     @pytest.mark.parametrize(
         "token",
         [
-            "0010.500", "-0", "0", "7", "-7", "1.", ".5", "-.5", "+1", "1_0", "1e5", "1E5", "--1", "1-", "1.2.3",
-            " 1.5", "1.5 ", "\t2.25", "\xa01.5", "-", ".", "12345678901234567890", "1234567890123456789",
-            "18446744073709551615", "18446744073709551616", "9999999999999999999.5",
-            "0.1234567890123456789012345678", "0.123456789012345678901234567", "0.000000000000000000000000001",
-            "1.000000000000000000000000001", "-0.00027329697946493073", "123456789012.1234567",
-            "0.20000000000000000000", "0.99999999999999999999", "0.30000000000000004", "9007199254740993", "9007199254740993.0", "0.500000000000000166533453693773481063544750213623046875",
+            # the grammar's edges: signs, points, leading zeros, separators, exponents, padding
+            *["0010.500", "-0", "0", "7", "-7", "1.", "-1.", ".5", "-.5", "+1", "1_0", "1e5", "1E5"],
+            *["--1", "1-", "1.2.3", " 1.5", "1.5 ", "\t2.25", "\xa01.5", "-", "."],
+            # 19 and 20 integer digits, and significands around 2^64
+            *["1234567890123456789", "12345678901234567890", "18446744073709551615", "18446744073709551616"],
+            "9999999999999999999.5",
+            # 27 and 28 fraction digits, and fractions of 20 digits above 2^64
+            *["0.123456789012345678901234567", "0.1234567890123456789012345678", "0.000000000000000000000000001"],
+            *["1.000000000000000000000000001", "0.20000000000000000000", "0.99999999999999999999"],
+            # repr forms, a midpoint of two doubles, and a long exact decimal
+            *["-0.00027329697946493073", "123456789012.1234567", "0.30000000000000004"],
+            *["9007199254740993", "9007199254740993.0", "0.500000000000000166533453693773481063544750213623046875"],
         ],
     )
     def test_reader_tokens_give_float_bits_or_the_loop_error(self, tmp_path, token):
