@@ -450,10 +450,10 @@ def _shortest_digits(v: np.ndarray):
         np.where(in16, (q16 + (r16 > 5.0)) * np.uint64(10), T + (f > 0.5)),
     )
     decpt = 17 - k
-    # repr's exponent form; every power of two, whose interval is not symmetric; and a
-    # candidate rounded up to 10^17, which no value of the fixed form reaches: each power of
-    # ten in it is a double, or lies below its nearest double
-    flag |= (decpt < -3) | (decpt > 16) | ((bits & _MANTISSA) == 0) | (D == np.uint64(10**17))
+    # repr's exponent form, and every power of two, whose interval is not symmetric; no
+    # candidate of the fixed form rounds up to 10^17, since each power of ten in it is a double
+    # or lies below its nearest double (D24)
+    flag |= (decpt < -3) | (decpt > 16) | ((bits & _MANTISSA) == 0)
     zero = a == 0.0
     flag &= ~zero
     decpt[zero] = 0
@@ -475,37 +475,32 @@ def _format_decimals(v: np.ndarray) -> bytes:
 def _format_piece(v: np.ndarray) -> bytes:
     t = _tables()
     D, decpt, flag = _shortest_digits(v)
-    if 2 * np.count_nonzero(flag) > v.size:  # mostly exponent forms: repr is faster
+    if 2 * np.count_nonzero(flag) > v.size:  # mostly exponent forms: repr alone is faster (D24)
         return _repr_lines(v)
     neg = np.signbit(v)
     dp = np.maximum(decpt, 0)  # digits before the point; none prints "0"
-    maxdp = int(dp.max())
-    ngroups = -(-maxdp // 4) or 1
+    ngroups = -(-int(dp.max()) // 4) or 1
     signed = bool(neg.any())
     rows = np.empty((v.size, signed + ngroups + 6), dtype=np.uint32)
     c = 0
     if signed:
         rows[:, 0] = neg * np.uint32(ord("-"))
         c = 1
-    if maxdp:  # the integer part in groups of 4, leading zeros NUL
-        div = t.p10u[17 - dp]
-        I = D // div
-        F = (D - I * div) * t.p10u[dp]
-        groups = []
-        for _ in range(ngroups):
-            q = I // np.uint64(10_000)
-            groups.append(I - q * np.uint64(10_000))
-            I = q
-        seen = np.zeros(v.size, dtype=bool)
-        for j, g in enumerate(reversed(groups)):
-            lead = 20_000 if j == ngroups - 1 else 10_000
-            rows[:, c + j] = t.words[g.astype(np.intp) + np.where(seen, 0, lead)]
-            seen |= g != 0
-        c += ngroups
-    else:
-        rows[:, c] = t.words[20_000]  # "0" from group 0 with leading zeros NUL but the last
-        c += 1
-        F = D
+    # the integer part in groups of 4, leading zeros NUL but the last digit's
+    div = t.p10u[17 - dp]
+    I = D // div
+    F = (D - I * div) * t.p10u[dp]
+    groups = []
+    for _ in range(ngroups):
+        q = I // np.uint64(10_000)
+        groups.append(I - q * np.uint64(10_000))
+        I = q
+    seen = np.zeros(v.size, dtype=bool)
+    for j, g in enumerate(reversed(groups)):
+        lead = 20_000 if j == ngroups - 1 else 10_000
+        rows[:, c + j] = t.words[g.astype(np.intp) + np.where(seen, 0, lead)]
+        seen |= g != 0
+    c += ngroups
     rows[:, c] = t.point[np.clip(-decpt, 0, 3)]
     # the 17 fraction digits left-aligned, trailing zeros NUL but the first digit
     q1 = F // np.uint64(10)
@@ -529,7 +524,7 @@ def _format_piece(v: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-_PAD = 32  # zero bytes before a block, so that every digit field's 8-byte words lie in it
+_PAD = 32  # zero bytes before a block, so that every read of a line's digits lies in it
 _NL, _DOT, _MINUS = (np.uint8((ord(c) - ord("0")) % 256) for c in "\n.-")  # after the "0" shift
 _SWAR = (  # fold the 8 digit values of a word, first digit in the low byte, to their integer
     (np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
@@ -564,25 +559,18 @@ def _line_layout(body: np.ndarray, at: np.ndarray, ch: np.ndarray):
     """The start, the point (the newline where there is none), the newline and the sign of each
     line of a block whose characters other than digits, ``ch`` at ``at``, are the newlines, a
     leading "-" and at most one "." a line; None for any other block."""
-    nl = at[ch == _NL]
+    i = np.flatnonzero(ch == _NL)
+    nl = at[i]
     start = np.empty_like(nl)
     start[0] = 0
     start[1:] = nl[:-1] + 1
     neg = body[start] == _MINUS
-    dots = at[ch == _DOT]
-    if at.size != nl.size + dots.size + np.count_nonzero(neg):
-        return None  # another character, or a "-" that does not start its line
-    if dots.size == nl.size:  # a point in every line, if each lies in its own
-        if not ((dots < nl).all() and (dots[1:] > nl[:-1]).all()):
-            return None
-        return start, dots, nl, neg
-    point = nl.copy()
-    if dots.size:
-        line = np.searchsorted(nl, dots)
-        if (np.diff(line) < 1).any():
-            return None
-        point[line] = dots
-    return start, point, nl, neg
+    # a line's point is the character before its newline, if that is a "." (before the first
+    # newline, i - 1 = -1 reads the block's last character, a newline)
+    dot = ch[i - 1] == _DOT
+    if at.size != nl.size + np.count_nonzero(dot) + np.count_nonzero(neg):
+        return None  # another character, a second point, or a "-" that does not start its line
+    return start, np.where(dot, at[i - 1], nl), nl, neg
 
 
 def _parse_decimals(buf: str) -> np.ndarray | None:
@@ -590,8 +578,8 @@ def _parse_decimals(buf: str) -> np.ndarray | None:
     most 27 fraction digits and a significand below 2^64, bit for bit those of ``float()``; None
     for any other block (D24).
 
-    The significand M is read from fixed-width digit fields, and M / 10^f is one long-double
-    division, which rounds once; a quotient that lies on the midpoint of two doubles, where the
+    The significand M is read from the integer digits, one at a time back from the point, and
+    the fraction digits, in fixed-width 8-digit words; M / 10^f is one long-double division, which rounds once; a quotient that lies on the midpoint of two doubles, where the
     second rounding could differ from ``float()``'s one, goes to ``float()``.
     """
     if not (_EXACT and buf and buf.isascii()):
@@ -601,28 +589,21 @@ def _parse_decimals(buf: str) -> np.ndarray | None:
     np.subtract(np.frombuffer(buf.encode(), dtype=np.uint8), ord("0"), out=body)
     at = np.flatnonzero(body > 9)
     ch = body[at]
-    if at.size % 2 == 0 and (ch[0::2] == _DOT).all() and (ch[1::2] == _NL).all():
-        point, nl, neg = at[0::2], at[1::2], None  # the common block: positive, each with a point
-        start = np.empty_like(nl)
-        start[0] = 0
-        start[1:] = nl[:-1] + 1
-        ilen = point - start
-    elif (layout := _line_layout(body, at, ch)) is not None:
-        start, point, nl, neg = layout
-        ilen = point - start - neg
-    else:
+    layout = _line_layout(body, at, ch)
+    if layout is None:
         return None
+    start, point, nl, neg = layout
+    ilen = point - start - neg
     flen = np.maximum(nl - point - 1, 0)  # nl - point - 1 = -1 for a line without a point
     if ilen.min() < 1:
         return None
     imax, fmax = int(ilen.max()), int(flen.max())
     if imax > 19 or fmax > 27:
         return None
-    if imax == 1:
-        M = body[point - 1].astype(np.uint64)
-    else:
-        M = _fold(_digit_words(data, point + _PAD, ilen, -(-imax // 8)))
     t = _tables()
+    M = body[point - 1].astype(np.uint64)  # the integer part, a digit at a time from the point
+    for j in range(1, imax):
+        M += np.where(ilen > j, data[point + (_PAD - 1 - j)], 0) * t.p10u[j]
     if fmax:
         words = _digit_words(data, nl + _PAD, flen, -(-fmax // 8))
         if imax + fmax > 19:  # M = I 10^f + F must stay below 2^64
@@ -634,8 +615,7 @@ def _parse_decimals(buf: str) -> np.ndarray | None:
     q = M.astype(np.longdouble)
     q /= t.p10[flen]
     values = q.astype(np.float64)
-    if neg is not None:
-        np.negative(values, out=values, where=neg)
+    np.negative(values, out=values, where=neg)
     # a midpoint of two doubles: the 11 bits below a double's 53 read 0x400
     for i in np.flatnonzero((q.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400).tolist():
         values[i] = float(buf[start[i] : nl[i]])

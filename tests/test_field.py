@@ -275,6 +275,11 @@ def _outcome(read, path):
         return str(e), e.line
 
 
+def _per_value_decimals(values) -> bytes:
+    # the writer's oracle: repr of each value on its own line
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).ravel().tolist()).encode()
+
+
 class TestVectorizedFieldIO:
     """The streamed parse and save against the per-value code they replaced."""
 
@@ -429,12 +434,12 @@ class TestVectorizedFieldIO:
     def _per_value_bytes(obj) -> bytes:
         # the body expressions save() used before it was vectorized
         if isinstance(obj, ScalarField):
-            tag, body = "SYMKIT-FIELD 1", "\n".join(repr(float(v)) for v in obj.values.ravel())
+            tag, body = "SYMKIT-FIELD 1", _per_value_decimals(obj.values).decode()
         else:
-            tag, body = "SYMKIT-SET 1", "\n".join("1" if v else "0" for v in obj.mask.ravel())
+            tag, body = "SYMKIT-SET 1", "".join("1\n" if v else "0\n" for v in obj.mask.ravel())
         g = obj.grid
         header = "\n".join([tag, str(g.dim), " ".join(str(n) for n in g.shape), repr(g.h)])
-        return (header + "\n" + body + "\n").encode()
+        return (header + "\n" + body).encode()
 
     @given(arrays(np.float64, st.integers(1, 40), elements=_FINITE))
     @settings(max_examples=60)
@@ -457,11 +462,6 @@ class TestVectorizedFieldIO:
         A = GridSet(Grid((5, 4, 3), 0.25), np.random.default_rng(4).random((5, 4, 3)) < 0.5)
         save(A, tmp_path / "a.sk")
         assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(A)
-
-
-def _per_value_decimals(values) -> bytes:
-    # the writer's oracle: repr of each value on its own line
-    return ("\n".join(map(repr, np.asarray(values, dtype=np.float64).tolist())) + "\n").encode()
 
 
 def _finite_doubles(bits: np.ndarray) -> np.ndarray:
