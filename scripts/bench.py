@@ -51,8 +51,10 @@ Cases, each at one fixed size:
 * ``continuity_probe`` of the default 64x64 plateau field of
   ``probe-continuity`` in W^(1/2,2) (``space="wsp"``, 8 steps, 16 seminorms);
 * ``field.save`` and ``field.load`` of a 1000x1000 field (10^6 values) of
-  standard normal values, and ``.plane`` of the ``audit`` workload's plane
-  (uniform on [0.05, 1)), and ``_set`` of a 100x100x100 set (10^6 values,
+  standard normal values, ``.plane`` of the ``audit`` workload's plane
+  (uniform on [0.05, 1)), ``.tiny`` of 1e-5 times standard normal values,
+  each of which ``repr`` writes in the exponent form, which the decimal
+  routes convert per value, and ``_set`` of a 100x100x100 set (10^6 values,
   30% of them 1).
 
 Every case runs in its own freshly spawned interpreter and is timed by the
@@ -250,6 +252,8 @@ def _field(op, kind="field"):
             calls, rng = 1, np.random.default_rng(3)
             # the audit workload's plane, uniform on [0.05, 1), or standard normal values
             values = rng.uniform(0.05, 1.0, MEGA) if kind == "plane" else rng.standard_normal(MEGA)
+            if kind == "tiny":  # every value below 1e-4, in repr's exponent form
+                values *= 1e-5
             f = ScalarField(Grid(MEGA, 1.0 / MEGA[0]), values)
         path = Path(tmp) / f"{kind}_{op}.sk"
         save(f, path)
@@ -284,6 +288,8 @@ CASES = {
     "field_load_1e6": _field("load"),
     "field_save_1e6.plane": _field("save", "plane"),
     "field_load_1e6.plane": _field("load", "plane"),
+    "field_save_1e6.tiny": _field("save", "tiny"),
+    "field_load_1e6.tiny": _field("load", "tiny"),
     "field_save_set_1e6": _field("save", "set"),
     "field_load_set_1e6": _field("load", "set"),
 }

@@ -6,12 +6,13 @@ Everything lives on uniform, origin-centered, cell-centered grids in dimension
 (for odd extents a cell center sits exactly at 0).  A field represents a
 function supported in its box; every functional treats it as 0 outside.
 
-Field files stream in fixed chunks (D24).  ``load`` reads every input once, in
-text mode, and a block of lines that the vectorized parse rejects goes to the
-per-line loop, which raises at the bad line.  Decimals are converted a chunk at
-a time in exact arithmetic on arrays: the bytes written are those of ``repr``
-and the bits read those of ``float()``, which convert the few values whose
-decision is too close to call.
+Field files stream in fixed pieces (D24).  ``save`` converts and writes a piece
+of values at a time, and ``load`` reads every input once, in text mode, a block
+of characters at a time.  Decimals are converted in exact arithmetic on arrays:
+the bytes written are those of ``repr`` and the bits read those of ``float()``,
+which convert, one at a time, each value or line that the arrays cannot decide.
+A block with a line that ``float()`` rejects goes to the per-line loop, which
+raises at the bad line.
 
 Every object defined here is immutable after construction and safe to share
 between threads, and operations in this package are pure.  The one
@@ -33,8 +34,8 @@ import numpy as np
 _SUPPORTED_DIMS = (1, 2, 3)
 _FIELD_TAG = "SYMKIT-FIELD 1"
 _SET_TAG = "SYMKIT-SET 1"
-_CHUNK = 65_536  # values per write of save, characters per read of load (D24)
-_PIECE = 16_384  # values save converts at a time, so that its temporaries stay in cache
+_CHUNK = 65_536  # characters per read of load (D24)
+_PIECE = 16_384  # values per write of save, so that its temporaries stay in cache (D24)
 
 
 class FieldFormatError(ValueError):
@@ -185,8 +186,8 @@ def save(obj: ScalarField | GridSet, path) -> None:
             fh.write(pairs)
             return
         flat = obj.values.ravel()
-        for i in range(0, g.ncells, _CHUNK):
-            fh.write(_format_decimals(flat[i : i + _CHUNK]))
+        for i in range(0, g.ncells, _PIECE):
+            fh.write(_format_decimals(flat[i : i + _PIECE]))
 
 
 def _parse_header(lines: list[str]):
@@ -250,8 +251,8 @@ def _parse_lines(lines: list[str], line: int, as_mask: bool, count: int, ncells:
 
 def _parse_block(buf: str, line: int, as_mask: bool, count: int, ncells: int) -> tuple[np.ndarray, int]:
     """The values and the line count of a block of whole lines (D24): "0\\n"/"1\\n" pairs by a
-    byte view, plain decimals by ``_parse_decimals``, other lines by one ``np.array`` call,
-    which hands each ``str`` to ``float()``; a block that each of them rejects goes to
+    byte view, any other block by ``_parse_decimals``; a block that both reject, or whose
+    values are not all finite, 0 or 1 for a set, or more than the cells left, goes to
     ``_parse_lines``, which raises at the bad line."""
     room = ncells - count
     if as_mask and buf.isascii() and len(buf) % 2 == 0 and len(buf) // 2 <= room:
@@ -259,18 +260,12 @@ def _parse_block(buf: str, line: int, as_mask: bool, count: int, ncells: int) ->
         digits = pairs[:, 0] - ord("0")
         if (pairs[:, 1] == ord("\n")).all() and (digits <= 1).all():
             return digits, digits.size
-    arr, lines = _parse_decimals(buf), None
-    if arr is None:
-        lines = buf.split("\n")[:-1]
-        try:
-            arr = np.array(lines, dtype=np.float64)
-        except ValueError:
-            pass
+    arr = _parse_decimals(buf)
     if arr is not None:
         mask_ok = not (as_mask and ((arr != 0.0) & (arr != 1.0)).any())
         if arr.size <= room and np.isfinite(arr).all() and mask_ok:
             return arr, arr.size
-    lines = buf.split("\n")[:-1] if lines is None else lines
+    lines = buf.split("\n")[:-1]
     return _parse_lines(lines, line, as_mask, count, ncells), len(lines)
 
 
@@ -305,6 +300,8 @@ def _read_payload(fh, grid: Grid, as_mask: bool) -> np.ndarray:
         buf = tail + block
         cut = buf.rfind("\n") + 1
         buf, tail = buf[:cut], buf[cut:]
+        if not buf:  # the read ended no line
+            continue
         try:
             part, nlines = _parse_block(buf, line, as_mask, count, ncells)
         except FieldFormatError as e:
@@ -342,9 +339,9 @@ def load(path) -> ScalarField | GridSet:
 # ----------------------------------------------------------------------------
 # decimal conversion (D24)
 #
-# save writes repr's bytes and load reads float()'s bits, a chunk of values at a
-# time in exact arithmetic on arrays.  A value whose decision lies too close to
-# call goes per value, to repr or float().
+# save writes repr's bytes and load reads float()'s bits, a piece of values or a
+# block of lines at a time, in exact arithmetic on arrays.  Each value or line
+# that the arrays cannot decide goes per value, to repr or float().
 # ----------------------------------------------------------------------------
 
 # both array routes round once in the x87 80-bit long double, whose 64-bit significand
@@ -460,23 +457,13 @@ def _shortest_digits(v: np.ndarray):
     return D, decpt, flag
 
 
-def _repr_lines(v: np.ndarray) -> bytes:
-    """The per-value writer: ``repr`` of each value on its own line."""
-    return ("\n".join(map(repr, v.tolist())) + "\n").encode()
-
-
 def _format_decimals(v: np.ndarray) -> bytes:
-    """``_repr_lines(v)``, byte for byte, from fixed-width digit fields on arrays (D24)."""
-    if not _EXACT:
-        return _repr_lines(v)
-    return b"".join(_format_piece(v[i : i + _PIECE]) for i in range(0, v.size, _PIECE))
-
-
-def _format_piece(v: np.ndarray) -> bytes:
+    """``repr`` of each value of ``v`` on its own line, byte for byte, from fixed-width digit
+    fields on arrays; a row that ``_shortest_digits`` flags holds ``repr``'s line (D24)."""
+    if not _EXACT:  # no x87 long double: every value goes per value
+        return ("\n".join(map(repr, v.tolist())) + "\n").encode()
     t = _tables()
     D, decpt, flag = _shortest_digits(v)
-    if 2 * np.count_nonzero(flag) > v.size:  # mostly exponent forms: repr alone is faster (D24)
-        return _repr_lines(v)
     neg = np.signbit(v)
     dp = np.maximum(decpt, 0)  # digits before the point; none prints "0"
     ngroups = -(-int(dp.max()) // 4) or 1
@@ -557,8 +544,8 @@ def _fold(words: np.ndarray) -> np.ndarray:
 
 def _line_layout(body: np.ndarray, at: np.ndarray, ch: np.ndarray):
     """The start, the point (the newline where there is none), the newline and the sign of each
-    line of a block whose characters other than digits, ``ch`` at ``at``, are the newlines, a
-    leading "-" and at most one "." a line; None for any other block."""
+    line of a block whose characters other than digits are ``ch`` at ``at``, and whether the
+    line holds any such character besides its newline, its point and a leading "-"."""
     i = np.flatnonzero(ch == _NL)
     nl = at[i]
     start = np.empty_like(nl)
@@ -568,55 +555,64 @@ def _line_layout(body: np.ndarray, at: np.ndarray, ch: np.ndarray):
     # a line's point is the character before its newline, if that is a "." (before the first
     # newline, i - 1 = -1 reads the block's last character, a newline)
     dot = ch[i - 1] == _DOT
+    # a line with another character, a second point or a "-" elsewhere holds more non-digits than
+    # its newline, point and sign, and none holds fewer: count lines only if the block holds more
+    other = np.zeros(nl.size, dtype=bool)
     if at.size != nl.size + np.count_nonzero(dot) + np.count_nonzero(neg):
-        return None  # another character, a second point, or a "-" that does not start its line
-    return start, np.where(dot, at[i - 1], nl), nl, neg
+        other = np.diff(i, prepend=-1) > 1 + dot + neg
+    return start, np.where(dot, at[i - 1], nl), nl, neg, other
 
 
 def _parse_decimals(buf: str) -> np.ndarray | None:
-    """The values of a block of whole lines when every line is ``-?[0-9]+([.][0-9]*)?`` with at
-    most 27 fraction digits and a significand below 2^64, bit for bit those of ``float()``; None
-    for any other block (D24).
+    """The values of a block of whole lines, bit for bit those of ``float()``; None for a block
+    that is not ASCII or that holds a line ``float()`` rejects (D24).
 
-    The significand M is read from the integer digits, one at a time back from the point, and
-    the fraction digits, in fixed-width 8-digit words; M / 10^f is one long-double division, which rounds once; a quotient that lies on the midpoint of two doubles, where the
-    second rounding could differ from ``float()``'s one, goes to ``float()``.
+    A line ``-?[0-9]+([.][0-9]*)?`` of at most 19 integer and 27 fraction digits is read on
+    arrays: its significand M from the integer digits, one at a time back from the point, and
+    the fraction digits in 8-digit words; M / 10^f is one long-double division, which rounds
+    once.  Every other line, and each whose M reaches 2^64 or whose quotient lies on a midpoint
+    of two doubles, where a second rounding could differ, goes to ``float()`` in one call.
     """
-    if not (_EXACT and buf and buf.isascii()):
+    if not buf.isascii():
         return None
     data = np.zeros(_PAD + len(buf), dtype=np.uint8)
     body = data[_PAD:]
     np.subtract(np.frombuffer(buf.encode(), dtype=np.uint8), ord("0"), out=body)
     at = np.flatnonzero(body > 9)
-    ch = body[at]
-    layout = _line_layout(body, at, ch)
-    if layout is None:
-        return None
-    start, point, nl, neg = layout
+    start, point, nl, neg, slow = _line_layout(body, at, body[at])
     ilen = point - start - neg
     flen = np.maximum(nl - point - 1, 0)  # nl - point - 1 = -1 for a line without a point
-    if ilen.min() < 1:
-        return None
     imax, fmax = int(ilen.max()), int(flen.max())
-    if imax > 19 or fmax > 27:
-        return None
-    t = _tables()
-    M = body[point - 1].astype(np.uint64)  # the integer part, a digit at a time from the point
-    for j in range(1, imax):
-        M += np.where(ilen > j, data[point + (_PAD - 1 - j)], 0) * t.p10u[j]
-    if fmax:
-        words = _digit_words(data, nl + _PAD, flen, -(-fmax // 8))
-        if imax + fmax > 19:  # M = I 10^f + F must stay below 2^64
-            est = M * 10.0**flen + words @ 1e8 ** np.arange(words.shape[1] - 1, -1, -1)
-            if not (est < 1.8e19).all():
-                return None
-        M *= t.p10u[np.minimum(flen, 19)]  # a line of more than 19 fraction digits has I = 0
-        M += _fold(words)
-    q = M.astype(np.longdouble)
-    q /= t.p10[flen]
-    values = q.astype(np.float64)
-    np.negative(values, out=values, where=neg)
-    # a midpoint of two doubles: the 11 bits below a double's 53 read 0x400
-    for i in np.flatnonzero((q.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400).tolist():
-        values[i] = float(buf[start[i] : nl[i]])
+    if ilen.min() < 1 or imax > 19 or fmax > 27:
+        slow |= (ilen < 1) | (ilen > 19) | (flen > 27)
+        ilen[slow] = 1  # lengths that keep the reads of a per-value line in the block and tables
+        flen[slow] = 0
+        imax, fmax = int(ilen.max()), int(flen.max())
+    if _EXACT:
+        t = _tables()
+        M = data[point + (_PAD - 1)].astype(np.uint64)  # the integer part, a digit at a time
+        for j in range(1, imax):
+            M += np.where(ilen > j, data[point + (_PAD - 1 - j)], 0) * t.p10u[j]
+        if fmax:
+            words = _digit_words(data, nl + _PAD, flen, -(-fmax // 8))
+            if imax + fmax > 19:  # M = I 10^f + F must stay below 2^64
+                est = M * 10.0**flen + words @ 1e8 ** np.arange(words.shape[1] - 1, -1, -1)
+                slow |= ~(est < 1.8e19)
+            M *= t.p10u[np.minimum(flen, 19)]  # a line of more than 19 fraction digits has I = 0
+            M += _fold(words)
+        q = M.astype(np.longdouble)
+        q /= t.p10[flen]
+        values = q.astype(np.float64)
+        np.negative(values, out=values, where=neg)
+        # a midpoint of two doubles: the 11 bits below a double's 53 read 0x400
+        slow |= (q.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400
+    else:  # no x87 long double: every line goes per value
+        values = np.empty(nl.size)
+        slow[:] = True
+    if (per := np.flatnonzero(slow)).size:
+        tokens = [buf[a:b] for a, b in zip(start[per].tolist(), nl[per].tolist())]
+        try:
+            values[per] = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            return None
     return values

@@ -32,6 +32,8 @@ CASE_NAMES = [
     "field_load_1e6",
     "field_save_1e6.plane",
     "field_load_1e6.plane",
+    "field_save_1e6.tiny",
+    "field_load_1e6.tiny",
     "field_save_set_1e6",
     "field_load_set_1e6",
 ]

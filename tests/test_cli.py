@@ -174,7 +174,8 @@ class TestFileVerbs:
         # fieldio; its own oracle gives the bytes rearrange must write and the
         # values info must print, l1 and l2 to its INFO_RTOL.
         fieldio = _perfbench_module("fieldio")
-        monkeypatch.setattr(field, "_CHUNK", chunk)
+        monkeypatch.setattr(field, "_CHUNK", chunk)  # load's blocks
+        monkeypatch.setattr(field, "_PIECE", chunk)  # save's pieces
         rng = np.random.default_rng(5)
         for name, tag, shape, h in [
             ("plane", fieldio.FIELD_TAG, (40, 30), 0.004),

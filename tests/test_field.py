@@ -450,11 +450,11 @@ class TestVectorizedFieldIO:
         save(f, path)
         assert path.read_bytes() == self._per_value_bytes(f)
 
-    @pytest.mark.parametrize("n", [7, 8, 9])  # chunk - 1, chunk and chunk + 1 values
+    @pytest.mark.parametrize("n", [7, 8, 9])  # piece - 1, piece and piece + 1 values
     def test_save_at_chunk_edges_matches_per_value_writer(self, tmp_path, n):
         values = np.random.default_rng(n).standard_normal(n)
         for obj in (ScalarField(Grid((n,), 0.3), values), GridSet(Grid((n,), 0.3), values < 0)):
-            with mock.patch.object(field, "_CHUNK", 8):
+            with mock.patch.object(field, "_PIECE", 8):
                 save(obj, tmp_path / "a.sk")
             assert (tmp_path / "a.sk").read_bytes() == self._per_value_bytes(obj)
 
@@ -475,6 +475,25 @@ _EXPONENTS = st.one_of(*[st.integers(1006, 1079)] * 3, st.integers(0, 2046))
 _RAW_BITS = st.tuples(st.integers(0, 1), _EXPONENTS, st.integers(0, 2**52 - 1)).map(
     lambda t: t[0] << 63 | t[1] << 52 | t[2]
 )
+
+
+def _count_float_lines(monkeypatch) -> dict:
+    """Counts, in ``seen["lines"]``, the lines that field's reader hands to ``float()``: the
+    ``str`` tokens of its ``np.array`` calls."""
+    seen = {"lines": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(obj, *args, **kwargs):
+            if isinstance(obj, list) and obj and isinstance(obj[0], str):
+                seen["lines"] += len(obj)
+            return np.array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(field, "np", CountingNumpy())
+    return seen
 
 
 def _ties() -> list[float]:
@@ -533,16 +552,20 @@ class TestDecimalRoutes:
                 assert (tmp_path / "f.sk").read_bytes().endswith(_per_value_decimals(values))
 
     def test_forced_per_value_route(self, tmp_path, monkeypatch):
-        # a platform without the x87 long double converts every value with repr and float()
+        # a platform without the x87 long double converts every value with repr, and every
+        # line with float() through the reader's one per-value call; no table is built
         values = np.random.default_rng(5).standard_normal(500)
         f = ScalarField(Grid((500,), 0.5), values)
         monkeypatch.setattr(field, "_EXACT", False)
         monkeypatch.setattr(field, "_shortest_digits", None)
-        monkeypatch.setattr(field, "_line_layout", None)
+        monkeypatch.setattr(field, "_tables", None)
         save(f, tmp_path / "f.sk")
         assert (tmp_path / "f.sk").read_bytes().endswith(_per_value_decimals(values))
-        assert field._parse_decimals("0.5\n") is None
+        floats = _count_float_lines(monkeypatch)
+        assert field._parse_decimals("0.5\n-2\n").tolist() == [0.5, -2.0]
+        assert floats["lines"] == 2
         assert _outcome(load, tmp_path / "f.sk") == _bits(f) == _outcome(_loop_load, tmp_path / "f.sk")
+        assert floats["lines"] == 2 + values.size
 
     @pytest.mark.parametrize(
         "token",
@@ -572,25 +595,28 @@ class TestDecimalRoutes:
                     assert _outcome(load, p) == _outcome(_loop_load, p)
 
     _DIGITS = "0123456789"
+    # signed decimals of up to 21 integer and 29 fraction digits, beyond the array limits of 19
+    # and 27, and repr's exponent forms below 1e-4; each padded with spaces or not
     _DECIMALS = st.tuples(
-        st.sampled_from(["", "-"]),
-        st.one_of(st.text(_DIGITS, min_size=1, max_size=3), st.text(_DIGITS, min_size=1, max_size=21)),
-        st.none() | st.text(_DIGITS, min_size=1, max_size=19) | st.text(_DIGITS, min_size=1, max_size=29),
-    ).map(lambda t: t[0] + t[1] + ("" if t[2] is None else "." + t[2]))
+        st.sampled_from(["", " "]),
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["", "-", "+"]),
+                st.one_of(st.text(_DIGITS, min_size=1, max_size=3), st.text(_DIGITS, min_size=1, max_size=21)),
+                st.none() | st.text(_DIGITS, min_size=1, max_size=19) | st.text(_DIGITS, min_size=1, max_size=29),
+            ).map(lambda t: t[0] + t[1] + ("" if t[2] is None else "." + t[2])),
+            st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True).map(repr),
+        ),
+        st.sampled_from(["", " "]),
+    ).map("".join)
 
     @given(st.lists(_DECIMALS, min_size=1, max_size=40))
     @example(tokens=["0.20000000000000000000"])  # a fraction of 20 digits above 2^64
+    @example(tokens=["1.5", "-2.5e-05", "0.25"])  # an exponent form between plain lines
     @settings(max_examples=300)
     def test_plain_decimals_read_as_float_reads_them(self, tokens):
         got = field._parse_decimals("\n".join(tokens) + "\n")
-        if got is not None:
-            assert got.view(np.int64).tolist() == np.array([float(t) for t in tokens]).view(np.int64).tolist()
-            return
-        # a block refused although every line has at most 19 significant digits must have
-        # a line of more than 19 integer digits or 27 fraction digits
-        digits = [t.lstrip("-").partition(".") for t in tokens]
-        if all(len((i + f).lstrip("0")) <= 19 for i, _, f in digits):
-            assert any(len(i) > 19 or len(f) > 27 for i, _, f in digits)
+        assert got.view(np.int64).tolist() == np.array([float(t) for t in tokens]).view(np.int64).tolist()
 
     @staticmethod
     def _near_midpoints(count: int) -> list[str]:
@@ -617,12 +643,15 @@ class TestDecimalRoutes:
         got = field._parse_decimals("\n".join(tokens) + "\n")
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
-    def test_the_plane_distribution_goes_per_value_rarely(self, tmp_path, monkeypatch):
-        # the audit's plane: uniform on [0.05, 1); fewer than 5% of the values go to repr,
-        # and every block of its file takes the reader's array route
-        values = np.random.default_rng(11).uniform(0.05, 1.0, 100_000)
+    @pytest.mark.parametrize("kind", ["plane", "normal"])
+    def test_the_plane_distribution_goes_per_value_rarely(self, tmp_path, monkeypatch, kind):
+        # the audit's plane, uniform on [0.05, 1), and standard normal values, some in the
+        # exponent form: fewer than 5% of the values go to repr and 1% of the lines to float(),
+        # and no block of the file is refused by the reader's array route
+        rng = np.random.default_rng(11)
+        values = rng.uniform(0.05, 1.0, 100_000) if kind == "plane" else rng.standard_normal(100_000)
         f = ScalarField(Grid((values.size,), 0.004), values)
-        calls = {"repr": 0, "float": 0, "blocks": 0, "refused": 0}
+        calls = {"repr": 0, "blocks": 0, "refused": 0}
 
         def counted(name, fn):
             def call(x):
@@ -640,14 +669,16 @@ class TestDecimalRoutes:
             return out
 
         monkeypatch.setattr(field, "repr", counted("repr", repr), raising=False)
-        monkeypatch.setattr(field, "float", counted("float", float), raising=False)
         monkeypatch.setattr(field, "_parse_decimals", spy)
         save(f, tmp_path / "plane.sk")
+        floats = _count_float_lines(monkeypatch)
         back = load(tmp_path / "plane.sk")
         assert back.values.tobytes() == f.values.tobytes()
         assert calls["repr"] < 0.05 * values.size, calls
-        assert calls["float"] < 0.01 * values.size, calls
+        assert floats["lines"] < 0.01 * values.size, floats
         assert calls["blocks"] > 0 and calls["refused"] == 0, calls
+        if kind == "normal":  # exponent forms are among its lines, read without a refusal
+            assert (np.abs(values) < 1e-4).any()
 
 
 def _traced(op):
