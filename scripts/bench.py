@@ -58,13 +58,16 @@ Cases, each at one fixed size:
   30% of them 1).
 
 Every case runs in its own freshly spawned interpreter and is timed by the
-same loop: one warm-up call, then R repeats (at least 5) of the case's
-fixed number of calls.  The file records, per case, the sizes, the per-call
-median over repeats, the spread (interquartile range over median) and the
-extremes.  ``minor_faults_per_call`` is the number of minor page faults of
-the case's process (``getrusage(RUSAGE_SELF).ru_minflt``) during its
-repeats, over the number of calls: pages touched for the first time, whose
-kernel time no Python profiler sees.  How many pages a freed array returns
+same loop: one freed 8 MB block, one warm-up call, then R repeats (at least
+5) of the case's fixed number of calls.  The freed block primes glibc's
+heap as a CLI call finds it (DECISIONS.md D25): blocks below 8 MB then come
+from the heap, which is not trimmed after each of them.  The file records,
+per case, the sizes, the per-call median over repeats, the spread
+(interquartile range over median) and the extremes.
+``minor_faults_per_call`` is the number of minor page faults of the case's
+process (``getrusage(RUSAGE_SELF).ru_minflt``) during its repeats, over
+the number of calls: pages touched for the first time, whose kernel time
+no Python profiler sees.  How many pages a freed array returns
 to the system depends on what the process freed before, so no case shares
 its process with another.  ``cli_import``'s faults happen in its child
 processes, which ``RUSAGE_SELF`` does not count.  The file also records
@@ -296,6 +299,9 @@ CASES = {
 
 
 def _time_case(op, calls, repeats):
+    # free one 8 MB block: glibc's malloc then raises its mmap threshold to 8 MB
+    # and its trim threshold to 16 MB, the heap a CLI call meets (DECISIONS.md D25)
+    np.empty(1 << 20)
     # warm up with the last call, so each repeat's first call follows the
     # same call as in steady state
     op(calls - 1)
@@ -362,7 +368,8 @@ def main() -> None:
         "statistics": (
             "per-call wall time: median, (q3 - q1) / median, min and max over repeats; "
             "minor_faults_per_call: ru_minflt delta over the case's repeats / (repeats * calls); "
-            "every case runs in its own freshly spawned interpreter"
+            "every case runs in its own freshly spawned interpreter, which frees one 8 MB block "
+            "before the warm-up (a primed heap, the state a CLI call meets)"
         ),
         "results": results,
     }

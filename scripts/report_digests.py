@@ -8,9 +8,11 @@ whitespace, ``wall_time_s`` dropped): the six suite verbs at the default
 config seed and the five other than ``choquard`` at the seven seeds after it,
 the reports of tier-1's session runs.  Report bytes hold at a fixed BLAS
 thread count of 2 or more (DECISIONS.md D22), so the script refuses to run on
-one OpenBLAS thread, and it stores ``refine-heat-trace-2d``'s one-thread
-digest apart, from a subprocess under ``OPENBLAS_NUM_THREADS=1``.  A change
-that moves a report reruns the script and names each moved id.
+one OpenBLAS thread; where it cannot read the count, it builds
+``refine-heat-trace-2d`` again in a subprocess under ``OPENBLAS_NUM_THREADS=2``,
+as the tier-1 check does.  It stores that report's one-thread digest apart,
+from a subprocess under ``OPENBLAS_NUM_THREADS=1``.  A change that moves a
+report reruns the script and names each moved id.
 """
 
 import ctypes
@@ -65,6 +67,25 @@ def openblas_threads() -> int | None:
     return None
 
 
+def session_digests(suite_run, default_seed: int, verbs) -> dict[str, dict[str, str]]:
+    """``digests`` at a thread count the table holds: when the OpenBLAS count cannot
+    be read, ``THREAD_BOUND`` is built again in a subprocess at 2 threads."""
+    table = digests(suite_run, default_seed, verbs)
+    if openblas_threads() is None:
+        table[str(default_seed)][THREAD_BOUND] = thread_bound_digest(default_seed, 2)
+    return table
+
+
+def build_table(suite_run, default_seed: int, verbs) -> dict:
+    """The table ``TABLE`` holds; refused at one OpenBLAS thread."""
+    if openblas_threads() == 1:
+        raise SystemExit("report bytes are pinned at 2 or more BLAS threads; unset OPENBLAS_NUM_THREADS")
+    return {
+        "reports": session_digests(suite_run, default_seed, verbs),
+        "one_blas_thread": {THREAD_BOUND: thread_bound_digest(default_seed, 1)},
+    }
+
+
 def thread_bound_digest(seed: int, threads: int) -> str:
     """``THREAD_BOUND``'s digest at ``seed``, built in a subprocess under ``OPENBLAS_NUM_THREADS=threads``."""
     code = (
@@ -82,16 +103,10 @@ if __name__ == "__main__":
     from symkit import experiments
     from symkit.cli import DEFAULT_SEED
 
-    if openblas_threads() == 1:
-        raise SystemExit("report bytes are pinned at 2 or more BLAS threads; unset OPENBLAS_NUM_THREADS")
-
     def suite_run(verb, seed):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return getattr(experiments, experiments.VERBS[verb][0])(seed), 0.0
 
-    table = {
-        "reports": digests(suite_run, DEFAULT_SEED, experiments.VERBS),
-        "one_blas_thread": {THREAD_BOUND: thread_bound_digest(DEFAULT_SEED, 1)},
-    }
+    table = build_table(suite_run, DEFAULT_SEED, experiments.VERBS)
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {sum(map(len, table['reports'].values()))} digests to {TABLE}")

@@ -1,6 +1,9 @@
-"""scripts/bench.py loads and records its environment without scipy, the tests' oracle."""
+"""scripts/bench.py loads and records its environment without scipy, the tests' oracle,
+and times every case on a primed heap."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,18 @@ def test_loads_without_scipy(monkeypatch):
     spec.loader.exec_module(bench)
     assert bench._scipy_version() is None
     assert list(bench.CASES) == CASE_NAMES
+
+
+def test_each_case_is_timed_on_a_primed_heap():
+    # an op that allocates and frees two 2 MB arrays faults about 1,000 pages a
+    # call in a fresh process, and none once one 8 MB block is freed (DECISIONS.md D25)
+    code = (
+        "import importlib.util, sys; import numpy as np; "
+        "spec = importlib.util.spec_from_file_location('bench', sys.argv[1]); "
+        "bench = importlib.util.module_from_spec(spec); spec.loader.exec_module(bench); "
+        "print(bench._time_case(lambda i: (np.ones(1 << 18), np.ones(1 << 18)), 1, 5)['minor_faults_per_call'])"
+    )
+    src = str(_BENCH.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(_BENCH)], env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 10

@@ -12,6 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from symkit import experiments
 from symkit.cli import DEFAULT_SEED
@@ -27,14 +28,10 @@ BOUND = report_digests.THREAD_BOUND
 
 def _moved(suite_run) -> list[tuple[str, str]]:
     """(seed, id) of each session report whose digest differs from the table's for this BLAS thread count."""
-    got = report_digests.digests(suite_run, DEFAULT_SEED, experiments.VERBS)
+    got = report_digests.session_digests(suite_run, DEFAULT_SEED, experiments.VERBS)
     want = {seed: dict(ids) for seed, ids in TABLE["reports"].items()}
-    threads = report_digests.openblas_threads()
-    if threads == 1:
+    if report_digests.openblas_threads() == 1:
         want[str(DEFAULT_SEED)][BOUND] = TABLE["one_blas_thread"][BOUND]
-    elif threads is None:
-        # the count is unknown: build the report again at a count the table holds
-        got[str(DEFAULT_SEED)][BOUND] = report_digests.thread_bound_digest(DEFAULT_SEED, 2)
     seeds = sorted(set(got) | set(want))
     return [(seed, rid) for seed in seeds for rid in sorted(set(got.get(seed, {})) | set(want.get(seed, {})))
             if got.get(seed, {}).get(rid) != want.get(seed, {}).get(rid)]
@@ -44,6 +41,23 @@ def test_every_session_report_keeps_its_bytes(default_seed_run):
     moved = _moved(default_seed_run)
     assert not moved, f"{len(moved)} reports moved (rerun scripts/report_digests.py and name them): {moved}"
     assert sum(map(len, TABLE["reports"].values())) == 321
+
+
+def test_the_script_builds_the_table_where_the_thread_count_is_unknown(default_seed_run, monkeypatch):
+    # another BLAS, or a system OpenBLAS: the script rebuilds the thread-bound
+    # report at 2 threads, as the check above does, and writes the same table
+    built = []
+    real = report_digests.thread_bound_digest
+    monkeypatch.setattr(report_digests, "openblas_threads", lambda: None)
+    monkeypatch.setattr(report_digests, "thread_bound_digest", lambda seed, threads: built.append(threads) or real(seed, threads))
+    assert report_digests.build_table(default_seed_run, DEFAULT_SEED, experiments.VERBS) == TABLE
+    assert sorted(built) == [1, 2]
+
+
+def test_the_script_refuses_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(report_digests, "openblas_threads", lambda: 1)
+    with pytest.raises(SystemExit):
+        report_digests.build_table(None, DEFAULT_SEED, experiments.VERBS)
 
 
 def test_the_thread_bound_report_keeps_its_one_thread_bytes():

@@ -11,10 +11,16 @@ tests call fails here; D10 deletes such names.
 The scripts are imported too (their ``__main__`` blocks do not run), so a
 name they still import after its deletion fails here rather than on the
 script's next run.
+
+The decisions ledger resolves both ways: every ``D<n>`` that the code, the
+tests, the scripts, README.md or ROADMAP.md cite is an entry of
+DECISIONS.md, and every test function or class that the ledger names is
+defined under ``tests/``.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -68,3 +74,27 @@ def test_script_imports_resolve(script, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # run_full_suite prepends its src
     spec = importlib.util.spec_from_file_location(f"_script_{script}", _REPO / "scripts" / f"{script}.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+_LEDGER = (_REPO / "DECISIONS.md").read_text()
+
+
+def test_every_cited_decision_has_an_entry():
+    entries = set(re.findall(r"^## (D\d+)\.", _LEDGER, re.M))
+    citing = [*(_REPO / "src").rglob("*.py"), *(_REPO / "tests").rglob("*.py"), *_SCRIPTS]
+    citing += [_REPO / "README.md", _REPO / "ROADMAP.md"]
+    missing = {(path.name, d) for path in citing for d in re.findall(r"\bD\d+\b", path.read_text()) if d not in entries}
+    assert sorted(missing) == []
+
+
+def test_every_test_the_ledger_cites_exists():
+    tests = sorted((_REPO / "tests").rglob("*.py"))
+    defined = {
+        node.name
+        for path in tests
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    modules = {path.stem for path in tests}  # a bare module name such as test_cli is not a test
+    cited = set(re.findall(r"\b(test_\w+|Test[A-Z]\w*)\b", _LEDGER))
+    assert sorted(cited - defined - modules) == []
