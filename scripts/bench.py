@@ -15,10 +15,7 @@ Cases, each at one fixed size:
   before the timed region, to the arrays of two alternating data fields,
   as the Choquard descent and the fft seminorm route do; ``fresh_kernel``
   calls the one-shot ``convolve`` with a kernel whose values differ from
-  the previous call's, so every call transforms its kernel; at 32x32x32 also
-  ``shared_helper``, the ``reused_kernel`` plan called as the Choquard
-  descent calls it, with a live one-thread executor that shares its stages
-  (``plan(f.values, helper=ex)``);
+  the previous call's, so every call transforms its kernel;
 * the Choquard descent's stencils on a 32x32x32 field: the forward
   differences and the kinetic gradient from them
   (``functionals._forward_diffs`` then ``_kinetic_gradient_of``, as the
@@ -97,7 +94,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -147,10 +143,6 @@ def _convolve(shape, h, mode, calls=10):
         if mode == "reused_kernel":
             plan = convolution_plan(kernel, grid)
             return lambda i: plan(fields[i % 2].values), calls, sizes
-        if mode == "shared_helper":
-            # the executor lives as long as the case's process
-            plan, helper = convolution_plan(kernel, grid), ThreadPoolExecutor(1)
-            return lambda i: plan(fields[i % 2].values, helper=helper), calls, sizes
         kernels = [ScalarField(kernel.grid, kernel.values * (1.0 + 1e-3 * (i + 1))) for i in range(calls)]
         return lambda i: convolve(kernels[i], fields[i % 2]), calls, sizes
 
@@ -272,7 +264,6 @@ CASES = {
     "convolve_128x128.fresh_kernel": _convolve((128, 128), 1.0 / 128, "fresh_kernel"),
     "convolve_32x32x32.reused_kernel": _convolve((32, 32, 32), 0.25, "reused_kernel"),
     "convolve_32x32x32.fresh_kernel": _convolve((32, 32, 32), 0.25, "fresh_kernel"),
-    "convolve_32x32x32.shared_helper": _convolve((32, 32, 32), 0.25, "shared_helper"),
     "forward_diffs_kinetic_gradient_of_32x32x32": _stencil("descent_stencils"),
     "gradient_pnorm_32x32x32": _stencil("gradient_pnorm"),
     "choquard_descent_32x32x32.10_steps": _descent,

@@ -8,11 +8,9 @@ and after every rearrangement so the claim is checkable from the result.
 
 Each energy evaluation runs the iterate's stencils (forward differences,
 ||grad u||^2 and the kinetic gradient) on one helper thread while the
-calling thread starts the convolution, and the helper then takes half of
-each of the plan's later stages; numpy releases the GIL in both, so on two
-cores they overlap.  The helper runs private helpers and plan stages only,
-and every value is the one a single thread computes, bit for bit
-(DECISIONS.md D20).
+calling thread runs the convolution; numpy releases the GIL in both, so on
+two cores they overlap.  The helper runs private helpers only, and every
+value is the one a single thread computes, bit for bit (DECISIONS.md D20).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ def _stencils(values: np.ndarray, grid: Grid) -> tuple[float, np.ndarray]:
     return _gradient_pnorm_of(diffs, grid.cell_volume) ** 2, _kinetic_gradient_of(diffs, grid.h)
 
 
-def coulomb_potential(grid: Grid) -> Callable[..., np.ndarray]:
+def coulomb_potential(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     """Convolution plan of the Coulomb kernel |z|^-1 for the value arrays of ``grid``.
 
     The kernel is sampled on the full displacement grid and dropped once it
@@ -83,7 +81,7 @@ def coulomb_potential(grid: Grid) -> Callable[..., np.ndarray]:
 
 def choquard_descent(
     u0: ScalarField,
-    potential: Callable[..., np.ndarray],
+    potential: Callable[[np.ndarray], np.ndarray],
     steps: int = 200,
     step_size: float = 0.02,
     polish_steps: int = 0,
@@ -91,10 +89,10 @@ def choquard_descent(
     """Run the projected descent; the returned iterate ends on a rearrangement.
 
     ``potential`` is ``coulomb_potential(u0.grid)``, called as
-    ``potential(u², helper=ex)``: u² and Φ are arrays, paired as sum(u² Φ)
-    h^d.  A caller that runs several descents on one grid passes the same
-    plan to each.  The audit list holds (energy before, energy after) for
-    every rearrangement, and ``energies`` the post-step energies.  Divergence
+    ``potential(u²)``: u² and Φ are arrays, paired as sum(u² Φ) h^d.  A
+    caller that runs several descents on one grid passes the same plan to
+    each.  The audit list holds (energy before, energy after) for every
+    rearrangement, and ``energies`` the post-step energies.  Divergence
     (a non-finite step, norm or energy) aborts with ``diverged`` set; after
     a non-finite step or norm ``final`` is the last finite iterate.
 
@@ -110,10 +108,9 @@ def choquard_descent(
     The run owns one helper thread, created on entry and joined before it
     returns or raises.  Each energy evaluation hands the iterate's stencils
     to it (the pre-sort energies only ||grad u||^2) and then calls
-    ``potential`` with it, which shares the plan's later stages with it;
-    only the calling thread calls the plan.  The stencils and the stage
-    halves run in copies of the caller's context, under its
-    ``np.errstate``, and an error in either is raised here.
+    ``potential`` on this thread.  The stencils run in a copy of the
+    caller's context, under its ``np.errstate``, and an error in them is
+    raised here.
     """
     if u0.dim != 3:
         raise ValueError("the Choquard descent runs on 3-d grids")
@@ -140,12 +137,11 @@ def choquard_descent(
     with ThreadPoolExecutor(1) as helper:
 
         def energy_and_potential(vals: np.ndarray, stencil=_stencils):
-            # the helper runs the stencils of vals, then shares the plan's
-            # later stages with this thread; the kinetic gradient serves the
-            # step from vals
+            # the helper runs the stencils of vals while this thread
+            # convolves; the kinetic gradient serves the step from vals
             stencils = helper.submit(context.run, stencil, vals, grid)
             usq = vals * vals
-            phi = potential(usq, helper=helper)
+            phi = potential(usq)
             pot = float(np.sum(usq * phi)) * vol
             kin, kgrad = stencils.result()
             return kin - pot, phi, kgrad

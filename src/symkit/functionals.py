@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 from collections.abc import Callable
@@ -133,28 +132,7 @@ def _fftconvolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[tuple(slice(n) for n in shape)]
 
 
-def _split(helper, stage: Callable[[slice], None], n: int) -> None:
-    """``stage`` on rows 0 .. n//2 - 1 on ``helper`` and on the rest here, joined.
-
-    Without a helper, ``stage`` runs once here, on ``slice(None)``.  The
-    helper's half runs in a copy of the caller's context.  An exception in
-    either half is raised here, and only once the helper's half has ended,
-    so no half is still writing the buffer when the caller moves on.
-    """
-    if helper is None:
-        stage(slice(None))
-        return
-    m = n // 2
-    half = helper.submit(contextvars.copy_context().run, stage, slice(0, m))
-    try:
-        stage(slice(m, n))
-    except BaseException:
-        half.exception()
-        raise
-    half.result()
-
-
-def convolution_plan(kernel: ScalarField, grid: Grid) -> Callable[..., np.ndarray]:
+def convolution_plan(kernel: ScalarField, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     """Linear convolution with ``kernel`` of the value arrays of ``grid``, transformed once.
 
     Returns ``plan``: ``plan(values)[x] = sum_y kernel(x - y) values[y] h^d``
@@ -164,15 +142,6 @@ def convolution_plan(kernel: ScalarField, grid: Grid) -> Callable[..., np.ndarra
     The plan keeps the kernel's spectrum, not its values, and owns a mutable
     FFT buffer, so one plan must not be called from two threads at once
     (DECISIONS.md D8).
-
-    Every call runs one schedule: the r2c and c2c stages 0 .. d-3 on the
-    calling thread, then three phases, each whole on that thread unless the
-    call passes ``helper=ex``, an executor the caller owns (the Choquard
-    descent's one helper thread, D20): then each phase of a 3-d call runs
-    in two halves of rows, one of them on ``ex``, joined before the next.
-    No half splits the last axis.  Every line goes through the same 1-d
-    transform and every entry through the same product and scaling, so the
-    halves give the whole phases' bits.  Only a 3-d plan takes a helper.
 
     The FFTs are circular, of the shortest fast length per axis at which no
     wrapped-around term reaches the kept window (Hockney's free-space
@@ -207,59 +176,33 @@ def convolution_plan(kernel: ScalarField, grid: Grid) -> Callable[..., np.ndarra
     # others; its pad slab is rows n_ax .. L_ax - 1 of axis ax, where rfftn
     # holds the r2c of a zero line carried through stages 0 .. ax-1
     stages = [
-        buf[(slice(None),) * (ax + 1) + tuple(slice(n) for n in shape[ax + 1 : -1])] for ax in range(d - 2)
+        buf[(slice(None),) * (ax + 1) + tuple(slice(n) for n in shape[ax + 1 : -1])] for ax in range(d - 1)
     ]
     pads = [rfft(np.zeros(lengths[-1])).reshape((1,) * (d - 1) + (cols,))]
     for ax in range(d - 2):
         pad = pads[-1]
         pads.append(fft(np.broadcast_to(pad, pad.shape[:ax] + (lengths[ax],) + pad.shape[ax + 1 :]), axis=ax))
     r2c = buf[tuple(slice(n) for n in shape[:-1])]
-    # the rows the axis-0 inverse keeps; in 1-d the c2r cuts the only axis
-    kept = buf[radii[0] : radii[0] + shape[0]] if d > 1 else buf
     scale = 1.0 / math.prod(lengths)
 
-    def forward(rows: slice) -> None:
-        # the last c2c stage, on axis d-2 with its pad fill, then the product
-        x = buf[rows]
-        if d > 1:
-            x[_along(d - 2, slice(shape[d - 2], None))] = pads[d - 2][rows]
-            fft(x, axis=d - 2, out=x)
-        x *= spec[rows]
-
-    def inverse0(cols: slice) -> None:
-        x = buf[:, cols]
-        ifft(x, axis=0, norm="forward", out=x)
-
-    def plan(values: np.ndarray, helper=None) -> np.ndarray:
+    def plan(values: np.ndarray) -> np.ndarray:
         if values.shape != shape:
             raise ValueError(f"array shape {values.shape} differs from the plan's {shape}")
-        if helper is not None and d != 3:
-            raise ValueError("a helper shares the stages of 3-d plans only")
         # r2c of the array's own lines, zero-padded to the length inside pocketfft
         rfft(values, n=lengths[-1], out=r2c)
         # rfftn's forward order, axes 0 .. d-2; another order moves the last bits
         for ax, view in enumerate(stages):
             view[_along(ax, slice(shape[ax], None))] = pads[ax]
             fft(view, axis=ax, out=view)
-        out = np.empty(shape)
-
-        def inverse(rows: slice) -> None:
-            # axes 1 .. d-2 unscaled, each cut to its kept rows; irfftn scales once, by 1/prod(L)
-            x = kept[rows]
-            for ax in range(1, d - 1):
-                r, n = radii[ax], shape[ax]
-                x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
-            r, n = radii[-1], shape[-1]
-            window = out[rows]
-            np.multiply(irfft(x, lengths[-1], norm="forward")[..., r : r + n], scale, out=window)
-            window *= vol
-
-        # halves along axis 0, axis 1, then the kept axis-0 rows: never the
-        # last axis, whose rows both threads would write (DECISIONS.md D20)
-        _split(helper, forward, lengths[0])
-        if d > 1:
-            _split(helper, inverse0, buf.shape[1])
-        _split(helper, inverse, len(kept))
+        np.multiply(buf, spec, out=buf)
+        # axes 0 .. d-2 unscaled, each cut to its kept rows; irfftn scales once, by 1/prod(L)
+        x = buf
+        for ax in range(d - 1):
+            r, n = radii[ax], shape[ax]
+            x = ifft(x, axis=ax, norm="forward", out=x)[_along(ax, slice(r, r + n))]
+        r, n = radii[-1], shape[-1]
+        out = np.multiply(irfft(x, lengths[-1], norm="forward")[..., r : r + n], scale)
+        out *= vol
         return out
 
     plan.lengths = lengths

@@ -23,14 +23,11 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   padded temporaries (its tracemalloc peak stays below 1 MB);
 * one-shot calls from several threads at once get the bits of a
   sequential run, since each call makes its own plan;
-* the plan's one schedule: a 3-d call that splits its phases in halves
-  with a helper thread (``plan(values, helper=ex)``) gives the bits of the call
-  without one, which runs each phase whole, and of the unpruned window,
-  raises ``FloatingPointError`` under ``np.errstate(all="raise")`` exactly
-  when the call without a helper does, keeps a warm call's tracemalloc
-  peak below 1 MB, and is refused below 3-d; a call without a helper, in
-  1-, 2- and 3-d, runs every transform on the calling thread and starts no
-  thread;
+* the plan's one schedule, whole on the calling thread: in 1-, 2- and 3-d
+  a call runs every transform on that thread and starts no thread, a 3-d
+  call raises ``FloatingPointError`` under ``np.errstate(all="raise")``
+  when its product overflows, and a plan that raised gives the same bits
+  afterwards;
 * the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
   ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
   n = 1 .. 20,000;
@@ -49,11 +46,8 @@ import os
 import subprocess
 import sys
 import threading
-import traceback
 import tracemalloc
-import types
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -230,24 +224,12 @@ class TestWorkspace:
         assert peak < 1.0e6
 
 
-@st.composite
-def _cases_3d(draw):
-    # odd, even and unequal extents, kernel radii below and equal to n - 1
-    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
-    radii = tuple(draw(st.integers(0, n - 1)) for n in shape)
-    kv = draw(arrays(np.float64, tuple(2 * r + 1 for r in radii), elements=_values))
-    fv = draw(arrays(np.float64, shape, elements=_values))
-    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    return kv, fv, h
-
-
-def _helper_overflow_case():
+def _overflow_case():
     """A 3-d case whose only overflow is the product at axis-0 row 0.
 
     The kernel's spectrum is 8e307 cos(pi k0 / 8) times a unit phase, and
-    the field is a delta of 2.4: the product overflows in row 0 only, which
-    the helper's half holds; every other product stays below 99% of the
-    largest double.
+    the field is a delta of 2.4: the product overflows in row 0 only; every
+    other product stays below 99% of the largest double.
     """
     kv = np.zeros((7, 7, 7))
     kv[3, 3, 3] = kv[4, 3, 3] = 4e307
@@ -265,75 +247,26 @@ def _outcome(call):
         return exc
 
 
-class TestSharedPlan:
-    # plan(values, helper=ex) splits each of the plan's three phases in halves of
-    # rows with ex; without a helper each runs whole (DECISIONS.md D20)
-    @settings(max_examples=100, deadline=None)
-    @given(_cases_3d())
-    @example(_signed_zero_case())
-    def test_shared_call_is_bit_identical_to_serial(self, case):
-        kv, fv, h = case
-        kern = ScalarField(Grid(kv.shape, h), kv)
-        fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
-        plan = convolution_plan(kern, fields[0].grid)
-        want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
-        with ThreadPoolExecutor(1) as ex:
-            for i in (0, 1, 1, 0, 0, 1):
-                assert plan(fields[i].values, helper=ex).tobytes() == want[i]
-                assert plan(fields[i].values).tobytes() == want[i]
-
-    @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 30, 18), (9, 7, 5)])
-    def test_coulomb_kernel_shared_call_matches_serial(self, shape):
-        g = Grid(shape, 0.125)
-        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g)
-        rng = np.random.default_rng(15)
-        fields = [rng.random(shape) for _ in range(2)]
-        with ThreadPoolExecutor(1) as ex:
-            for i in (0, 1, 0):
-                assert plan(fields[i], helper=ex).tobytes() == plan(fields[i]).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(150, 305), st.integers(0, 160), st.integers(0, 2**32 - 1))
-    def test_shared_call_raises_exactly_when_serial_does(self, field_exp, kernel_exp, seed):
-        # the halves on the helper run in a copy of the caller's context, so
-        # under its np.errstate
-        g = Grid((5, 4, 6), 0.5)
-        rng = np.random.default_rng(seed)
-        kern = ScalarField(displacement_grid(g), rng.random((9, 7, 11)) * 10.0**kernel_exp)
-        f = rng.random(g.shape) * 10.0**field_exp
-        plan = convolution_plan(kern, g)
-        with ThreadPoolExecutor(1) as ex:
-            serial, shared = _outcome(lambda: plan(f)), _outcome(lambda: plan(f, helper=ex))
-        assert isinstance(serial, bytes) == isinstance(shared, bytes)
-        if isinstance(serial, bytes):
-            assert shared == serial
-
-    def test_overflow_in_the_helpers_half_raises_in_the_caller(self):
-        kv, fv = _helper_overflow_case()
+class TestSerialCall:
+    # a call runs every stage whole, on the calling thread (DECISIONS.md D20)
+    def test_overflow_raises_under_the_callers_error_state(self):
+        kv, fv = _overflow_case()
         g = Grid(fv.shape, 0.5)
         plan = convolution_plan(ScalarField(displacement_grid(g), kv), g)
-        f = fv
-        with ThreadPoolExecutor(1) as ex:
-            assert isinstance(_outcome(lambda: plan(f)), FloatingPointError)
-            err = _outcome(lambda: plan(f, helper=ex))
-            assert isinstance(err, FloatingPointError)
-            # raised by the product on the helper, and re-raised by the join
-            frames = [fr.name for fr in traceback.extract_tb(err.__traceback__)]
-            assert frames[-2:] == ["run", "forward"]
-            # the failed call left the plan usable
-            calm = fv * 1e-10
-            assert plan(calm, helper=ex).tobytes() == plan(calm).tobytes()
+        err = _outcome(lambda: plan(fv))
+        assert isinstance(err, FloatingPointError) and "multiply" in str(err)
 
-    @pytest.mark.parametrize("shape", [(12,), (6, 5)])
-    def test_helper_below_3d_is_refused(self, shape):
-        g = Grid(shape, 0.5)
-        plan = convolution_plan(sample_kernel(PowerLaw(0.5), displacement_grid(g)), g)
-        f = np.ones(shape)
-        with ThreadPoolExecutor(1) as ex, pytest.raises(ValueError, match="3-d"):
-            plan(f, helper=ex)
+    def test_plan_that_raised_gives_the_same_bits(self):
+        kv, fv = _overflow_case()
+        g = Grid(fv.shape, 0.5)
+        plan = convolution_plan(ScalarField(displacement_grid(g), kv), g)
+        calm = fv * 1e-10
+        want = plan(calm).tobytes()
+        assert isinstance(_outcome(lambda: plan(fv)), FloatingPointError)
+        assert plan(calm).tobytes() == want
 
     @pytest.mark.parametrize("shape", [(12,), (6, 5), (7, 6, 5)])
-    def test_call_without_a_helper_runs_every_transform_here(self, shape, monkeypatch):
+    def test_every_transform_runs_on_the_calling_thread(self, shape, monkeypatch):
         threads = []
 
         def recorded(fn):
@@ -354,21 +287,6 @@ class TestSharedPlan:
         assert set(threading.enumerate()) == before
         # the r2c, d - 1 c2c stages each way and the c2r, each once, on this thread
         assert threads == [threading.current_thread()] * (2 * len(shape))
-
-    def test_warm_shared_call_allocates_no_padded_temporaries(self):
-        g = Grid((32, 32, 32), 0.25)
-        plan = convolution_plan(sample_kernel(PowerLaw(1.0), displacement_grid(g)), g)
-        f = np.random.default_rng(12).random(g.shape)
-        with ThreadPoolExecutor(1) as ex:
-            plan(f, helper=ex)
-            tracemalloc.start()
-            try:
-                plan(f, helper=ex)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        # the window and the halves' c2r outputs, at most 0.8 MB (0.6 MB read)
-        assert peak < 1.0e6
 
 
 class TestLengthRule:
@@ -393,20 +311,10 @@ class TestLengthRule:
         assert _close(out, _lattice_sum(kern.values, f.values, g.h), kern.values, f.values, g.h)
 
 
-def _plan_state(fn) -> dict:
-    """The arrays a plan keeps, by the names its closure gives them.
-
-    The closures of the stage functions it keeps are walked too, so an
-    array that only a stage reads (the spectrum, in ``forward``) is found.
-    """
-    state = {}
-    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
-        value = cell.cell_contents
-        if isinstance(value, np.ndarray):
-            state[name] = value
-        elif isinstance(value, types.FunctionType):
-            state.update(_plan_state(value))
-    return state
+def _plan_state(plan) -> dict:
+    """The arrays a plan keeps, by the names its closure gives them."""
+    cells = zip(plan.__code__.co_freevars, plan.__closure__ or ())
+    return {name: cell.cell_contents for name, cell in cells if isinstance(cell.cell_contents, np.ndarray)}
 
 
 class TestPlan:
