@@ -23,11 +23,13 @@ The routes run on ``numpy.fft``'s 1-d transforms; the oracles are scipy's
   padded temporaries (its tracemalloc peak stays below 1 MB);
 * one-shot calls from several threads at once get the bits of a
   sequential run, since each call makes its own plan;
-* the plan's one schedule, whole on the calling thread: in 1-, 2- and 3-d
-  a call runs every transform on that thread and starts no thread, a 3-d
-  call raises ``FloatingPointError`` under ``np.errstate(all="raise")``
-  when its product overflows, and a plan that raised gives the same bits
-  afterwards;
+* the plan's one schedule, whole on the calling thread: a 3-d call, on
+  two fields in turn, gives the bits of the unpruned window for extents up
+  to 5 and for the Coulomb kernel at 32^3 and unequal extents; in 1-, 2-
+  and 3-d a call runs every transform on that thread and starts no
+  thread; a 3-d call raises ``FloatingPointError`` under
+  ``np.errstate(all="raise")`` when its product overflows, and a plan
+  that raised gives the same bits afterwards;
 * the transform length per axis, _next_fast_len(max(n + r, 2r + 1)), and
   ``_next_fast_len`` against ``scipy.fft.next_fast_len(n, real=True)`` for
   n = 1 .. 20,000;
@@ -247,8 +249,44 @@ def _outcome(call):
         return exc
 
 
+@st.composite
+def _cases_3d(draw):
+    # odd, even and unequal extents, kernel radii below and equal to n - 1
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    radii = tuple(draw(st.integers(0, n - 1)) for n in shape)
+    kv = draw(arrays(np.float64, tuple(2 * r + 1 for r in radii), elements=_values))
+    fv = draw(arrays(np.float64, shape, elements=_values))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return kv, fv, h
+
+
 class TestSerialCall:
     # a call runs every stage whole, on the calling thread (DECISIONS.md D20)
+    @settings(max_examples=100, deadline=None)
+    @given(_cases_3d())
+    @example(_signed_zero_case())
+    def test_3d_call_is_bit_identical_to_unpruned_window(self, case):
+        # 3-d extents up to 5, so each c2c stage pads and cuts several rows
+        kv, fv, h = case
+        kern = ScalarField(Grid(kv.shape, h), kv)
+        fields = [ScalarField(Grid(fv.shape, h), v) for v in (fv, fv[::-1] * 0.5 + 1.0)]
+        plan = convolution_plan(kern, fields[0].grid)
+        want = [_unpruned_window(kv, f.values, h, plan.lengths).tobytes() for f in fields]
+        for i in (0, 1, 1, 0, 0, 1):
+            assert plan(fields[i].values).tobytes() == want[i]
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 30, 18), (9, 7, 5)])
+    def test_coulomb_kernel_call_matches_unpruned_window(self, shape):
+        # the descent's kernel, at its 32^3 grid and at unequal extents
+        g = Grid(shape, 0.125)
+        kern = sample_kernel(PowerLaw(1.0), displacement_grid(g))
+        plan = convolution_plan(kern, g)
+        rng = np.random.default_rng(15)
+        fields = [rng.random(shape) for _ in range(2)]
+        want = [_unpruned_window(kern.values, f, g.h, plan.lengths).tobytes() for f in fields]
+        for i in (0, 1, 0):
+            assert plan(fields[i]).tobytes() == want[i]
+
     def test_overflow_raises_under_the_callers_error_state(self):
         kv, fv = _overflow_case()
         g = Grid(fv.shape, 0.5)
